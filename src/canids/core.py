@@ -236,12 +236,7 @@ def id_bits(frame: CanFrame) -> np.ndarray:
     Standard 11-bit identifiers are zero-padded in the 18 high-order positions,
     which preserves numeric value and arbitration order.
     """
-    bits = np.empty(EXTENDED_ID_BITS, dtype=np.uint8)
-    v = frame.can_id
-    for i in range(EXTENDED_ID_BITS - 1, -1, -1):
-        bits[i] = v & 1
-        v >>= 1
-    return bits
+    return id_bits_matrix([frame.can_id])[0]
 
 
 def id_bits_matrix(ids: Sequence[int]) -> np.ndarray:

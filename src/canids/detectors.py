@@ -3,10 +3,13 @@
 Four model kinds: a CART decision tree split on Gini impurity, a
 bootstrap forest of such trees, softmax gradient-boosted regression
 trees with Newton leaf weights, and a per-id inter-arrival frequency
-baseline.  The tree learners are written directly on numpy so split
-tie-breaking (lowest feature index, then lowest threshold) and
-per-tree seeding are fully specified; given identical inputs the
-fitted models are identical.
+baseline.  All trees come from one grower, `_grow_tree`, which runs the
+split search from an explicit stack (no recursion, so any depth works)
+and takes its criterion as a plug-in: `_Gini` for classification trees,
+`_Newton` for boosting.  The tree learners are written directly on
+numpy so split tie-breaking (lowest feature index, then lowest
+threshold) and per-tree seeding are fully specified; given identical
+inputs the fitted models are identical.
 
 All score outputs are probability vectors over the fitted class list.
 Models serialize to self-describing JSON documents with a format
@@ -78,12 +81,12 @@ class _TreeArrays:
         self.value: list[np.ndarray] = []
         self.value_width = value_width
 
-    def add_node(self) -> int:
+    def add_node(self, value: np.ndarray) -> int:
         self.feature.append(-1)
         self.threshold.append(0.0)
         self.left.append(-1)
         self.right.append(-1)
-        self.value.append(np.zeros(self.value_width))
+        self.value.append(value)
         return len(self.feature) - 1
 
     def finalize(self) -> None:
@@ -127,6 +130,12 @@ class _TreeArrays:
         tree.left = np.asarray(obj["left"], dtype=np.int64)
         tree.right = np.asarray(obj["right"], dtype=np.int64)
         tree.value = value.reshape(len(tree.feature), -1)
+        # Growth numbers children after their parent; walking a tree and
+        # measuring its depth rely on it, and a cycle would never end.
+        internal = np.flatnonzero(tree.feature >= 0)
+        for child in (tree.left[internal], tree.right[internal]):
+            if not ((child > internal) & (child < len(tree.feature))).all():
+                raise ValueError("tree node links must point past their parent and stay in range")
         return tree
 
 
@@ -145,29 +154,84 @@ def _safe_threshold(lo: float, hi: float) -> float:
     return lo if mid >= hi else mid
 
 
-def _grow_gini_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    max_depth: int | None,
-    min_leaf: int,
-) -> _TreeArrays:
-    tree = _TreeArrays(value_width=n_classes)
-    eye = np.eye(n_classes, dtype=np.float64)
+class _Gini:
+    """Classification criterion: leaves hold class distributions, a pure
+    node stays a leaf, and a split scores the weighted Gini decrease."""
 
-    def grow(idx: np.ndarray, depth: int) -> int:
-        node = tree.add_node()
-        counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
-        tree.value[node] = counts / len(idx)
-        if (
-            (max_depth is not None and depth >= max_depth)
-            or len(idx) < 2 * min_leaf
-            or counts.max() == len(idx)
-        ):
-            return node
+    floor = -np.inf
+
+    def __init__(self, y: np.ndarray, n_classes: int) -> None:
+        self.y = y
+        self.eye = np.eye(n_classes, dtype=np.float64)
+        self.width = n_classes
+
+    def node(self, idx: np.ndarray) -> tuple[np.ndarray, bool, Any]:
+        counts = np.bincount(self.y[idx], minlength=self.width).astype(np.float64)
+        return counts / len(idx), counts.max() < len(idx), None
+
+    def scores(self, rows: np.ndarray, cand: np.ndarray, _: Any) -> np.ndarray:
+        cum = np.cumsum(self.eye[self.y[rows]], axis=0)
+        lc = cum[cand - 1]
+        rc = cum[-1] - lc
+        ln = cand.astype(np.float64)
+        rn = len(rows) - ln
+        # Minimizing weighted Gini is maximizing the sum of squared
+        # class counts over each side's size.
+        return (lc * lc).sum(axis=1) / ln + (rc * rc).sum(axis=1) / rn
+
+
+class _Newton:
+    """Regression criterion on gradient/hessian pairs: leaves hold the
+    Newton step -G/(H + lambda) and splits maximize the usual gain."""
+
+    floor = 1e-12
+    width = 1
+
+    def __init__(self, g: np.ndarray, h: np.ndarray, reg_lambda: float) -> None:
+        self.g = g
+        self.h = h
+        self.reg_lambda = reg_lambda
+
+    def node(self, idx: np.ndarray) -> tuple[np.ndarray, bool, Any]:
+        # Node totals in the node's own row order; a cumsum's last element
+        # rounds differently.
+        G = self.g[idx].sum()
+        H = self.h[idx].sum()
+        return np.array([-G / (H + self.reg_lambda)]), True, (G, H)
+
+    def scores(self, rows: np.ndarray, cand: np.ndarray, totals: Any) -> np.ndarray:
+        G, H = totals
+        lam = self.reg_lambda
+        gl = np.cumsum(self.g[rows])[cand - 1]
+        hl = np.cumsum(self.h[rows])[cand - 1]
+        gr = G - gl
+        hr = H - hl
+        return gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam)
+
+
+def _grow_tree(
+    X: np.ndarray, criterion: _Gini | _Newton, max_depth: int | None, min_leaf: int
+) -> _TreeArrays:
+    """Greedy binary tree grown from an explicit stack, so depth is
+    bounded only by max_depth.  Node ids are preorder, left child first.
+    A split must beat criterion.floor; ties go to the lowest feature,
+    then the lowest threshold."""
+    tree = _TreeArrays(value_width=criterion.width)
+    # (rows, depth, parent node, child array the parent links through)
+    stack: list[tuple[np.ndarray, int, int, list[int]]] = [
+        (np.arange(len(X), dtype=np.int64), 0, -1, tree.left)
+    ]
+    while stack:
+        idx, depth, parent, link = stack.pop()
+        value, may_split, state = criterion.node(idx)
+        node = tree.add_node(value)
+        if parent >= 0:
+            link[parent] = node
         m = len(idx)
-        best_score = -np.inf
-        best: tuple[int, float, np.ndarray, np.ndarray] | None = None
+        if not may_split or m < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
+            continue
+        best_score = criterion.floor
+        best: tuple[int, float, np.ndarray, int] | None = None
         for f in range(X.shape[1]):
             v = X[idx, f]
             order = np.argsort(v, kind="stable")
@@ -175,88 +239,19 @@ def _grow_gini_tree(
             cand = _split_candidates(sv, m, min_leaf)
             if len(cand) == 0:
                 continue
-            cum = np.cumsum(eye[y[idx[order]]], axis=0)
-            lc = cum[cand - 1]
-            rc = cum[-1] - lc
-            ln = cand.astype(np.float64)
-            rn = m - ln
-            # Minimizing weighted Gini is maximizing the sum of squared
-            # class counts over each side's size.
-            score = (lc * lc).sum(axis=1) / ln + (rc * rc).sum(axis=1) / rn
+            score = criterion.scores(idx[order], cand, state)
             j = int(np.argmax(score))
             if score[j] > best_score:
                 i = int(cand[j])
                 best_score = float(score[j])
-                best = (f, _safe_threshold(float(sv[i - 1]), float(sv[i])), idx[order[:i]], idx[order[i:]])
+                best = (f, _safe_threshold(float(sv[i - 1]), float(sv[i])), order, i)
         if best is None:
-            return node
-        f, thresh, left_idx, right_idx = best
+            continue
+        f, threshold, order, i = best
         tree.feature[node] = f
-        tree.threshold[node] = thresh
-        tree.left[node] = grow(left_idx, depth + 1)
-        tree.right[node] = grow(right_idx, depth + 1)
-        return node
-
-    grow(np.arange(len(X), dtype=np.int64), 0)
-    tree.finalize()
-    return tree
-
-
-def _grow_newton_tree(
-    X: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    max_depth: int,
-    min_leaf: int,
-    reg_lambda: float,
-) -> _TreeArrays:
-    """Regression tree on gradient/hessian pairs; leaves hold the Newton
-    step -G/(H + lambda) and splits maximize the usual gain."""
-    tree = _TreeArrays(value_width=1)
-
-    def leaf_weight(idx: np.ndarray) -> float:
-        return float(-g[idx].sum() / (h[idx].sum() + reg_lambda))
-
-    def grow(idx: np.ndarray, depth: int) -> int:
-        node = tree.add_node()
-        tree.value[node][0] = leaf_weight(idx)
-        if depth >= max_depth or len(idx) < 2 * min_leaf:
-            return node
-        m = len(idx)
-        G = g[idx].sum()
-        H = h[idx].sum()
-        parent_term = G * G / (H + reg_lambda)
-        best_gain = 1e-12
-        best: tuple[int, float, np.ndarray, np.ndarray] | None = None
-        for f in range(X.shape[1]):
-            v = X[idx, f]
-            order = np.argsort(v, kind="stable")
-            sv = v[order]
-            cand = _split_candidates(sv, m, min_leaf)
-            if len(cand) == 0:
-                continue
-            sg = np.cumsum(g[idx[order]])
-            sh = np.cumsum(h[idx[order]])
-            gl = sg[cand - 1]
-            hl = sh[cand - 1]
-            gr = G - gl
-            hr = H - hl
-            gain = gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent_term
-            j = int(np.argmax(gain))
-            if gain[j] > best_gain:
-                i = int(cand[j])
-                best_gain = float(gain[j])
-                best = (f, _safe_threshold(float(sv[i - 1]), float(sv[i])), idx[order[:i]], idx[order[i:]])
-        if best is None:
-            return node
-        f, thresh, left_idx, right_idx = best
-        tree.feature[node] = f
-        tree.threshold[node] = thresh
-        tree.left[node] = grow(left_idx, depth + 1)
-        tree.right[node] = grow(right_idx, depth + 1)
-        return node
-
-    grow(np.arange(len(X), dtype=np.int64), 0)
+        tree.threshold[node] = threshold
+        stack.append((idx[order[i:]], depth + 1, node, tree.right))
+        stack.append((idx[order[:i]], depth + 1, node, tree.left))
     tree.finalize()
     return tree
 
@@ -307,7 +302,7 @@ class DecisionTree(Detector):
         if len(X) == 0:
             raise ValueError("cannot fit on an empty set")
         self.classes = tuple(classes) if classes is not None else _default_classes(y)
-        self._tree = _grow_gini_tree(X, y, len(self.classes), self.max_depth, self.min_leaf)
+        self._tree = _grow_tree(X, _Gini(y, len(self.classes)), self.max_depth, self.min_leaf)
         self._fitted = True
         return self
 
@@ -323,13 +318,12 @@ class DecisionTree(Detector):
     @property
     def depth(self) -> int:
         self._check_fitted()
-
-        def walk(node: int) -> int:
-            if self._tree.feature[node] < 0:
-                return 0
-            return 1 + max(walk(int(self._tree.left[node])), walk(int(self._tree.right[node])))
-
-        return walk(0)
+        tree = self._tree
+        # Children always follow their parent, so one forward pass suffices.
+        depth = np.zeros(len(tree.feature), dtype=np.int64)
+        for node in np.flatnonzero(tree.feature >= 0):
+            depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+        return int(depth.max())
 
     def descriptor(self) -> dict[str, Any]:
         return {
@@ -404,8 +398,8 @@ class RandomForest(Detector):
             rng = np.random.default_rng([self.seed, t])
             rows = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             cols = np.sort(rng.permutation(d)[:n_feats])
-            tree = _grow_gini_tree(
-                X[rows][:, cols], y[rows], len(self.classes), self.max_depth, self.min_leaf
+            tree = _grow_tree(
+                X[rows][:, cols], _Gini(y[rows], len(self.classes)), self.max_depth, self.min_leaf
             )
             self._trees.append(tree)
             self._feats.append(cols)
@@ -529,8 +523,8 @@ class GradientBoosting(Detector):
             for c in range(n_classes):
                 g = p[rows, c] - onehot[rows, c]
                 h = np.maximum(p[rows, c] * (1.0 - p[rows, c]), 1e-12)
-                tree = _grow_newton_tree(
-                    X[rows], g, h, self.max_depth, self.min_leaf, self.reg_lambda
+                tree = _grow_tree(
+                    X[rows], _Newton(g, h, self.reg_lambda), self.max_depth, self.min_leaf
                 )
                 round_trees.append(tree)
                 raw[:, c] += self.learning_rate * tree.leaf_values(X)[:, 0]

@@ -19,6 +19,7 @@ from typing import IO, Any, Sequence
 import numpy as np
 
 from .core import NORMAL_LABEL
+from .windows import _window_labels, _window_layout
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -217,14 +218,8 @@ def window_binary_labels(
 ) -> np.ndarray:
     """Aggregate per-frame attack flags into per-window any-attack labels."""
     flags = np.asarray(frame_flags, dtype=bool)
-    if window < 1 or step < 1:
-        raise ValueError("window and step must be >= 1")
-    n = len(flags)
-    if n < window:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.arange(0, n - window + 1, step)
-    cum = np.concatenate([[0], np.cumsum(flags)])
-    return (cum[starts + window] - cum[starts] > 0).astype(np.int64)
+    starts = _window_layout(len(flags), window, step)
+    return _window_labels(flags, starts, window).astype(np.int64)
 
 
 WINDOW_EVAL_CLASSES = (NORMAL_LABEL, "Attack")

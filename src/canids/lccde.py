@@ -18,7 +18,6 @@ arbitrated:
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -28,8 +27,7 @@ import numpy as np
 from .detectors import (
     Detector,
     GradientBoosting,
-    Prediction,
-    _predictions_from_scores,
+    _default_classes,
     measure_latency,
     register_model_kind,
 )
@@ -188,6 +186,22 @@ def arbitrate_one(
     return labels[winner], winner
 
 
+def _arbitrate(
+    scores: Sequence[np.ndarray], leaders: LeaderMap, majority_literal: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arbitrated class indices and deciding-model indices from the base
+    models' score matrices."""
+    labels = np.stack([s.argmax(axis=1) for s in scores], axis=1)
+    confs = np.stack([s.max(axis=1) for s in scores], axis=1)
+    out = np.zeros(len(labels), dtype=np.int64)
+    picked = np.zeros(len(labels), dtype=np.int64)
+    for i in range(len(labels)):
+        out[i], picked[i] = arbitrate_one(
+            labels[i].tolist(), confs[i].tolist(), leaders.leader, majority_literal
+        )
+    return out, picked
+
+
 def lccde_predict(
     models: Sequence[Detector],
     leaders: LeaderMap,
@@ -197,16 +211,7 @@ def lccde_predict(
     """Arbitrated class indices and deciding-model indices for a batch."""
     if len(models) != N_BASE_MODELS:
         raise ValueError(f"exactly {N_BASE_MODELS} base models required")
-    scores = [m.predict_scores(X) for m in models]
-    labels = np.stack([s.argmax(axis=1) for s in scores], axis=1)
-    confs = np.stack([s.max(axis=1) for s in scores], axis=1)
-    out = np.zeros(len(X), dtype=np.int64)
-    picked = np.zeros(len(X), dtype=np.int64)
-    for i in range(len(X)):
-        out[i], picked[i] = arbitrate_one(
-            labels[i].tolist(), confs[i].tolist(), leaders.leader, majority_literal
-        )
-    return out, picked
+    return _arbitrate([m.predict_scores(X) for m in models], leaders, majority_literal)
 
 
 DEFAULT_BASE_CONFIGS = (
@@ -249,9 +254,7 @@ class LccdeEnsemble(Detector):
     def fit(self, X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None = None) -> "LccdeEnsemble":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        if classes is None:
-            classes = tuple(str(c) for c in range(int(y.max()) + 1))
-        self.classes = tuple(classes)
+        self.classes = tuple(classes) if classes is not None else _default_classes(y)
         data = TabularDataset(X=X, y=y, classes=self.classes)
         train, val = split_train_test(
             data, SplitSpec(ratio=1.0 - self.val_frac, mode="stratified_random", seed=self.seed)
@@ -277,12 +280,8 @@ class LccdeEnsemble(Detector):
         """Score rows of whichever base model carried each decision."""
         self._check_fitted()
         scores = [m.predict_scores(X) for m in self.models]
-        _, picked = lccde_predict(self.models, self.leaders, X, self.majority_literal)
-        stacked = np.stack(scores, axis=0)
-        return stacked[picked, np.arange(len(X))]
-
-    def predict(self, X: np.ndarray) -> list[Prediction]:
-        return _predictions_from_scores(self.predict_scores(X), self.classes)
+        _, picked = _arbitrate(scores, self.leaders, self.majority_literal)
+        return np.stack(scores, axis=0)[picked, np.arange(len(picked))]
 
     def descriptor(self) -> dict[str, Any]:
         desc = {
@@ -326,10 +325,6 @@ class LccdeEnsemble(Detector):
         ensemble.latency_us = obj.get("latency_us")
         ensemble._fitted = True
         return ensemble
-
-    def save(self, stream) -> None:
-        json.dump(self.to_json_obj(), stream)
-        stream.write("\n")
 
 
 register_model_kind("lccde", LccdeEnsemble)

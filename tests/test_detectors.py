@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -22,6 +23,7 @@ from canids.detectors import (
     save_model,
     softmax_cross_entropy,
 )
+from canids.lccde import LccdeEnsemble
 from canids.synth import (
     AmbientIdSpec,
     AmbientModel,
@@ -112,6 +114,88 @@ class TestDecisionTree:
         b = fit_decision_tree(X, y, max_depth=6)
         assert np.array_equal(a._tree.feature, b._tree.feature)
         assert np.array_equal(a._tree.threshold, b._tree.threshold)
+
+
+class TestDeepTrees:
+    """Depth is bounded only by max_depth: nothing in fitting or in
+    DecisionTree.depth recurses per level."""
+
+    def staircase(self, n):
+        return np.arange(float(n))[:, None], np.arange(n) % 2
+
+    def test_unbounded_tree_isolates_every_row(self):
+        X, y = self.staircase(4000)
+        model = fit_decision_tree(X, y)
+        assert model.n_nodes == 7999
+        assert model.depth == 3999
+        assert (model.predict_labels(X) == y).all()
+
+    def test_gbdt_fits_very_deep_trees(self):
+        X, y = self.staircase(3000)
+        model = fit_gbdt(X, y, n_rounds=1, max_depth=1500)
+        assert np.isfinite(model.predict_scores(X)).all()
+        assert (model.predict_labels(X) == y).mean() >= 0.75
+
+
+def digest_fixture(seed=11, n=300):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack(
+        [
+            rng.integers(0, 8, n),
+            rng.integers(0, 3, n),
+            rng.normal(size=n),
+            rng.normal(size=n).round(1),
+        ]
+    ).astype(float)
+    y = ((X[:, 0] > 4).astype(int) + (X[:, 2] + 0.3 * rng.normal(size=n) > 0.5)).astype(int)
+    return X, y
+
+
+def sha256_of(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+class TestFittedModelDigests:
+    """Fitted models are pinned by digest so that a change to tree
+    growing cannot alter them silently.  Feature ties, min_leaf, depth
+    caps, feature subsets and row subsampling are all exercised."""
+
+    X, y = digest_fixture()
+
+    def test_tree(self):
+        assert sha256_of(fit_decision_tree(self.X, self.y).to_json_obj()) == (
+            "c984a1bd578fb19d0a4f48a5886d530210b5bf7ab44c8da460001d3afdfd76da"
+        )
+
+    def test_capped_tree(self):
+        model = fit_decision_tree(self.X, self.y, max_depth=4, min_leaf=3)
+        assert sha256_of(model.to_json_obj()) == (
+            "a66d80ccd7e6b29456aa2c9452890b8a509ce8cbb6af1816fb63031f203e178f"
+        )
+
+    def test_forest(self):
+        model = fit_random_forest(self.X, self.y, n_trees=4, max_depth=6, feature_frac=0.6, seed=3)
+        assert sha256_of(model.to_json_obj()) == (
+            "981f02f3c6eef1d3dcf044b8b65ae42505eb13296f6b96bc94ae20fc2c416246"
+        )
+
+    def test_gbdt(self):
+        model = fit_gbdt(self.X, self.y, n_rounds=4, max_depth=3, min_leaf=2, subsample=0.7, seed=4)
+        assert sha256_of(model.to_json_obj()) == (
+            "b966df0660c067698882f107572e340b1a5db3ee561116efdedc550b0302688a"
+        )
+
+    def test_lccde(self):
+        # Measured latencies, and the leaders they break F1 ties for, are
+        # wall-clock dependent; the base models and validation F1 are not.
+        obj = LccdeEnsemble(seed=5).fit(self.X, self.y).to_json_obj()
+        obj.pop("latency_us")
+        obj["leaders"] = {"f1_matrix": obj["leaders"]["f1_matrix"]}
+        for base in obj["models"]:
+            base.pop("latency_us")
+        assert sha256_of(obj) == (
+            "0feebabde4f9c94a73d1f55f68e91bc84533bdb5513a7506f7cfc0694d7eb3da"
+        )
 
 
 class TestRandomForest:
@@ -314,6 +398,16 @@ class TestPersistence:
         obj = fit_decision_tree(X, y, max_depth=2).to_json_obj()
         obj["format_version"] = 99
         with pytest.raises(ValueError, match="version"):
+            model_from_json_obj(obj)
+
+    def test_malformed_tree_links_rejected(self):
+        X, y = blobs(seed=15, gap=2.0)
+        obj = fit_decision_tree(X, y, max_depth=2).to_json_obj()
+        obj["tree"]["left"][0] = 0
+        with pytest.raises(ValueError, match="node links"):
+            model_from_json_obj(obj)
+        obj["tree"]["left"][0] = len(obj["tree"]["feature"])
+        with pytest.raises(ValueError, match="node links"):
             model_from_json_obj(obj)
 
     def test_unknown_kind(self):

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from canids.detectors import fit_gbdt, load_model
+from canids.detectors import fit_gbdt, load_model, save_model
 from canids.lccde import (
     CASE_MAJORITY,
     CASE_SPLIT,
@@ -278,11 +278,28 @@ class TestEnsemble:
             assert p.name == CLASSES3[lab]
             assert p.confidence == p.scores.max()
 
+    def test_scores_each_base_model_once(self):
+        X, y = blobs3(seed=6)
+        model = LccdeEnsemble(seed=7).fit(X, y, CLASSES3)
+        calls = []
+        for i, base in enumerate(model.models):
+
+            def counted(Z, i=i, score=base.predict_scores):
+                calls.append(i)
+                return score(Z)
+
+            base.predict_scores = counted
+        scores = model.predict_scores(X[:20])
+        assert sorted(calls) == [0, 1, 2]
+        _, picked = lccde_predict(model.models, model.leaders, X[:20])
+        want = [model.models[m].predict_scores(X[r : r + 1])[0] for r, m in enumerate(picked)]
+        assert np.array_equal(scores, np.array(want))
+
     def test_roundtrip(self):
         X, y = blobs3(seed=8)
         model = LccdeEnsemble(seed=9).fit(X, y, CLASSES3)
         buf = io.StringIO()
-        model.save(buf)
+        save_model(model, buf)
         back = load_model(io.StringIO(buf.getvalue()))
         assert isinstance(back, LccdeEnsemble)
         assert np.array_equal(back.predict_labels(X), model.predict_labels(X))
