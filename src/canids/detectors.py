@@ -11,6 +11,16 @@ numpy so split tie-breaking (lowest feature index, then lowest
 threshold) and per-tree seeding are fully specified; given identical
 inputs the fitted models are identical.
 
+The split search is exact and rank-coded: each fit encodes every feature
+column once as integer ranks (`_rank_codes`, 8 or 16 bits for up to
+65,536 distinct values) and every node sorts those small codes instead
+of the float values.  Ranks keep order and ties exactly, so the fitted
+trees are byte-identical to sorting the values themselves; thresholds
+are still midpoints of the two feature values either side of the split.
+Forests and boosting encode once for all their trees.  Fitting rejects
+NaN features with a `ValueError` naming the column; +-inf are ordinary
+values.
+
 All score outputs are probability vectors over the fitted class list.
 Models serialize to self-describing JSON documents with a format
 version.
@@ -142,16 +152,16 @@ class _TreeArrays:
 def _split_candidates(sv: np.ndarray, m: int, min_leaf: int) -> np.ndarray:
     """Positions i where the sorted feature changes value and both sides
     keep at least min_leaf samples; left side = first i samples."""
-    pos = np.arange(1, m)
-    ok = (sv[1:] > sv[:-1]) & (pos >= min_leaf) & (pos <= m - min_leaf)
-    return pos[ok]
+    lo, hi = min_leaf, m - min_leaf
+    return np.flatnonzero(sv[lo : hi + 1] > sv[lo - 1 : hi]) + lo
 
 
 def _safe_threshold(lo: float, hi: float) -> float:
-    """Midpoint, pulled back to the left value if rounding reaches hi,
-    so `x <= threshold` always reproduces the fit-time partition."""
+    """Midpoint, pulled back to the left value if rounding reaches hi or
+    lo is -inf (the midpoint is then NaN), so `x <= threshold` always
+    reproduces the fit-time partition."""
     mid = lo + (hi - lo) / 2.0
-    return lo if mid >= hi else mid
+    return mid if mid < hi else lo
 
 
 class _Gini:
@@ -202,20 +212,55 @@ class _Newton:
     def scores(self, rows: np.ndarray, cand: np.ndarray, totals: Any) -> np.ndarray:
         G, H = totals
         lam = self.reg_lambda
-        gl = np.cumsum(self.g[rows])[cand - 1]
-        hl = np.cumsum(self.h[rows])[cand - 1]
+        at = cand - 1
+        gl = self.g[rows].cumsum()[at]
+        hl = self.h[rows].cumsum()[at]
         gr = G - gl
         hr = H - hl
         return gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam)
 
 
+def _reject_nan(X: np.ndarray) -> None:
+    """Fitting refuses NaN features: NaN orders against nothing, so no
+    split could place it."""
+    bad = np.isnan(X).any(axis=0)
+    if bad.any():
+        raise ValueError(f"feature column {int(np.argmax(bad))} contains NaN")
+
+
+def _rank_codes(X: np.ndarray) -> np.ndarray:
+    """Every feature column of X as integer ranks, column-major:
+    codes[f, i] is the rank of X[i, f] among the column's distinct
+    values, in the smallest dtype that holds every column's ranks.
+    Ranks keep order and ties exactly (-0.0 and 0.0 share a rank), so a
+    stable sort of a node's codes is the stable sort of its values."""
+    _reject_nan(X)
+    n, d = X.shape
+    ranks = []
+    distinct = 0
+    for f in range(d):
+        values, rank = np.unique(X[:, f], return_inverse=True)
+        ranks.append(rank)
+        distinct = max(distinct, len(values))
+    dtype = np.uint8 if distinct <= 2**8 else np.uint16 if distinct <= 2**16 else np.int64
+    return np.array(ranks, dtype=dtype).reshape(d, n)
+
+
 def _grow_tree(
-    X: np.ndarray, criterion: _Gini | _Newton, max_depth: int | None, min_leaf: int
+    X: np.ndarray,
+    codes: np.ndarray,
+    criterion: _Gini | _Newton,
+    max_depth: int | None,
+    min_leaf: int,
 ) -> _TreeArrays:
     """Greedy binary tree grown from an explicit stack, so depth is
     bounded only by max_depth.  Node ids are preorder, left child first.
     A split must beat criterion.floor; ties go to the lowest feature,
-    then the lowest threshold."""
+    then the lowest threshold.
+
+    The split search sorts `codes` (the `_rank_codes` of X, or a row
+    and column subset of them, which stays order-preserving); X is read
+    only for the two values on either side of the chosen split."""
     tree = _TreeArrays(value_width=criterion.width)
     # (rows, depth, parent node, child array the parent links through)
     stack: list[tuple[np.ndarray, int, int, list[int]]] = [
@@ -231,27 +276,26 @@ def _grow_tree(
         if not may_split or m < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
             continue
         best_score = criterion.floor
-        best: tuple[int, float, np.ndarray, int] | None = None
-        for f in range(X.shape[1]):
-            v = X[idx, f]
+        best: tuple[int, np.ndarray, int] | None = None
+        for f, col in enumerate(codes):
+            v = col[idx]
             order = np.argsort(v, kind="stable")
-            sv = v[order]
-            cand = _split_candidates(sv, m, min_leaf)
+            cand = _split_candidates(v[order], m, min_leaf)
             if len(cand) == 0:
                 continue
-            score = criterion.scores(idx[order], cand, state)
+            rows = idx[order]
+            score = criterion.scores(rows, cand, state)
             j = int(np.argmax(score))
             if score[j] > best_score:
-                i = int(cand[j])
                 best_score = float(score[j])
-                best = (f, _safe_threshold(float(sv[i - 1]), float(sv[i])), order, i)
+                best = (f, rows, int(cand[j]))
         if best is None:
             continue
-        f, threshold, order, i = best
+        f, rows, i = best
         tree.feature[node] = f
-        tree.threshold[node] = threshold
-        stack.append((idx[order[i:]], depth + 1, node, tree.right))
-        stack.append((idx[order[:i]], depth + 1, node, tree.left))
+        tree.threshold[node] = _safe_threshold(float(X[rows[i - 1], f]), float(X[rows[i], f]))
+        stack.append((rows[i:], depth + 1, node, tree.right))
+        stack.append((rows[:i], depth + 1, node, tree.left))
     tree.finalize()
     return tree
 
@@ -302,7 +346,9 @@ class DecisionTree(Detector):
         if len(X) == 0:
             raise ValueError("cannot fit on an empty set")
         self.classes = tuple(classes) if classes is not None else _default_classes(y)
-        self._tree = _grow_tree(X, _Gini(y, len(self.classes)), self.max_depth, self.min_leaf)
+        self._tree = _grow_tree(
+            X, _rank_codes(X), _Gini(y, len(self.classes)), self.max_depth, self.min_leaf
+        )
         self._fitted = True
         return self
 
@@ -392,6 +438,7 @@ class RandomForest(Detector):
         self.classes = tuple(classes) if classes is not None else _default_classes(y)
         n, d = X.shape
         n_feats = max(1, int(round(self.feature_frac * d)))
+        codes = _rank_codes(X)
         self._trees = []
         self._feats = []
         for t in range(self.n_trees):
@@ -399,7 +446,11 @@ class RandomForest(Detector):
             rows = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             cols = np.sort(rng.permutation(d)[:n_feats])
             tree = _grow_tree(
-                X[rows][:, cols], _Gini(y[rows], len(self.classes)), self.max_depth, self.min_leaf
+                X[rows][:, cols],
+                codes[cols][:, rows],
+                _Gini(y[rows], len(self.classes)),
+                self.max_depth,
+                self.min_leaf,
             )
             self._trees.append(tree)
             self._feats.append(cols)
@@ -510,6 +561,7 @@ class GradientBoosting(Detector):
         onehot = np.zeros((n, n_classes))
         onehot[np.arange(n), y] = 1.0
         raw = np.zeros((n, n_classes))
+        codes = _rank_codes(X)
         self._rounds = []
         for r in range(self.n_rounds):
             p = _softmax(raw)
@@ -519,36 +571,39 @@ class GradientBoosting(Detector):
                 rows = np.sort(rng.permutation(n)[:size])
             else:
                 rows = np.arange(n)
+            X_rows, codes_rows = X[rows], codes[:, rows]
             round_trees: list[_TreeArrays] = []
             for c in range(n_classes):
                 g = p[rows, c] - onehot[rows, c]
                 h = np.maximum(p[rows, c] * (1.0 - p[rows, c]), 1e-12)
-                tree = _grow_tree(
-                    X[rows], _Newton(g, h, self.reg_lambda), self.max_depth, self.min_leaf
-                )
+                criterion = _Newton(g, h, self.reg_lambda)
+                tree = _grow_tree(X_rows, codes_rows, criterion, self.max_depth, self.min_leaf)
                 round_trees.append(tree)
                 raw[:, c] += self.learning_rate * tree.leaf_values(X)[:, 0]
             self._rounds.append(round_trees)
         self._fitted = True
         return self
 
-    def raw_scores(self, X: np.ndarray) -> np.ndarray:
+    def _accumulate(self, X: np.ndarray) -> Iterator[np.ndarray]:
+        """The running raw scores after each round, as one array that
+        every later round updates in place."""
         self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
         raw = np.zeros((len(X), len(self.classes)))
         for round_trees in self._rounds:
             for c, tree in enumerate(round_trees):
                 raw[:, c] += self.learning_rate * tree.leaf_values(X)[:, 0]
+            yield raw
+
+    def raw_scores(self, X: np.ndarray) -> np.ndarray:
+        # Fitting and loading both guarantee at least one round.
+        for raw in self._accumulate(X):
+            pass
         return raw
 
     def staged_raw_scores(self, X: np.ndarray) -> Iterator[np.ndarray]:
         """Raw scores after each boosting round, for loss diagnostics."""
-        self._check_fitted()
-        X = np.asarray(X, dtype=np.float64)
-        raw = np.zeros((len(X), len(self.classes)))
-        for round_trees in self._rounds:
-            for c, tree in enumerate(round_trees):
-                raw[:, c] += self.learning_rate * tree.leaf_values(X)[:, 0]
+        for raw in self._accumulate(X):
             yield raw.copy()
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
@@ -597,6 +652,10 @@ class GradientBoosting(Detector):
         )
         model.classes = tuple(obj["classes"])
         model._rounds = [[_TreeArrays.from_json_obj(t) for t in rt] for rt in obj["rounds"]]
+        if len(model._rounds) != model.n_rounds or any(
+            len(rt) != len(model.classes) for rt in model._rounds
+        ):
+            raise ValueError("gbdt rounds must be n_rounds lists of one tree per class")
         model.latency_us = obj.get("latency_us")
         model._fitted = True
         return model

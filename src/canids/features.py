@@ -371,8 +371,12 @@ def load_dataset_csv(stream: IO[str], classes: Sequence[str] | None = None) -> T
         y = np.array([index[name] for name in labels], dtype=np.int64)
     except KeyError as exc:
         raise ValueError(f"label {exc.args[0]!r} not in provided class list") from None
+    X = np.array(rows, dtype=np.float64).reshape(len(labels), len(names))
+    nan_rows, nan_cols = np.nonzero(np.isnan(X))
+    if len(nan_rows):
+        raise ValueError(f"data row {nan_rows[0] + 1}: feature {names[nan_cols[0]]!r} is NaN")
     return TabularDataset(
-        X=np.array(rows, dtype=np.float64).reshape(len(labels), len(names)),
+        X=X,
         y=y,
         classes=class_list,
         timestamps_us=np.array(ts, dtype=np.int64) if ts_col is not None else None,

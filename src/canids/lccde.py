@@ -28,6 +28,7 @@ from .detectors import (
     Detector,
     GradientBoosting,
     _default_classes,
+    _reject_nan,
     measure_latency,
     register_model_kind,
 )
@@ -254,6 +255,8 @@ class LccdeEnsemble(Detector):
     def fit(self, X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None = None) -> "LccdeEnsemble":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
+        # The validation rows never reach a tree grower, so check them too.
+        _reject_nan(X)
         self.classes = tuple(classes) if classes is not None else _default_classes(y)
         data = TabularDataset(X=X, y=y, classes=self.classes)
         train, val = split_train_test(

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canids.core import CanFrame, TrafficLog
 from canids.detectors import (
@@ -22,6 +23,14 @@ from canids.detectors import (
     model_from_json_obj,
     save_model,
     softmax_cross_entropy,
+)
+from canids.detectors import (
+    _Gini,
+    _grow_tree,
+    _Newton,
+    _rank_codes,
+    _safe_threshold,
+    _TreeArrays,
 )
 from canids.lccde import LccdeEnsemble
 from canids.synth import (
@@ -135,6 +144,152 @@ class TestDeepTrees:
         model = fit_gbdt(X, y, n_rounds=1, max_depth=1500)
         assert np.isfinite(model.predict_scores(X)).all()
         assert (model.predict_labels(X) == y).mean() >= 0.75
+
+
+def _reference_grow_tree(X, criterion, max_depth, min_leaf):
+    """The grower before rank coding: every node argsorts the float64
+    feature values themselves.  `_grow_tree` must build the same tree."""
+    tree = _TreeArrays(value_width=criterion.width)
+    stack = [(np.arange(len(X), dtype=np.int64), 0, -1, tree.left)]
+    while stack:
+        idx, depth, parent, link = stack.pop()
+        value, may_split, state = criterion.node(idx)
+        node = tree.add_node(value)
+        if parent >= 0:
+            link[parent] = node
+        m = len(idx)
+        if not may_split or m < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
+            continue
+        best_score = criterion.floor
+        best = None
+        for f in range(X.shape[1]):
+            v = X[idx, f]
+            order = np.argsort(v, kind="stable")
+            sv = v[order]
+            pos = np.arange(1, m)
+            cand = pos[(sv[1:] > sv[:-1]) & (pos >= min_leaf) & (pos <= m - min_leaf)]
+            if len(cand) == 0:
+                continue
+            score = criterion.scores(idx[order], cand, state)
+            j = int(np.argmax(score))
+            if score[j] > best_score:
+                i = int(cand[j])
+                best_score = float(score[j])
+                best = (f, _safe_threshold(float(sv[i - 1]), float(sv[i])), order, i)
+        if best is None:
+            continue
+        f, threshold, order, i = best
+        tree.feature[node] = f
+        tree.threshold[node] = threshold
+        stack.append((idx[order[i:]], depth + 1, node, tree.right))
+        stack.append((idx[order[:i]], depth + 1, node, tree.left))
+    tree.finalize()
+    return tree
+
+
+EDGE_VALUES = [-np.inf, -1e308, -2.5, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 2.5, 1e308, np.inf]
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """Columns drawn from a few edge values each (heavy ties, negatives,
+    both zeros, subnormals, +-inf); sometimes one more column holds over
+    256 distinct values, so its rank codes need 16 bits."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wide = draw(st.booleans())
+    n = draw(st.integers(300, 400) if wide else st.integers(1, 60))
+    cols = [
+        rng.choice(draw(st.lists(st.sampled_from(EDGE_VALUES), min_size=1, max_size=5)), size=n)
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    if wide:
+        col = rng.permutation(n) - n / 2
+        col[rng.integers(0, n, n // 10)] = draw(st.sampled_from(EDGE_VALUES))
+        cols.insert(draw(st.integers(0, len(cols))), col)
+    return np.column_stack(cols)
+
+
+def tree_json(tree):
+    return json.dumps(tree.to_json_obj())
+
+
+class TestRankCodedGrower:
+    """`_grow_tree` sorts rank codes; the float-argsort reference above
+    must give byte-identical trees for both criteria."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tie_heavy_matrices(),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(1, 5)),
+        st.integers(1, 4),
+    )
+    def test_matches_float_argsort_reference(self, X, seed, newton, max_depth, min_leaf):
+        rng = np.random.default_rng(seed)
+        n = len(X)
+        if newton:
+            criterion = _Newton(rng.normal(size=n), rng.uniform(0.01, 0.25, n), 1.0)
+        else:
+            criterion = _Gini(rng.integers(0, 3, n), 3)
+        fast = _grow_tree(X, _rank_codes(X), criterion, max_depth, min_leaf)
+        slow = _reference_grow_tree(X, criterion, max_depth, min_leaf)
+        assert tree_json(fast) == tree_json(slow)
+
+    @settings(max_examples=50, deadline=None)
+    @given(tie_heavy_matrices(), st.integers(0, 2**32 - 1))
+    def test_forest_subsets_of_one_encoding(self, X, seed):
+        # A forest encodes once and grows each tree on a bootstrap row
+        # sample and a column subset of those global ranks.
+        rng = np.random.default_rng(seed)
+        n, d = X.shape
+        y = rng.integers(0, 3, n)
+        rows = rng.integers(0, n, n)
+        cols = np.sort(rng.permutation(d)[: rng.integers(1, d + 1)])
+        codes = _rank_codes(X)[cols][:, rows]
+        fast = _grow_tree(X[rows][:, cols], codes, _Gini(y[rows], 3), 6, 1)
+        slow = _reference_grow_tree(X[rows][:, cols], _Gini(y[rows], 3), 6, 1)
+        assert tree_json(fast) == tree_json(slow)
+
+    def test_codes_keep_order_and_ties(self):
+        X = np.array([[0.0], [-0.0], [np.inf], [-np.inf], [2.5]])
+        codes = _rank_codes(X)
+        assert codes.shape == (1, 5)
+        assert codes[0].tolist() == [1, 1, 3, 0, 2]
+
+    @pytest.mark.parametrize(
+        "distinct, dtype", [(256, np.uint8), (257, np.uint16), (65537, np.int64)]
+    )
+    def test_smallest_dtype_holding_the_ranks(self, distinct, dtype):
+        X = np.column_stack([np.zeros(distinct), np.arange(float(distinct))])
+        assert _rank_codes(X).dtype == dtype
+
+    def test_split_next_to_minus_infinity_reproduces_partition(self):
+        # The midpoint of -inf and a finite value is NaN, which sent every
+        # row right at predict time.
+        X = np.array([[-np.inf], [0.0], [-np.inf], [0.0]])
+        y = np.array([0, 1, 0, 1])
+        model = fit_decision_tree(X, y)
+        assert model._tree.threshold[0] == -np.inf
+        assert (model.predict_labels(X) == y).all()
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            fit_decision_tree,
+            lambda X, y: fit_random_forest(X, y, n_trees=2),
+            lambda X, y: fit_gbdt(X, y, n_rounds=2),
+            lambda X, y: LccdeEnsemble(seed=0).fit(X, y),
+        ],
+        ids=["tree", "forest", "gbdt", "lccde"],
+    )
+    def test_nan_feature_rejected(self, fit):
+        # NaN never compares greater, so it could not split; a rank code
+        # would give it one and write a NaN threshold.
+        X, y = blobs(seed=19)
+        X[7, 2] = np.nan
+        with pytest.raises(ValueError, match="feature column 2 contains NaN"):
+            fit(X, y)
 
 
 def digest_fixture(seed=11, n=300):
@@ -284,6 +439,14 @@ class TestGradientBoosting:
         assert (scores > 0).all()
         assert np.abs(scores.sum(axis=1) - 1.0).max() <= 1e-9
 
+    def test_raw_scores_are_the_last_stage(self):
+        X, y = blobs(seed=20, gap=0.7)
+        model = fit_gbdt(X, y, n_rounds=5, max_depth=2)
+        stages = list(model.staged_raw_scores(X))
+        assert len(stages) == 5
+        assert not np.array_equal(stages[0], stages[-1])
+        assert np.array_equal(model.raw_scores(X), stages[-1])
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             GradientBoosting(n_rounds=0)
@@ -409,6 +572,13 @@ class TestPersistence:
         obj["tree"]["left"][0] = len(obj["tree"]["feature"])
         with pytest.raises(ValueError, match="node links"):
             model_from_json_obj(obj)
+
+    def test_gbdt_rounds_must_match(self):
+        X, y = blobs(seed=21, gap=2.0)
+        obj = fit_gbdt(X, y, n_rounds=2, max_depth=2).to_json_obj()
+        for rounds in ([], obj["rounds"][:1], [r[:1] for r in obj["rounds"]]):
+            with pytest.raises(ValueError, match="one tree per class"):
+                model_from_json_obj(dict(obj, rounds=rounds))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

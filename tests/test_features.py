@@ -280,3 +280,13 @@ class TestCsvRoundTrip:
     def test_header_required(self):
         with pytest.raises(ValueError, match="label column"):
             load_dataset_csv(io.StringIO("a,b,c\n1,2,3\n"))
+
+    def test_nan_feature_rejected_with_row(self):
+        text = "f0,f1,label,provenance\n1.0,2.0,Normal,original\n3.0,nan,Normal,original\n"
+        with pytest.raises(ValueError, match=r"data row 2: feature 'f1' is NaN"):
+            load_dataset_csv(io.StringIO(text))
+
+    def test_infinite_feature_accepted(self):
+        text = "f0,label,provenance\ninf,Normal,original\n-inf,Normal,original\n"
+        back = load_dataset_csv(io.StringIO(text))
+        assert back.X[:, 0].tolist() == [np.inf, -np.inf]
