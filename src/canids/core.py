@@ -219,7 +219,11 @@ class TrafficLog:
 
     @property
     def is_labeled(self) -> bool:
-        return bool(self.frames) and isinstance(self.frames[0], LabeledFrame)
+        """True when the frames carry labels; an empty log is labeled when it
+        has a label space."""
+        if not self.frames:
+            return self.label_space is not None
+        return isinstance(self.frames[0], LabeledFrame)
 
     def can_frames(self) -> list[CanFrame]:
         return [_frame_of(f) for f in self.frames]
@@ -254,6 +258,98 @@ def id_from_bits(bits: np.ndarray) -> int:
     for b in bits:
         v = (v << 1) | int(b)
     return v
+
+
+# ---------------------------------------------------------------------------
+# Block text encoder shared by the candump, id-sequence and dataset writers.
+#
+# A writer describes one block of rows as a list of pieces: a bytes literal
+# repeated on every row, or a cell table `(table, mask)` whose uint8 `table`
+# has shape (rows, ..., width) and whose bool `mask` marks the bytes that
+# belong to each cell.  `_write_rows` lays the pieces side by side and
+# keeps the masked bytes in row-major order, which is the text of the
+# block.  Rows are encoded _BLOCK_ROWS at a time so that the tables stay
+# small whatever the length of the log.
+
+_BLOCK_ROWS = 8192
+_HEX_DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
+
+
+def _decimal_cells(values, digits: int = 1):
+    """Decimal text of an integer array, zero-padded to at least `digits`
+    digits, with a leading '-' on negative values: the text of str(int(v))
+    (or f"{v:0{digits}d}" for non-negative v)."""
+    v = np.asarray(values).astype(np.int64)
+    mag = np.abs(v).astype(np.uint64)
+    width = max(digits, len(str(int(mag.max()))) if mag.size else 1)
+    table = np.empty(v.shape + (1 + width,), dtype=np.uint8)
+    table[..., 0] = ord("-")
+    used = np.zeros(v.shape, dtype=np.int64)
+    # Least significant digit first; a scalar divisor keeps numpy's
+    # integer division fast.
+    for i in range(width, 0, -1):
+        used += mag > 0
+        quotient = mag // 10
+        table[..., i] = mag - quotient * 10 + ord("0")
+        mag = quotient
+    mask = np.arange(-1, width) >= width - np.maximum(used, digits)[..., None]
+    mask[..., 0] = v < 0
+    return table, mask
+
+
+def _hex_digits(values, digits: int) -> np.ndarray:
+    """Uppercase hex digits of non-negative integers, most significant first;
+    shape values.shape + (digits,).  The caller masks the ones it shows."""
+    shifts = np.arange(4 * (digits - 1), -1, -4, dtype=np.uint64)
+    v = np.asarray(values).astype(np.uint64)
+    return _HEX_DIGITS[(v[..., None] >> shifts) & np.uint64(0xF)]
+
+
+def _text_cells(texts: Sequence[str], codes):
+    """Cells holding texts[code] for each entry of an integer code array."""
+    encoded = [t.encode() for t in texts]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    mask = np.arange(int(lengths.max(initial=0))) < lengths[:, None]
+    table = np.zeros(mask.shape, dtype=np.uint8)
+    table[mask] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    return table[codes], mask[codes]
+
+
+def _float_cells(values):
+    """Cells holding repr(float(v)) for each entry of a float array.
+
+    Each distinct bit pattern is formatted once, by Python itself; keying on
+    bits keeps -0.0 apart from 0.0."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    bits, codes = np.unique(v.view(np.uint64).ravel(), return_inverse=True)
+    return _text_cells([repr(x) for x in bits.view(np.float64).tolist()],
+                       codes.reshape(v.shape))
+
+
+def _each_followed_by(cells, sep: bytes):
+    """Append `sep` after every cell of a (rows, k, width) cell table."""
+    table, mask = cells
+    shape = table.shape[:-1] + (len(sep),)
+    return (np.concatenate([table, np.broadcast_to(np.frombuffer(sep, np.uint8), shape)], -1),
+            np.concatenate([mask, np.ones(shape, dtype=bool)], -1))
+
+
+def _write_rows(stream, n: int, encode_block) -> None:
+    """Write n rows of text, one stream.write per block of _BLOCK_ROWS rows.
+
+    encode_block(start, stop) returns the pieces of rows start..stop-1."""
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        m = stop - start
+        tables, masks = [], []
+        for piece in encode_block(start, stop):
+            if isinstance(piece, bytes):
+                piece = (np.broadcast_to(np.frombuffer(piece, np.uint8), (m, len(piece))),
+                         np.ones((m, len(piece)), dtype=bool))
+            tables.append(piece[0].reshape(m, -1))
+            masks.append(piece[1].reshape(m, -1))
+        text = np.concatenate(tables, axis=1)[np.concatenate(masks, axis=1)]
+        stream.write(text.tobytes().decode())
 
 
 def arbitration_winner(frames: Iterable[AnyFrame]) -> AnyFrame:

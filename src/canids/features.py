@@ -5,18 +5,35 @@ DLC, and the data field padded to eight single-byte features.  Splits are
 stratified by class or chronological by timestamp.  SMOTE raises each
 attack class to a fixed target count by interpolating toward same-class
 nearest neighbors; the majority (Normal) class is never touched.
+
+`log_to_dataset` gathers each column of a log once and stacks them.
+`save_dataset_csv` writes through the block text encoder in `core`: each
+block of rows is formatted column by column, a float as Python's repr of
+each distinct value and a class name as csv.writer quotes it, so the file
+is the one a row-by-row csv.writer would write.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
 
-from .core import NORMAL_LABEL, CanFrame, LabeledFrame, TrafficLog
+from .core import (
+    NORMAL_LABEL,
+    CanFrame,
+    LabeledFrame,
+    TrafficLog,
+    _decimal_cells,
+    _each_followed_by,
+    _float_cells,
+    _text_cells,
+    _write_rows,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -118,17 +135,19 @@ def log_to_dataset(log: TrafficLog, include_dlc: bool = False) -> TabularDataset
     """Vectorize a labeled log into a TabularDataset, preserving order."""
     if not log.is_labeled:
         raise ValueError("log must be labeled")
-    space = log.label_space
-    classes = tuple(space.names())
+    classes = tuple(log.label_space.names())
     index = {name: i for i, name in enumerate(classes)}
     n = len(log)
-    X = np.zeros((n, 10 if include_dlc else 9), dtype=np.float64)
-    y = np.zeros(n, dtype=np.int64)
-    ts = np.zeros(n, dtype=np.int64)
-    for i, lf in enumerate(log):
-        X[i] = frame_to_features(lf.frame, include_dlc)
-        y[i] = index[lf.label.name]
-        ts[i] = lf.timestamp_us
+    frames = [lf.frame for lf in log]
+    data = b"".join(f.data.ljust(8, b"\0") for f in frames)
+    columns = [np.fromiter((f.can_id for f in frames), dtype=np.float64, count=n)]
+    if include_dlc:
+        columns.append(np.fromiter((len(f.data) for f in frames), dtype=np.float64, count=n))
+    X = np.column_stack(
+        columns + [np.frombuffer(data, dtype=np.uint8).reshape(n, 8).astype(np.float64)]
+    )
+    y = np.fromiter((index[lf.label.name] for lf in log), dtype=np.int64, count=n)
+    ts = np.fromiter((f.timestamp_us for f in frames), dtype=np.int64, count=n)
     return TabularDataset(X=X, y=y, classes=classes, timestamps_us=ts,
                           names=feature_names(include_dlc))
 
@@ -316,15 +335,26 @@ def save_dataset_csv(data: TabularDataset, stream: IO[str]) -> None:
     has_ts = data.timestamps_us is not None
     if has_ts:
         header.append("timestamp_us")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    for i in range(len(data)):
-        row = [repr(float(v)) for v in data.X[i]]
-        row.append(data.classes[data.y[i]])
-        row.append(PROVENANCE_SYNTHETIC if data.synthetic[i] else PROVENANCE_ORIGINAL)
+    csv.writer(stream, lineterminator="\n").writerow(header)
+    classes = [_csv_cell(name) for name in data.classes]
+    provenance = [PROVENANCE_ORIGINAL, PROVENANCE_SYNTHETIC]
+
+    def encode_block(lo: int, hi: int) -> list:
+        pieces = [_each_followed_by(_float_cells(data.X[lo:hi]), b","),
+                  _text_cells(classes, data.y[lo:hi]), b",",
+                  _text_cells(provenance, data.synthetic[lo:hi].astype(np.intp))]
         if has_ts:
-            row.append(str(int(data.timestamps_us[i])))
-        writer.writerow(row)
+            pieces += [b",", _decimal_cells(data.timestamps_us[lo:hi])]
+        return pieces + [b"\n"]
+
+    _write_rows(stream, len(data), encode_block)
+
+
+def _csv_cell(text: str) -> str:
+    """The text csv.writer writes for one field of a multi-field row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
 def load_dataset_csv(stream: IO[str], classes: Sequence[str] | None = None) -> TabularDataset:
@@ -353,12 +383,28 @@ def load_dataset_csv(stream: IO[str], classes: Sequence[str] | None = None) -> T
     for row in reader:
         if not row:
             continue
-        rows.append([float(v) for v in row[:label_col]])
+        if len(row) != len(header):
+            raise ValueError(
+                f"data row {len(labels) + 1}: {len(row)} fields, expected {len(header)}"
+            )
+        try:
+            rows.append([float(v) for v in row[:label_col]])
+        except ValueError:
+            for name, cell in zip(names, row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(f"data row {len(labels) + 1}: feature {name!r} "
+                                     f"is not a number: {cell!r}") from None
         labels.append(row[label_col])
         if prov_col is not None:
             synth.append(row[prov_col] == PROVENANCE_SYNTHETIC)
         if ts_col is not None:
-            ts.append(int(row[ts_col]))
+            try:
+                ts.append(int(row[ts_col]))
+            except ValueError:
+                raise ValueError(f"data row {len(labels)}: timestamp_us {row[ts_col]!r} "
+                                 "is not an integer") from None
     if classes is None:
         seen: dict[str, int] = {}
         for name in labels:

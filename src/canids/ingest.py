@@ -3,6 +3,11 @@
 Supported inputs: candump text logs ("(ts) channel ID#DATA"), CSV-style IDS
 datasets with a configurable column schema, and per-capture JSON metadata
 describing injection campaigns (interval + id + payload nibble pattern).
+
+`serialize_candump` writes through the block text encoder in `core`: it
+gathers the timestamp, id, format, channel and data of a block of frames
+into arrays once and formats them column by column; each line is the text
+of `serialize_candump_line`.
 """
 
 from __future__ import annotations
@@ -13,15 +18,22 @@ import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from canids.core import (
     MAX_DLC,
     MAX_EXTENDED_ID,
     MAX_STANDARD_ID,
     NORMAL_LABEL,
+    US_PER_SECOND,
     CanFrame,
     LabeledFrame,
     LabelSpace,
     TrafficLog,
+    _decimal_cells,
+    _hex_digits,
+    _text_cells,
+    _write_rows,
     format_timestamp,
 )
 
@@ -120,10 +132,35 @@ def serialize_candump_line(frame: CanFrame) -> str:
 
 
 def serialize_candump(log: TrafficLog, stream: IO[str]) -> None:
-    """Write a log in candump text form; parse_candump_log inverts it field-for-field."""
-    for f in log:
-        cf = f.frame if isinstance(f, LabeledFrame) else f
-        stream.write(serialize_candump_line(cf) + "\n")
+    """Write a log in candump text form; parse_candump_log inverts it field-for-field.
+
+    Each line is the text of serialize_candump_line.  Frames are encoded a
+    block at a time: their fields are gathered into arrays once per block
+    and formatted column by column."""
+
+    def encode_block(lo: int, hi: int) -> list:
+        frames = [f.frame if isinstance(f, LabeledFrame) else f for f in log.frames[lo:hi]]
+        m = len(frames)
+        ts = np.fromiter((f.timestamp_us for f in frames), dtype=np.int64, count=m)
+        can_id = np.fromiter((f.can_id for f in frames), dtype=np.int64, count=m)
+        extended = np.fromiter((f.extended for f in frames), dtype=bool, count=m)
+        dlc = np.fromiter((len(f.data) for f in frames), dtype=np.int64, count=m)
+        data = np.frombuffer(b"".join(f.data.ljust(MAX_DLC, b"\0") for f in frames),
+                             dtype=np.uint8).reshape(m, MAX_DLC)
+        channels: dict[str, int] = {}
+        channel = [channels.setdefault(f.channel, len(channels)) for f in frames]
+        id_digits = np.where(extended, 8, 3)
+        return [
+            b"(", _decimal_cells(ts // US_PER_SECOND), b".",
+            _decimal_cells(ts % US_PER_SECOND, digits=6), b") ",
+            _text_cells(list(channels), channel), b" ",
+            (_hex_digits(can_id, 8), np.arange(8) >= 8 - id_digits[:, None]), b"#",
+            (_hex_digits(data, 2).reshape(m, 2 * MAX_DLC),
+             np.arange(2 * MAX_DLC) < 2 * dlc[:, None]),
+            b"\n",
+        ]
+
+    _write_rows(stream, len(log), encode_block)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +421,7 @@ def save_labels(log: TrafficLog, stream: IO[str]) -> None:
         "classes": classes,
         "labels": [index[f.label.name] for f in log],
     }
-    json.dump(doc, stream)
-    stream.write("\n")
+    stream.write(json.dumps(doc) + "\n")
 
 
 def load_labels(log: TrafficLog, stream: IO[str]) -> TrafficLog:

@@ -6,6 +6,10 @@ if any frame inside it carries an attack label, 0 otherwise.  The grid
 builder supports both the coarse stride (step = window, no overlap) and
 the dense stride (step 1), which guarantees that any attack run no
 longer than the window is fully contained in at least one window.
+
+Grids are saved packed with one np.packbits call over all of them.  Id
+sequences are saved as CSV through the block text encoder in `core`,
+which formats whole columns of a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +20,14 @@ from typing import IO
 
 import numpy as np
 
-from .core import EXTENDED_ID_BITS, TrafficLog, id_bits_matrix
+from .core import (
+    EXTENDED_ID_BITS,
+    TrafficLog,
+    _decimal_cells,
+    _each_followed_by,
+    _write_rows,
+    id_bits_matrix,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -155,8 +166,8 @@ def save_bit_grids(grids: BitGridSet, grid_stream: IO[bytes], label_stream: IO[b
     header = np.array([_FORMAT_VERSION, count, window], dtype="<u4")
     grid_stream.write(_GRID_MAGIC)
     grid_stream.write(header.tobytes())
-    for g in range(count):
-        grid_stream.write(np.packbits(grids.grids[g].reshape(-1)).tobytes())
+    flat = grids.grids.reshape(count, window * EXTENDED_ID_BITS)
+    grid_stream.write(np.packbits(flat, axis=1).tobytes())
     label_stream.write(np.array([count], dtype="<u4").tobytes())
     label_stream.write(grids.labels.astype(np.uint8).tobytes())
 
@@ -187,16 +198,19 @@ def load_bit_grids(grid_stream: IO[bytes], label_stream: IO[bytes]) -> BitGridSe
 
 
 def save_id_sequences(seqs: IdSequenceSet, stream: IO[str]) -> None:
-    """Persist sequences as CSV: start, id0..id{w-1}, label."""
-    window = seqs.window
-    header = ["start"] + [f"id{i}" for i in range(window)] + ["label"]
+    """Persist sequences as CSV: start, id0..id{w-1}, label.
+
+    Windows without start offsets are written with start -1."""
+    header = ["start"] + [f"id{i}" for i in range(seqs.window)] + ["label"]
     stream.write(",".join(header) + "\n")
     starts = seqs.starts if seqs.starts is not None else np.full(len(seqs), -1, dtype=np.int64)
-    for g in range(len(seqs)):
-        row = [str(int(starts[g]))]
-        row.extend(str(int(v)) for v in seqs.ids[g])
-        row.append(str(int(seqs.labels[g])))
-        stream.write(",".join(row) + "\n")
+
+    def encode_block(lo: int, hi: int) -> list:
+        return [_decimal_cells(starts[lo:hi]), b",",
+                _each_followed_by(_decimal_cells(seqs.ids[lo:hi]), b","),
+                _decimal_cells(seqs.labels[lo:hi]), b"\n"]
+
+    _write_rows(stream, len(seqs), encode_block)
 
 
 def load_id_sequences(stream: IO[str]) -> IdSequenceSet:

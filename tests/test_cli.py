@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -249,6 +250,79 @@ class TestPipeline:
         config["scenario"] = {"path": "scenario.json"}
         write_json("config.json", config)
         assert run(["pipeline", "--config", "config.json", "--out", "runp"]) == 0
+
+
+def artifact_digests(run_dir):
+    """SHA-256 of every file in a pipeline run directory; report.json is
+    hashed outside its wall-clock `timings` block."""
+    digests = {}
+    for name in sorted(os.listdir(run_dir)):
+        with open(os.path.join(run_dir, name), "rb") as fh:
+            data = fh.read()
+        if name == "report.json":
+            data = report_without_timings(os.path.join(run_dir, name)).encode()
+        digests[name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+class TestArtifactDigests:
+    """Every artifact of two small pipeline runs is pinned by digest, so a
+    change to a writer (candump, labels, bit grids, id sequences, dataset
+    CSV) or to a stage before it cannot alter the files silently."""
+
+    def test_dos_forest_with_windows(self, workspace):
+        config = {
+            "seed": 5,
+            "ambient": AMBIENT,
+            "scenario": DOS_SCENARIO,
+            "model": {"kind": "forest", "n_trees": 3, "max_depth": 5},
+            "windows": {"window": 29, "step": 29, "sequences": 16},
+        }
+        write_json("config.json", config)
+        assert run(["pipeline", "--config", "config.json", "--out", "rund"]) == 0
+        assert artifact_digests("rund") == {
+            "ambient.log": "81b8fa02bcbb47166acb791b666df92bea4bd1e48d4acdbc5c37f180e84865b4",
+            "attack.labels.json": "04f01bd038cce65d5797598b98624bd704d09ddcfbfcb8b686972b73bfdbd3af",
+            "attack.log": "757bcf124beccdc57bd9d88516202298f2ad339ef7f4805a5e728c39de52ba66",
+            "grid_labels.bin": "ed27844a99dd0ebab3a551f2e6bf2346a13b6039ee3288a5825f32c8cd905771",
+            "grids.bin": "1cac364b9d4b1d611e27b484deafd31880fd9bcceb685784dc6033998163bf5f",
+            "model.json": "b93be0fb3b7828cb2cb7cc643cb6d8a0c878aecac5a75477538756ab8a0eb861",
+            "report.csv": "f2b186f6ed9f4281e3490ccfa3d5e2148c358052a9e45c0dd021c7b63331d4dc",
+            "report.json": "7593ee511c50689d9ddf056b4a57bbe5284a8a1a38d4c38104e6e003cb0b6946",
+            "report.txt": "551a865c2380a71ce0d43b43f6089d87ed2c9e2664f6f1af2eda75bf7524c83f",
+            "resolved_config.json": "6d491441bfd1e18cfcb1069dc3a26f0f9b057e74f190247797f2cd61d9c93dd4",
+            "sequences.csv": "00375165a6ced99eaf10763bedbf25b1e1e2528a292b248d3c8eb55120b701b6",
+            "sidecar.json": "a8c4398149a15eabb136a0105a48780594c1975216e9210361bd5e3948deefe9",
+            "test.csv": "b25332249f0418ba69baf17c0feba6534077a1565aa2997b39ebe40a879a523e",
+            "train.csv": "1b1f5f6d953fb345f083a323b4e4c53589e525d01b71989d8beadc289a4b5d55",
+        }
+
+    def test_fuzzy_extended_ids_with_smote(self, workspace):
+        # SMOTE raises the 320 attack rows of train to 600, so train.csv
+        # carries interpolated float rows without timestamps.
+        config = {
+            "seed": 8,
+            "ambient": AMBIENT,
+            "scenario": {"kind": "fuzzy", "interval": [1.5, 1.7], "seed": 4,
+                         "extended_ids": True},
+            "smote": {"target_count": 600, "k": 3},
+            "model": {"kind": "tree", "max_depth": 6},
+        }
+        write_json("config.json", config)
+        assert run(["pipeline", "--config", "config.json", "--out", "runz"]) == 0
+        assert artifact_digests("runz") == {
+            "ambient.log": "81b8fa02bcbb47166acb791b666df92bea4bd1e48d4acdbc5c37f180e84865b4",
+            "attack.labels.json": "39aeb6ac2b7ccd782d296ac6378e77d5cfea9edffc5d8193bd722e299c4779a7",
+            "attack.log": "2a09b1b7d494fc8944b747cdd88ca0828a03f82917244c262c58ef67a7b21ed5",
+            "model.json": "04848f7262fc56b9bbecbe7f35dff7e29902727a19e0ee1ad175c903fe2ade96",
+            "report.csv": "098612af9de4f7a5fea8315f1d57f33e9b5b58422361b3b77c867d5911338839",
+            "report.json": "309a0de39f1862fd26b96318a1fd75832ec7d4d9d4d6c1f8b0bd4a6d5b803dab",
+            "report.txt": "e81f77e0b66824a8f8cec4ab61733b72f820630ebca6906fe02d09d35997b441",
+            "resolved_config.json": "610400d8101705ffe679790f2246bd7753fd2a9d598b4f62e5de7a5f9d280afe",
+            "sidecar.json": "74191c81dff6e54f622e7011e0aa25bf74fcc830b2a3073b1fed168c765a76c6",
+            "test.csv": "038589189c4e44407dbb1e01cc450a071fd7401c10905e5b8889ba3fcddad127",
+            "train.csv": "e32049a1a3d0a2e0f6d2802ab47af50e5c6dc0597612d8cef67972b8f7acf047",
+        }
 
 
 class TestArgHandling:

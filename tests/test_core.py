@@ -78,6 +78,12 @@ class TestTrafficLog:
         with pytest.raises(ValueError):
             TrafficLog(frames=(frame(ts_us=2), frame(ts_us=1)))
 
+    def test_empty_log_with_label_space_is_labeled(self):
+        log = TrafficLog((), LabelSpace(["A"]))
+        assert log.is_labeled
+        assert log.labels() == []
+        assert not TrafficLog(()).is_labeled
+
 
 class TestIdBits:
     def test_reference_id_bit_expansion(self):

@@ -1,14 +1,17 @@
+import csv
 import io
 import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from canids.core import CanFrame, LabelSpace, LabeledFrame, TrafficLog
+from canids.core import _BLOCK_ROWS, CanFrame, LabelSpace, LabeledFrame, TrafficLog
 from canids.features import (
     SplitSpec,
     TabularDataset,
+    feature_names,
     frame_to_features,
     load_dataset_csv,
     log_to_dataset,
@@ -117,6 +120,36 @@ class TestLogToDataset:
         log = TrafficLog((CanFrame(0, "can0", 1, b""),))
         with pytest.raises(ValueError, match="labeled"):
             log_to_dataset(log)
+
+    def test_empty_labeled_log_gives_zero_rows(self):
+        ds = log_to_dataset(TrafficLog((), LabelSpace(["A"])), include_dlc=True)
+        assert ds.X.shape == (0, 10)
+        assert len(ds.y) == 0 and len(ds.timestamps_us) == 0
+        assert ds.classes == ("Normal", "A")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        frames=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 2**29 - 1), st.binary(max_size=8),
+                      st.booleans()),
+            max_size=12,
+        ),
+        include_dlc=st.booleans(),
+    )
+    def test_matches_per_frame_features(self, frames, include_dlc):
+        space = LabelSpace(["A"])
+        log = TrafficLog(tuple(
+            LabeledFrame(
+                CanFrame(t, "can0", can_id if extended else can_id & 0x7FF, data, extended),
+                space.get("A" if attack else "Normal"),
+            )
+            for t, (extended, can_id, data, attack) in enumerate(frames)
+        ), label_space=space)
+        ds = log_to_dataset(log, include_dlc=include_dlc)
+        expected = [frame_to_features(lf, include_dlc) for lf in log]
+        assert ds.X.tolist() == [v.tolist() for v in expected]
+        assert ds.y.tolist() == [int(lf.label.is_attack) for lf in log]
+        assert ds.timestamps_us.tolist() == list(range(len(frames)))
 
 
 class TestSplit:
@@ -290,3 +323,106 @@ class TestCsvRoundTrip:
         text = "f0,label,provenance\ninf,Normal,original\n-inf,Normal,original\n"
         back = load_dataset_csv(io.StringIO(text))
         assert back.X[:, 0].tolist() == [np.inf, -np.inf]
+
+    def test_short_row_rejected_with_row_and_field_count(self):
+        text = "id,b0,label,provenance\n1.0,2.0\n"
+        with pytest.raises(ValueError, match=r"data row 1: 2 fields, expected 4"):
+            load_dataset_csv(io.StringIO(text))
+
+    def test_long_row_rejected(self):
+        text = "f0,label,provenance\n1.0,Normal,original\n1.0,Normal,original,9\n"
+        with pytest.raises(ValueError, match=r"data row 2: 4 fields, expected 3"):
+            load_dataset_csv(io.StringIO(text))
+
+    def test_non_numeric_feature_rejected_with_row_and_column(self):
+        text = "f0,f1,label,provenance\n1.0,2.0,Normal,original\n3.0,foo,Normal,original\n"
+        with pytest.raises(ValueError, match=r"data row 2: feature 'f1' is not a number: 'foo'"):
+            load_dataset_csv(io.StringIO(text))
+
+    def test_non_integer_timestamp_rejected_with_row(self):
+        text = "f0,label,provenance,timestamp_us\n1.0,Normal,original,1.5\n"
+        with pytest.raises(ValueError, match=r"data row 1: timestamp_us '1.5'"):
+            load_dataset_csv(io.StringIO(text))
+
+
+def reference_save_dataset_csv(data, stream):
+    """The per-cell writer that save_dataset_csv replaced, kept as its oracle."""
+    names = data.names or tuple(f"f{i}" for i in range(data.n_features))
+    header = list(names) + ["label", "provenance"]
+    has_ts = data.timestamps_us is not None
+    if has_ts:
+        header.append("timestamp_us")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    for i in range(len(data)):
+        row = [repr(float(v)) for v in data.X[i]]
+        row.append(data.classes[data.y[i]])
+        row.append("synthetic" if data.synthetic[i] else "original")
+        if has_ts:
+            row.append(str(int(data.timestamps_us[i])))
+        writer.writerow(row)
+
+
+def csv_text(writer, data):
+    buf = io.StringIO()
+    writer(data, buf)
+    return buf.getvalue()
+
+
+# Signed zeros, values repr writes in exponent form (1e16 is the first such
+# integer), subnormals, the ends of the normal range, infinities and NaN.
+SPECIAL_FLOATS = [0.0, -0.0, 1e16, 1e-7, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                  np.inf, -np.inf, np.nan, 0.1, -123456789.125, 1.7976931348623157e308]
+CLASS_NAMES = st.text(alphabet=' ,"\'ab\n\u00e9', max_size=6)
+
+
+@st.composite
+def tabular_datasets(draw, max_rows=10):
+    n = draw(st.integers(0, max_rows))
+    d = draw(st.integers(0, 4))
+    X = draw(arrays(np.float64, (n, d), elements=st.sampled_from(SPECIAL_FLOATS) | st.floats()))
+    classes = tuple(draw(st.lists(CLASS_NAMES, min_size=1, max_size=4)))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, len(classes) - 1)))
+    return TabularDataset(
+        X=X, y=y, classes=classes,
+        timestamps_us=draw(st.none() | arrays(np.int64, n)),
+        synthetic=draw(arrays(np.bool_, n)),
+    )
+
+
+class TestDatasetCsvWriter:
+    """save_dataset_csv gives exactly the bytes of the per-cell csv.writer
+    loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tabular_datasets())
+    def test_matches_reference(self, data):
+        assert csv_text(save_dataset_csv, data) == csv_text(reference_save_dataset_csv, data)
+
+    def test_special_floats_in_one_block(self):
+        # -0.0 == 0.0 and the two NaNs compare unequal, so formatting each
+        # distinct value once must key on bits, not on float equality.
+        X = np.array(SPECIAL_FLOATS + [-0.0, 0.0, -np.nan])[:, None]
+        data = TabularDataset(X=X, y=np.zeros(len(X)), classes=("Normal",))
+        text = csv_text(save_dataset_csv, data)
+        assert text == csv_text(reference_save_dataset_csv, data)
+        assert [row.split(",")[0] for row in text.splitlines()[1:3]] == ["0.0", "-0.0"]
+
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_across_block_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.integers(0, 256, size=(n, 9)).astype(np.float64)
+        X[::7] = rng.normal(size=(len(X[::7]), 9)) * 1e3
+        data = TabularDataset(X=X, y=rng.integers(0, 2, size=n), classes=("Normal", "A, B"),
+                              timestamps_us=np.arange(n) * 1000,
+                              synthetic=rng.random(n) < 0.3, names=feature_names())
+        text = csv_text(save_dataset_csv, data)
+        assert text == csv_text(reference_save_dataset_csv, data)
+        back = load_dataset_csv(io.StringIO(text), classes=data.classes)
+        assert np.array_equal(back.X, data.X) and np.array_equal(back.y, data.y)
+
+    def test_empty_labeled_log_writes_header_only(self):
+        data = log_to_dataset(TrafficLog((), LabelSpace(["A"])))
+        text = csv_text(save_dataset_csv, data)
+        assert text == csv_text(reference_save_dataset_csv, data)
+        assert text == "id,b0,b1,b2,b3,b4,b5,b6,b7,label,provenance,timestamp_us\n"

@@ -1,11 +1,12 @@
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canids.core import CanFrame, LabeledFrame, LabelSpace, TrafficLog
+from canids.core import _BLOCK_ROWS, CanFrame, LabeledFrame, LabelSpace, TrafficLog
 from canids.ingest import (
     AttackMetadata,
     CsvSchema,
@@ -13,10 +14,12 @@ from canids.ingest import (
     ParseError,
     apply_metadata_labels,
     hcrl_schema,
+    load_labels,
     load_metadata,
     parse_candump_line,
     parse_candump_log,
     parse_csv_dataset,
+    save_labels,
     save_metadata,
     serialize_candump,
     serialize_candump_line,
@@ -133,6 +136,80 @@ class TestRoundTripProperty:
         serialize_candump(log, buf)
         again = parse_candump_log(io.StringIO(buf.getvalue()))
         assert again.frames == log.frames
+
+
+def reference_serialize_candump(log, stream):
+    """The per-frame writer that serialize_candump replaced, kept as its oracle."""
+    for f in log:
+        cf = f.frame if isinstance(f, LabeledFrame) else f
+        stream.write(serialize_candump_line(cf) + "\n")
+
+
+def candump_text(writer, log):
+    buf = io.StringIO()
+    writer(log, buf)
+    return buf.getvalue()
+
+
+def mixed_log(n, seed):
+    """n frames over three channels, standard and extended ids, every dlc."""
+    rng = np.random.default_rng(seed)
+    ts = np.cumsum(rng.integers(0, 3_000_000, size=n))
+    extended = rng.random(n) < 0.3
+    ids = np.where(extended, rng.integers(0, 1 << 29, size=n), rng.integers(0, 1 << 11, size=n))
+    payload = rng.integers(0, 256, size=(n, 8), dtype=np.uint8)
+    dlc = rng.integers(0, 9, size=n)
+    channels = ["can0", "vcan12", "x"]
+    return TrafficLog(tuple(
+        CanFrame(int(ts[i]), channels[i % 3], int(ids[i]), payload[i, : dlc[i]].tobytes(),
+                 extended=bool(extended[i]))
+        for i in range(n)
+    ))
+
+
+class TestBlockCandumpWriter:
+    """serialize_candump writes exactly serialize_candump_line per frame."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(traffic_logs(max_frames=20), st.booleans())
+    def test_matches_line_serializer(self, log, labeled):
+        if labeled:
+            space = LabelSpace(["A"])
+            log = TrafficLog(tuple(LabeledFrame(f, space.get("A")) for f in log), space)
+        assert candump_text(serialize_candump, log) == candump_text(
+            reference_serialize_candump, log
+        )
+
+    @pytest.mark.parametrize("n", [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_across_block_boundaries(self, n):
+        log = mixed_log(n, seed=n)
+        text = candump_text(serialize_candump, log)
+        assert text == candump_text(reference_serialize_candump, log)
+        assert parse_candump_log(io.StringIO(text)).frames == log.frames
+
+
+class TestLabelDocument:
+    def test_empty_labeled_log(self):
+        log = TrafficLog((), LabelSpace(["A"]))
+        buf = io.StringIO()
+        save_labels(log, buf)
+        assert json.loads(buf.getvalue()) == {
+            "format_version": 1, "classes": ["Normal", "A"], "labels": []
+        }
+        assert len(load_labels(log, io.StringIO(buf.getvalue()))) == 0
+
+    def test_bytes_match_json_dump(self):
+        space = LabelSpace(["A, \"quoted\"", "\u00e9"])
+        log = TrafficLog(tuple(
+            LabeledFrame(CanFrame(i, "can0", 1, b""), space.get(name))
+            for i, name in enumerate(["Normal", "\u00e9", "A, \"quoted\""])
+        ), space)
+        buf = io.StringIO()
+        save_labels(log, buf)
+        doc = {"format_version": 1, "classes": space.names(), "labels": [0, 2, 1]}
+        expected = io.StringIO()
+        json.dump(doc, expected)
+        assert buf.getvalue() == expected.getvalue() + "\n"
 
 
 HCRL_STYLE_CSV = """\

@@ -2,11 +2,13 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from canids.core import CanFrame, LabelSpace, LabeledFrame, TrafficLog, id_bits
+from canids.core import _BLOCK_ROWS, CanFrame, LabelSpace, LabeledFrame, TrafficLog, id_bits
 from canids.windows import (
     BitGridSet,
+    IdSequenceSet,
     build_bit_grids,
     build_id_sequences,
     load_bit_grids,
@@ -187,3 +189,93 @@ class TestPersistence:
         back = load_bit_grids(gbuf, lbuf)
         assert len(back) == 0
         assert isinstance(back, BitGridSet)
+
+
+def reference_save_id_sequences(seqs, stream):
+    """The per-cell writer that save_id_sequences replaced, kept as its oracle."""
+    header = ["start"] + [f"id{i}" for i in range(seqs.window)] + ["label"]
+    stream.write(",".join(header) + "\n")
+    starts = seqs.starts if seqs.starts is not None else np.full(len(seqs), -1, dtype=np.int64)
+    for g in range(len(seqs)):
+        row = [str(int(starts[g]))]
+        row.extend(str(int(v)) for v in seqs.ids[g])
+        row.append(str(int(seqs.labels[g])))
+        stream.write(",".join(row) + "\n")
+
+
+def reference_save_bit_grids(grids, grid_stream, label_stream):
+    """The per-grid writer that save_bit_grids replaced, kept as its oracle."""
+    header = np.array([1, len(grids), grids.window], dtype="<u4")
+    grid_stream.write(b"IDBG" + header.tobytes())
+    for g in range(len(grids)):
+        grid_stream.write(np.packbits(grids.grids[g].reshape(-1)).tobytes())
+    label_stream.write(np.array([len(grids)], dtype="<u4").tobytes())
+    label_stream.write(grids.labels.astype(np.uint8).tobytes())
+
+
+def written(writer, *args):
+    buf = io.StringIO()
+    writer(*args, buf)
+    return buf.getvalue()
+
+
+@st.composite
+def id_sequence_sets(draw, max_rows=12):
+    n = draw(st.integers(0, max_rows))
+    window = draw(st.integers(1, 5))
+    ids = draw(arrays(np.int64, (n, window)))
+    labels = draw(arrays(np.uint8, n))
+    starts = draw(st.none() | arrays(np.int64, n))
+    return IdSequenceSet(ids=ids, labels=labels, starts=starts)
+
+
+class TestBlockWriters:
+    """The array-at-once writers give exactly the bytes of the per-cell
+    loops they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(id_sequence_sets())
+    def test_id_sequences_match_reference(self, seqs):
+        assert written(save_id_sequences, seqs) == written(reference_save_id_sequences, seqs)
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_id_sequences_across_block_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        seqs = IdSequenceSet(
+            ids=rng.integers(0, 0x1FFFFFFF, size=(n, 16)),
+            labels=rng.integers(0, 2, size=n).astype(np.uint8),
+            starts=np.arange(n, dtype=np.int64),
+        )
+        text = written(save_id_sequences, seqs)
+        assert text == written(reference_save_id_sequences, seqs)
+        assert text.count("\n") == n + 1
+
+    def test_id_sequences_without_starts_write_minus_one(self):
+        seqs = IdSequenceSet(ids=np.array([[5, 6]]), labels=np.array([1], dtype=np.uint8))
+        assert written(save_id_sequences, seqs) == "start,id0,id1,label\n-1,5,6,1\n"
+
+    def test_empty_id_sequences_write_header_only(self):
+        seqs = build_id_sequences(make_log(3), window=16)
+        assert written(save_id_sequences, seqs) == written(reference_save_id_sequences, seqs)
+        assert written(save_id_sequences, seqs) == "start," + ",".join(
+            f"id{i}" for i in range(16)) + ",label\n"
+
+    def test_empty_labeled_log_writes_headers_only(self):
+        log = TrafficLog((), LabelSpace(["A"]))
+        seqs = build_id_sequences(log, window=2)
+        assert written(save_id_sequences, seqs) == "start,id0,id1,label\n"
+        assert written(save_id_sequences, seqs) == written(reference_save_id_sequences, seqs)
+        grids = build_bit_grids(log)
+        new, old = (io.BytesIO(), io.BytesIO()), (io.BytesIO(), io.BytesIO())
+        save_bit_grids(grids, *new)
+        reference_save_bit_grids(grids, *old)
+        assert [b.getvalue() for b in new] == [b.getvalue() for b in old]
+        assert len(new[0].getvalue()) == 16
+
+    @pytest.mark.parametrize("n_frames,step", [(5, 29), (29, 29), (120, 1), (100, 7)])
+    def test_bit_grids_match_reference(self, n_frames, step):
+        grids = build_bit_grids(make_log(n_frames, attack_indices=[3, 40]), step=step)
+        new, old = (io.BytesIO(), io.BytesIO()), (io.BytesIO(), io.BytesIO())
+        save_bit_grids(grids, *new)
+        reference_save_bit_grids(grids, *old)
+        assert [b.getvalue() for b in new] == [b.getvalue() for b in old]
