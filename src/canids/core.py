@@ -7,7 +7,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Any, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -232,6 +232,25 @@ class TrafficLog:
         if not self.is_labeled:
             raise ValueError("log is not labeled")
         return [f.label.name for f in self.frames]
+
+
+# Checks shared by the JSON document readers: a bad document raises a
+# ValueError that names what is wrong with it.
+
+
+def _require_fields(doc: Any, fields: Iterable[str], what: str) -> None:
+    """Raise ValueError unless doc is a JSON object holding every field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    missing = [name for name in fields if name not in doc]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+
+
+def _name_list(value: Any, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of names")
+    return value
 
 
 def id_bits(frame: CanFrame) -> np.ndarray:

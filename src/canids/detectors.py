@@ -22,12 +22,19 @@ NaN features with a `ValueError` naming the column; +-inf are ordinary
 values.
 
 All score outputs are probability vectors over the fitted class list.
-Models serialize to self-describing JSON documents with a format
-version.
+A feature matrix narrower than the columns a model's trees read is
+refused with a `ValueError` naming both widths.
+
+Each model class declares its hyperparameters (`params`, its constructor
+arguments) and fitted fields (`state`); `Detector` lays out every JSON
+document from them as `format_version, kind, classes, *params,
+latency_us, *state` (the frequency baseline, whose classes are fixed,
+leaves out `classes`).  A malformed document raises `ValueError`.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 from dataclasses import dataclass
@@ -35,16 +42,9 @@ from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import CanFrame, LabeledFrame, TrafficLog
+from .core import CanFrame, LabeledFrame, TrafficLog, _name_list, _require_fields
 
 MODEL_FORMAT_VERSION = 1
-
-DEFAULT_FOREST_TREES = 100
-DEFAULT_FOREST_DEPTH = 12
-DEFAULT_GBDT_ROUNDS = 200
-DEFAULT_GBDT_RATE = 0.1
-DEFAULT_GBDT_DEPTH = 6
-DEFAULT_K_SIGMA = 4.0
 
 
 class NotFittedError(RuntimeError):
@@ -66,16 +66,25 @@ class Prediction:
             raise ValueError("confidence must equal the largest score")
 
 
-def _predictions_from_scores(scores: np.ndarray, classes: Sequence[str]) -> list[Prediction]:
-    out = []
-    for row in scores:
-        j = int(np.argmax(row))
-        out.append(Prediction(name=classes[j], confidence=float(row[j]), scores=row))
-    return out
+def _numbers(value: Any, dtype: type, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} is not an array of numbers") from None
 
 
-def _default_classes(y: np.ndarray) -> tuple[str, ...]:
-    return tuple(str(c) for c in range(int(y.max()) + 1))
+def _feature_matrix(X: np.ndarray, n_read: int) -> np.ndarray:
+    """X as float64, refused when narrower than the n_read columns a model reads."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 2 and X.shape[1] < n_read:
+        raise ValueError(f"the model reads {n_read} feature columns, the matrix has {X.shape[1]}")
+    return X
+
+
+# A tree document's fields, in document order, with their dtypes.
+_TREE_FIELDS = dict(
+    feature=np.int64, threshold=np.float64, left=np.int64, right=np.int64, value=np.float64
+)
 
 
 class _TreeArrays:
@@ -122,24 +131,25 @@ class _TreeArrays:
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
 
+    @property
+    def n_read(self) -> int:
+        """Feature columns a row needs: one past the largest split feature."""
+        return int(self.feature.max(initial=-1)) + 1
+
     def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "feature": np.asarray(self.feature).tolist(),
-            "threshold": np.asarray(self.threshold).tolist(),
-            "left": np.asarray(self.left).tolist(),
-            "right": np.asarray(self.right).tolist(),
-            "value": np.asarray(self.value).tolist(),
-        }
+        return {name: np.asarray(getattr(self, name)).tolist() for name in _TREE_FIELDS}
 
     @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "_TreeArrays":
-        value = np.asarray(obj["value"], dtype=np.float64)
-        tree = cls(value.shape[1] if value.ndim == 2 else 1)
-        tree.feature = np.asarray(obj["feature"], dtype=np.int64)
-        tree.threshold = np.asarray(obj["threshold"], dtype=np.float64)
-        tree.left = np.asarray(obj["left"], dtype=np.int64)
-        tree.right = np.asarray(obj["right"], dtype=np.int64)
-        tree.value = value.reshape(len(tree.feature), -1)
+    def from_json_obj(cls, obj: Any, width: int) -> "_TreeArrays":
+        """A tree document with one entry per node in each field, `width` leaf values each."""
+        _require_fields(obj, _TREE_FIELDS, "tree")
+        tree = cls(width)
+        for name, dtype in _TREE_FIELDS.items():
+            setattr(tree, name, _numbers(obj[name], dtype, f"tree field {name!r}"))
+        n = len(tree.feature) if tree.feature.ndim == 1 else 0
+        shapes = {name: np.shape(getattr(tree, name)) for name in _TREE_FIELDS}
+        if n == 0 or list(shapes.values()) != [(n,)] * 4 + [(n, width)]:
+            raise ValueError(f"tree fields need one entry and {width} leaf values per node: {shapes}")
         # Growth numbers children after their parent; walking a tree and
         # measuring its depth rely on it, and a cycle would never end.
         internal = np.flatnonzero(tree.feature >= 0)
@@ -301,9 +311,16 @@ def _grow_tree(
 
 
 class Detector:
-    """Shared surface: fit once, then predict probability vectors."""
+    """Shared surface: fit once, then predict probability vectors.
+
+    A model class declares `params`, its hyperparameters in document order
+    (constructor arguments and attributes of the same names), and `state`,
+    its fitted fields, which its `_state_json` writes and `_load_state`
+    reads; the descriptor and the model document are built from them."""
 
     kind = "base"
+    params: tuple[str, ...] = ()
+    state: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.classes: tuple[str, ...] = ()
@@ -314,6 +331,17 @@ class Detector:
         if not self._fitted:
             raise NotFittedError(f"{self.kind} model is not fitted")
 
+    def _fit_data(
+        self, X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """X and y as arrays; sets the class list, by default "0".."max(y)"."""
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        if len(X) == 0:
+            raise ValueError("cannot fit on an empty set")
+        self.classes = tuple(classes) if classes is not None else tuple(map(str, range(y.max() + 1)))
+        return X, y
+
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -321,16 +349,55 @@ class Detector:
         return np.argmax(self.predict_scores(X), axis=1)
 
     def predict(self, X: np.ndarray) -> list[Prediction]:
-        return _predictions_from_scores(self.predict_scores(X), self.classes)
+        scores = self.predict_scores(X)
+        return [
+            Prediction(name=self.classes[j], confidence=float(row[j]), scores=row)
+            for j, row in zip(np.argmax(scores, axis=1), scores)
+        ]
+
+    def _params_json(self) -> dict[str, Any]:
+        return {name: copy.deepcopy(getattr(self, name)) for name in self.params}
 
     def descriptor(self) -> dict[str, Any]:
-        return {"kind": self.kind, "classes": list(self.classes)}
+        return {"kind": self.kind, **self._params_json(), "classes": list(self.classes)}
+
+    def to_json_obj(self) -> dict[str, Any]:
+        self._check_fitted()
+        return {
+            "format_version": MODEL_FORMAT_VERSION,
+            "kind": self.kind,
+            "classes": list(self.classes),
+            **self._params_json(),
+            "latency_us": self.latency_us,
+            **self._state_json(),
+        }
+
+    @classmethod
+    def _from_params(cls, obj: Any, *header: str) -> "Detector":
+        """The unfitted model of a document that holds every declared field."""
+        _require_fields(obj, (*header, *cls.params, *cls.state), f"{cls.kind} model")
+        try:
+            model = cls(**{name: obj[name] for name in cls.params})
+        except TypeError as exc:
+            raise ValueError(f"{cls.kind} model has a bad hyperparameter: {exc}") from None
+        model.latency_us = obj.get("latency_us")
+        return model
+
+    @classmethod
+    def from_json_obj(cls, obj: Any) -> "Detector":
+        model = cls._from_params(obj, "classes")
+        model.classes = tuple(_name_list(obj["classes"], f"{cls.kind} model classes"))
+        model._load_state(obj)
+        model._fitted = True
+        return model
 
 
 class DecisionTree(Detector):
     """CART classifier: greedy Gini splits, deterministic tie-breaks."""
 
     kind = "tree"
+    params = ("max_depth", "min_leaf")
+    state = ("tree",)
 
     def __init__(self, max_depth: int | None = None, min_leaf: int = 1) -> None:
         super().__init__()
@@ -341,11 +408,7 @@ class DecisionTree(Detector):
         self._tree: _TreeArrays | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None = None) -> "DecisionTree":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if len(X) == 0:
-            raise ValueError("cannot fit on an empty set")
-        self.classes = tuple(classes) if classes is not None else _default_classes(y)
+        X, y = self._fit_data(X, y, classes)
         self._tree = _grow_tree(
             X, _rank_codes(X), _Gini(y, len(self.classes)), self.max_depth, self.min_leaf
         )
@@ -354,7 +417,7 @@ class DecisionTree(Detector):
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted()
-        return self._tree.leaf_values(np.asarray(X, dtype=np.float64))
+        return self._tree.leaf_values(_feature_matrix(X, self._tree.n_read))
 
     @property
     def n_nodes(self) -> int:
@@ -371,34 +434,11 @@ class DecisionTree(Detector):
             depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
         return int(depth.max())
 
-    def descriptor(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "classes": list(self.classes),
-        }
+    def _state_json(self) -> dict[str, Any]:
+        return {"tree": self._tree.to_json_obj()}
 
-    def to_json_obj(self) -> dict[str, Any]:
-        self._check_fitted()
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": self.kind,
-            "classes": list(self.classes),
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "latency_us": self.latency_us,
-            "tree": self._tree.to_json_obj(),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "DecisionTree":
-        model = cls(max_depth=obj["max_depth"], min_leaf=obj["min_leaf"])
-        model.classes = tuple(obj["classes"])
-        model._tree = _TreeArrays.from_json_obj(obj["tree"])
-        model.latency_us = obj.get("latency_us")
-        model._fitted = True
-        return model
+    def _load_state(self, obj: dict[str, Any]) -> None:
+        self._tree = _TreeArrays.from_json_obj(obj["tree"], len(self.classes))
 
 
 class RandomForest(Detector):
@@ -406,11 +446,13 @@ class RandomForest(Detector):
     random feature subset, and the forest averages leaf distributions."""
 
     kind = "forest"
+    params = ("n_trees", "max_depth", "min_leaf", "bootstrap", "feature_frac", "seed")
+    state = ("trees", "tree_features")
 
     def __init__(
         self,
-        n_trees: int = DEFAULT_FOREST_TREES,
-        max_depth: int | None = DEFAULT_FOREST_DEPTH,
+        n_trees: int = 100,
+        max_depth: int | None = 12,
         min_leaf: int = 1,
         bootstrap: bool = True,
         feature_frac: float = 1.0,
@@ -431,11 +473,7 @@ class RandomForest(Detector):
         self._feats: list[np.ndarray] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None = None) -> "RandomForest":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if len(X) == 0:
-            raise ValueError("cannot fit on an empty set")
-        self.classes = tuple(classes) if classes is not None else _default_classes(y)
+        X, y = self._fit_data(X, y, classes)
         n, d = X.shape
         n_feats = max(1, int(round(self.feature_frac * d)))
         codes = _rank_codes(X)
@@ -459,57 +497,27 @@ class RandomForest(Detector):
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted()
-        X = np.asarray(X, dtype=np.float64)
+        X = _feature_matrix(X, max(int(cols.max()) for cols in self._feats) + 1)
         total = np.zeros((len(X), len(self.classes)))
         for tree, cols in zip(self._trees, self._feats):
             total += tree.leaf_values(X[:, cols])
         return total / len(self._trees)
 
-    def descriptor(self) -> dict[str, Any]:
+    def _state_json(self) -> dict[str, Any]:
         return {
-            "kind": self.kind,
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "bootstrap": self.bootstrap,
-            "feature_frac": self.feature_frac,
-            "seed": self.seed,
-            "classes": list(self.classes),
-        }
-
-    def to_json_obj(self) -> dict[str, Any]:
-        self._check_fitted()
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": self.kind,
-            "classes": list(self.classes),
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "bootstrap": self.bootstrap,
-            "feature_frac": self.feature_frac,
-            "seed": self.seed,
-            "latency_us": self.latency_us,
             "trees": [t.to_json_obj() for t in self._trees],
             "tree_features": [f.tolist() for f in self._feats],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "RandomForest":
-        model = cls(
-            n_trees=obj["n_trees"],
-            max_depth=obj["max_depth"],
-            min_leaf=obj["min_leaf"],
-            bootstrap=obj["bootstrap"],
-            feature_frac=obj["feature_frac"],
-            seed=obj["seed"],
-        )
-        model.classes = tuple(obj["classes"])
-        model._trees = [_TreeArrays.from_json_obj(t) for t in obj["trees"]]
-        model._feats = [np.asarray(f, dtype=np.int64) for f in obj["tree_features"]]
-        model.latency_us = obj.get("latency_us")
-        model._fitted = True
-        return model
+    def _load_state(self, obj: dict[str, Any]) -> None:
+        for name in self.state:
+            if not isinstance(obj[name], list) or len(obj[name]) != self.n_trees:
+                raise ValueError(f"forest {name} must have n_trees = {self.n_trees!r} entries")
+        self._trees = [_TreeArrays.from_json_obj(t, len(self.classes)) for t in obj["trees"]]
+        self._feats = [_numbers(f, np.int64, "forest tree_features") for f in obj["tree_features"]]
+        for tree, cols in zip(self._trees, self._feats):
+            if cols.ndim != 1 or cols.size == 0 or cols.min() < 0 or tree.n_read > cols.size:
+                raise ValueError("forest tree_features must be columns >= 0 that cover each tree")
 
 
 def _softmax(raw: np.ndarray) -> np.ndarray:
@@ -523,12 +531,14 @@ class GradientBoosting(Detector):
     one tree per class per round, Newton leaf weights."""
 
     kind = "gbdt"
+    params = ("n_rounds", "learning_rate", "max_depth", "min_leaf", "reg_lambda", "subsample", "seed")
+    state = ("rounds",)
 
     def __init__(
         self,
-        n_rounds: int = DEFAULT_GBDT_ROUNDS,
-        learning_rate: float = DEFAULT_GBDT_RATE,
-        max_depth: int = DEFAULT_GBDT_DEPTH,
+        n_rounds: int = 200,
+        learning_rate: float = 0.1,
+        max_depth: int = 6,
         min_leaf: int = 1,
         reg_lambda: float = 1.0,
         subsample: float = 1.0,
@@ -551,11 +561,7 @@ class GradientBoosting(Detector):
         self._rounds: list[list[_TreeArrays]] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None = None) -> "GradientBoosting":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if len(X) == 0:
-            raise ValueError("cannot fit on an empty set")
-        self.classes = tuple(classes) if classes is not None else _default_classes(y)
+        X, y = self._fit_data(X, y, classes)
         n = len(X)
         n_classes = len(self.classes)
         onehot = np.zeros((n, n_classes))
@@ -588,7 +594,7 @@ class GradientBoosting(Detector):
         """The running raw scores after each round, as one array that
         every later round updates in place."""
         self._check_fitted()
-        X = np.asarray(X, dtype=np.float64)
+        X = _feature_matrix(X, max(tree.n_read for rt in self._rounds for tree in rt))
         raw = np.zeros((len(X), len(self.classes)))
         for round_trees in self._rounds:
             for c, tree in enumerate(round_trees):
@@ -609,56 +615,16 @@ class GradientBoosting(Detector):
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         return _softmax(self.raw_scores(X))
 
-    def descriptor(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "n_rounds": self.n_rounds,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "reg_lambda": self.reg_lambda,
-            "subsample": self.subsample,
-            "seed": self.seed,
-            "classes": list(self.classes),
-        }
+    def _state_json(self) -> dict[str, Any]:
+        return {"rounds": [[t.to_json_obj() for t in rt] for rt in self._rounds]}
 
-    def to_json_obj(self) -> dict[str, Any]:
-        self._check_fitted()
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": self.kind,
-            "classes": list(self.classes),
-            "n_rounds": self.n_rounds,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "reg_lambda": self.reg_lambda,
-            "subsample": self.subsample,
-            "seed": self.seed,
-            "latency_us": self.latency_us,
-            "rounds": [[t.to_json_obj() for t in rt] for rt in self._rounds],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "GradientBoosting":
-        model = cls(
-            n_rounds=obj["n_rounds"],
-            learning_rate=obj["learning_rate"],
-            max_depth=obj["max_depth"],
-            min_leaf=obj["min_leaf"],
-            reg_lambda=obj["reg_lambda"],
-            subsample=obj["subsample"],
-            seed=obj["seed"],
-        )
-        model.classes = tuple(obj["classes"])
-        model._rounds = [[_TreeArrays.from_json_obj(t) for t in rt] for rt in obj["rounds"]]
-        if len(model._rounds) != model.n_rounds or any(
-            len(rt) != len(model.classes) for rt in model._rounds
+    def _load_state(self, obj: dict[str, Any]) -> None:
+        rounds = obj["rounds"]
+        if not isinstance(rounds, list) or len(rounds) != self.n_rounds or any(
+            not isinstance(rt, list) or len(rt) != len(self.classes) for rt in rounds
         ):
             raise ValueError("gbdt rounds must be n_rounds lists of one tree per class")
-        model.latency_us = obj.get("latency_us")
-        model._fitted = True
-        return model
+        self._rounds = [[_TreeArrays.from_json_obj(t, 1) for t in rt] for rt in rounds]
 
 
 def softmax_cross_entropy(raw: np.ndarray, y: np.ndarray) -> float:
@@ -684,8 +650,10 @@ class FrequencyDetector(Detector):
     """
 
     kind = "frequency"
+    params = ("k_sigma",)
+    state = ("ids",)
 
-    def __init__(self, k_sigma: float = DEFAULT_K_SIGMA) -> None:
+    def __init__(self, k_sigma: float = 4.0) -> None:
         super().__init__()
         if k_sigma < 0:
             raise ValueError("k_sigma must be nonnegative")
@@ -704,12 +672,9 @@ class FrequencyDetector(Detector):
             gaps = np.diff(np.asarray(times, dtype=np.int64)).astype(np.float64)
             mean = float(gaps.mean())
             std = float(gaps.std(ddof=1))
-            self.stats[can_id] = {
-                "mean_us": mean,
-                "std_us": std,
-                "threshold_us": mean - self.k_sigma * std,
-                "count": len(times),
-            }
+            self.stats[can_id] = dict(
+                mean_us=mean, std_us=std, threshold_us=mean - self.k_sigma * std, count=len(times)
+            )
         if not self.stats:
             raise ValueError("no id with at least 3 ambient observations")
         self._fitted = True
@@ -741,85 +706,59 @@ class FrequencyDetector(Detector):
         )
 
     def descriptor(self) -> dict[str, Any]:
-        return {"kind": self.kind, "k_sigma": self.k_sigma, "n_ids": len(self.stats)}
+        desc = super().descriptor()
+        del desc["classes"]
+        desc["n_ids"] = len(self.stats)
+        return desc
 
     def to_json_obj(self) -> dict[str, Any]:
-        self._check_fitted()
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": self.kind,
-            "k_sigma": self.k_sigma,
-            "latency_us": self.latency_us,
-            "ids": {f"{can_id:X}": dict(stat) for can_id, stat in sorted(self.stats.items())},
-        }
+        doc = super().to_json_obj()
+        del doc["classes"]
+        return doc
 
     @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "FrequencyDetector":
-        model = cls(k_sigma=obj["k_sigma"])
-        model.stats = {int(k, 16): dict(v) for k, v in obj["ids"].items()}
-        model.latency_us = obj.get("latency_us")
+    def from_json_obj(cls, obj: Any) -> "FrequencyDetector":
+        model = cls._from_params(obj)
+        model._load_state(obj)
         model._fitted = True
         return model
 
+    def _state_json(self) -> dict[str, Any]:
+        return {"ids": {f"{can_id:X}": dict(stat) for can_id, stat in sorted(self.stats.items())}}
+
+    def _load_state(self, obj: dict[str, Any]) -> None:
+        if not isinstance(obj["ids"], dict):
+            raise ValueError("frequency ids must map hex ids to statistics")
+        self.stats = {}
+        for key, stat in obj["ids"].items():
+            _require_fields(stat, ("mean_us", "std_us", "threshold_us", "count"), f"frequency id {key}")
+            if not all(isinstance(v, (int, float)) for v in stat.values()):
+                raise ValueError(f"frequency id {key} statistics must be numbers")
+            self.stats[int(key, 16)] = dict(stat)
+
 
 def fit_decision_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    classes: Sequence[str] | None = None,
-    max_depth: int | None = None,
-    min_leaf: int = 1,
+    X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None = None, **params: Any
 ) -> DecisionTree:
-    return DecisionTree(max_depth=max_depth, min_leaf=min_leaf).fit(X, y, classes)
+    return DecisionTree(**params).fit(X, y, classes)
 
 
 def fit_random_forest(
-    X: np.ndarray,
-    y: np.ndarray,
-    classes: Sequence[str] | None = None,
-    n_trees: int = DEFAULT_FOREST_TREES,
-    max_depth: int | None = DEFAULT_FOREST_DEPTH,
-    min_leaf: int = 1,
-    bootstrap: bool = True,
-    feature_frac: float = 1.0,
-    seed: int = 0,
+    X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None = None, **params: Any
 ) -> RandomForest:
-    return RandomForest(
-        n_trees=n_trees,
-        max_depth=max_depth,
-        min_leaf=min_leaf,
-        bootstrap=bootstrap,
-        feature_frac=feature_frac,
-        seed=seed,
-    ).fit(X, y, classes)
+    return RandomForest(**params).fit(X, y, classes)
 
 
 def fit_gbdt(
-    X: np.ndarray,
-    y: np.ndarray,
-    classes: Sequence[str] | None = None,
-    n_rounds: int = DEFAULT_GBDT_ROUNDS,
-    learning_rate: float = DEFAULT_GBDT_RATE,
-    max_depth: int = DEFAULT_GBDT_DEPTH,
-    min_leaf: int = 1,
-    reg_lambda: float = 1.0,
-    subsample: float = 1.0,
-    seed: int = 0,
+    X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None = None, **params: Any
 ) -> GradientBoosting:
-    return GradientBoosting(
-        n_rounds=n_rounds,
-        learning_rate=learning_rate,
-        max_depth=max_depth,
-        min_leaf=min_leaf,
-        reg_lambda=reg_lambda,
-        subsample=subsample,
-        seed=seed,
-    ).fit(X, y, classes)
+    return GradientBoosting(**params).fit(X, y, classes)
 
 
 def fit_frequency_detector(
-    ambient: TrafficLog | Iterable[CanFrame | LabeledFrame], k_sigma: float = DEFAULT_K_SIGMA
+    ambient: TrafficLog | Iterable[CanFrame | LabeledFrame], **params: Any
 ) -> FrequencyDetector:
-    return FrequencyDetector(k_sigma=k_sigma).fit(ambient)
+    return FrequencyDetector(**params).fit(ambient)
 
 
 def measure_latency(model: Detector, X: np.ndarray, repeats: int = 3) -> float:
@@ -850,12 +789,14 @@ def register_model_kind(kind: str, cls: type) -> None:
     _MODEL_KINDS[kind] = cls
 
 
-def model_from_json_obj(obj: dict[str, Any]) -> Detector:
+def model_from_json_obj(obj: Any) -> Detector:
+    """The model a document describes; a malformed document raises ValueError."""
+    _require_fields(obj, (), "model document")
     version = obj.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     kind = obj.get("kind")
-    if kind not in _MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     return _MODEL_KINDS[kind].from_json_obj(obj)
 

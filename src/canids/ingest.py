@@ -33,6 +33,8 @@ from canids.core import (
     _decimal_cells,
     _hex_digits,
     _text_cells,
+    _name_list,
+    _require_fields,
     _write_rows,
     format_timestamp,
 )
@@ -425,17 +427,30 @@ def save_labels(log: TrafficLog, stream: IO[str]) -> None:
 
 
 def load_labels(log: TrafficLog, stream: IO[str]) -> TrafficLog:
-    """Attach labels from a save_labels document to a log of equal length."""
+    """Attach labels from a save_labels document to a log of equal length.
+
+    A malformed document raises ValueError: not an object, a missing
+    field, or a label that is not an index into `classes`."""
     doc = json.load(stream)
+    _require_fields(doc, (), "label document")
     if doc.get("format_version") != 1:
         raise ValueError(f"unsupported label document version {doc.get('format_version')!r}")
-    classes = list(doc["classes"])
+    _require_fields(doc, ("classes", "labels"), "label document")
+    classes = _name_list(doc["classes"], "label document classes")
     indices = doc["labels"]
+    if not isinstance(indices, list):
+        raise ValueError("label document labels must be a list of class indices")
     frames = log.can_frames()
     if len(indices) != len(frames):
         raise ValueError(
             f"label document covers {len(indices)} frames, log has {len(frames)}"
         )
+    for frame_no, i in enumerate(indices):
+        if type(i) is not int or not 0 <= i < len(classes):
+            raise ValueError(
+                f"label document frame {frame_no}: label {i!r} is not a class index "
+                f"from 0 to {len(classes) - 1}"
+            )
     space = LabelSpace([name for name in classes if name != NORMAL_LABEL])
     labeled = tuple(
         LabeledFrame(frame, space.get(classes[i])) for frame, i in zip(frames, indices)

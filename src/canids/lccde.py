@@ -24,10 +24,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .core import _name_list, _require_fields
 from .detectors import (
     Detector,
     GradientBoosting,
-    _default_classes,
     _reject_nan,
     measure_latency,
     register_model_kind,
@@ -81,13 +81,17 @@ class LeaderMap:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "LeaderMap":
-        return cls(
-            classes=tuple(obj["classes"]),
-            leader=tuple(int(v) for v in obj["leader"]),
-            f1_matrix=np.asarray(obj["f1_matrix"], dtype=np.float64),
-            latencies_us=tuple(float(v) for v in obj["latencies_us"]),
-        )
+    def from_json_obj(cls, obj: Any) -> "LeaderMap":
+        _require_fields(obj, ("classes", "leader", "f1_matrix", "latencies_us"), "lccde leaders")
+        try:
+            return cls(
+                classes=tuple(_name_list(obj["classes"], "lccde leader classes")),
+                leader=tuple(int(v) for v in obj["leader"]),
+                f1_matrix=np.asarray(obj["f1_matrix"], dtype=np.float64),
+                latencies_us=tuple(float(v) for v in obj["latencies_us"]),
+            )
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"lccde leaders: {exc}") from None
 
 
 def select_leaders(
@@ -230,6 +234,8 @@ class LccdeEnsemble(Detector):
     """
 
     kind = "lccde"
+    params = ("val_frac", "majority_literal", "seed", "base_configs")
+    state = ("leaders", "models")
 
     def __init__(
         self,
@@ -239,8 +245,7 @@ class LccdeEnsemble(Detector):
         seed: int = 0,
     ) -> None:
         super().__init__()
-        if base_configs is None:
-            base_configs = [dict(cfg) for cfg in DEFAULT_BASE_CONFIGS]
+        base_configs = DEFAULT_BASE_CONFIGS if base_configs is None else base_configs
         if len(base_configs) != N_BASE_MODELS:
             raise ValueError(f"exactly {N_BASE_MODELS} base configs required")
         if not 0.0 < val_frac < 1.0:
@@ -253,20 +258,16 @@ class LccdeEnsemble(Detector):
         self.leaders: LeaderMap | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None = None) -> "LccdeEnsemble":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
+        X, y = self._fit_data(X, y, classes)
         # The validation rows never reach a tree grower, so check them too.
         _reject_nan(X)
-        self.classes = tuple(classes) if classes is not None else _default_classes(y)
         data = TabularDataset(X=X, y=y, classes=self.classes)
         train, val = split_train_test(
             data, SplitSpec(ratio=1.0 - self.val_frac, mode="stratified_random", seed=self.seed)
         )
         self.models = []
         for i, cfg in enumerate(self.base_configs):
-            params = dict(cfg)
-            params.setdefault("seed", self.seed + 1 + i)
-            model = GradientBoosting(**params)
+            model = GradientBoosting(**{"seed": self.seed + 1 + i, **cfg})
             model.fit(train.X, train.y, self.classes)
             measure_latency(model, val.X)
             self.models.append(model)
@@ -287,47 +288,25 @@ class LccdeEnsemble(Detector):
         return np.stack(scores, axis=0)[picked, np.arange(len(picked))]
 
     def descriptor(self) -> dict[str, Any]:
-        desc = {
-            "kind": self.kind,
-            "val_frac": self.val_frac,
-            "majority_literal": self.majority_literal,
-            "seed": self.seed,
-            "base_configs": [dict(cfg) for cfg in self.base_configs],
-            "classes": list(self.classes),
-        }
+        desc = super().descriptor()
         if self.leaders is not None:
             desc["leaders"] = list(self.leaders.leader)
         return desc
 
-    def to_json_obj(self) -> dict[str, Any]:
-        self._check_fitted()
+    def _state_json(self) -> dict[str, Any]:
         return {
-            "format_version": 1,
-            "kind": self.kind,
-            "classes": list(self.classes),
-            "val_frac": self.val_frac,
-            "majority_literal": self.majority_literal,
-            "seed": self.seed,
-            "base_configs": [dict(cfg) for cfg in self.base_configs],
-            "latency_us": self.latency_us,
             "leaders": self.leaders.to_json_obj(),
             "models": [m.to_json_obj() for m in self.models],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "LccdeEnsemble":
-        ensemble = cls(
-            base_configs=obj["base_configs"],
-            val_frac=obj["val_frac"],
-            majority_literal=obj["majority_literal"],
-            seed=obj["seed"],
-        )
-        ensemble.classes = tuple(obj["classes"])
-        ensemble.models = [GradientBoosting.from_json_obj(m) for m in obj["models"]]
-        ensemble.leaders = LeaderMap.from_json_obj(obj["leaders"])
-        ensemble.latency_us = obj.get("latency_us")
-        ensemble._fitted = True
-        return ensemble
+    def _load_state(self, obj: dict[str, Any]) -> None:
+        models = obj["models"]
+        if not isinstance(models, list) or len(models) != N_BASE_MODELS:
+            raise ValueError(f"lccde models must list {N_BASE_MODELS} base models")
+        self.models = [GradientBoosting.from_json_obj(m) for m in models]
+        self.leaders = LeaderMap.from_json_obj(obj["leaders"])
+        if any(part.classes != self.classes for part in (self.leaders, *self.models)):
+            raise ValueError("lccde leaders and base models must share the ensemble's classes")
 
 
 register_model_kind("lccde", LccdeEnsemble)

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import inspect
 import io
 import json
 
@@ -25,6 +27,7 @@ from canids.detectors import (
     softmax_cross_entropy,
 )
 from canids.detectors import (
+    _MODEL_KINDS,
     _Gini,
     _grow_tree,
     _Newton,
@@ -580,6 +583,56 @@ class TestPersistence:
             with pytest.raises(ValueError, match="one tree per class"):
                 model_from_json_obj(dict(obj, rounds=rounds))
 
+    def test_forest_entries_must_match_n_trees(self):
+        X, y = blobs(seed=22, gap=2.0)
+        obj = fit_random_forest(X, y, n_trees=3, max_depth=2).to_json_obj()
+        for field in ("trees", "tree_features"):
+            with pytest.raises(ValueError, match=f"forest {field} must have n_trees = 3 entries"):
+                model_from_json_obj(dict(obj, **{field: obj[field][:2]}))
+
+    def test_forest_tree_reading_outside_its_columns_rejected(self):
+        X, y = blobs(seed=22, gap=2.0)
+        obj = fit_random_forest(X, y, n_trees=2, max_depth=2).to_json_obj()
+        obj["tree_features"][0] = [0]
+        with pytest.raises(ValueError, match="columns >= 0 that cover each tree"):
+            model_from_json_obj(obj)
+
+    def test_missing_field_named(self):
+        X, y = blobs(seed=23, gap=2.0)
+        obj = fit_decision_tree(X, y, max_depth=2).to_json_obj()
+        del obj["max_depth"]
+        with pytest.raises(ValueError, match="tree model lacks 'max_depth'"):
+            model_from_json_obj(obj)
+        del obj["tree"]["threshold"]
+        obj["max_depth"] = 2
+        with pytest.raises(ValueError, match="tree lacks 'threshold'"):
+            model_from_json_obj(obj)
+
+    def test_list_document_rejected(self):
+        with pytest.raises(ValueError, match="must be a JSON object, not list"):
+            load_model(io.StringIO("[1, 2]"))
+
+    def test_hyperparameter_of_wrong_type_rejected(self):
+        X, y = blobs(seed=24, gap=2.0)
+        obj = fit_random_forest(X, y, n_trees=2, max_depth=2).to_json_obj()
+        with pytest.raises(ValueError, match="forest model has a bad hyperparameter"):
+            model_from_json_obj(dict(obj, n_trees="2"))
+
+    @pytest.mark.parametrize("field", ["feature", "threshold", "left", "right", "value"])
+    def test_tree_fields_of_unequal_length_rejected(self, field):
+        X, y = blobs(seed=25, gap=1.0)
+        obj = fit_decision_tree(X, y, max_depth=2).to_json_obj()
+        obj["tree"][field] = obj["tree"][field][:-1]
+        with pytest.raises(ValueError, match="one entry and 2 leaf values per node"):
+            model_from_json_obj(obj)
+
+    def test_leaf_values_must_cover_the_classes(self):
+        X, y = blobs(seed=25, gap=1.0)
+        obj = fit_decision_tree(X, y, max_depth=2).to_json_obj()
+        obj["classes"] = ["0", "1", "2"]
+        with pytest.raises(ValueError, match="one entry and 3 leaf values per node"):
+            model_from_json_obj(obj)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             model_from_json_obj({"format_version": 1, "kind": "oracle"})
@@ -590,6 +643,124 @@ class TestPersistence:
         save_model(fit_decision_tree(X, y, max_depth=2), buf)
         obj = json.loads(buf.getvalue())
         assert obj["kind"] == "tree"
+
+
+def last_column_data(n=60, seed=26):
+    """Four columns, of which only the last separates the classes, so
+    every tree splits on column 3."""
+    rng = np.random.default_rng(seed)
+    y = np.arange(n) % 2
+    X = np.column_stack([np.zeros((n, 3)), y + 0.1 * rng.normal(size=n)])
+    return X, y
+
+
+class TestFeatureWidth:
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            fit_decision_tree,
+            lambda X, y: fit_random_forest(X, y, n_trees=2, bootstrap=False),
+            lambda X, y: fit_gbdt(X, y, n_rounds=2, max_depth=2),
+        ],
+    )
+    def test_narrower_matrix_rejected_with_both_widths(self, fit):
+        X, y = last_column_data()
+        model = fit(X, y)
+        with pytest.raises(ValueError, match="reads 4 feature columns, the matrix has 3"):
+            model.predict_scores(X[:, :3])
+        assert model.predict_scores(X).shape == (len(X), 2)
+
+    def test_split_feature_past_the_columns_rejected_after_load(self):
+        X, y = last_column_data()
+        obj = fit_decision_tree(X, y).to_json_obj()
+        obj["tree"]["feature"][0] = 9
+        model = model_from_json_obj(obj)
+        with pytest.raises(ValueError, match="reads 10 feature columns, the matrix has 4"):
+            model.predict_scores(X)
+
+
+@functools.cache
+def fitted_models():
+    """One small fitted model of every registered kind; callers must not
+    change them."""
+    X, y = digest_fixture(n=120)
+    tiny = {"n_rounds": 2, "max_depth": 2}
+    models = dict(
+        tree=fit_decision_tree(X, y, max_depth=3),
+        forest=fit_random_forest(X, y, n_trees=2, max_depth=2, feature_frac=0.5),
+        gbdt=fit_gbdt(X, y, n_rounds=2, max_depth=2),
+        lccde=LccdeEnsemble(base_configs=[tiny] * 3, seed=1).fit(X, y),
+        frequency=fit_frequency_detector(periodic_ambient(duration=1.0)),
+    )
+    for model in models.values():
+        model.latency_us = 2.5
+    return models
+
+
+def json_values():
+    scalars = (
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.sampled_from([-1, 0, 1, 2**64]) | st.text(max_size=4)
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+def json_paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+
+class TestModelDocuments:
+    """The document layout is declared once per model class, and every
+    malformed document is refused with a ValueError."""
+
+    @pytest.mark.parametrize("kind", ["tree", "forest", "gbdt", "lccde", "frequency"])
+    def test_constructor_takes_exactly_the_declared_params(self, kind):
+        cls = _MODEL_KINDS[kind]
+        assert set(inspect.signature(cls).parameters) == set(cls.params)
+
+    def test_every_kind_is_covered(self):
+        assert set(_MODEL_KINDS) == set(fitted_models())
+
+    @pytest.mark.parametrize("kind", ["tree", "forest", "gbdt", "lccde", "frequency"])
+    def test_layout_and_reserialization(self, kind):
+        model = fitted_models()[kind]
+        cls = type(model)
+        obj = model.to_json_obj()
+        header = ("format_version", "kind") + (("classes",) if kind != "frequency" else ())
+        assert tuple(obj) == header + cls.params + ("latency_us",) + cls.state
+        text = json.dumps(obj)
+        assert json.dumps(cls.from_json_obj(json.loads(text)).to_json_obj()) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_raise_only_value_error(self, data):
+        kind = data.draw(st.sampled_from(sorted(fitted_models())))
+        # The document sits under a root key so that it can be replaced whole.
+        doc = {"root": fitted_models()[kind].to_json_obj()}
+        path = ("root",) + data.draw(st.sampled_from(list(json_paths(doc["root"]))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if len(path) > 1 and data.draw(st.booleans()):
+            # Truncate: drop a field, or a list element and all after it.
+            if isinstance(parent, list):
+                del parent[path[-1]:]
+            else:
+                del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(json_values())
+        try:
+            model_from_json_obj(doc["root"])
+        except ValueError:
+            pass
 
 
 class TestLatencyAndPredictions:

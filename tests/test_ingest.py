@@ -198,6 +198,32 @@ class TestLabelDocument:
         }
         assert len(load_labels(log, io.StringIO(buf.getvalue()))) == 0
 
+    @staticmethod
+    def load(doc, n=2):
+        log = TrafficLog(tuple(CanFrame(i, "can0", 1, b"") for i in range(n)))
+        return load_labels(log, io.StringIO(json.dumps(doc)))
+
+    @pytest.mark.parametrize("index", [-1, 2, 1.0, True, None])
+    def test_label_outside_the_classes_rejected(self, index):
+        doc = {"format_version": 1, "classes": ["Normal", "A"], "labels": [0, index]}
+        with pytest.raises(ValueError, match="frame 1: label .* is not a class index from 0 to 1"):
+            self.load(doc)
+
+    @pytest.mark.parametrize("field", ["labels", "classes"])
+    def test_missing_field_rejected(self, field):
+        doc = {"format_version": 1, "classes": ["Normal", "A"], "labels": [0, 1]}
+        del doc[field]
+        with pytest.raises(ValueError, match=f"label document lacks '{field}'"):
+            self.load(doc)
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ValueError, match="label document must be a JSON object, not list"):
+            self.load([0, 1])
+
+    def test_valid_document_labels_frames(self):
+        doc = {"format_version": 1, "classes": ["Normal", "A"], "labels": [1, 0]}
+        assert self.load(doc).labels() == ["A", "Normal"]
+
     def test_bytes_match_json_dump(self):
         space = LabelSpace(["A, \"quoted\"", "\u00e9"])
         log = TrafficLog(tuple(
