@@ -22,6 +22,8 @@ import sys
 from dataclasses import replace
 from typing import Any, IO
 
+import numpy as np
+
 from .core import NORMAL_LABEL, TrafficLog
 from .detectors import (
     DecisionTree,
@@ -142,51 +144,70 @@ def cmd_label(args: argparse.Namespace) -> int:
     labeled = apply_metadata_labels(log, metadata)
     with _open_out(args.out, args.force) as fh:
         save_labels(labeled, fh)
-    attacks = sum(1 for f in labeled if f.label.is_attack)
+    attacks = int(labeled.attack_flags().sum())
     print(f"labeled {len(labeled)} frames ({attacks} attack) -> {args.out}")
     return EXIT_OK
 
 
 def _verify_sidecar(labeled: TrafficLog, metadata) -> None:
     relabeled = apply_metadata_labels(labeled, metadata, label_space=labeled.label_space)
-    construction = [f.label.name for f in labeled]
-    replay = [f.label.name for f in relabeled]
-    if construction != replay:
-        bad = next(i for i, (a, b) in enumerate(zip(construction, replay)) if a != b)
+    mismatch = np.flatnonzero(labeled.label != relabeled.label)
+    if len(mismatch):
+        bad = int(mismatch[0])
         raise RuntimeError(
             f"sidecar metadata does not reproduce construction labels "
             f"(first mismatch at frame {bad})"
         )
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    ambient_model = AmbientModel.from_json_obj(_read_json(args.ambient))
-    with open(_require_file(args.scenario)) as fh:
-        scenario = load_scenario(fh)
+def _synthesize(ambient_model: AmbientModel, scenario: AttackScenario):
+    """The ambient log, the labeled attack log and its verified sidecar metadata."""
     ambient = generate_ambient(ambient_model)
     labeled = run_scenario(ambient, scenario)
     metadata = sidecar_metadata(scenario, labeled)
     _verify_sidecar(labeled, metadata)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "ambient": os.path.join(out_dir, "ambient.log"),
-        "log": os.path.join(out_dir, "attack.log"),
-        "labels": os.path.join(out_dir, "attack.labels.json"),
-        "sidecar": os.path.join(out_dir, "sidecar.json"),
-    }
-    with _open_out(paths["ambient"], args.force) as fh:
-        serialize_candump(ambient, fh)
-    with _open_out(paths["log"], args.force) as fh:
-        serialize_candump(labeled, fh)
-    with _open_out(paths["labels"], args.force) as fh:
+    return ambient, labeled, metadata
+
+
+def _write_synth(out_path, force: bool, ambient: TrafficLog, labeled: TrafficLog, metadata) -> None:
+    for name, log in (("ambient.log", ambient), ("attack.log", labeled)):
+        with _open_out(out_path(name), force) as fh:
+            serialize_candump(log, fh)
+    with _open_out(out_path("attack.labels.json"), force) as fh:
         save_labels(labeled, fh)
-    with _open_out(paths["sidecar"], args.force) as fh:
+    with _open_out(out_path("sidecar.json"), force) as fh:
         save_metadata(metadata, fh)
-    attacks = sum(1 for f in labeled if f.label.is_attack)
+
+
+def _write_windows(out_path, force: bool, labeled: TrafficLog, grid_window: int | None,
+                   grid_step: int, sequence_window: int | None) -> list[str]:
+    """Write the bit grids and id sequences asked for; describe what was written."""
+    written = []
+    if grid_window is not None:
+        grids = build_bit_grids(labeled, window=grid_window, step=grid_step)
+        with _open_out(out_path("grids.bin"), force, binary=True) as gfh:
+            with _open_out(out_path("grid_labels.bin"), force, binary=True) as lfh:
+                save_bit_grids(grids, gfh, lfh)
+        written.append(f"{len(grids)} grids")
+    if sequence_window is not None:
+        seqs = build_id_sequences(labeled, window=sequence_window)
+        with _open_out(out_path("sequences.csv"), force) as fh:
+            save_id_sequences(seqs, fh)
+        written.append(f"{len(seqs)} sequences")
+    return written
+
+
+def cmd_synth(args: argparse.Namespace) -> int:
+    ambient_model = AmbientModel.from_json_obj(_read_json(args.ambient))
+    with open(_require_file(args.scenario)) as fh:
+        scenario = load_scenario(fh)
+    ambient, labeled, metadata = _synthesize(ambient_model, scenario)
+    os.makedirs(args.out, exist_ok=True)
+    _write_synth(lambda name: os.path.join(args.out, name), args.force, ambient, labeled, metadata)
+    attacks = int(labeled.attack_flags().sum())
     print(
         f"synthesized {scenario.kind}: {len(labeled)} frames ({attacks} attack), "
-        f"sidecar verified -> {out_dir}"
+        f"sidecar verified -> {args.out}"
     )
     return EXIT_OK
 
@@ -198,36 +219,26 @@ def cmd_prep(args: argparse.Namespace) -> int:
     train, test = split_train_test_checked(dataset, args.ratio, args.mode, seed)
     if args.smote_target:
         train = smote_oversample(train, target_count=args.smote_target, k=args.smote_k, seed=seed)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    train_path = os.path.join(out_dir, "train.csv")
-    test_path = os.path.join(out_dir, "test.csv")
-    classes_path = os.path.join(out_dir, "classes.json")
-    with _open_out(train_path, args.force) as fh:
-        save_dataset_csv(train, fh)
-    with _open_out(test_path, args.force) as fh:
-        save_dataset_csv(test, fh)
-    with _open_out(classes_path, args.force) as fh:
+    os.makedirs(args.out, exist_ok=True)
+
+    def out_path(name: str) -> str:
+        return os.path.join(args.out, name)
+
+    _write_split(out_path, args.force, train, test)
+    with _open_out(out_path("classes.json"), args.force) as fh:
         json.dump(list(dataset.classes), fh)
         fh.write("\n")
-    extra = []
-    if args.grid_window:
-        grids = build_bit_grids(labeled, window=args.grid_window, step=args.grid_step)
-        grids_path = os.path.join(out_dir, "grids.bin")
-        grid_labels_path = os.path.join(out_dir, "grid_labels.bin")
-        with _open_out(grids_path, args.force, binary=True) as gfh:
-            with _open_out(grid_labels_path, args.force, binary=True) as lfh:
-                save_bit_grids(grids, gfh, lfh)
-        extra.append(f"{len(grids)} grids")
-    if args.sequence_window:
-        seqs = build_id_sequences(labeled, window=args.sequence_window)
-        seq_path = os.path.join(out_dir, "sequences.csv")
-        with _open_out(seq_path, args.force) as fh:
-            save_id_sequences(seqs, fh)
-        extra.append(f"{len(seqs)} sequences")
+    extra = _write_windows(out_path, args.force, labeled, args.grid_window or None, args.grid_step,
+                           args.sequence_window or None)
     note = f" ({', '.join(extra)})" if extra else ""
-    print(f"prepared train={len(train)} test={len(test)}{note} -> {out_dir}")
+    print(f"prepared train={len(train)} test={len(test)}{note} -> {args.out}")
     return EXIT_OK
+
+
+def _write_split(out_path, force: bool, train, test) -> None:
+    for name, part in (("train.csv", train), ("test.csv", test)):
+        with _open_out(out_path(name), force) as fh:
+            save_dataset_csv(part, fh)
 
 
 def split_train_test_checked(dataset, ratio: float, mode: str, seed: int):
@@ -302,7 +313,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _frequency_report(model, labeled: TrafficLog) -> EvalReport:
     with Timer() as timer:
         flags = model.predict_frames(labeled)
-    truth = [1 if f.label.is_attack else 0 for f in labeled]
+    truth = labeled.attack_flags().astype(np.int64)
     report = compute_metrics(truth, flags, (NORMAL_LABEL, "Attack"))
     report.model = model.descriptor()
     report.timings["predict_seconds"] = timer.seconds
@@ -397,32 +408,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad ambient/scenario config: {exc}") from None
 
     with Timer() as timer:
-        ambient = generate_ambient(ambient_model)
-        labeled = run_scenario(ambient, scenario)
-        metadata = sidecar_metadata(scenario, labeled)
-        _verify_sidecar(labeled, metadata)
+        ambient, labeled, metadata = _synthesize(ambient_model, scenario)
     timings["synth_seconds"] = timer.seconds
-
-    with _open_out(out_path("ambient.log"), args.force) as fh:
-        serialize_candump(ambient, fh)
-    with _open_out(out_path("attack.log"), args.force) as fh:
-        serialize_candump(labeled, fh)
-    with _open_out(out_path("attack.labels.json"), args.force) as fh:
-        save_labels(labeled, fh)
-    with _open_out(out_path("sidecar.json"), args.force) as fh:
-        save_metadata(metadata, fh)
-
+    _write_synth(out_path, args.force, ambient, labeled, metadata)
     if config["windows"]:
         wcfg = config["windows"]
-        grids = build_bit_grids(
-            labeled, window=wcfg.get("window", 29), step=wcfg.get("step", 29)
-        )
-        with _open_out(out_path("grids.bin"), args.force, binary=True) as gfh:
-            with _open_out(out_path("grid_labels.bin"), args.force, binary=True) as lfh:
-                save_bit_grids(grids, gfh, lfh)
-        seqs = build_id_sequences(labeled, window=wcfg.get("sequences", 16))
-        with _open_out(out_path("sequences.csv"), args.force) as fh:
-            save_id_sequences(seqs, fh)
+        _write_windows(out_path, args.force, labeled, wcfg.get("window", 29), wcfg.get("step", 29),
+                       wcfg.get("sequences", 16))
 
     model_cfg = dict(config["model"])
     kind = model_cfg.pop("kind")
@@ -430,7 +422,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         "source": "synthetic",
         "scenario_kind": scenario.kind,
         "frames": len(labeled),
-        "attack_frames": sum(1 for f in labeled if f.label.is_attack),
+        "attack_frames": int(labeled.attack_flags().sum()),
     }
 
     if kind == "frequency":
@@ -453,10 +445,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 k=scfg.get("k", 5),
                 seed=seed,
             )
-        with _open_out(out_path("train.csv"), args.force) as fh:
-            save_dataset_csv(train, fh)
-        with _open_out(out_path("test.csv"), args.force) as fh:
-            save_dataset_csv(test, fh)
+        _write_split(out_path, args.force, train, test)
         dataset_desc.update(
             {
                 "train_rows": len(train),

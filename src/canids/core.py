@@ -1,13 +1,17 @@
 """Domain types for CAN traffic: frames, labels, and identifier bit utilities.
 
 Every other module builds on these. All types are immutable after
-construction and safe to share between threads.
+construction and safe to share between threads.  A `TrafficLog` holds a
+capture as read-only numpy columns (timestamps, ids, id format, dlc,
+zero-padded payloads, channel codes and label codes), checked once when the
+log is built; `CanFrame` and `LabeledFrame` objects are a view built from
+the columns on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,8 +55,8 @@ class CanFrame:
     extended: bool = False
 
     def __post_init__(self):
-        if self.timestamp_us < 0:
-            raise ValueError(f"negative timestamp: {self.timestamp_us}")
+        if not 0 <= self.timestamp_us < 1 << 63:
+            raise ValueError(f"timestamp outside 0..2**63-1 us: {self.timestamp_us}")
         limit = MAX_EXTENDED_ID if self.extended else MAX_STANDARD_ID
         if not 0 <= self.can_id <= limit:
             raise ValueError(
@@ -184,54 +188,152 @@ class LabeledFrame:
         return self.label.is_attack
 
 
-AnyFrame = Union[CanFrame, LabeledFrame]
+# _PAST_DLC[d] is 0xFF on the payload bytes past a data length of d, else 0.
+_PAST_DLC = (np.arange(MAX_DLC) >= np.arange(MAX_DLC + 1)[:, None]).astype(np.uint8) * 0xFF
 
 
-def _frame_of(f: AnyFrame) -> CanFrame:
-    return f.frame if isinstance(f, LabeledFrame) else f
-
-
-@dataclass(frozen=True)
 class TrafficLog:
-    """An ordered CAN capture, optionally labeled, with non-decreasing timestamps."""
+    """An ordered CAN capture, optionally labeled, held as read-only columns.
 
-    frames: tuple
-    label_space: LabelSpace | None = None
+    Row i of each column is frame i: `ts_us` int64 microseconds, non-negative
+    and non-decreasing; `can_id` uint32, within its format's range;
+    `extended` bool (29-bit format); `dlc` uint8, at most 8; `data` uint8
+    (n, 8), zero past `dlc`; `channel` int64 indices into the `channels`
+    name tuple; `label` int64 indices into `label_space.names()`, or None
+    when unlabeled (an empty log is labeled when it has a label space).
 
-    def __post_init__(self):
-        if not isinstance(self.frames, tuple):
-            object.__setattr__(self, "frames", tuple(self.frames))
-        prev = -1
-        for f in self.frames:
-            ts = f.timestamp_us
-            if ts < prev:
-                raise ValueError("timestamps are not non-decreasing")
-            prev = ts
+    `TrafficLog(frames, label_space)` takes CanFrame or LabeledFrame objects
+    (with no label space given, one is built from the labels in order of
+    appearance); the library's stages build logs from arrays, and every
+    log's columns are checked in one place, `_from_columns`.  Indexing,
+    iteration, `frames` and `can_frames()` build frame objects on demand;
+    none is stored.
+    """
+
+    def __init__(self, frames: Iterable = (), label_space: LabelSpace | None = None):
+        frames = tuple(frames)
+        labeled = [isinstance(f, LabeledFrame) for f in frames]
+        if any(labeled) and not all(labeled):
+            raise ValueError("a log cannot mix labeled and unlabeled frames")
+        label = None
+        if all(labeled) if frames else label_space is not None:
+            if label_space is None:
+                label_space = LabelSpace(dict.fromkeys(
+                    f.label.name for f in frames if f.label.is_attack))
+            codes = {name: i for i, name in enumerate(label_space.names())}
+            label = [codes.get(f.label.name, -1) for f in frames]
+            frames = tuple(f.frame for f in frames)
+        channels: dict[str, int] = {}
+        self.__dict__.update(TrafficLog._from_columns(
+            [f.timestamp_us for f in frames], [f.can_id for f in frames],
+            [f.extended for f in frames], [len(f.data) for f in frames],
+            np.frombuffer(b"".join(f.data.ljust(MAX_DLC, b"\0") for f in frames),
+                          dtype=np.uint8).reshape(-1, MAX_DLC),
+            [channels.setdefault(f.channel, len(channels)) for f in frames],
+            tuple(channels), label, label_space).__dict__)
+
+    @classmethod
+    def _from_columns(cls, ts_us, can_id, extended, dlc, data, channel, channels: Sequence[str],
+                      label=None, label_space: LabelSpace | None = None) -> "TrafficLog":
+        """A log over copies of the given integer columns (see the class
+        docstring); columns that break a rule raise ValueError naming the
+        first bad frame."""
+        if label is not None and label_space is None:
+            raise ValueError("a labeled log needs a label space")
+        log = cls.__new__(cls)
+        log.channels, log.label_space = tuple(channels), label_space
+        # The one-row columns are stacked and range-checked together: viewed
+        # as uint64, a negative value is past any bound.
+        names = ["timestamp", "CAN id", "id format", "dlc", "channel code", "label code"]
+        rows = [ts_us, can_id, extended, dlc, channel]
+        bounds = [1 << 63, 1 << EXTENDED_ID_BITS, 2, MAX_DLC + 1, len(log.channels)]
+        if label is not None:
+            rows.append(label)
+            bounds.append(len(label_space))
+        try:
+            ints, data = np.array(rows), np.asarray(data)
+        except ValueError:
+            ints = None
+        # Only integer (or bool) columns are taken: a cast would truncate
+        # floats.  Unsigned 64-bit columns promote to float with signed ones.
+        if ints is None or ints.ndim != 2 or data.shape != (ints.shape[1], MAX_DLC) or any(
+                a.dtype.kind not in "biu" and a.size for a in (ints, data)):
+            raise ValueError("columns must be equally long sequences of 64-bit integers, "
+                             f"data as (rows, {MAX_DLC}) bytes")
+        ints = ints.astype(np.int64)
+        out = ints.view(np.uint64) >= np.array(bounds, dtype=np.uint64)[:, None]
+        if np.count_nonzero(out):
+            k = int(np.argmax(out.any(axis=1)))
+            raise ValueError(f"frame {np.argmax(out[k])}: {names[k]} outside 0..{bounds[k] - 1}")
+        log.ts_us, log.channel = ints[0].copy(), ints[4].copy()
+        log.label = None if label is None else ints[5].copy()
+        log.can_id, log.extended = ints[1].astype(np.uint32), ints[2].astype(bool)
+        log.dlc, log.data = ints[3].astype(np.uint8), data.astype(np.uint8)
+        for bad, what in ((log.ts_us[:-1] > log.ts_us[1:], "timestamp above the next frame's"),
+                          ((log.can_id > MAX_STANDARD_ID) > log.extended,
+                           "standard CAN id past 11 bits"),
+                          (log.data != data, "data byte outside 0..255"),
+                          (log.data & _PAST_DLC[log.dlc], "nonzero data byte past dlc")):
+            if np.count_nonzero(bad):
+                raise ValueError(f"frame {np.argmax(bad.reshape(len(bad), -1).any(1))}: {what}")
+        for column in vars(log).values():
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+        return log
+
+    def _columns(self, rows=slice(None)) -> dict[str, np.ndarray]:
+        """The unlabeled columns of some rows, as _from_columns takes them."""
+        return dict(ts_us=self.ts_us[rows], can_id=self.can_id[rows],
+                    extended=self.extended[rows], dlc=self.dlc[rows], data=self.data[rows],
+                    channel=self.channel[rows])
+
+    def _frames(self, rows, labeled: bool) -> list:
+        raw = self.data[rows].tobytes()
+        frames = [CanFrame(t, self.channels[c], i, raw[8 * k:8 * k + d], e)
+                  for k, (t, c, i, d, e) in enumerate(zip(
+                      self.ts_us[rows].tolist(), self.channel[rows].tolist(),
+                      self.can_id[rows].tolist(), self.dlc[rows].tolist(),
+                      self.extended[rows].tolist()))]
+        if not labeled or self.label is None:
+            return frames
+        classes = list(self.label_space)
+        return [LabeledFrame(f, classes[c]) for f, c in zip(frames, self.label[rows].tolist())]
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.ts_us)
 
     def __iter__(self):
-        return iter(self.frames)
+        return iter(self._frames(slice(None), True))
 
     def __getitem__(self, i):
-        return self.frames[i]
+        if isinstance(i, slice):
+            return tuple(self._frames(i, True))
+        i = range(len(self))[i]
+        return self._frames(slice(i, i + 1), True)[0]
+
+    @property
+    def frames(self) -> tuple:
+        """The frames as CanFrame, or LabeledFrame when the log is labeled."""
+        return tuple(self._frames(slice(None), True))
 
     @property
     def is_labeled(self) -> bool:
-        """True when the frames carry labels; an empty log is labeled when it
-        has a label space."""
-        if not self.frames:
-            return self.label_space is not None
-        return isinstance(self.frames[0], LabeledFrame)
+        return self.label is not None
 
     def can_frames(self) -> list[CanFrame]:
-        return [_frame_of(f) for f in self.frames]
+        return self._frames(slice(None), False)
 
     def labels(self) -> list[str]:
         if not self.is_labeled:
             raise ValueError("log is not labeled")
-        return [f.label.name for f in self.frames]
+        names = self.label_space.names()
+        return [names[c] for c in self.label.tolist()]
+
+    def attack_flags(self) -> np.ndarray:
+        """True for each frame whose label is an attack class."""
+        if not self.is_labeled:
+            raise ValueError("log is not labeled")
+        return np.array([c.is_attack for c in self.label_space], dtype=bool)[self.label]
 
 
 # Checks shared by the JSON document readers: a bad document raises a
@@ -291,44 +393,46 @@ def id_from_bits(bits: np.ndarray) -> int:
 # small whatever the length of the log.
 
 _BLOCK_ROWS = 8192
-_HEX_DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
+# _HEX_PAIRS[b] is the two uppercase hex digits of byte b as one uint16.
+_HEX_PAIRS = np.frombuffer("".join(f"{b:02X}" for b in range(256)).encode(), dtype=np.uint16)
+# _DIGITS4[v] is the four ASCII digits of v < 10,000 as one uint32.
+_DIGITS4 = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 
 
 def _decimal_cells(values, digits: int = 1):
     """Decimal text of an integer array, zero-padded to at least `digits`
     digits, with a leading '-' on negative values: the text of str(int(v))
     (or f"{v:0{digits}d}" for non-negative v)."""
-    v = np.asarray(values).astype(np.int64)
-    mag = np.abs(v).astype(np.uint64)
+    v = np.asarray(values, dtype=np.int64)
+    mag = np.abs(v).view(np.uint64)  # abs(-2**63) wraps to 2**63 as uint64
     width = max(digits, len(str(int(mag.max()))) if mag.size else 1)
-    table = np.empty(v.shape + (1 + width,), dtype=np.uint8)
+    # Four digits at a time, least significant first, each group one
+    # lookup; the sign goes in the byte before the `width` digit columns.
+    groups = np.empty(v.shape + (1 + -(-width // 4),), dtype=np.uint32)
+    for i in range(groups.shape[-1] - 1, 0, -1):
+        mag, low = np.divmod(mag, np.uint64(10_000))
+        groups[..., i] = _DIGITS4[low]
+    table = groups.view(np.uint8)[..., -1 - width:]
     table[..., 0] = ord("-")
-    used = np.zeros(v.shape, dtype=np.int64)
-    # Least significant digit first; a scalar divisor keeps numpy's
-    # integer division fast.
-    for i in range(width, 0, -1):
-        used += mag > 0
-        quotient = mag // 10
-        table[..., i] = mag - quotient * 10 + ord("0")
-        mag = quotient
-    mask = np.arange(-1, width) >= width - np.maximum(used, digits)[..., None]
+    mask = np.empty(table.shape, dtype=bool)
     mask[..., 0] = v < 0
+    np.logical_or.accumulate(table[..., 1:] != ord("0"), axis=-1, out=mask[..., 1:])
+    mask[..., -digits:] = True
     return table, mask
 
 
-def _hex_digits(values, digits: int) -> np.ndarray:
-    """Uppercase hex digits of non-negative integers, most significant first;
-    shape values.shape + (digits,).  The caller masks the ones it shows."""
-    shifts = np.arange(4 * (digits - 1), -1, -4, dtype=np.uint64)
-    v = np.asarray(values).astype(np.uint64)
-    return _HEX_DIGITS[(v[..., None] >> shifts) & np.uint64(0xF)]
+def _hex_cells(byte_table) -> np.ndarray:
+    """Uppercase hex digits of a (..., k) uint8 table, two per byte: shape
+    (..., 2k).  The caller masks the ones it shows."""
+    return _HEX_PAIRS[byte_table].view(np.uint8)
 
 
 def _text_cells(texts: Sequence[str], codes):
     """Cells holding texts[code] for each entry of an integer code array."""
     encoded = [t.encode() for t in texts]
     lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    mask = np.arange(int(lengths.max(initial=0))) < lengths[:, None]
+    mask = np.arange(max(map(len, encoded), default=0)) < lengths[:, None]
     table = np.zeros(mask.shape, dtype=np.uint8)
     table[mask] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
     return table[codes], mask[codes]
@@ -360,30 +464,37 @@ def _write_rows(stream, n: int, encode_block) -> None:
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         m = stop - start
-        tables, masks = [], []
+        # The literals form a template row shown on every row; each cell
+        # table and its mask are then copied over their own columns.
+        template, cells = bytearray(), []
         for piece in encode_block(start, stop):
             if isinstance(piece, bytes):
-                piece = (np.broadcast_to(np.frombuffer(piece, np.uint8), (m, len(piece))),
-                         np.ones((m, len(piece)), dtype=bool))
-            tables.append(piece[0].reshape(m, -1))
-            masks.append(piece[1].reshape(m, -1))
-        text = np.concatenate(tables, axis=1)[np.concatenate(masks, axis=1)]
-        stream.write(text.tobytes().decode())
+                template += piece
+            else:
+                cells.append((len(template), piece[0].reshape(m, -1), piece[1].reshape(m, -1)))
+                template += bytes(cells[-1][1].shape[1])
+        table = np.empty((m, len(template)), dtype=np.uint8)
+        table[:] = np.frombuffer(template, dtype=np.uint8)
+        mask = np.ones(table.shape, dtype=bool)
+        for lo, cell_table, cell_mask in cells:
+            table[:, lo:lo + cell_table.shape[1]] = cell_table
+            mask[:, lo:lo + cell_table.shape[1]] = cell_mask
+        stream.write(table[mask].tobytes().decode())
 
 
-def arbitration_winner(frames: Iterable[AnyFrame]) -> AnyFrame:
+def arbitration_winner(frames: Iterable[CanFrame | LabeledFrame]) -> CanFrame | LabeledFrame:
     """Return the frame that wins bus arbitration: numerically smallest id.
 
     Lower ids carry more dominant bits and win under wired-AND signalling.
-    Ties are broken by earliest timestamp.
+    Ties are broken by earliest timestamp.  Frames may be CanFrame or
+    LabeledFrame objects; the winner is returned as given.
     """
-    best = None
-    best_key = None
-    for f in frames:
-        cf = _frame_of(f)
-        key = (cf.can_id, cf.timestamp_us)
-        if best_key is None or key < best_key:
-            best, best_key = f, key
+
+    def key(f: CanFrame | LabeledFrame) -> tuple[int, int]:
+        cf = f.frame if isinstance(f, LabeledFrame) else f
+        return cf.can_id, cf.timestamp_us
+
+    best = min(frames, key=key, default=None)
     if best is None:
         raise ValueError("empty arbitration set")
     return best

@@ -74,9 +74,12 @@ def _numbers(value: Any, dtype: type, what: str) -> np.ndarray:
 
 
 def _feature_matrix(X: np.ndarray, n_read: int) -> np.ndarray:
-    """X as float64, refused when narrower than the n_read columns a model reads."""
+    """X as float64, refused unless it is 2-D with at least the n_read
+    columns a model reads."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 2 and X.shape[1] < n_read:
+    if X.ndim != 2:
+        raise ValueError(f"a feature matrix is 2-D (rows, columns), not {X.ndim}-D")
+    if X.shape[1] < n_read:
         raise ValueError(f"the model reads {n_read} feature columns, the matrix has {X.shape[1]}")
     return X
 
@@ -633,11 +636,6 @@ def softmax_cross_entropy(raw: np.ndarray, y: np.ndarray) -> float:
     return float(-np.log(np.maximum(p[np.arange(len(y)), y], 1e-300)).mean())
 
 
-def _iter_frames(frames: TrafficLog | Iterable[CanFrame | LabeledFrame]) -> Iterator[CanFrame]:
-    for f in frames:
-        yield f.frame if isinstance(f, LabeledFrame) else f
-
-
 class FrequencyDetector(Detector):
     """Per-id inter-arrival baseline.
 
@@ -662,18 +660,20 @@ class FrequencyDetector(Detector):
         self.stats: dict[int, dict[str, float]] = {}
 
     def fit(self, ambient: TrafficLog | Iterable[CanFrame | LabeledFrame]) -> "FrequencyDetector":
-        arrivals: dict[int, list[int]] = {}
-        for frame in _iter_frames(ambient):
-            arrivals.setdefault(frame.can_id, []).append(frame.timestamp_us)
+        """Learn gap statistics from a log, or from time-ordered frames."""
+        log = ambient if isinstance(ambient, TrafficLog) else TrafficLog(ambient)
+        # A stable sort by id keeps each id's rows in time order.
+        gaps = np.diff(log.ts_us[np.argsort(log.can_id, kind="stable")]).astype(np.float64)
+        ids, counts = np.unique(log.can_id, return_counts=True)
         self.stats = {}
-        for can_id, times in arrivals.items():
-            if len(times) < 3:
+        for can_id, end, count in zip(ids.tolist(), np.cumsum(counts).tolist(), counts.tolist()):
+            if count < 3:
                 continue
-            gaps = np.diff(np.asarray(times, dtype=np.int64)).astype(np.float64)
-            mean = float(gaps.mean())
-            std = float(gaps.std(ddof=1))
+            run = gaps[end - count:end - 1]
+            mean = float(run.mean())
+            std = float(run.std(ddof=1))
             self.stats[can_id] = dict(
-                mean_us=mean, std_us=std, threshold_us=mean - self.k_sigma * std, count=len(times)
+                mean_us=mean, std_us=std, threshold_us=mean - self.k_sigma * std, count=count
             )
         if not self.stats:
             raise ValueError("no id with at least 3 ambient observations")
@@ -681,23 +681,23 @@ class FrequencyDetector(Detector):
         return self
 
     def predict_frames(self, frames: TrafficLog | Iterable[CanFrame | LabeledFrame]) -> np.ndarray:
-        """1 per frame flagged as attack, 0 otherwise, in frame order."""
+        """1 per frame flagged as attack, 0 otherwise, in frame order.
+
+        Frames given as an iterable must be in time order."""
         self._check_fitted()
-        flags: list[int] = []
-        last_seen: dict[int, int] = {}
-        for frame in _iter_frames(frames):
-            stat = self.stats.get(frame.can_id)
-            if stat is None:
-                flags.append(1)
-                continue
-            prev = last_seen.get(frame.can_id)
-            last_seen[frame.can_id] = frame.timestamp_us
-            if prev is None:
-                flags.append(0)
-                continue
-            gap = frame.timestamp_us - prev
-            flags.append(1 if gap < stat["threshold_us"] else 0)
-        return np.asarray(flags, dtype=np.int64)
+        log = frames if isinstance(frames, TrafficLog) else TrafficLog(frames)
+        order = np.argsort(log.can_id, kind="stable")
+        ids = log.can_id[order].astype(np.int64)
+        known = np.array(sorted(self.stats), dtype=np.int64)
+        threshold = np.array([self.stats[i]["threshold_us"] for i in known.tolist()] + [0.0])
+        # Gaps to the previous frame of the same id; an id's first frame
+        # has none, and an id without statistics is always flagged.
+        first = np.diff(ids, prepend=-1) != 0
+        gap = np.diff(log.ts_us[order], prepend=0)
+        flags = np.empty(len(log), dtype=np.int64)
+        late = gap < threshold[np.searchsorted(known, ids)]
+        flags[order] = ~np.isin(ids, known) | (~first & late)
+        return flags
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError(

@@ -6,7 +6,7 @@ stratified by class or chronological by timestamp.  SMOTE raises each
 attack class to a fixed target count by interpolating toward same-class
 nearest neighbors; the majority (Normal) class is never touched.
 
-`log_to_dataset` gathers each column of a log once and stacks them.
+`log_to_dataset` stacks the log's id, dlc and data columns.
 `save_dataset_csv` writes through the block text encoder in `core`: each
 block of rows is formatted column by column, a float as Python's repr of
 each distinct value and a class name as csv.writer quotes it, so the file
@@ -50,17 +50,12 @@ def frame_to_features(frame: CanFrame | LabeledFrame, include_dlc: bool = False)
     the DLC feature the mapping cannot distinguish true trailing zero
     bytes from padding; pass include_dlc=True where that matters.
     """
-    if isinstance(frame, LabeledFrame):
-        frame = frame.frame
-    values = np.zeros(10 if include_dlc else 9, dtype=np.float64)
-    values[0] = frame.can_id
-    offset = 1
-    if include_dlc:
-        values[1] = frame.dlc
-        offset = 2
-    for i, byte in enumerate(frame.data):
-        values[offset + i] = byte
-    return values
+    return _feature_matrix(TrafficLog((frame,)), include_dlc)[0]
+
+
+def _feature_matrix(log: TrafficLog, include_dlc: bool) -> np.ndarray:
+    columns = [log.can_id[:, None]] + ([log.dlc[:, None]] if include_dlc else []) + [log.data]
+    return np.hstack(columns, dtype=np.float64)
 
 
 def feature_names(include_dlc: bool = False) -> tuple[str, ...]:
@@ -135,21 +130,9 @@ def log_to_dataset(log: TrafficLog, include_dlc: bool = False) -> TabularDataset
     """Vectorize a labeled log into a TabularDataset, preserving order."""
     if not log.is_labeled:
         raise ValueError("log must be labeled")
-    classes = tuple(log.label_space.names())
-    index = {name: i for i, name in enumerate(classes)}
-    n = len(log)
-    frames = [lf.frame for lf in log]
-    data = b"".join(f.data.ljust(8, b"\0") for f in frames)
-    columns = [np.fromiter((f.can_id for f in frames), dtype=np.float64, count=n)]
-    if include_dlc:
-        columns.append(np.fromiter((len(f.data) for f in frames), dtype=np.float64, count=n))
-    X = np.column_stack(
-        columns + [np.frombuffer(data, dtype=np.uint8).reshape(n, 8).astype(np.float64)]
-    )
-    y = np.fromiter((index[lf.label.name] for lf in log), dtype=np.int64, count=n)
-    ts = np.fromiter((f.timestamp_us for f in frames), dtype=np.int64, count=n)
-    return TabularDataset(X=X, y=y, classes=classes, timestamps_us=ts,
-                          names=feature_names(include_dlc))
+    return TabularDataset(X=_feature_matrix(log, include_dlc), y=log.label.copy(),
+                          classes=tuple(log.label_space.names()),
+                          timestamps_us=log.ts_us.copy(), names=feature_names(include_dlc))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,13 @@ Supported inputs: candump text logs ("(ts) channel ID#DATA"), CSV-style IDS
 datasets with a configurable column schema, and per-capture JSON metadata
 describing injection campaigns (interval + id + payload nibble pattern).
 
-`serialize_candump` writes through the block text encoder in `core`: it
-gathers the timestamp, id, format, channel and data of a block of frames
-into arrays once and formats them column by column; each line is the text
-of `serialize_candump_line`.
+Every reader fills the columns of a `TrafficLog` and every writer reads
+them: the parsers collect each line's or row's fields into column lists,
+`serialize_candump` formats slices of the columns through the block text
+encoder in `core` (each line is the text of `serialize_candump_line`), and
+labels are per-frame class codes.  `apply_metadata_labels` tests each
+campaign only on the rows inside its interval, found by binary search over
+the sorted timestamps.
 """
 
 from __future__ import annotations
@@ -25,13 +28,11 @@ from canids.core import (
     MAX_EXTENDED_ID,
     MAX_STANDARD_ID,
     NORMAL_LABEL,
-    US_PER_SECOND,
     CanFrame,
-    LabeledFrame,
     LabelSpace,
     TrafficLog,
     _decimal_cells,
-    _hex_digits,
+    _hex_cells,
     _text_cells,
     _name_list,
     _require_fields,
@@ -45,7 +46,8 @@ ID_WILDCARD = "XXX"
 NIBBLE_WILDCARD = "X"
 
 _CANDUMP_RE = re.compile(
-    r"^\((?P<ts>\d+(?:\.\d+)?)\)\s+(?P<channel>\S+)\s+(?P<id>[0-9A-Fa-f]+)#(?P<data>[0-9A-Fa-f]*)\s*$"
+    r"^\((?P<ts>\d+(?:\.\d+)?)\)\s+(?P<channel>\S+)\s+(?P<id>[0-9A-Fa-f]+)#(?P<data>[0-9A-Fa-f]*)\s*$",
+    re.ASCII,
 )
 
 
@@ -64,16 +66,15 @@ def _parse_timestamp_us(text: str, where: str) -> int:
         secs, frac = text, ""
     if len(frac) > 6:
         raise ParseError(f"{where}: timestamp {text!r} has sub-microsecond precision")
-    return int(secs) * 1_000_000 + int(frac.ljust(6, "0") or "0")
+    ts_us = int(secs) * 1_000_000 + int(frac.ljust(6, "0") or "0")
+    if ts_us >= 1 << 63:
+        raise ParseError(f"{where}: timestamp {text!r} is past 2**63-1 us")
+    return ts_us
 
 
-def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
-    """Parse one candump record of shape "(TIMESTAMP) CHANNEL ID#DATAHEX".
-
-    The id field is 3 hex digits for standard frames or 8 for extended ones,
-    matching what candump emits; data is hex byte pairs, up to 8 bytes.
-    """
-    where = f"line {lineno}" if lineno is not None else "line"
+def _candump_fields(line: str, where: str) -> tuple[int, str, int, bool, str]:
+    """The timestamp (us), channel, id, extended flag and data hex of one
+    candump record."""
     m = _CANDUMP_RE.match(line)
     if not m:
         raise ParseError(f"{where}: not a candump record: {line.rstrip()!r}")
@@ -94,8 +95,19 @@ def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
         raise ParseError(f"{where}: odd-length data hex {data_text!r}")
     if len(data_text) // 2 > MAX_DLC:
         raise ParseError(f"{where}: data field of {len(data_text) // 2} bytes exceeds {MAX_DLC}")
-    data = bytes.fromhex(data_text)
-    return CanFrame(timestamp_us=ts_us, channel=m.group("channel"), can_id=can_id, data=data, extended=extended)
+    return ts_us, m.group("channel"), can_id, extended, data_text
+
+
+def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
+    """Parse one candump record of shape "(TIMESTAMP) CHANNEL ID#DATAHEX".
+
+    The id field is 3 hex digits for standard frames or 8 for extended ones,
+    matching what candump emits; data is hex byte pairs, up to 8 bytes.
+    Digits are ASCII only.
+    """
+    where = f"line {lineno}" if lineno is not None else "line"
+    ts_us, channel, can_id, extended, data_text = _candump_fields(line, where)
+    return CanFrame(ts_us, channel, can_id, bytes.fromhex(data_text), extended=extended)
 
 
 def parse_candump_log(
@@ -108,15 +120,16 @@ def parse_candump_log(
     Blank lines are permitted. In strict mode (the default, since labeling
     correctness depends on complete logs) the first malformed line aborts the
     parse; in lenient mode malformed lines are skipped, counted, and reported
-    through `errors` when a list is supplied.
+    through `errors` when a list is supplied.  The log is built once, from
+    the fields of every line.
     """
-    frames = []
+    rows = []
     skipped = 0
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            frames.append(parse_candump_line(line, lineno))
+            rows.append(_candump_fields(line, f"line {lineno}"))
         except ParseError as exc:
             if strict:
                 raise
@@ -125,7 +138,16 @@ def parse_candump_log(
                 errors.append(str(exc))
     if skipped:
         logger.warning("skipped %d malformed candump lines", skipped)
-    return TrafficLog(frames=tuple(frames))
+    ts_us, names, can_id, extended, data = zip(*rows) if rows else [()] * 5
+    channels = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    return TrafficLog._from_columns(ts_us, can_id, extended, [len(d) // 2 for d in data],
+                                    _padded_bytes(data), [channels[c] for c in names], channels)
+
+
+def _padded_bytes(hex_payloads: Sequence[str]) -> np.ndarray:
+    """The (n, 8) zero-padded byte table of n payloads given as hex text."""
+    raw = bytes.fromhex("".join(d.ljust(2 * MAX_DLC, "0") for d in hex_payloads))
+    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, MAX_DLC)
 
 
 def serialize_candump_line(frame: CanFrame) -> str:
@@ -133,32 +155,27 @@ def serialize_candump_line(frame: CanFrame) -> str:
     return f"({format_timestamp(frame.timestamp_us)}) {frame.channel} {id_text}#{frame.data.hex().upper()}"
 
 
+# The hex digits shown of a standard (row 0) or extended (row 1) id, and of each payload length.
+_ID_SHOWN = np.arange(8) >= np.array([[5], [0]])
+_DATA_SHOWN = np.arange(2 * MAX_DLC) < 2 * np.arange(MAX_DLC + 1)[:, None]
+
+
 def serialize_candump(log: TrafficLog, stream: IO[str]) -> None:
     """Write a log in candump text form; parse_candump_log inverts it field-for-field.
 
-    Each line is the text of serialize_candump_line.  Frames are encoded a
-    block at a time: their fields are gathered into arrays once per block
-    and formatted column by column."""
+    Each line is the text of serialize_candump_line.  Rows are encoded a
+    block at a time from slices of the log's columns."""
 
     def encode_block(lo: int, hi: int) -> list:
-        frames = [f.frame if isinstance(f, LabeledFrame) else f for f in log.frames[lo:hi]]
-        m = len(frames)
-        ts = np.fromiter((f.timestamp_us for f in frames), dtype=np.int64, count=m)
-        can_id = np.fromiter((f.can_id for f in frames), dtype=np.int64, count=m)
-        extended = np.fromiter((f.extended for f in frames), dtype=bool, count=m)
-        dlc = np.fromiter((len(f.data) for f in frames), dtype=np.int64, count=m)
-        data = np.frombuffer(b"".join(f.data.ljust(MAX_DLC, b"\0") for f in frames),
-                             dtype=np.uint8).reshape(m, MAX_DLC)
-        channels: dict[str, int] = {}
-        channel = [channels.setdefault(f.channel, len(channels)) for f in frames]
-        id_digits = np.where(extended, 8, 3)
+        # One decimal table of at least 7 digits holds the whole timestamp;
+        # its last six digits are the microseconds.
+        stamp, shown = _decimal_cells(log.ts_us[lo:hi], digits=7)
         return [
-            b"(", _decimal_cells(ts // US_PER_SECOND), b".",
-            _decimal_cells(ts % US_PER_SECOND, digits=6), b") ",
-            _text_cells(list(channels), channel), b" ",
-            (_hex_digits(can_id, 8), np.arange(8) >= 8 - id_digits[:, None]), b"#",
-            (_hex_digits(data, 2).reshape(m, 2 * MAX_DLC),
-             np.arange(2 * MAX_DLC) < 2 * dlc[:, None]),
+            b"(", (stamp[:, :-6], shown[:, :-6]), b".", (stamp[:, -6:], shown[:, -6:]), b") ",
+            _text_cells(log.channels, log.channel[lo:hi]), b" ",
+            (_hex_cells(log.can_id[lo:hi].astype(">u4").view(np.uint8).reshape(-1, 4)),
+             _ID_SHOWN[log.extended[lo:hi].view(np.uint8)]), b"#",
+            (_hex_cells(log.data[lo:hi]), _DATA_SHOWN[log.dlc[lo:hi]]),
             b"\n",
         ]
 
@@ -218,15 +235,14 @@ def parse_csv_dataset(
     schema: CsvSchema,
     label_space: LabelSpace | None = None,
 ) -> TrafficLog:
-    """Parse a labeled CSV dataset into a TrafficLog of LabeledFrame.
+    """Parse a labeled CSV dataset into a labeled TrafficLog on channel "csv".
 
     Data bytes beyond the row's dlc are dropped. Unknown labels and rows of
     the wrong arity raise ParseError with the row index.
     """
     import csv as _csv
 
-    rows: list[tuple[CanFrame, str]] = []
-    seen_labels: set[str] = set()
+    ts_col, id_col, dlc_col, data_col, label_col = [], [], [], [], []
     reader = _csv.reader(lines)
     for rowno, row in enumerate(reader, start=1):
         if schema.has_header and rowno == 1:
@@ -246,7 +262,6 @@ def parse_csv_dataset(
         can_id = _parse_cell_int(row[schema.id_col], schema.id_hex, where, "id")
         if can_id > MAX_EXTENDED_ID:
             raise ParseError(f"{where}: id {can_id:#x} exceeds the 29-bit space")
-        extended = can_id > MAX_STANDARD_ID
 
         if schema.dlc_col is not None:
             dlc = _parse_cell_int(row[schema.dlc_col], False, where, "dlc")
@@ -281,19 +296,37 @@ def parse_csv_dataset(
             label_name = schema.label_map.get(raw, raw)
             if label_space is not None and label_name not in label_space:
                 raise ParseError(f"{where}: unknown label {raw!r}")
-        seen_labels.add(label_name)
-
-        frame = CanFrame(timestamp_us=ts_us, channel="csv", can_id=can_id, data=bytes(data), extended=extended)
-        rows.append((frame, label_name))
+        ts_col.append(ts_us)
+        id_col.append(can_id)
+        dlc_col.append(dlc)
+        data_col.append(data.hex())
+        label_col.append(label_name)
 
     if label_space is None:
-        label_space = LabelSpace(sorted(n for n in seen_labels if n != NORMAL_LABEL))
-    labeled = tuple(LabeledFrame(f, label_space.get(n)) for f, n in rows)
-    return TrafficLog(frames=labeled, label_space=label_space)
+        label_space = LabelSpace(sorted(set(label_col) - {NORMAL_LABEL}))
+    codes = {name: i for i, name in enumerate(label_space.names())}
+    ids = np.array(id_col, dtype=np.int64)
+    return TrafficLog._from_columns(
+        ts_col, ids, ids > MAX_STANDARD_ID, dlc_col, _padded_bytes(data_col),
+        np.zeros(len(ids), dtype=np.int64), ("csv",), [codes[n] for n in label_col], label_space)
 
 
 # ---------------------------------------------------------------------------
 # Metadata-driven labeling
+
+
+def _pattern_bytes(patterns: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For checked patterns: uint8 (len(patterns), 8) tables of the payload
+    bits each pattern fixes and of their values (zero where not fixed), and
+    the payload length each needs to reach its last fixed byte."""
+    chars = np.frombuffer("".join(p.ljust(2 * MAX_DLC, NIBBLE_WILDCARD) for p in patterns)
+                          .encode(), dtype=np.uint8).reshape(-1, MAX_DLC, 2)
+    fixed = chars != ord(NIBBLE_WILDCARD)
+    nibble = np.where(chars >= ord("A"), chars - (ord("A") - 10), chars - ord("0")) * fixed
+    mask = fixed[..., 0] * np.uint8(0xF0) | fixed[..., 1] * np.uint8(0x0F)
+    need = (np.arange(1, MAX_DLC + 1) * (mask > 0)).max(axis=1, initial=0)
+    return mask, nibble[..., 0] << 4 | nibble[..., 1], need
+
 
 @dataclass(frozen=True)
 class AttackMetadata:
@@ -311,8 +344,10 @@ class AttackMetadata:
     pattern: str = ""
 
     def __post_init__(self):
-        if self.start_us > self.end_us:
-            raise ValueError("injection interval start exceeds end")
+        if not -(1 << 63) <= self.start_us <= self.end_us < 1 << 63:
+            raise ValueError("injection interval must run forward within 64-bit microseconds")
+        if self.can_id is not None and not 0 <= self.can_id <= MAX_EXTENDED_ID:
+            raise ValueError(f"injection id {self.can_id!r} is outside the 29-bit space")
         pat = self.pattern.upper()
         object.__setattr__(self, "pattern", pat)
         if len(pat) > 2 * MAX_DLC:
@@ -343,23 +378,43 @@ class AttackMetadata:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AttackMetadata":
-        start, end = obj["injection_interval"]
-        raw_id = obj["injection_id"]
-        can_id = None if str(raw_id).upper() == ID_WILDCARD else int(str(raw_id), 16)
+        """The campaign an entry describes; a malformed entry raises ValueError
+        naming the field."""
+        _require_fields(obj, ("injection_interval", "injection_id", "attack_class"), "entry")
+        interval, raw_id = obj["injection_interval"], str(obj["injection_id"]).upper()
+        pattern, attack_class = obj.get("injection_data_str", ""), obj["attack_class"]
+        if not (isinstance(interval, list) and len(interval) == 2 and all(
+                type(t) in (int, float) and abs(t) < (1 << 63) / 1e6 for t in interval)):
+            raise ValueError(f"injection_interval {interval!r} is not [start, end] in seconds")
+        if raw_id != ID_WILDCARD and not re.fullmatch(r"[0-9A-F]{1,8}", raw_id):
+            raise ValueError(f"injection_id {raw_id!r} is neither hex nor {ID_WILDCARD!r}")
+        if not isinstance(pattern, str) or not isinstance(attack_class, str):
+            raise ValueError("injection_data_str and attack_class must be strings")
         return cls(
-            start_us=round(float(start) * 1e6),
-            end_us=round(float(end) * 1e6),
-            can_id=can_id,
-            pattern=obj.get("injection_data_str", ""),
-            attack_class=obj["attack_class"],
+            start_us=round(interval[0] * 1e6),
+            end_us=round(interval[1] * 1e6),
+            can_id=None if raw_id == ID_WILDCARD else int(raw_id, 16),
+            pattern=pattern,
+            attack_class=attack_class,
         )
 
 
 def load_metadata(stream: IO[str]) -> list[AttackMetadata]:
+    """Read campaigns from a JSON list of entries, or from the "attacks"
+    list of a JSON object.  A malformed document raises ValueError naming
+    the entry and field."""
     doc = json.load(stream)
     if isinstance(doc, dict):
         doc = doc.get("attacks", [])
-    return [AttackMetadata.from_json_obj(o) for o in doc]
+    if not isinstance(doc, list):
+        raise ValueError("metadata must be a list of attack entries")
+    campaigns = []
+    for k, obj in enumerate(doc):
+        try:
+            campaigns.append(AttackMetadata.from_json_obj(obj))
+        except ValueError as exc:
+            raise ValueError(f"metadata entry {k}: {exc}") from None
+    return campaigns
 
 
 def save_metadata(metadata: Sequence[AttackMetadata], stream: IO[str]) -> None:
@@ -378,37 +433,45 @@ def apply_metadata_labels(
     injection interval, its id matches, and every non-wildcard pattern nibble
     equals the frame's. Two campaigns claiming one frame with different
     classes raise LabelAmbiguityError.
+
+    Each campaign's interval is a row range of the time-sorted log, found
+    by binary search; only the (campaign, row) pairs inside those ranges
+    are tested, by comparing masked payload bytes against each campaign's
+    fixed nibbles.
     """
+    class_names = list(dict.fromkeys(m.attack_class for m in metadata))
     if label_space is None:
-        names: list[str] = []
-        for m in metadata:
-            if m.attack_class not in names:
-                names.append(m.attack_class)
-        label_space = LabelSpace(names)
+        label_space = LabelSpace(class_names)
+    campaign_class = np.array([class_names.index(m.attack_class) for m in metadata], dtype=np.int64)
+    span = np.array([(m.start_us, m.end_us) for m in metadata], dtype=np.int64).reshape(-1, 2)
+    lo = np.searchsorted(log.ts_us, span[:, 0], side="left")
+    sizes = np.searchsorted(log.ts_us, span[:, 1], side="right") - lo
+    ends = np.cumsum(sizes)
+    want_id = np.array([-1 if m.can_id is None else m.can_id for m in metadata], dtype=np.int64)
+    byte_mask, byte_value, need = _pattern_bytes([m.pattern for m in metadata])
 
-    # bucket campaigns by id so per-frame matching only scans candidates
-    by_id: dict[int, list[AttackMetadata]] = {}
-    wildcard_id: list[AttackMetadata] = []
-    for m in metadata:
-        if m.can_id is None:
-            wildcard_id.append(m)
-        else:
-            by_id.setdefault(m.can_id, []).append(m)
-
-    labeled = []
-    for idx, f in enumerate(log):
-        frame = f.frame if isinstance(f, LabeledFrame) else f
-        candidates = by_id.get(frame.can_id, ())
-        hits = {m.attack_class for m in candidates if m.matches(frame)}
-        hits.update(m.attack_class for m in wildcard_id if m.matches(frame))
-        if len(hits) > 1:
-            raise LabelAmbiguityError(
-                f"frame {idx} at {format_timestamp(frame.timestamp_us)} id 0x{frame.can_id:03X} "
-                f"matches conflicting classes {sorted(hits)}"
-            )
-        name = hits.pop() if hits else NORMAL_LABEL
-        labeled.append(LabeledFrame(frame, label_space.get(name)))
-    return TrafficLog(frames=tuple(labeled), label_space=label_space)
+    # The pairs are numbered campaign after campaign; pair p is of campaign k.
+    pair = np.arange(sizes.sum())
+    k = np.searchsorted(ends, pair, side="right")
+    row = lo[k] + pair - (ends[k] - sizes[k])
+    id_ok = (want_id[k] < 0) | (log.can_id[row] == want_id[k])
+    # A fixed nibble past the frame's dlc never matches.
+    match = id_ok & (log.dlc[row] >= need[k]) & (
+        (log.data[row] & byte_mask[k]) == byte_value[k]).all(axis=1)
+    rows, classes = np.unique(np.column_stack([row[match], campaign_class[k[match]]]), axis=0).T
+    conflict = np.flatnonzero(rows[1:] == rows[:-1])
+    if len(conflict):
+        idx = int(rows[conflict[0]])
+        names = sorted(class_names[c] for c in classes[rows == idx])
+        raise LabelAmbiguityError(
+            f"frame {idx} at {format_timestamp(int(log.ts_us[idx]))} "
+            f"id 0x{int(log.can_id[idx]):03X} matches conflicting classes {names}"
+        )
+    codes = {name: i for i, name in enumerate(label_space.names())}
+    label = np.full(len(log), codes[NORMAL_LABEL], dtype=np.int64)
+    label[rows] = np.array([codes.get(name, -1) for name in class_names], dtype=np.int64)[classes]
+    return TrafficLog._from_columns(**log._columns(), channels=log.channels, label=label,
+                                    label_space=label_space)
 
 
 def save_labels(log: TrafficLog, stream: IO[str]) -> None:
@@ -416,12 +479,10 @@ def save_labels(log: TrafficLog, stream: IO[str]) -> None:
     space order plus one class index per frame."""
     if not log.is_labeled:
         raise ValueError("log is not labeled")
-    classes = log.label_space.names()
-    index = {name: i for i, name in enumerate(classes)}
     doc = {
         "format_version": 1,
-        "classes": classes,
-        "labels": [index[f.label.name] for f in log],
+        "classes": log.label_space.names(),
+        "labels": log.label.tolist(),
     }
     stream.write(json.dumps(doc) + "\n")
 
@@ -440,19 +501,19 @@ def load_labels(log: TrafficLog, stream: IO[str]) -> TrafficLog:
     indices = doc["labels"]
     if not isinstance(indices, list):
         raise ValueError("label document labels must be a list of class indices")
-    frames = log.can_frames()
-    if len(indices) != len(frames):
+    if len(indices) != len(log):
         raise ValueError(
-            f"label document covers {len(indices)} frames, log has {len(frames)}"
+            f"label document covers {len(indices)} frames, log has {len(log)}"
         )
-    for frame_no, i in enumerate(indices):
-        if type(i) is not int or not 0 <= i < len(classes):
-            raise ValueError(
-                f"label document frame {frame_no}: label {i!r} is not a class index "
-                f"from 0 to {len(classes) - 1}"
-            )
+    bad = next((k for k, i in enumerate(indices)
+                if type(i) is not int or not 0 <= i < len(classes)), None)
+    if bad is not None:
+        raise ValueError(
+            f"label document frame {bad}: label {indices[bad]!r} is not a class index "
+            f"from 0 to {len(classes) - 1}"
+        )
     space = LabelSpace([name for name in classes if name != NORMAL_LABEL])
-    labeled = tuple(
-        LabeledFrame(frame, space.get(classes[i])) for frame, i in zip(frames, indices)
-    )
-    return TrafficLog(frames=labeled, label_space=space)
+    codes = np.array([space.names().index(name) for name in classes], dtype=np.int64)
+    label = codes[np.array(indices, dtype=np.int64)]
+    return TrafficLog._from_columns(**log._columns(), channels=log.channels, label=label,
+                                    label_space=space)

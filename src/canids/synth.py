@@ -6,6 +6,11 @@ ids, fabrication (one forged frame flammed right after each legitimate target
 frame), and the masquerade post-process that deletes the legitimate frame of
 each flam pair. Every injector returns a fully labeled, time-sorted log and
 is deterministic under a fixed seed.
+
+Generators and injectors build `TrafficLog` columns, never frame objects:
+the ambient ids' columns, or the ambient and injected columns, are
+concatenated and merged by a stable argsort of their timestamps, so frames
+at equal timestamps keep their order (ambient before injected).
 """
 
 from __future__ import annotations
@@ -20,13 +25,11 @@ from canids.core import (
     MAX_DLC,
     MAX_EXTENDED_ID,
     MAX_STANDARD_ID,
-    CanFrame,
-    LabeledFrame,
     TrafficLog,
     binary_label_space,
     to_us,
 )
-from canids.ingest import NIBBLE_WILDCARD, AttackMetadata
+from canids.ingest import AttackMetadata, _pattern_bytes
 
 FLAM_DELAY_US = 1  # one timestamp quantum: "immediately after" the legitimate frame
 
@@ -62,23 +65,21 @@ class PayloadModel:
         if any(p >= len(self.base) for p in self.positions):
             raise ValueError("counter position beyond payload length")
 
-    def sequence(self, rng: np.random.Generator, count: int) -> list[bytes]:
+    def sequence(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The payloads of `count` frames, one uint8 row of len(base) bytes each."""
+        base = np.frombuffer(self.base, dtype=np.uint8)
         if self.kind == "constant":
-            return [self.base] * count
+            return np.tile(base, (count, 1))
         if self.kind == "counter":
-            out = []
-            state = bytearray(self.base)
-            for _ in range(count):
-                out.append(bytes(state))
-                for p in self.positions:
-                    state[p] = (state[p] + 1) & 0xFF
-            return out
+            step = np.bincount(np.asarray(self.positions, dtype=np.int64), minlength=base.size)
+            return ((base + np.arange(count)[:, None] * step) % 256).astype(np.uint8)
         # random_walk: each byte moves by at most `step` per frame, clipped
-        out = []
-        state = np.frombuffer(self.base, dtype=np.uint8).astype(np.int16)
-        for _ in range(count):
-            out.append(state.astype(np.uint8).tobytes())
-            state = np.clip(state + rng.integers(-self.step, self.step + 1, size=state.size), 0, 255)
+        out = np.empty((count, base.size), dtype=np.uint8)
+        state = base.astype(np.int16)
+        for k in range(count):
+            out[k] = state
+            move = rng.integers(-self.step, self.step + 1, size=state.size)
+            state = np.clip(state + move, 0, 255)
         return out
 
     def to_json_obj(self) -> dict:
@@ -176,10 +177,12 @@ def generate_ambient(model: AmbientModel) -> TrafficLog:
     """Generate ambient traffic: per-id frames at phase + k*period + jitter.
 
     Each id draws from its own seeded substream, so the log is deterministic
-    under the model seed and ids can be generated independently.
+    under the model seed and ids can be generated independently.  The ids'
+    columns are concatenated in model order and merged by a stable sort on
+    time, so frames at equal timestamps keep that order.
     """
     duration_us = to_us(model.duration)
-    all_frames: list[CanFrame] = []
+    parts = [_frame_columns([], 0, False, b"")]
     for spec in model.ids:
         rng = np.random.default_rng([model.seed, spec.can_id])
         period_us = to_us(spec.period)
@@ -193,12 +196,21 @@ def generate_ambient(model: AmbientModel) -> TrafficLog:
             times = np.sort(times)
             times = times[(times >= 0) & (times < duration_us)]
         payloads = spec.payload.sequence(rng, len(times))
-        all_frames.extend(
-            CanFrame(int(t), model.channel, spec.can_id, p, extended=spec.extended)
-            for t, p in zip(times, payloads)
-        )
-    all_frames.sort(key=lambda f: f.timestamp_us)
-    return TrafficLog(frames=tuple(all_frames))
+        parts.append(_frame_columns(times, spec.can_id, spec.extended, payloads))
+    return _merged(parts, channels=(model.channel,))
+
+
+def _frame_columns(ts_us, can_id, extended, payload, channel=0) -> dict[str, np.ndarray]:
+    """The columns of len(ts_us) frames; the other fields are scalars or
+    per-frame arrays, and payload is bytes or a uint8 (n, dlc) table."""
+    ts_us = np.asarray(ts_us, dtype=np.int64)
+    n = len(ts_us)
+    payload = np.frombuffer(payload, dtype=np.uint8) if isinstance(payload, bytes) else payload
+    data = np.zeros((n, MAX_DLC), dtype=np.uint8)
+    data[:, :payload.shape[-1]] = payload
+    return dict(ts_us=ts_us, can_id=np.broadcast_to(can_id, n),
+                extended=np.broadcast_to(extended, n),
+                dlc=np.full(n, payload.shape[-1]), data=data, channel=np.broadcast_to(channel, n))
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +234,30 @@ def _schedule_us(start_us: int, end_us: int, period: float) -> np.ndarray:
     return start_us + period_us * np.arange(count, dtype=np.int64)
 
 
-def _channel_of(ambient: TrafficLog) -> str:
-    if len(ambient):
-        return ambient.can_frames()[0].channel
-    return "can0"
+def _merged(parts: list[dict], **fields) -> TrafficLog:
+    """The log of the concatenated column parts, stably sorted by time:
+    frames at equal timestamps keep their order across and within parts."""
+    columns = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+    order = np.argsort(columns["ts_us"], kind="stable")
+    return TrafficLog._from_columns(**{k: v[order] for k, v in columns.items()}, **fields)
 
 
-def _merge_labeled(
-    ambient: TrafficLog, injected: list[CanFrame], attack_class: str
-) -> TrafficLog:
-    space = binary_label_space(attack_class)
-    normal = space.get("Normal")
-    attack = space.get(attack_class)
-    labeled = [LabeledFrame(f, normal) for f in ambient.can_frames()]
-    labeled += [LabeledFrame(f, attack) for f in injected]
-    labeled.sort(key=lambda lf: lf.timestamp_us)
-    return TrafficLog(frames=tuple(labeled), label_space=space)
+def _merge_labeled(ambient: TrafficLog, injected: dict, attack_class: str) -> TrafficLog:
+    """Ambient frames labeled Normal merged with injected frames labeled
+    attack_class, ambient first at equal timestamps.  `injected` holds
+    channel codes into the ambient log's channels; an empty ambient log has
+    the single channel "can0"."""
+    ambient_part = ambient._columns()
+    ambient_part["label"] = np.zeros(len(ambient), dtype=np.int64)
+    injected["label"] = np.ones(len(injected["ts_us"]), dtype=np.int64)
+    return _merged([ambient_part, injected],
+                   channels=ambient.channels if len(ambient) else ("can0",),
+                   label_space=binary_label_space(attack_class))
+
+
+def _injected_channel(ambient: TrafficLog) -> int:
+    """Injected frames go out on the channel of the ambient log's first frame."""
+    return int(ambient.channel[0]) if len(ambient) else 0
 
 
 def inject_dos(
@@ -253,10 +273,8 @@ def inject_dos(
     with a nonzero id.
     """
     start_us, end_us = _interval_us(interval)
-    channel = _channel_of(ambient)
-    injected = [
-        CanFrame(int(t), channel, 0x000, b"\x00" * 8) for t in _schedule_us(start_us, end_us, period)
-    ]
+    injected = _frame_columns(_schedule_us(start_us, end_us, period), 0x000, False,
+                              b"\x00" * 8, _injected_channel(ambient))
     return _merge_labeled(ambient, injected, attack_class)
 
 
@@ -279,11 +297,7 @@ def inject_fuzzy(
     id_limit = MAX_EXTENDED_ID if extended_ids else MAX_STANDARD_ID
     ids = rng.integers(0, id_limit + 1, size=len(times))
     payloads = rng.integers(0, 256, size=(len(times), 8), dtype=np.uint8)
-    channel = _channel_of(ambient)
-    injected = [
-        CanFrame(int(t), channel, int(i), p.tobytes(), extended=extended_ids)
-        for t, i, p in zip(times, ids, payloads)
-    ]
+    injected = _frame_columns(times, ids, extended_ids, payloads, _injected_channel(ambient))
     return _merge_labeled(ambient, injected, attack_class)
 
 
@@ -297,12 +311,9 @@ def inject_targeted_spoof(
 ) -> TrafficLog:
     """Inject a fixed spoofed id/payload pair periodically (1 ms by default)."""
     start_us, end_us = _interval_us(interval)
-    channel = _channel_of(ambient)
-    extended = target_id > MAX_STANDARD_ID
-    injected = [
-        CanFrame(int(t), channel, target_id, bytes(payload), extended=extended)
-        for t in _schedule_us(start_us, end_us, period)
-    ]
+    injected = _frame_columns(_schedule_us(start_us, end_us, period), target_id,
+                              target_id > MAX_STANDARD_ID, bytes(payload),
+                              _injected_channel(ambient))
     return _merge_labeled(ambient, injected, attack_class)
 
 
@@ -317,25 +328,25 @@ def inject_fuzzing_max_payload(
     if not id_cycle:
         raise ValueError("id_cycle must be nonempty")
     start_us, end_us = _interval_us(interval)
-    channel = _channel_of(ambient)
-    payload = b"\xff" * 8
-    injected = [
-        CanFrame(int(t), channel, id_cycle[k % len(id_cycle)], payload,
-                 extended=id_cycle[k % len(id_cycle)] > MAX_STANDARD_ID)
-        for k, t in enumerate(_schedule_us(start_us, end_us, period))
-    ]
+    times = _schedule_us(start_us, end_us, period)
+    ids = np.asarray(id_cycle, dtype=np.int64)[np.arange(len(times)) % len(id_cycle)]
+    injected = _frame_columns(times, ids, ids > MAX_STANDARD_ID, b"\xff" * 8,
+                              _injected_channel(ambient))
     return _merge_labeled(ambient, injected, attack_class)
+
+
+def _forged(spec: str, data: np.ndarray, dlc) -> tuple[np.ndarray, np.ndarray]:
+    """Apply a checked payload spec to (n, 8) payloads and their lengths:
+    fixed nibbles override the data, whose length grows to reach the last
+    fixed byte."""
+    mask, value, need = _pattern_bytes([AttackMetadata(0, 0, "", pattern=spec).pattern])
+    return data & ~mask | value, np.maximum(dlc, need)
 
 
 def apply_payload_spec(spec: str, legit: bytes) -> bytes:
     """Build a forged payload: 'X' nibbles copy the legitimate frame, hex nibbles override."""
-    spec = spec.upper()
-    fixed = [i for i, c in enumerate(spec) if c != NIBBLE_WILDCARD]
-    n_bytes = max(len(legit), (max(fixed) // 2 + 1) if fixed else 0)
-    nibbles = list((legit + b"\x00" * (n_bytes - len(legit))).hex().upper())
-    for i in fixed:
-        nibbles[i] = spec[i]
-    return bytes.fromhex("".join(nibbles))
+    data, dlc = _forged(spec, np.frombuffer(legit.ljust(MAX_DLC, b"\0"), np.uint8), len(legit))
+    return data[0, :dlc[0]].tobytes()
 
 
 def inject_fabrication(
@@ -353,14 +364,11 @@ def inject_fabrication(
     legitimate message.
     """
     start_us, end_us = _interval_us(interval)
-    injected = []
-    for f in ambient.can_frames():
-        if f.can_id == target_id and start_us <= f.timestamp_us <= end_us:
-            forged = apply_payload_spec(payload_spec, f.data)
-            injected.append(
-                CanFrame(f.timestamp_us + FLAM_DELAY_US, f.channel, target_id, forged,
-                         extended=f.extended)
-            )
+    rows = np.flatnonzero((ambient.can_id == target_id) & (ambient.ts_us >= start_us)
+                          & (ambient.ts_us <= end_us))
+    injected = ambient._columns(rows)
+    data, dlc = _forged(payload_spec, injected["data"], injected["dlc"])
+    injected.update(ts_us=injected["ts_us"] + FLAM_DELAY_US, data=data, dlc=dlc)
     return _merge_labeled(ambient, injected, attack_class)
 
 
@@ -377,17 +385,14 @@ def to_masquerade(
     to within the flam delay.
     """
     start_us, end_us = _interval_us(interval)
-    frames = list(fabricated.frames)
-    target_positions = [i for i, lf in enumerate(frames) if lf.frame.can_id == target_id]
-    doomed: set[int] = set()
-    for pos, i in enumerate(target_positions):
-        lf = frames[i]
-        if lf.label.is_attack and start_us <= lf.timestamp_us <= end_us + FLAM_DELAY_US and pos > 0:
-            j = target_positions[pos - 1]
-            if not frames[j].label.is_attack:
-                doomed.add(j)
-    kept = tuple(lf for k, lf in enumerate(frames) if k not in doomed)
-    return TrafficLog(frames=kept, label_space=fabricated.label_space)
+    target = np.flatnonzero(fabricated.can_id == target_id)
+    attack = fabricated.attack_flags()[target]
+    ts = fabricated.ts_us[target]
+    flam = attack[1:] & ~attack[:-1] & (ts[1:] >= start_us) & (ts[1:] <= end_us + FLAM_DELAY_US)
+    kept = np.ones(len(fabricated), dtype=bool)
+    kept[target[:-1][flam]] = False
+    return TrafficLog._from_columns(**fabricated._columns(kept), channels=fabricated.channels,
+                                    label=fabricated.label[kept], label_space=fabricated.label_space)
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +497,11 @@ def save_scenario(scenario: AttackScenario, stream: IO[str]) -> None:
 def run_scenario(ambient: TrafficLog, scenario: AttackScenario) -> TrafficLog:
     """Apply a scenario to ambient traffic, returning the labeled log."""
     if len(ambient):
-        first = ambient.can_frames()[0].timestamp_us
-        last = ambient.can_frames()[-1].timestamp_us
-        start_us, end_us = _interval_us(scenario.interval)
-        if start_us < first or start_us > last:
+        start_us, _ = _interval_us(scenario.interval)
+        if start_us < ambient.ts_us[0] or start_us > ambient.ts_us[-1]:
             raise ValueError(
                 f"scenario interval starts at {scenario.interval[0]}s, outside the ambient span"
             )
-        del end_us
     kind = scenario.kind
     cls = scenario.effective_class
     if kind == "dos":
@@ -545,15 +547,14 @@ def sidecar_metadata(scenario: AttackScenario, labeled: TrafficLog) -> list[Atta
     if kind == "dos":
         return [AttackMetadata(start_us, end_us, can_id=0x000, pattern="0" * 16, attack_class=cls)]
     if kind == "fuzzy":
+        rows = np.flatnonzero(labeled.attack_flags())
+        payloads = labeled.data[rows].tobytes().hex().upper()
         return [
-            AttackMetadata(
-                lf.timestamp_us, lf.timestamp_us,
-                can_id=lf.frame.can_id,
-                pattern=lf.frame.data.hex().upper(),
-                attack_class=cls,
-            )
-            for lf in labeled
-            if lf.label.is_attack
+            AttackMetadata(ts, ts, can_id=can_id, pattern=payloads[16 * k:16 * k + 2 * dlc],
+                           attack_class=cls)
+            for k, (ts, can_id, dlc) in enumerate(zip(
+                labeled.ts_us[rows].tolist(), labeled.can_id[rows].tolist(),
+                labeled.dlc[rows].tolist()))
         ]
     if kind == "targeted_spoof":
         return [

@@ -103,15 +103,19 @@ def window_count(n: int, window: int, step: int) -> int:
     return len(_window_layout(n, window, step))
 
 
-def _attack_flags(log: TrafficLog) -> np.ndarray:
-    if not log.is_labeled:
-        raise ValueError("log must be labeled")
-    return np.array([lf.label.is_attack for lf in log], dtype=bool)
-
-
 def _window_labels(attack: np.ndarray, starts: np.ndarray, window: int) -> np.ndarray:
     cum = np.concatenate([[0], np.cumsum(attack)])
     return (cum[starts + window] - cum[starts] > 0).astype(np.uint8)
+
+
+def _windows(log: TrafficLog, window: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row indices (count, window) of each full window of a labeled log,
+    its any-attack label and its start row."""
+    attack = log.attack_flags()
+    starts = _window_layout(len(log), window, step)
+    if len(starts) == 0 and len(log):
+        logger.warning("log of %d frames is shorter than window %d", len(log), window)
+    return starts[:, None] + np.arange(window), _window_labels(attack, starts, window), starts
 
 
 def build_bit_grids(
@@ -120,39 +124,16 @@ def build_bit_grids(
     """Stack consecutive frame ids into w x 29 bit grids over the
     time-ordered log.  Trailing frames that do not fill a window are
     dropped."""
-    attack = _attack_flags(log)
-    starts = _window_layout(len(log), window, step)
-    if len(starts) == 0:
-        if len(log):
-            logger.warning("log of %d frames is shorter than window %d", len(log), window)
-        return BitGridSet(
-            grids=np.zeros((0, window, EXTENDED_ID_BITS), dtype=np.uint8),
-            labels=np.zeros(0, dtype=np.uint8),
-            starts=starts,
-        )
-    ids = np.array([lf.frame.can_id for lf in log], dtype=np.int64)
-    bits = id_bits_matrix(ids)
-    grids = bits[starts[:, None] + np.arange(window)]
-    return BitGridSet(grids=grids, labels=_window_labels(attack, starts, window), starts=starts)
+    rows, labels, starts = _windows(log, window, step)
+    return BitGridSet(grids=id_bits_matrix(log.can_id)[rows], labels=labels, starts=starts)
 
 
 def build_id_sequences(
     log: TrafficLog, window: int = DEFAULT_SEQUENCE_WINDOW, step: int = 1
 ) -> IdSequenceSet:
     """Group consecutive identifiers into fixed-length sequences."""
-    attack = _attack_flags(log)
-    starts = _window_layout(len(log), window, step)
-    if len(starts) == 0:
-        if len(log):
-            logger.warning("log of %d frames is shorter than window %d", len(log), window)
-        return IdSequenceSet(
-            ids=np.zeros((0, window), dtype=np.int64),
-            labels=np.zeros(0, dtype=np.uint8),
-            starts=starts,
-        )
-    ids = np.array([lf.frame.can_id for lf in log], dtype=np.int64)
-    seqs = ids[starts[:, None] + np.arange(window)]
-    return IdSequenceSet(ids=seqs, labels=_window_labels(attack, starts, window), starts=starts)
+    rows, labels, starts = _windows(log, window, step)
+    return IdSequenceSet(ids=log.can_id.astype(np.int64)[rows], labels=labels, starts=starts)
 
 
 def save_bit_grids(grids: BitGridSet, grid_stream: IO[bytes], label_stream: IO[bytes]) -> None:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canids.core import (
     CanFrame,
     AttackClass,
+    LabeledFrame,
     LabelSpace,
     TrafficLog,
     arbitration_winner,
@@ -83,6 +84,71 @@ class TestTrafficLog:
         assert log.is_labeled
         assert log.labels() == []
         assert not TrafficLog(()).is_labeled
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_frames_round_trip(self, data):
+        """The columns hold every field: the on-demand frames equal the input."""
+        frames = sorted(data.draw(st.lists(any_frame(), max_size=12)), key=lambda f: f.timestamp_us)
+        assert TrafficLog(frames).frames == tuple(frames)
+        space = LabelSpace(["A", "B"])
+        classes = data.draw(st.lists(st.sampled_from(list(space)), min_size=len(frames),
+                                     max_size=len(frames)))
+        labeled = tuple(LabeledFrame(f, c) for f, c in zip(frames, classes))
+        log = TrafficLog(labeled, space)
+        assert log.frames == labeled
+        assert list(log) == list(labeled) and log.can_frames() == frames
+        assert log.labels() == [c.name for c in classes]
+        assert all(log[i] == labeled[i] for i in range(-len(labeled), len(labeled)))
+        if labeled:
+            inferred = TrafficLog(labeled)
+            assert inferred.frames == labeled
+            assert inferred.label_space.names() == ["Normal"] + list(
+                dict.fromkeys(c.name for c in classes if c.is_attack))
+
+    def test_columns_are_read_only(self):
+        log = TrafficLog((frame(ts_us=1, data=b"\x01"),))
+        with pytest.raises(ValueError):
+            log.data[0, 0] = 2
+        assert log.data.tolist() == [[1, 0, 0, 0, 0, 0, 0, 0]]
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(ts_us=[-1, 5]), "frame 0: timestamp outside"),
+        (dict(ts_us=[5, 4]), "frame 0: timestamp above the next"),
+        (dict(can_id=[0x800, 1]), "frame 0: standard CAN id past 11 bits"),
+        (dict(can_id=[1, -1]), "frame 1: CAN id outside"),
+        (dict(can_id=[1, 1 << 29], extended=[False, True]), "frame 1: CAN id outside"),
+        (dict(dlc=[9, 0]), "frame 0: dlc outside"),
+        (dict(dlc=[0, -1]), "frame 1: dlc outside"),
+        (dict(data=[[0] * 8, [0, 0, 7, 0, 0, 0, 0, 0]]), "frame 1: nonzero data byte past dlc"),
+        (dict(channel=[0, 1]), "frame 1: channel code outside"),
+        (dict(label=[0, 2]), "frame 1: label code outside"),
+        (dict(can_id=[1]), "equally long sequences"),
+        (dict(extended=[True]), "equally long sequences"),
+        (dict(ts_us=[1, 1 << 64]), "64-bit integers"),
+        (dict(ts_us=[1.5, 2.0]), "64-bit integers"),
+        (dict(data=np.full((2, 8), 0.0)), "64-bit integers"),
+        (dict(dlc=[0, 1], data=[[0] * 8, [256] + [0] * 7]), "frame 1: data byte outside 0..255"),
+        (dict(data=[[0] * 8, [-1] + [0] * 7]), "frame 1: data byte outside 0..255"),
+        (dict(extended=[False, 2]), "frame 1: id format outside 0..1"),
+    ])
+    def test_column_checks(self, change, message):
+        columns = dict(ts_us=[1, 2], can_id=[1, 2], extended=[False, False], dlc=[0, 2],
+                       data=np.zeros((2, 8), dtype=np.uint8), channel=[0, 0], channels=("can0",),
+                       label=[0, 1], label_space=LabelSpace(["A"]))
+        log = TrafficLog._from_columns(**columns)
+        assert log.ts_us.base is None and log.channel.base is None and log.label.base is None
+        with pytest.raises(ValueError, match=message):
+            TrafficLog._from_columns(**{**columns, **change})
+
+
+@st.composite
+def any_frame(draw):
+    """Standard or extended ids, payloads of every length, several channels."""
+    extended = draw(st.booleans())
+    return CanFrame(draw(st.integers(0, 10**13)), draw(st.sampled_from(["can0", "can1", "vcan9"])),
+                    draw(st.integers(0, 0x1FFFFFFF if extended else 0x7FF)),
+                    draw(st.binary(max_size=8)), extended=extended)
 
 
 class TestIdBits:

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from canids.core import CanFrame, TrafficLog
 from canids.detectors import (
@@ -519,6 +519,31 @@ class TestFrequencyDetector:
         with pytest.raises(ValueError, match="at least 3"):
             fit_frequency_detector([CanFrame(0, "can0", 1, b""), CanFrame(10, "can0", 1, b"")])
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_predict_frames_matches_per_frame_reference(self, data):
+        """Gaps against each id's previous frame; ids unseen at fit, or seen
+        fewer than three times, are flagged."""
+        def log_of(n):
+            times = sorted(data.draw(st.lists(st.integers(0, 2_000), min_size=n, max_size=n)))
+            ids = data.draw(st.lists(st.sampled_from([1, 2, 3, 0x7FF]), min_size=n, max_size=n))
+            return TrafficLog(CanFrame(t, "can0", i, b"") for t, i in zip(times, ids))
+
+        ambient = log_of(40)
+        counts = np.bincount(ambient.can_id, minlength=0x800)
+        assume((counts >= 3).any())
+        model = fit_frequency_detector(ambient, k_sigma=data.draw(st.sampled_from([0.0, 0.5, 2.0])))
+        log = log_of(data.draw(st.integers(0, 30)))
+        expected, last_seen = [], {}
+        for f in log.can_frames():
+            stat = model.stats.get(f.can_id)
+            prev = last_seen.get(f.can_id)
+            last_seen[f.can_id] = f.timestamp_us
+            expected.append(1 if stat is None else int(
+                prev is not None and f.timestamp_us - prev < stat["threshold_us"]))
+        assert model.predict_frames(log).tolist() == expected
+        assert sorted(model.stats) == np.flatnonzero(counts >= 3).tolist()
+
     def test_scores_interface_refused(self):
         model = fit_frequency_detector(periodic_ambient(duration=5.0))
         with pytest.raises(NotImplementedError):
@@ -669,6 +694,20 @@ class TestFeatureWidth:
         with pytest.raises(ValueError, match="reads 4 feature columns, the matrix has 3"):
             model.predict_scores(X[:, :3])
         assert model.predict_scores(X).shape == (len(X), 2)
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            fit_decision_tree,
+            lambda X, y: fit_random_forest(X, y, n_trees=2, bootstrap=False),
+            lambda X, y: fit_gbdt(X, y, n_rounds=2, max_depth=2),
+        ],
+        ids=["tree", "forest", "gbdt"],
+    )
+    def test_one_dimensional_input_rejected(self, fit):
+        X, y = last_column_data()
+        with pytest.raises(ValueError, match="2-D"):
+            fit(X, y).predict_scores(X[0])
 
     def test_split_feature_past_the_columns_rejected_after_load(self):
         X, y = last_column_data()

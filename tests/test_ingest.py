@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canids.core import _BLOCK_ROWS, CanFrame, LabeledFrame, LabelSpace, TrafficLog
+from canids.core import _BLOCK_ROWS, CanFrame, LabeledFrame, LabelSpace, TrafficLog, format_timestamp
 from canids.ingest import (
     AttackMetadata,
     CsvSchema,
@@ -67,6 +67,9 @@ class TestCandumpLine:
             "(1.0) can0 0BA!00",  # no hash
             "(1.0.0) can0 0BA#00",  # mangled timestamp
             "(1.1234567) can0 0BA#00",  # sub-microsecond precision
+            "(1040000000.00068\u0663) can0 123#0102",  # Arabic-Indic digit three
+            "(\uff11040000000.000682) can0 123#0102",  # fullwidth digit one
+            "(9223372036854.775808) can0 0BA#00",  # past a 64-bit microsecond count
         ],
     )
     def test_malformed(self, bad):
@@ -179,6 +182,15 @@ class TestBlockCandumpWriter:
         assert candump_text(serialize_candump, log) == candump_text(
             reference_serialize_candump, log
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans(), st.binary(max_size=8),
+           st.one_of(st.just(0), st.integers(0, 10**13), st.integers(10**16, 2**63 - 1)))
+    def test_one_frame_log_is_the_line(self, extended, data, ts_us):
+        """Timestamps of 0 and of 1e10 s and more, extended ids, empty payloads."""
+        frame = CanFrame(ts_us, "can0", 0x1ABCDEF0 if extended else 0x7F0, data, extended=extended)
+        text = candump_text(serialize_candump, TrafficLog((frame,)))
+        assert text == serialize_candump_line(frame) + "\n"
 
     @pytest.mark.parametrize("n", [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     def test_across_block_boundaries(self, n):
@@ -403,6 +415,62 @@ class TestMetadataLabeling:
         assert labeled[0].label.name == "A"
 
 
+def reference_labels(log, metadata):
+    """Per-frame labeling with AttackMetadata.matches, the oracle of
+    apply_metadata_labels: class names, or the ambiguity error message."""
+    names = []
+    for idx, f in enumerate(log.can_frames()):
+        hits = {m.attack_class for m in metadata if m.matches(f)}
+        if len(hits) > 1:
+            return (f"frame {idx} at {format_timestamp(f.timestamp_us)} id 0x{f.can_id:03X} "
+                    f"matches conflicting classes {sorted(hits)}")
+        names.append(hits.pop() if hits else "Normal")
+    return names
+
+
+@st.composite
+def small_logs(draw):
+    """Few ids, instants and byte values, so that campaigns often match."""
+    frames = [
+        CanFrame(draw(st.integers(0, 30)), "can0", draw(st.sampled_from([0x10, 0x11, 0x700])),
+                 bytes(draw(st.lists(st.sampled_from([0x00, 0x0F, 0xF0, 0xFF]), max_size=8))))
+        for _ in range(draw(st.integers(0, 25)))
+    ]
+    return TrafficLog(sorted(frames, key=lambda f: f.timestamp_us))
+
+
+@st.composite
+def campaigns(draw):
+    """Wildcard ids, zero-length intervals, and patterns up to 16 nibbles,
+    often longer than the frames' data."""
+    start = draw(st.integers(-2, 32))
+    return AttackMetadata(
+        start, start + draw(st.sampled_from([0, 0, 1, 5, 40])), draw(st.sampled_from(["A", "B"])),
+        can_id=draw(st.sampled_from([None, 0x10, 0x11, 0x700])),
+        pattern="".join(draw(st.lists(st.sampled_from("0FFX"), max_size=16))),
+    )
+
+
+class TestMetadataLabelingOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(small_logs(), st.lists(campaigns(), max_size=6))
+    def test_matches_per_frame_reference(self, log, metadata):
+        expected = reference_labels(log, metadata)
+        if isinstance(expected, str):
+            with pytest.raises(LabelAmbiguityError) as err:
+                apply_metadata_labels(log, metadata)
+            assert str(err.value) == expected
+        else:
+            assert apply_metadata_labels(log, metadata).labels() == expected
+
+    def test_single_instant_campaign_per_frame(self):
+        """The fuzzy sidecar's shape: one exact campaign per injected frame."""
+        log = mk_log([(k * 10, 0x100 + k % 7, f"{k % 256:02X}") for k in range(3000)])
+        md = [AttackMetadata(k * 10, k * 10, "A", can_id=0x100 + k % 7, pattern=f"{k % 256:02X}")
+              for k in range(0, 3000, 3)]
+        assert apply_metadata_labels(log, md).labels() == reference_labels(log, md)
+
+
 class TestMetadataJson:
     def test_roundtrip(self):
         md = [
@@ -427,6 +495,51 @@ class TestMetadataJson:
                 "attack_class": "A",
             }
         ]
+
+    @pytest.mark.parametrize("doc, message", [
+        ([{"injection_interval": [0, 1], "attack_class": "A"}], "entry 0: .*'injection_id'"),
+        ([{"injection_interval": [1], "injection_id": "0D0", "attack_class": "A"}],
+         "entry 0: injection_interval"),
+        ([{"injection_interval": [0, 1], "injection_id": "12G", "attack_class": "A"}],
+         "entry 0: injection_id"),
+        ([{"injection_interval": [0, 1], "injection_id": "0D0", "attack_class": "A",
+           "injection_data_str": 5}], "entry 0: injection_data_str"),
+        ([{"injection_interval": [0, 1], "injection_id": "-1", "attack_class": "A"}],
+         "entry 0: injection_id"),
+        ([{"injection_interval": [0, 1e300], "injection_id": "0D0", "attack_class": "A"}],
+         "entry 0: injection_interval"),
+        ({"attacks": 5}, "list of attack entries"),
+        ([5], "entry 0: .*JSON object"),
+    ])
+    def test_malformed_documents_name_entry_and_field(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            load_metadata(io.StringIO(json.dumps(doc)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_raise_only_value_error(self, data):
+        md = [
+            AttackMetadata(1_500_000, 2_500_000, can_id=0x6E0, pattern="XXXXFFXX", attack_class="A"),
+            AttackMetadata(0, 1_000_000, can_id=None, pattern="F" * 16, attack_class="B"),
+        ]
+        doc = [m.to_json_obj() for m in md]
+        junk = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                        max_size=3),
+            max_leaves=6)
+        entry = doc[data.draw(st.integers(0, 1))]
+        field = data.draw(st.sampled_from(sorted(entry)))
+        if data.draw(st.booleans()):
+            entry[field] = data.draw(junk)
+        else:
+            del entry[field]
+        text = json.dumps(data.draw(st.sampled_from([doc, {"attacks": doc}, doc[0]])))
+        text = text[: data.draw(st.integers(0, len(text)))]
+        try:
+            load_metadata(io.StringIO(text))
+        except ValueError:
+            pass
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):

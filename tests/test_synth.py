@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from canids.core import arbitration_winner, to_us
@@ -192,6 +194,38 @@ class TestPayloadSpec:
 
     def test_extends_when_fixed_beyond_dlc(self):
         assert apply_payload_spec("XXXXFF", b"\x01") == bytes.fromhex("0100FF")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("0123456789abcdefABCDEFX", max_size=16), st.binary(max_size=8))
+    def test_matches_per_nibble_reference(self, spec, legit):
+        assert apply_payload_spec(spec, legit) == reference_payload_spec(spec, legit)
+
+    def test_fabrication_grows_short_payloads(self):
+        """A spec fixing bytes past the legitimate dlc lengthens each forged frame."""
+        specs = (AmbientIdSpec(0x0D0, 0.01, payload=PayloadModel(base=b"\xa1")),
+                 AmbientIdSpec(0x1A0, 0.01, payload=PayloadModel(base=b"")))
+        ambient = generate_ambient(AmbientModel(ids=specs, duration=1.0, seed=3))
+        for spec in ("XXXXFF", "7", "XXXXXXXXXXXXXXX1", ""):
+            log = inject_fabrication(ambient, 0x0D0, spec, (0.2, 0.6))
+            frames, flags = log.can_frames(), log.attack_flags()
+            forged = [k for k in range(len(log)) if flags[k]]
+            assert forged
+            for k in forged:
+                legit = frames[k - 1]
+                assert legit.can_id == 0x0D0 and not flags[k - 1]
+                assert frames[k].data == reference_payload_spec(spec, legit.data)
+
+
+def reference_payload_spec(spec, legit):
+    """Per-nibble reference: 'X' copies the legitimate nibble, hex overrides,
+    and the payload grows to reach the last fixed nibble."""
+    spec = spec.upper()
+    fixed = [i for i, c in enumerate(spec) if c != "X"]
+    n_bytes = max(len(legit), (max(fixed) // 2 + 1) if fixed else 0)
+    nibbles = list(legit.ljust(n_bytes, b"\0").hex().upper())
+    for i in fixed:
+        nibbles[i] = spec[i]
+    return bytes.fromhex("".join(nibbles))
 
 
 def fabrication_setup(duration=60.0, target=0x0D0, interval=(10.0, 40.0), jitter=0.0004):
