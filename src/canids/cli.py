@@ -25,14 +25,7 @@ from typing import Any, IO
 import numpy as np
 
 from .core import NORMAL_LABEL, TrafficLog
-from .detectors import (
-    DecisionTree,
-    GradientBoosting,
-    RandomForest,
-    fit_frequency_detector,
-    load_model,
-    save_model,
-)
+from .detectors import _MODEL_KINDS, load_model, save_model
 from .evaluate import EvalReport, Timer, compute_metrics, emit_report, evaluate_pipeline
 from .features import (
     SplitSpec,
@@ -52,15 +45,8 @@ from .ingest import (
     save_metadata,
     serialize_candump,
 )
-from .lccde import LccdeEnsemble
-from .synth import (
-    AmbientModel,
-    AttackScenario,
-    generate_ambient,
-    load_scenario,
-    run_scenario,
-    sidecar_metadata,
-)
+from . import lccde  # noqa: F401 - importing it registers the "lccde" model kind
+from .synth import AmbientModel, AttackScenario, generate_ambient, run_scenario, sidecar_metadata
 from .windows import build_bit_grids, build_id_sequences, save_bit_grids, save_id_sequences
 
 PROG = "canids"
@@ -80,17 +66,12 @@ def _require_file(path: str) -> str:
     return path
 
 
-def _check_output(path: str, force: bool) -> str:
+def _open_out(path: str, force: bool, binary: bool = False) -> IO:
     if os.path.exists(path) and not force:
         raise ConfigError(f"output exists (use --force to overwrite): {path}")
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    return path
-
-
-def _open_out(path: str, force: bool, binary: bool = False) -> IO:
-    _check_output(path, force)
     return open(path, "wb" if binary else "w")
 
 
@@ -100,6 +81,12 @@ def _read_json(path: str) -> Any:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+
+
+def _out_dir(path: str):
+    """Create the output directory; return the path of a name inside it."""
+    os.makedirs(path, exist_ok=True)
+    return lambda name: os.path.join(path, name)
 
 
 def _load_labeled_log(log_path: str, labels_path: str) -> TrafficLog:
@@ -114,7 +101,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.format == "candump":
         with open(args.input) as fh:
             log = parse_candump_log(fh, strict=not args.lenient)
-    elif args.format == "hcrl-csv":
+    else:
         schema = hcrl_schema()
         if args.attack_class:
             label_map = dict(schema.label_map)
@@ -122,8 +109,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             schema = replace(schema, label_map=label_map)
         with open(args.input) as fh:
             log = parse_csv_dataset(fh, schema)
-    else:
-        raise ConfigError(f"unknown input format {args.format!r}")
     with _open_out(args.out, args.force) as fh:
         serialize_candump(log, fh)
     written = [args.out]
@@ -149,24 +134,23 @@ def cmd_label(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_sidecar(labeled: TrafficLog, metadata) -> None:
-    relabeled = apply_metadata_labels(labeled, metadata, label_space=labeled.label_space)
-    mismatch = np.flatnonzero(labeled.label != relabeled.label)
-    if len(mismatch):
-        bad = int(mismatch[0])
-        raise RuntimeError(
-            f"sidecar metadata does not reproduce construction labels "
-            f"(first mismatch at frame {bad})"
-        )
-
-
-def _synthesize(ambient_model: AmbientModel, scenario: AttackScenario):
-    """The ambient log, the labeled attack log and its verified sidecar metadata."""
+def _synthesize(ambient_obj: Any, scenario_obj: Any):
+    """The scenario two JSON documents describe, with the ambient log, the
+    labeled attack log and its sidecar metadata, checked to relabel the log."""
+    try:
+        ambient_model = AmbientModel.from_json_obj(ambient_obj)
+        scenario = AttackScenario.from_json_obj(scenario_obj)
+    except ValueError as exc:
+        raise ConfigError(f"bad ambient/scenario config: {exc}") from None
     ambient = generate_ambient(ambient_model)
     labeled = run_scenario(ambient, scenario)
     metadata = sidecar_metadata(scenario, labeled)
-    _verify_sidecar(labeled, metadata)
-    return ambient, labeled, metadata
+    relabeled = apply_metadata_labels(labeled, metadata, label_space=labeled.label_space)
+    mismatch = np.flatnonzero(labeled.label != relabeled.label)
+    if len(mismatch):
+        raise RuntimeError(f"sidecar metadata does not reproduce construction labels "
+                           f"(first mismatch at frame {int(mismatch[0])})")
+    return scenario, ambient, labeled, metadata
 
 
 def _write_synth(out_path, force: bool, ambient: TrafficLog, labeled: TrafficLog, metadata) -> None:
@@ -198,12 +182,9 @@ def _write_windows(out_path, force: bool, labeled: TrafficLog, grid_window: int 
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    ambient_model = AmbientModel.from_json_obj(_read_json(args.ambient))
-    with open(_require_file(args.scenario)) as fh:
-        scenario = load_scenario(fh)
-    ambient, labeled, metadata = _synthesize(ambient_model, scenario)
-    os.makedirs(args.out, exist_ok=True)
-    _write_synth(lambda name: os.path.join(args.out, name), args.force, ambient, labeled, metadata)
+    scenario, ambient, labeled, metadata = _synthesize(_read_json(args.ambient),
+                                                       _read_json(args.scenario))
+    _write_synth(_out_dir(args.out), args.force, ambient, labeled, metadata)
     attacks = int(labeled.attack_flags().sum())
     print(
         f"synthesized {scenario.kind}: {len(labeled)} frames ({attacks} attack), "
@@ -212,21 +193,32 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _prepare(labeled: TrafficLog, include_dlc: bool, ratio: float, mode: str, seed: int,
+             smote: tuple[int, int] | None):
+    """The log's train and test rows; `smote` = (target_count, k) oversamples train."""
+    # Looked up per call, so that a wrapper installed on canids.features applies.
+    from .features import split_train_test
+
+    dataset = log_to_dataset(labeled, include_dlc=include_dlc)
+    try:
+        spec = SplitSpec(ratio=ratio, mode=mode, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    train, test = split_train_test(dataset, spec)
+    if smote:
+        train = smote_oversample(train, target_count=smote[0], k=smote[1], seed=seed)
+    return train, test
+
+
 def cmd_prep(args: argparse.Namespace) -> int:
     labeled = _load_labeled_log(args.log, args.labels)
     seed = args.seed if args.seed is not None else 0
-    dataset = log_to_dataset(labeled, include_dlc=args.include_dlc)
-    train, test = split_train_test_checked(dataset, args.ratio, args.mode, seed)
-    if args.smote_target:
-        train = smote_oversample(train, target_count=args.smote_target, k=args.smote_k, seed=seed)
-    os.makedirs(args.out, exist_ok=True)
-
-    def out_path(name: str) -> str:
-        return os.path.join(args.out, name)
-
+    smote = (args.smote_target, args.smote_k) if args.smote_target else None
+    train, test = _prepare(labeled, args.include_dlc, args.ratio, args.mode, seed, smote)
+    out_path = _out_dir(args.out)
     _write_split(out_path, args.force, train, test)
     with _open_out(out_path("classes.json"), args.force) as fh:
-        json.dump(list(dataset.classes), fh)
+        json.dump(list(train.classes), fh)
         fh.write("\n")
     extra = _write_windows(out_path, args.force, labeled, args.grid_window or None, args.grid_step,
                            args.sequence_window or None)
@@ -241,36 +233,21 @@ def _write_split(out_path, force: bool, train, test) -> None:
             save_dataset_csv(part, fh)
 
 
-def split_train_test_checked(dataset, ratio: float, mode: str, seed: int):
-    from .features import split_train_test
-
-    try:
-        spec = SplitSpec(ratio=ratio, mode=mode, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return split_train_test(dataset, spec)
-
-
-MODEL_KINDS = ("tree", "forest", "gbdt", "lccde", "frequency")
+MODEL_KINDS = tuple(_MODEL_KINDS)
 
 
 def build_model(kind: str, params: dict[str, Any], seed: int):
-    params = dict(params)
+    """An unfitted model of a registered kind; the run seed goes to kinds
+    that declare a `seed` hyperparameter, unless `params` sets one."""
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    cls = _MODEL_KINDS[kind]
+    if "seed" in cls.params:
+        params = {"seed": seed, **params}
     try:
-        if kind == "tree":
-            return DecisionTree(**params)
-        if kind == "forest":
-            params.setdefault("seed", seed)
-            return RandomForest(**params)
-        if kind == "gbdt":
-            params.setdefault("seed", seed)
-            return GradientBoosting(**params)
-        if kind == "lccde":
-            params.setdefault("seed", seed)
-            return LccdeEnsemble(**params)
-    except TypeError as exc:
+        return cls(**params)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for model kind {kind!r}: {exc}") from None
-    raise ConfigError(f"unknown model kind {kind!r}")
 
 
 def _parse_params(text: str | None) -> dict[str, Any]:
@@ -285,32 +262,46 @@ def _parse_params(text: str | None) -> dict[str, Any]:
     return params
 
 
+def _fit(kind: str, params: dict[str, Any], seed: int, train, ambient: TrafficLog | None):
+    """The fitted model and its fit seconds: frequency models learn the
+    ambient log, every other kind the train rows."""
+    model = build_model(kind, params, seed)
+    with Timer() as timer:
+        if kind == "frequency":
+            model.fit(ambient)
+        else:
+            model.fit(train.X, train.y, train.classes)
+    return model, timer.seconds
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     params = _parse_params(args.params)
+    train = ambient = None
     if args.model == "frequency":
         if not args.ambient:
             raise ConfigError("--model frequency requires --ambient LOG")
         with open(_require_file(args.ambient)) as fh:
             ambient = parse_candump_log(fh)
-        with Timer() as timer:
-            model = fit_frequency_detector(ambient, **params)
     else:
-        classes = None
-        if args.classes:
-            classes = tuple(_read_json(args.classes))
+        if not args.train:
+            raise ConfigError("tabular models require --train CSV")
+        classes = tuple(_read_json(args.classes)) if args.classes else None
         with open(_require_file(args.train)) as fh:
             train = load_dataset_csv(fh, classes=classes)
-        model = build_model(args.model, params, seed)
-        with Timer() as timer:
-            model.fit(train.X, train.y, train.classes)
+    model, seconds = _fit(args.model, params, seed, train, ambient)
     with _open_out(args.out, args.force) as fh:
         save_model(model, fh)
-    print(f"trained {args.model} in {timer.seconds:.2f}s -> {args.out}")
+    print(f"trained {args.model} in {seconds:.2f}s -> {args.out}")
     return EXIT_OK
 
 
-def _frequency_report(model, labeled: TrafficLog) -> EvalReport:
+def _evaluate(model, test, labeled: TrafficLog | None, mode: str, window: int,
+              step: int) -> EvalReport:
+    """The model's report: frequency models flag the frames of the labeled
+    log, every other kind scores the test rows."""
+    if model.kind != "frequency":
+        return evaluate_pipeline(model, test, window_mode=mode, window=window, step=step)
     with Timer() as timer:
         flags = model.predict_frames(labeled)
     truth = labeled.attack_flags().astype(np.int64)
@@ -323,19 +314,17 @@ def _frequency_report(model, labeled: TrafficLog) -> EvalReport:
 def cmd_eval(args: argparse.Namespace) -> int:
     with open(_require_file(args.model)) as fh:
         model = load_model(fh)
+    test = labeled = None
     if model.kind == "frequency":
         if not (args.log and args.labels):
             raise ConfigError("frequency models evaluate logs: pass --log and --labels")
         labeled = _load_labeled_log(args.log, args.labels)
-        report = _frequency_report(model, labeled)
     else:
         if not args.test:
             raise ConfigError("tabular models require --test CSV")
         with open(_require_file(args.test)) as fh:
             test = load_dataset_csv(fh, classes=model.classes)
-        report = evaluate_pipeline(
-            model, test, window_mode=args.mode, window=args.window, step=args.step
-        )
+    report = _evaluate(model, test, labeled, args.mode, args.window, args.step)
     if args.seed is not None:
         report.seed = args.seed
     with _open_out(args.out, args.force) as fh:
@@ -390,25 +379,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise ConfigError("pipeline config must be a JSON object")
     config = _resolve_config(raw, args.seed)
     seed = int(config["seed"])
-    run_dir = args.out or "run"
-    os.makedirs(run_dir, exist_ok=True)
-
-    def out_path(name: str) -> str:
-        return os.path.join(run_dir, name)
-
+    out_path = _out_dir(args.out)
     with _open_out(out_path("resolved_config.json"), args.force) as fh:
         json.dump(config, fh, indent=2)
         fh.write("\n")
 
     timings: dict[str, float] = {}
-    try:
-        ambient_model = AmbientModel.from_json_obj(config["ambient"])
-        scenario = AttackScenario.from_json_obj(config["scenario"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad ambient/scenario config: {exc}") from None
-
     with Timer() as timer:
-        ambient, labeled, metadata = _synthesize(ambient_model, scenario)
+        scenario, ambient, labeled, metadata = _synthesize(config["ambient"], config["scenario"])
     timings["synth_seconds"] = timer.seconds
     _write_synth(out_path, args.force, ambient, labeled, metadata)
     if config["windows"]:
@@ -424,62 +402,36 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         "frames": len(labeled),
         "attack_frames": int(labeled.attack_flags().sum()),
     }
-
-    if kind == "frequency":
-        with Timer() as timer:
-            model = fit_frequency_detector(ambient, **model_cfg)
-        timings["fit_seconds"] = timer.seconds
-        with _open_out(out_path("model.json"), args.force) as fh:
-            save_model(model, fh)
-        report = _frequency_report(model, labeled)
-    else:
-        dataset = log_to_dataset(labeled, include_dlc=config["include_dlc"])
-        train, test = split_train_test_checked(
-            dataset, config["split"]["ratio"], config["split"]["mode"], seed
-        )
-        if config["smote"]:
-            scfg = config["smote"]
-            train = smote_oversample(
-                train,
-                target_count=scfg.get("target_count", 100_000),
-                k=scfg.get("k", 5),
-                seed=seed,
-            )
+    train = test = None
+    if kind != "frequency":
+        scfg = config["smote"]
+        smote = (scfg.get("target_count", 100_000), scfg.get("k", 5)) if scfg else None
+        train, test = _prepare(labeled, config["include_dlc"], config["split"]["ratio"],
+                               config["split"]["mode"], seed, smote)
         _write_split(out_path, args.force, train, test)
         dataset_desc.update(
             {
                 "train_rows": len(train),
                 "test_rows": len(test),
                 "train_synthetic_rows": int(train.synthetic.sum()),
-                "classes": list(dataset.classes),
+                "classes": list(train.classes),
             }
         )
-        model = build_model(kind, model_cfg, seed)
-        with Timer() as timer:
-            model.fit(train.X, train.y, train.classes)
-        timings["fit_seconds"] = timer.seconds
-        with _open_out(out_path("model.json"), args.force) as fh:
-            save_model(model, fh)
-        report = evaluate_pipeline(
-            model,
-            test,
-            window_mode=config["eval"]["mode"],
-            window=config["eval"]["window"],
-            step=config["eval"]["step"],
-        )
+    model, timings["fit_seconds"] = _fit(kind, model_cfg, seed, train, ambient)
+    with _open_out(out_path("model.json"), args.force) as fh:
+        save_model(model, fh)
+    ecfg = config["eval"]
+    report = _evaluate(model, test, labeled, ecfg["mode"], ecfg["window"], ecfg["step"])
 
     report.seed = seed
     report.dataset = {**dataset_desc, **report.dataset}
     report.timings.update(timings)
-    with _open_out(out_path("report.json"), args.force) as fh:
-        fh.write(emit_report(report, "json"))
-    with _open_out(out_path("report.csv"), args.force) as fh:
-        fh.write(emit_report(report, "csv"))
-    with _open_out(out_path("report.txt"), args.force) as fh:
-        fh.write(emit_report(report, "text_table"))
+    for fmt, ext in (("json", "json"), ("csv", "csv"), ("text_table", "txt")):
+        with _open_out(out_path(f"report.{ext}"), args.force) as fh:
+            fh.write(emit_report(report, fmt))
     print(
         f"pipeline complete: {kind} on {scenario.kind}, "
-        f"accuracy {report.accuracy:.4f} -> {run_dir}"
+        f"accuracy {report.accuracy:.4f} -> {args.out}"
     )
     return EXIT_OK
 
@@ -501,17 +453,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("candump", "hcrl-csv"), default="candump")
     p.add_argument("--attack-class", default=None, help="class name for T-flagged rows")
     p.add_argument("--lenient", action="store_true", help="skip malformed lines")
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_ingest, default_out="ingested.log")
 
     p = sub.add_parser("label", parents=[common], help="label a log from sidecar metadata")
     p.add_argument("--log", required=True)
     p.add_argument("--metadata", required=True)
-    p.set_defaults(func=cmd_label)
+    p.set_defaults(func=cmd_label, default_out="labels.json")
 
     p = sub.add_parser("synth", parents=[common], help="generate ambient traffic and inject attacks")
     p.add_argument("--ambient", required=True, help="ambient model JSON")
     p.add_argument("--scenario", required=True, help="attack scenario JSON")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, default_out="synth")
 
     p = sub.add_parser("prep", parents=[common], help="vectorize, split, and rebalance")
     p.add_argument("--log", required=True)
@@ -524,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-window", type=int, default=None)
     p.add_argument("--grid-step", type=int, default=29)
     p.add_argument("--sequence-window", type=int, default=None)
-    p.set_defaults(func=cmd_prep)
+    p.set_defaults(func=cmd_prep, default_out="prep")
 
     p = sub.add_parser("train", parents=[common], help="fit a detector")
     p.add_argument("--train", default=None, help="training CSV")
@@ -532,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None, help="hyperparameters as inline JSON")
     p.add_argument("--classes", default=None, help="JSON file with the full class list")
     p.add_argument("--ambient", default=None, help="ambient log (frequency model)")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, default_out="model.json")
 
     p = sub.add_parser("eval", parents=[common], help="score a model and emit a report")
     p.add_argument("--model", required=True)
@@ -543,26 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=29)
     p.add_argument("--step", type=int, default=29)
     p.add_argument("--print-table", action="store_true")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, default_out="report.json")
 
     p = sub.add_parser("pipeline", parents=[common], help="run every stage from one config")
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=cmd_pipeline, default_out="run")
 
     return parser
-
-
-def _default_out(args: argparse.Namespace) -> None:
-    if args.out is None:
-        defaults = {
-            cmd_ingest: "ingested.log",
-            cmd_label: "labels.json",
-            cmd_synth: "synth",
-            cmd_prep: "prep",
-            cmd_train: "model.json",
-            cmd_eval: "report.json",
-            cmd_pipeline: "run",
-        }
-        args.out = defaults[args.func]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -572,7 +510,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_CONFIG
-    _default_out(args)
+    if args.out is None:
+        args.out = args.default_out
     try:
         return args.func(args)
     except ConfigError as exc:

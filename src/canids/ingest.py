@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import string
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -60,13 +61,13 @@ class LabelAmbiguityError(ValueError):
 
 
 def _parse_timestamp_us(text: str, where: str) -> int:
-    if "." in text:
-        secs, frac = text.split(".", 1)
-    else:
-        secs, frac = text, ""
+    """Microseconds of "SECONDS[.FRACTION]" in ASCII digits, as candump writes."""
+    secs, dot, frac = text.partition(".")
+    if not (text.isascii() and secs.isdigit() and (frac.isdigit() or not dot)):
+        raise ParseError(f"{where}: unparseable timestamp {text!r}")
     if len(frac) > 6:
         raise ParseError(f"{where}: timestamp {text!r} has sub-microsecond precision")
-    ts_us = int(secs) * 1_000_000 + int(frac.ljust(6, "0") or "0")
+    ts_us = int(secs) * 1_000_000 + int(frac.ljust(6, "0"))
     if ts_us >= 1 << 63:
         raise ParseError(f"{where}: timestamp {text!r} is past 2**63-1 us")
     return ts_us
@@ -224,10 +225,10 @@ def hcrl_schema() -> CsvSchema:
 
 
 def _parse_cell_int(cell: str, hex_flag: bool, where: str, what: str) -> int:
-    try:
-        return int(cell, 16 if hex_flag else 10)
-    except ValueError:
-        raise ParseError(f"{where}: unparseable {what} {cell!r}") from None
+    # ASCII digits only: int() also takes signs, underscores and other scripts' digits.
+    if not cell or cell.strip(string.hexdigits if hex_flag else string.digits):
+        raise ParseError(f"{where}: unparseable {what} {cell!r}")
+    return int(cell, 16 if hex_flag else 10)
 
 
 def parse_csv_dataset(

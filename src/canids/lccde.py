@@ -300,6 +300,11 @@ class LccdeEnsemble(Detector):
         }
 
     def _load_state(self, obj: dict[str, Any]) -> None:
+        # The constructor reads null as the defaults, not the saved models' configs.
+        configs = obj["base_configs"]
+        if not (isinstance(configs, list) and len(configs) == N_BASE_MODELS
+                and all(isinstance(cfg, dict) for cfg in configs)):
+            raise ValueError(f"lccde base_configs must list {N_BASE_MODELS} objects")
         models = obj["models"]
         if not isinstance(models, list) or len(models) != N_BASE_MODELS:
             raise ValueError(f"lccde models must list {N_BASE_MODELS} base models")

@@ -16,6 +16,8 @@ at equal timestamps keep their order (ambient before injected).
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
@@ -26,6 +28,7 @@ from canids.core import (
     MAX_EXTENDED_ID,
     MAX_STANDARD_ID,
     TrafficLog,
+    _require_fields,
     binary_label_space,
     to_us,
 )
@@ -45,6 +48,41 @@ FABRICATION_CLASS = "Fabrication Attack"
 MASQUERADE_CLASS = "Masquerade Attack"
 
 
+def _field(what: str, obj: dict, name: str, convert, default=None):
+    """obj[name] through `convert`, or `default` when the field is absent; a
+    value that does not convert raises ValueError naming the field."""
+    if name not in obj:
+        return default
+    try:
+        return convert(obj[name])
+    except (TypeError, ValueError, LookupError, OverflowError) as exc:
+        raise ValueError(f"{what} field {name!r}: {exc}") from None
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def _each(convert):
+    """A converter of JSON lists, item by item."""
+    def read(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"{value!r} is not a list")
+        return tuple(map(convert, value))
+    return read
+
+
+def _parse_id(value) -> int:
+    """Ids in JSON configs may be ints or hex strings ("0D0")."""
+    if isinstance(value, str) and re.fullmatch(r"[0-9A-Fa-f]{1,8}", value):
+        value = int(value, 16)
+    if type(value) is not int or not 0 <= value <= MAX_EXTENDED_ID:
+        raise ValueError(f"id {value!r} is neither hex text nor an int in the 29-bit space")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Ambient surrogate traffic
 
@@ -62,8 +100,8 @@ class PayloadModel:
             raise ValueError(f"unknown payload model {self.kind!r}")
         if len(self.base) > MAX_DLC:
             raise ValueError("payload base exceeds 8 bytes")
-        if any(p >= len(self.base) for p in self.positions):
-            raise ValueError("counter position beyond payload length")
+        if any(not 0 <= p < len(self.base) for p in self.positions):
+            raise ValueError("counter position outside the payload")
 
     def sequence(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """The payloads of `count` frames, one uint8 row of len(base) bytes each."""
@@ -92,17 +130,13 @@ class PayloadModel:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PayloadModel":
+        _require_fields(obj, (), "payload")
         return cls(
             kind=obj.get("kind", "constant"),
-            base=bytes.fromhex(obj.get("base", "00" * 8)),
-            step=int(obj.get("step", 1)),
-            positions=tuple(obj.get("positions", ())),
+            base=_field("payload", obj, "base", bytes.fromhex, b"\x00" * 8),
+            step=_field("payload", obj, "step", int, 1),
+            positions=_field("payload", obj, "positions", _each(int), ()),
         )
-
-
-def _parse_id(value) -> int:
-    """Ids in JSON configs may be ints or hex strings ("0D0")."""
-    return value if isinstance(value, int) else int(str(value), 16)
 
 
 @dataclass(frozen=True)
@@ -114,10 +148,10 @@ class AmbientIdSpec:
     extended: bool = False
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("ambient period must be positive")
-        if self.jitter_std < 0:
-            raise ValueError("jitter_std must be non-negative")
+        if not 0 < self.period < math.inf:
+            raise ValueError("ambient period must be positive and finite")
+        if not 0 <= self.jitter_std < math.inf:
+            raise ValueError("jitter_std must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -130,8 +164,8 @@ class AmbientModel:
     channel: str = "can0"
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         seen = [s.can_id for s in self.ids]
         if len(seen) != len(set(seen)):
             raise ValueError("duplicate ambient id entries")
@@ -155,21 +189,25 @@ class AmbientModel:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AmbientModel":
-        ids = tuple(
-            AmbientIdSpec(
-                can_id=_parse_id(e["id"]),
-                period=float(e["period"]),
-                jitter_std=float(e.get("jitter_std", 0.0)),
-                payload=PayloadModel.from_json_obj(e.get("payload", {})),
+        """The model a JSON object describes; a malformed one raises
+        ValueError naming the id entry and the field."""
+        _require_fields(obj, ("ids", "duration"), "ambient model")
+        ids = []
+        for k, e in enumerate(_field("ambient model", obj, "ids", list)):
+            where = f"ambient id entry {k}"
+            _require_fields(e, ("id", "period"), where)
+            ids.append(AmbientIdSpec(
+                can_id=_field(where, e, "id", _parse_id),
+                period=_field(where, e, "period", float),
+                jitter_std=_field(where, e, "jitter_std", float, 0.0),
+                payload=_field(where, e, "payload", PayloadModel.from_json_obj, PayloadModel()),
                 extended=bool(e.get("extended", False)),
-            )
-            for e in obj["ids"]
-        )
+            ))
         return cls(
-            ids=ids,
-            duration=float(obj["duration"]),
-            seed=int(obj.get("seed", 0)),
-            channel=obj.get("channel", "can0"),
+            ids=tuple(ids),
+            duration=_field("ambient model", obj, "duration", float),
+            seed=_field("ambient model", obj, "seed", int, 0),
+            channel=_field("ambient model", obj, "channel", _text, "can0"),
         )
 
 
@@ -430,8 +468,8 @@ class AttackScenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.interval[0] > self.interval[1]:
-            raise ValueError("scenario interval start exceeds end")
+        if len(self.interval) != 2 or not -math.inf < self.interval[0] <= self.interval[1] < math.inf:
+            raise ValueError(f"scenario interval {self.interval!r} is not a finite [start, end]")
         if self.kind in ("targeted_spoof", "fabrication", "masquerade") and self.target_id is None:
             raise ValueError(f"scenario kind {self.kind!r} requires target_id")
         if self.kind == "targeted_spoof" and self.payload is None:
@@ -440,8 +478,8 @@ class AttackScenario:
             raise ValueError(f"scenario kind {self.kind!r} requires payload_spec")
         if self.kind == "fuzzing_max_payload" and (not self.id_cycle or self.period is None):
             raise ValueError("fuzzing_max_payload requires id_cycle and period")
-        if self.period is not None and self.period <= 0:
-            raise ValueError("period must be positive")
+        if self.period is not None and not 0 < self.period < math.inf:
+            raise ValueError("period must be positive and finite")
 
     @property
     def effective_period(self) -> float | None:
@@ -471,17 +509,20 @@ class AttackScenario:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AttackScenario":
+        """The scenario a JSON object describes; a malformed one raises
+        ValueError naming the field."""
+        _require_fields(obj, ("kind", "interval"), "scenario")
         return cls(
             kind=obj["kind"],
-            interval=(float(obj["interval"][0]), float(obj["interval"][1])),
-            target_id=_parse_id(obj["target_id"]) if "target_id" in obj else None,
-            payload=bytes.fromhex(obj["payload"]) if "payload" in obj else None,
-            payload_spec=obj.get("payload_spec"),
-            period=float(obj["period"]) if "period" in obj else None,
-            id_cycle=tuple(_parse_id(i) for i in obj.get("id_cycle", ())),
-            seed=int(obj.get("seed", 0)),
+            interval=_field("scenario", obj, "interval", _each(float)),
+            target_id=_field("scenario", obj, "target_id", _parse_id),
+            payload=_field("scenario", obj, "payload", bytes.fromhex),
+            payload_spec=_field("scenario", obj, "payload_spec", _text),
+            period=_field("scenario", obj, "period", float),
+            id_cycle=_field("scenario", obj, "id_cycle", _each(_parse_id), ()),
+            seed=_field("scenario", obj, "seed", int, 0),
             extended_ids=bool(obj.get("extended_ids", False)),
-            attack_class=obj.get("attack_class"),
+            attack_class=_field("scenario", obj, "attack_class", _text),
         )
 
 

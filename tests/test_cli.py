@@ -325,6 +325,21 @@ class TestArtifactDigests:
         }
 
 
+class TestDefaultOutputs:
+    def test_each_verb_has_its_default_output(self, workspace):
+        assert run(["synth", "--ambient", "ambient.json", "--scenario", "scenario.json"]) == 0
+        assert run(["ingest", "--input", "synth/ambient.log"]) == 0
+        assert run(["label", "--log", "synth/attack.log", "--metadata", "synth/sidecar.json"]) == 0
+        assert run(["prep", "--log", "synth/attack.log", "--labels", "labels.json"]) == 0
+        assert run(["train", "--train", "prep/train.csv", "--model", "tree"]) == 0
+        assert run(["eval", "--model", "model.json", "--test", "prep/test.csv"]) == 0
+        write_json("config.json", PIPELINE_CONFIG)
+        assert run(["pipeline", "--config", "config.json"]) == 0
+        for path in ("synth/attack.log", "ingested.log", "labels.json", "prep/train.csv",
+                     "model.json", "report.json", "run/report.json"):
+            assert os.path.isfile(path), path
+
+
 class TestArgHandling:
     def test_no_command(self, workspace):
         assert run([]) == 2
@@ -334,3 +349,138 @@ class TestArgHandling:
 
     def test_help_exits_zero(self, workspace):
         assert run(["--help"]) == 0
+
+
+class TestConfigErrorsExit2:
+    """Every malformed model, ambient or scenario setting is a configuration
+    error (exit 2), whichever verb reads it."""
+
+    @pytest.fixture
+    def synth_dir(self, workspace):
+        run(["synth", "--ambient", "ambient.json", "--scenario", "scenario.json",
+             "--out", "synth"])
+        return "synth"
+
+    @pytest.mark.parametrize("params", ['{"wat": 1}', '{"k_sigma": "x"}', '{"k_sigma": -1}'])
+    def test_train_frequency_bad_params(self, synth_dir, capsys, params):
+        code = run(["train", "--model", "frequency", "--ambient", "synth/ambient.log",
+                    "--params", params, "--out", "freq.json"])
+        assert code == 2
+        assert "frequency" in capsys.readouterr().err
+        assert not os.path.exists("freq.json")
+
+    @pytest.mark.parametrize("kind", ["frequency", "tree", "forest", "gbdt", "lccde"])
+    def test_pipeline_bad_params(self, workspace, capsys, kind):
+        write_json("config.json", dict(PIPELINE_CONFIG, model={"kind": kind, "wat": 1}))
+        assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
+        assert "wat" in capsys.readouterr().err
+
+    def test_train_without_train_csv(self, workspace, capsys):
+        assert run(["train", "--model", "tree", "--out", "m.json"]) == 2
+        assert "--train" in capsys.readouterr().err
+
+    BAD_SCENARIOS = [
+        {},
+        [DOS_SCENARIO],
+        {"kind": "dos", "interval": [1.0]},
+        {"kind": "dos", "interval": "1-2"},
+        {"kind": "dos", "interval": [1.0, 2.0], "seed": None},
+        {"kind": "targeted_spoof", "interval": [1.0, 2.0], "target_id": "0D0", "payload": 5},
+    ]
+    BAD_AMBIENTS = [
+        {"duration": 4.0},
+        {"duration": 4.0, "ids": [{"id": "0D0"}]},
+        {"duration": 4.0, "ids": [{"period": 0.01}]},
+        {"duration": 4.0, "ids": [{"id": "0D0", "period": 0.01, "payload": "x"}]},
+        {"duration": 4.0, "ids": [{"id": "0D0", "period": [0.01]}]},
+    ]
+
+    @pytest.mark.parametrize("ambient, scenario", [(AMBIENT, s) for s in BAD_SCENARIOS]
+                             + [(a, DOS_SCENARIO) for a in BAD_AMBIENTS])
+    def test_synth_and_pipeline_bad_documents(self, workspace, capsys, ambient, scenario):
+        write_json("bad_ambient.json", ambient)
+        write_json("bad_scenario.json", scenario)
+        assert run(["synth", "--ambient", "bad_ambient.json", "--scenario", "bad_scenario.json",
+                    "--out", "synth"]) == 2
+        assert "bad ambient/scenario config" in capsys.readouterr().err
+        write_json("config.json", dict(PIPELINE_CONFIG, ambient=ambient, scenario=scenario))
+        assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
+        assert "bad ambient/scenario config" in capsys.readouterr().err
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def report_outside(path, keys=("timings", "dataset", "seed")):
+    obj = json.load(open(path))
+    for key in keys:
+        obj.pop(key)
+    return obj
+
+
+class TestPipelineEqualsVerbs:
+    """`pipeline` runs the stages of synth, prep, train and eval: the same
+    config by hand through the verbs gives the same files."""
+
+    CASES = {
+        "forest-smote": dict(
+            split={"ratio": 0.7, "mode": "stratified_random"},
+            smote={"target_count": 3000, "k": 3},  # about 700 rows over the DoS rows of train
+            model={"kind": "forest", "n_trees": 3, "max_depth": 5},
+            eval={"mode": "frame", "window": 29, "step": 29},
+        ),
+        "gbdt-window": dict(
+            split={"ratio": 0.8, "mode": "chronological"},
+            model={"kind": "gbdt", "n_rounds": 3, "max_depth": 3},
+            eval={"mode": "window", "window": 16, "step": 8},
+        ),
+        "frequency": dict(
+            model={"kind": "frequency", "k_sigma": 3.0},
+            eval={"mode": "frame", "window": 29, "step": 29},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_artifacts(self, workspace, case):
+        cfg = self.CASES[case]
+        seed = "7"
+        write_json("config.json", dict(cfg, seed=7, ambient=AMBIENT, scenario=DOS_SCENARIO))
+        assert run(["pipeline", "--config", "config.json", "--out", "run"]) == 0
+
+        assert run(["synth", "--ambient", "ambient.json", "--scenario", "scenario.json",
+                    "--out", "s"]) == 0
+        model = dict(cfg["model"])
+        kind = model.pop("kind")
+        if kind == "frequency":
+            assert run(["train", "--model", kind, "--ambient", "s/ambient.log",
+                        "--params", json.dumps(model), "--seed", seed, "--out", "model.json"]) == 0
+            assert run(["eval", "--model", "model.json", "--log", "s/attack.log",
+                        "--labels", "s/attack.labels.json", "--seed", seed,
+                        "--out", "report.json"]) == 0
+            compared = []
+        else:
+            prep = ["prep", "--log", "s/attack.log", "--labels", "s/attack.labels.json",
+                    "--ratio", str(cfg["split"]["ratio"]), "--mode", cfg["split"]["mode"],
+                    "--seed", seed, "--out", "p"]
+            if "smote" in cfg:
+                prep += ["--smote-target", str(cfg["smote"]["target_count"]),
+                         "--smote-k", str(cfg["smote"]["k"])]
+            assert run(prep) == 0
+            assert run(["train", "--train", "p/train.csv", "--classes", "p/classes.json",
+                        "--model", kind, "--params", json.dumps(model), "--seed", seed,
+                        "--out", "model.json"]) == 0
+            ecfg = cfg["eval"]
+            assert run(["eval", "--model", "model.json", "--test", "p/test.csv",
+                        "--mode", ecfg["mode"], "--window", str(ecfg["window"]),
+                        "--step", str(ecfg["step"]), "--seed", seed, "--out", "report.json"]) == 0
+            compared = [("run/train.csv", "p/train.csv"), ("run/test.csv", "p/test.csv")]
+        compared += [("run/model.json", "model.json")]
+        compared += [(f"run/{name}", f"s/{name}") for name in
+                     ("ambient.log", "attack.log", "attack.labels.json", "sidecar.json")]
+        for mine, theirs in compared:
+            assert read_bytes(mine) == read_bytes(theirs), mine
+        assert report_outside("run/report.json") == report_outside("report.json")
+        if "smote" in cfg:
+            assert json.load(open("run/report.json"))["dataset"]["train_synthetic_rows"] > 0

@@ -314,6 +314,28 @@ class TestCsvDataset:
         with pytest.raises(ParseError, match="row 1"):
             parse_csv_dataset(io.StringIO("1.0,zz,00,R\n"), schema)
 
+    @pytest.mark.parametrize("row, field", [
+        ("1_0.5,010,1,01", "timestamp"),
+        ("\u0661\u0662.0,010,1,01", "timestamp"),  # Arabic-Indic digits
+        ("abc,010,1,01", "timestamp"),
+        (".5,010,1,01", "timestamp"),
+        ("-1.0,010,1,01", "timestamp"),
+        ("+1.0,010,1,01", "timestamp"),
+        ("1.,010,1,01", "timestamp"),
+        ("1.0,1_0,1,01", "id"),
+        ("1.0,-10,1,01", "id"),
+        ("1.0,0x10,1,01", "id"),
+        ("1.0,010,1,0_1", "data byte 0"),
+        ("1.0,010,+1,01", "dlc"),
+    ])
+    def test_cells_follow_candump_digit_rules(self, row, field):
+        """Cells hold ASCII digits only, as candump fields do; int() would
+        read signs, underscores and other scripts' digits."""
+        schema = CsvSchema(timestamp_col=0, id_col=1, dlc_col=2, data_cols=(3,))
+        good = "0.5,010,1,00\n"
+        with pytest.raises(ParseError, match=f"row 2: unparseable {field} "):
+            parse_csv_dataset(io.StringIO(good + row + "\n"), schema)
+
 
 def mk_log(entries, channel="can0"):
     frames = tuple(

@@ -311,6 +311,17 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="val_frac"):
             LccdeEnsemble(val_frac=0.0)
 
+    @pytest.mark.parametrize("configs", [None, [], [{}, {}], [{}, {}, []], [[["n_rounds", 2]]] * 3])
+    def test_document_base_configs_must_list_three_objects(self, configs):
+        """A null `base_configs` would reload as the defaults, and the
+        reloaded 2-round ensemble would then save `n_rounds: 30`."""
+        X, y = blobs3(seed=8)
+        model = LccdeEnsemble(base_configs=[{"n_rounds": 2, "max_depth": 2}] * 3, seed=9).fit(X, y)
+        doc = model.to_json_obj()
+        doc["base_configs"] = configs
+        with pytest.raises(ValueError, match="base[_ ]configs"):
+            load_model(io.StringIO(json.dumps(doc)))
+
     def test_leader_map_json(self):
         lm = LeaderMap(
             classes=CLASSES3,

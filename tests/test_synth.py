@@ -406,3 +406,111 @@ class TestSidecarEquivalence:
         a = run_scenario(ambient, scenario)
         b = run_scenario(ambient, scenario)
         assert a.frames == b.frames
+
+
+def json_paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([-1, 0, 2**29, 2**64, 10**400, "0D0", "XYZ", [1.0], [2.0, 1.0]]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+FULL_AMBIENT = AmbientModel(
+    ids=(AmbientIdSpec(0x0D0, 0.01, 0.0004, PayloadModel("constant", bytes(range(8)))),
+         AmbientIdSpec(0x1A0, 0.005, 0.0, PayloadModel("counter", bytes(8), positions=(6, 7))),
+         AmbientIdSpec(0x1BCDEF0, 0.02, 0.001, PayloadModel("random_walk", b"\x80" * 4, step=2),
+                       extended=True)),
+    duration=2.0, seed=11, channel="vcan1")
+FULL_SCENARIOS = [
+    AttackScenario(kind="targeted_spoof", interval=(0.5, 1.0), target_id=0x0D0,
+                   payload=b"\xff" * 8, period=0.002, seed=3, attack_class="Spoof"),
+    AttackScenario(kind="fuzzing_max_payload", interval=(0.5, 1.0), id_cycle=(0x1, 0x2),
+                   period=0.002, extended_ids=True),
+    AttackScenario(kind="fabrication", interval=(0.5, 1.0), target_id=0x1A0,
+                   payload_spec="XXXXXXXXXXXXFFXX"),
+]
+
+
+class TestConfigDocuments:
+    """AmbientModel and AttackScenario documents: a malformed one raises
+    ValueError naming the field, never another exception."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "lacks 'kind', 'interval'"),
+        ([{"kind": "dos"}], "must be a JSON object"),
+        ({"kind": "dos", "interval": [1.0]}, "interval"),
+        ({"kind": "dos", "interval": 5}, "field 'interval'"),
+        ({"kind": "dos", "interval": [1.0, "x"]}, "field 'interval'"),
+        ({"kind": "dos", "interval": [0.0, 1e309]}, "interval"),
+        ({"kind": "dos", "interval": [0, 1], "seed": 1e309}, "field 'seed'"),
+        ({"kind": "dos", "interval": [0, 1], "period": None}, "field 'period'"),
+        ({"kind": "dos", "interval": [0, 1], "attack_class": 3}, "field 'attack_class'"),
+        ({"kind": "fabrication", "interval": [0, 1], "target_id": "1_0"}, "field 'target_id'"),
+        ({"kind": "fabrication", "interval": [0, 1], "target_id": 2**29}, "field 'target_id'"),
+        ({"kind": "targeted_spoof", "interval": [0, 1], "payload": ["FF"]}, "field 'payload'"),
+        ({"kind": "fuzzing_max_payload", "interval": [0, 1], "id_cycle": 7}, "field 'id_cycle'"),
+        # Text is not read as a list of its characters.
+        ({"kind": "dos", "interval": "12"}, "field 'interval'"),
+        ({"kind": "fuzzing_max_payload", "interval": [0, 1], "id_cycle": "0D"}, "field 'id_cycle'"),
+    ])
+    def test_malformed_scenarios(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            AttackScenario.from_json_obj(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"duration": 1.0}, "lacks 'ids'"),
+        ("ambient", "must be a JSON object"),
+        ({"duration": 1.0, "ids": 5}, "field 'ids'"),
+        ({"duration": 1.0, "ids": [{"id": "0D0"}]}, "entry 0 lacks 'period'"),
+        ({"duration": 1.0, "ids": [{"id": "0D0", "period": 1}, {"period": 1}]}, "entry 1 lacks 'id'"),
+        ({"duration": 1.0, "ids": [{"id": "0D0", "period": 1, "payload": "x"}]}, "field 'payload'"),
+        ({"duration": 1.0, "ids": [{"id": "0D0", "period": 1, "payload": {"base": 7}}]},
+         "field 'base'"),
+        ({"duration": 1.0, "ids": [{"id": "0D0", "period": 1,
+                                    "payload": {"kind": "counter", "positions": [-1]}}]},
+         "counter position"),
+        ({"duration": 1.0, "ids": [{"id": "0D0", "period": 1e309}]}, "period"),
+        ({"duration": float("nan"), "ids": []}, "duration"),
+        ({"duration": 1.0, "ids": [], "channel": 0}, "field 'channel'"),
+        ({"duration": 1.0, "ids": [{"id": "0D0", "period": 1,
+                                    "payload": {"kind": "counter", "positions": "67"}}]},
+         "field 'positions'"),
+    ])
+    def test_malformed_ambient_models(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            AmbientModel.from_json_obj(doc)
+
+    def test_documents_round_trip(self):
+        assert AmbientModel.from_json_obj(FULL_AMBIENT.to_json_obj()) == FULL_AMBIENT
+        for sc in FULL_SCENARIOS:
+            assert AttackScenario.from_json_obj(sc.to_json_obj()) == sc
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_raise_only_value_error(self, data):
+        reader, model = data.draw(st.sampled_from(
+            [(AmbientModel, FULL_AMBIENT)] + [(AttackScenario, sc) for sc in FULL_SCENARIOS]))
+        # The document sits under a root key so that it can be replaced whole.
+        doc = {"root": model.to_json_obj()}
+        path = ("root",) + data.draw(st.sampled_from(list(json_paths(doc["root"]))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if len(path) > 1 and data.draw(st.booleans()):
+            # Truncate: drop a field, or a list element and all after it.
+            if isinstance(parent, list):
+                del parent[path[-1]:]
+            else:
+                del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+        try:
+            reader.from_json_obj(doc["root"])
+        except ValueError:
+            pass
