@@ -346,7 +346,25 @@ PIPELINE_DEFAULTS = {
 }
 
 
+def _check_counts(section: str, cfg: dict[str, Any] | None, names: tuple[str, ...],
+                  nullable: tuple[str, ...] = ()) -> None:
+    """Refuse a section entry that is not a positive integer (null is
+    allowed for the `nullable` entries, where it skips an output); an
+    absent entry takes its default."""
+    for name in names:
+        value = (cfg or {}).get(name, 1)
+        if value is None and name in nullable:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"pipeline config {section}.{name} must be a positive integer, "
+                              f"not {value!r}")
+
+
 def _resolve_config(raw: dict[str, Any], seed_override: int | None) -> dict[str, Any]:
+    for key in ("model", "split", "eval", "smote", "windows"):
+        value = raw.get(key, {})
+        if not isinstance(value, dict) and (value is not None or key == "model"):
+            raise ConfigError(f"pipeline config {key!r} must be a JSON object, not {value!r}")
     config = dict(PIPELINE_DEFAULTS)
     config.update(raw)
     for key in ("split", "eval"):
@@ -368,6 +386,13 @@ def _resolve_config(raw: dict[str, Any], seed_override: int | None) -> dict[str,
     kind = config["model"].get("kind")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
+    if config["eval"]["mode"] not in ("frame", "window"):
+        raise ConfigError(f"pipeline config eval.mode must be 'frame' or 'window', "
+                          f"not {config['eval']['mode']!r}")
+    _check_counts("eval", config["eval"], ("window", "step"))
+    _check_counts("smote", config["smote"], ("target_count", "k"))
+    _check_counts("windows", config["windows"], ("window", "step", "sequences"),
+                  nullable=("window", "sequences"))
     return config
 
 

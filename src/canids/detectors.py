@@ -84,6 +84,21 @@ def _feature_matrix(X: np.ndarray, n_read: int) -> np.ndarray:
     return X
 
 
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row index per distinct row of X, and each row's position among
+    them: X[first][inverse] equals X row for row (-0.0 and 0.0 are equal,
+    as they are to a split).  Scoring X[first] and taking [inverse] gives
+    the scores of X whenever a row's score depends only on that row."""
+    n, d = X.shape
+    order = np.lexsort(X.T) if d else np.arange(n)
+    ranked = X[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 # A tree document's fields, in document order, with their dtypes.
 _TREE_FIELDS = dict(
     feature=np.int64, threshold=np.float64, left=np.int64, right=np.int64, value=np.float64
@@ -381,7 +396,7 @@ class Detector:
         _require_fields(obj, (*header, *cls.params, *cls.state), f"{cls.kind} model")
         try:
             model = cls(**{name: obj[name] for name in cls.params})
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{cls.kind} model has a bad hyperparameter: {exc}") from None
         model.latency_us = obj.get("latency_us")
         return model
@@ -420,7 +435,9 @@ class DecisionTree(Detector):
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted()
-        return self._tree.leaf_values(_feature_matrix(X, self._tree.n_read))
+        X = _feature_matrix(X, self._tree.n_read)
+        first, inverse = _distinct_rows(X)
+        return self._tree.leaf_values(X[first])[inverse]
 
     @property
     def n_nodes(self) -> int:
@@ -501,10 +518,12 @@ class RandomForest(Detector):
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted()
         X = _feature_matrix(X, max(int(cols.max()) for cols in self._feats) + 1)
+        first, inverse = _distinct_rows(X)
+        X = X[first]
         total = np.zeros((len(X), len(self.classes)))
         for tree, cols in zip(self._trees, self._feats):
             total += tree.leaf_values(X[:, cols])
-        return total / len(self._trees)
+        return (total / len(self._trees))[inverse]
 
     def _state_json(self) -> dict[str, Any]:
         return {
@@ -616,7 +635,10 @@ class GradientBoosting(Detector):
             yield raw.copy()
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        return _softmax(self.raw_scores(X))
+        self._check_fitted()
+        X = _feature_matrix(X, 0)
+        first, inverse = _distinct_rows(X)
+        return _softmax(self.raw_scores(X[first]))[inverse]
 
     def _state_json(self) -> dict[str, Any]:
         return {"rounds": [[t.to_json_obj() for t in rt] for rt in self._rounds]}
@@ -763,7 +785,9 @@ def fit_frequency_detector(
 
 def measure_latency(model: Detector, X: np.ndarray, repeats: int = 3) -> float:
     """Median per-sample predict wall time in microseconds; stored on
-    the model for speed tie-breaks."""
+    the model for speed tie-breaks.  The timed call is `predict_scores`,
+    which for the tree kinds scores each distinct row of X once, so the
+    figure falls as X repeats rows."""
     if len(X) == 0:
         raise ValueError("need at least one sample to time")
     times = []

@@ -198,13 +198,26 @@ def _arbitrate(
     models' score matrices."""
     labels = np.stack([s.argmax(axis=1) for s in scores], axis=1)
     confs = np.stack([s.max(axis=1) for s in scores], axis=1)
-    out = np.zeros(len(labels), dtype=np.int64)
-    picked = np.zeros(len(labels), dtype=np.int64)
-    for i in range(len(labels)):
-        out[i], picked[i] = arbitrate_one(
-            labels[i].tolist(), confs[i].tolist(), leaders.leader, majority_literal
-        )
-    return out, picked
+    lead = np.asarray(leaders.leader, dtype=np.int64)
+    rows = np.arange(len(labels))
+    a, b, c = labels.T
+    ab, ac, bc = a == b, a == c, b == c
+    # Unanimous rows, and split rows where no model leads its own
+    # prediction: the most confident model (argmax takes the first of ties).
+    picked = confs.argmax(axis=1)
+    # Two agree: the pair is (0, 1), else (0, 2), else (1, 2).
+    first = np.where(ab | ac, 0, 1)
+    if majority_literal:
+        by_pair = lead[labels[rows, first]]
+    else:
+        second = np.where(ab, 1, 2)
+        by_pair = np.where(confs[rows, first] >= confs[rows, second], first, second)
+    picked = np.where((ab | ac | bc) & ~(ab & ac), by_pair, picked)
+    # All distinct: the most confident of the models that lead their prediction.
+    aligned = lead[labels] == np.arange(N_BASE_MODELS)
+    by_aligned = np.where(aligned, confs, -np.inf).argmax(axis=1)
+    picked = np.where(~(ab | ac | bc) & aligned.any(axis=1), by_aligned, picked)
+    return labels[rows, picked], picked
 
 
 def lccde_predict(

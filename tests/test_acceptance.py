@@ -17,7 +17,7 @@ from scipy.stats import ks_2samp
 from conftest import acceptance_verdicts
 from test_evaluate import brute_force_metrics
 from test_features import segment_check
-from test_lccde import oracle_arbitrate
+from test_lccde import CLASSES3, canned_models, oracle_arbitrate
 from test_synth import SCENARIOS
 
 from canids.cli import main as cli_main
@@ -26,7 +26,7 @@ from canids.detectors import fit_frequency_detector, fit_random_forest
 from canids.evaluate import compute_metrics
 from canids.features import SplitSpec, TabularDataset, log_to_dataset, smote_oversample, split_train_test
 from canids.ingest import apply_metadata_labels, parse_candump_line, parse_candump_log, serialize_candump, serialize_candump_line
-from canids.lccde import arbitrate_one
+from canids.lccde import LeaderMap, _arbitrate, arbitrate_one, lccde_predict
 from canids.synth import AmbientIdSpec, AmbientModel, AttackScenario, PayloadModel, generate_ambient, run_scenario, sidecar_metadata
 from canids.windows import build_bit_grids, build_id_sequences
 
@@ -194,10 +194,29 @@ def test_arbitration_matches_independent_oracle():
                     total += 1
                     if got != want:
                         mismatches += 1
+    # The batch paths: every triple and pattern as one score matrix per
+    # base model, per leader map and reading.
+    rows = [(labels, confidences) for labels in itertools.product(range(3), repeat=3)
+            for confidences in confidence_patterns]
+    models = canned_models(rows)
+    X = np.zeros((len(rows), 1))
+    batch_total = 0
+    batch_mismatches = 0
+    for leaders in itertools.product(range(3), repeat=3):
+        leader_map = LeaderMap(CLASSES3, leaders, np.zeros((3, 3)), (1.0, 1.0, 1.0))
+        for literal in (True, False):
+            vectorized, _ = _arbitrate([m.scores for m in models], leader_map, literal)
+            predicted, _ = lccde_predict(models, leader_map, X, literal)
+            for r, (labels, confidences) in enumerate(rows):
+                want = oracle_arbitrate(labels, confidences, leaders, majority_literal=literal)
+                batch_total += 1
+                if not vectorized[r] == predicted[r] == want:
+                    batch_mismatches += 1
     elapsed = time.perf_counter() - started
-    ok = mismatches == 0 and elapsed < 5.0
+    ok = mismatches == 0 and batch_mismatches == 0 and elapsed < 5.0
     verdict(5, ok, f"arbitration exhaustive 27x27 maps x4 confidence patterns "
-                   f"x2 readings: {total - mismatches}/{total} match oracle "
+                   f"x2 readings: {total - mismatches}/{total} match oracle, batch "
+                   f"_arbitrate and lccde_predict {batch_total - batch_mismatches}/{batch_total} "
                    f"({elapsed:.2f}s < 5s)")
 
 

@@ -375,6 +375,18 @@ class TestConfigErrorsExit2:
         assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
         assert "wat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, value", [
+        ("model", "forest"),
+        ("split", 5),
+        ("smote", {"k": "x"}),
+        ("eval", {"mode": "window", "window": 0}),
+        ("windows", {"window": 0}),
+    ])
+    def test_pipeline_bad_section(self, workspace, capsys, section, value):
+        write_json("config.json", dict(PIPELINE_CONFIG, **{section: value}))
+        assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
+        assert section in capsys.readouterr().err
+
     def test_train_without_train_csv(self, workspace, capsys):
         assert run(["train", "--model", "tree", "--out", "m.json"]) == 2
         assert "--train" in capsys.readouterr().err

@@ -802,6 +802,45 @@ class TestModelDocuments:
             pass
 
 
+@st.composite
+def repeated_row_matrices(draw, width=4):
+    """0 to 12 rows drawn from a pool of a few rows, each one cell away
+    from the one before, and their copies with the sign of every zero
+    flipped, so rows repeat, differ in single columns and -0.0 meets 0.0."""
+    cells = st.sampled_from([-1.0, -0.0, 0.0, 0.3, 0.6, 1.0, 2.0, 5.0, 7.0])
+    pool = [draw(st.lists(cells, min_size=width, max_size=width))]
+    for col, value in draw(st.lists(st.tuples(st.integers(0, width - 1), cells), max_size=4)):
+        pool.append(pool[-1][:col] + [value] + pool[-1][col + 1 :])
+    pool += [[-v if v == 0 else v for v in row] for row in pool]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+    return np.array([pool[i] for i in picks]).reshape(len(picks), width)
+
+
+class TestDistinctRowScoring:
+    """Scoring each distinct row once gives every row the scores it gets
+    on its own."""
+
+    @staticmethod
+    def row_by_row(model, X):
+        rows = [model.predict_scores(X[i : i + 1]) for i in range(len(X))]
+        return np.vstack(rows) if rows else np.empty((0, len(model.classes)))
+
+    @pytest.mark.parametrize("kind", ["tree", "forest", "gbdt", "lccde"])
+    @given(X=repeated_row_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_scores_match_row_by_row(self, kind, X):
+        model = fitted_models()[kind]
+        assert np.array_equal(model.predict_scores(X), self.row_by_row(model, X))
+
+    @given(n=st.integers(0, 5))
+    def test_single_leaf_tree_on_zero_columns(self, n):
+        model = fit_decision_tree(np.zeros((3, 2)), np.zeros(3, dtype=int))
+        X = np.empty((n, 0))
+        assert model.n_nodes == 1
+        assert np.array_equal(model.predict_scores(X), self.row_by_row(model, X))
+        assert model.predict_scores(X).shape == (n, 1)
+
+
 class TestLatencyAndPredictions:
     def test_measure_latency(self):
         X, y = blobs(seed=17, gap=2.0)

@@ -11,8 +11,10 @@ from canids.lccde import (
     CASE_MAJORITY,
     CASE_SPLIT,
     CASE_UNANIMOUS,
+    N_BASE_MODELS,
     LccdeEnsemble,
     LeaderMap,
+    _arbitrate,
     arbitrate_one,
     arbitration_case,
     lccde_predict,
@@ -65,6 +67,18 @@ CONFIDENCE_PATTERNS = [
     (0.4, 0.4, 0.9),
     (0.7, 0.7, 0.7),
 ]
+# Every triple of three levels: all tie patterns.
+CONFIDENCE_TRIPLES = list(itertools.product((0.4, 0.6, 0.9), repeat=3))
+
+
+def canned_models(rows):
+    """Three stub models that carry a list of (labels, confidences)
+    triples: row r of model m scores confidences[m] on class labels[m]
+    and 0 on the other two classes."""
+    scores = np.zeros((N_BASE_MODELS, len(rows), 3))
+    for r, (labels, confs) in enumerate(rows):
+        scores[np.arange(N_BASE_MODELS), r, labels] = confs
+    return [_Canned(s, CLASSES3) for s in scores]
 
 
 class TestArbitrationExhaustive:
@@ -120,6 +134,30 @@ class TestArbitrationExhaustive:
         leaders = (1, 2, 0)
         got, _ = arbitrate_one([0, 1, 2], [0.5, 0.95, 0.6], leaders)
         assert got == 1
+
+    def test_vectorized_paths_match_oracle(self):
+        """`_arbitrate` and `lccde_predict` decide every row as
+        `arbitrate_one` does, ties included."""
+        rows = [
+            (labels, confs)
+            for labels in itertools.product(range(3), repeat=3)
+            for confs in CONFIDENCE_PATTERNS + CONFIDENCE_TRIPLES
+        ]
+        models = canned_models(rows)
+        X = np.zeros((len(rows), 1))
+        checked = 0
+        for leaders in itertools.product(range(3), repeat=3):
+            leader_map = LeaderMap(CLASSES3, leaders, np.zeros((3, 3)), (1.0, 1.0, 1.0))
+            for literal in (True, False):
+                got = _arbitrate([m.scores for m in models], leader_map, literal)
+                predicted = lccde_predict(models, leader_map, X, literal)
+                for r, (labels, confs) in enumerate(rows):
+                    want = arbitrate_one(list(labels), list(confs), leaders, literal)
+                    assert want[0] == oracle_arbitrate(labels, confs, leaders, literal)
+                    assert (got[0][r], got[1][r]) == want, (labels, confs, leaders, literal)
+                    assert (predicted[0][r], predicted[1][r]) == want
+                    checked += 1
+        assert checked == 27 * 27 * (len(CONFIDENCE_PATTERNS) + 27) * 2
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
@@ -320,6 +358,16 @@ class TestEnsemble:
         doc = model.to_json_obj()
         doc["base_configs"] = configs
         with pytest.raises(ValueError, match="base[_ ]configs"):
+            load_model(io.StringIO(json.dumps(doc)))
+
+    def test_document_base_configs_object_is_a_bad_hyperparameter(self):
+        """An object of three configs passes the constructor's length check;
+        iterating it yields its keys, which are not configs."""
+        X, y = blobs3(seed=8)
+        model = LccdeEnsemble(base_configs=[{"n_rounds": 2, "max_depth": 2}] * 3, seed=9).fit(X, y)
+        doc = model.to_json_obj()
+        doc["base_configs"] = {"a": {}, "b": {}, "c": {}}
+        with pytest.raises(ValueError, match="lccde model has a bad hyperparameter"):
             load_model(io.StringIO(json.dumps(doc)))
 
     def test_leader_map_json(self):
