@@ -373,6 +373,9 @@ def _resolve_config(raw: dict[str, Any], seed_override: int | None) -> dict[str,
         config[key] = merged
     if seed_override is not None:
         config["seed"] = seed_override
+    seed = config["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"pipeline config seed must be a non-negative integer, not {seed!r}")
     if "ambient" not in config or "scenario" not in config:
         raise ConfigError("pipeline config needs 'ambient' and 'scenario' entries")
     for key in ("ambient", "scenario"):
@@ -403,7 +406,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if not isinstance(raw, dict):
         raise ConfigError("pipeline config must be a JSON object")
     config = _resolve_config(raw, args.seed)
-    seed = int(config["seed"])
+    seed = config["seed"]
     out_path = _out_dir(args.out)
     with _open_out(out_path("resolved_config.json"), args.force) as fh:
         json.dump(config, fh, indent=2)

@@ -10,6 +10,7 @@ the columns on demand.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -190,6 +191,8 @@ class LabeledFrame:
 
 # _PAST_DLC[d] is 0xFF on the payload bytes past a data length of d, else 0.
 _PAST_DLC = (np.arange(MAX_DLC) >= np.arange(MAX_DLC + 1)[:, None]).astype(np.uint8) * 0xFF
+_MAX_STANDARD_ID = np.array(MAX_STANDARD_ID)  # numpy compares with an array faster than an int
+_COLUMN_NAMES = ("timestamp", "CAN id", "id format", "dlc", "channel code", "label code")
 
 
 class TrafficLog:
@@ -244,7 +247,6 @@ class TrafficLog:
         log.channels, log.label_space = tuple(channels), label_space
         # The one-row columns are stacked and range-checked together: viewed
         # as uint64, a negative value is past any bound.
-        names = ["timestamp", "CAN id", "id format", "dlc", "channel code", "label code"]
         rows = [ts_us, can_id, extended, dlc, channel]
         bounds = [1 << 63, 1 << EXTENDED_ID_BITS, 2, MAX_DLC + 1, len(log.channels)]
         if label is not None:
@@ -256,29 +258,33 @@ class TrafficLog:
             ints = None
         # Only integer (or bool) columns are taken: a cast would truncate
         # floats.  Unsigned 64-bit columns promote to float with signed ones.
-        if ints is None or ints.ndim != 2 or data.shape != (ints.shape[1], MAX_DLC) or any(
-                a.dtype.kind not in "biu" and a.size for a in (ints, data)):
+        if ints is None or ints.ndim != 2 or data.shape != (ints.shape[1], MAX_DLC) or (
+                ints.dtype.kind not in "biu" and ints.size) or (
+                data.dtype.kind not in "biu" and data.size):
             raise ValueError("columns must be equally long sequences of 64-bit integers, "
                              f"data as (rows, {MAX_DLC}) bytes")
-        ints = ints.astype(np.int64)
+        ints = ints.astype(np.int64, copy=False)
         out = ints.view(np.uint64) >= np.array(bounds, dtype=np.uint64)[:, None]
         if np.count_nonzero(out):
             k = int(np.argmax(out.any(axis=1)))
-            raise ValueError(f"frame {np.argmax(out[k])}: {names[k]} outside 0..{bounds[k] - 1}")
+            raise ValueError(f"frame {np.argmax(out[k])}: {_COLUMN_NAMES[k]} outside "
+                             f"0..{bounds[k] - 1}")
         log.ts_us, log.channel = ints[0].copy(), ints[4].copy()
         log.label = None if label is None else ints[5].copy()
         log.can_id, log.extended = ints[1].astype(np.uint32), ints[2].astype(bool)
         log.dlc, log.data = ints[3].astype(np.uint8), data.astype(np.uint8)
         for bad, what in ((log.ts_us[:-1] > log.ts_us[1:], "timestamp above the next frame's"),
-                          ((log.can_id > MAX_STANDARD_ID) > log.extended,
+                          ((log.can_id > _MAX_STANDARD_ID) > log.extended,
                            "standard CAN id past 11 bits"),
                           (log.data != data, "data byte outside 0..255"),
-                          (log.data & _PAST_DLC[log.dlc], "nonzero data byte past dlc")):
+                          (log.data & _PAST_DLC.take(log.dlc, axis=0),
+                           "nonzero data byte past dlc")):
             if np.count_nonzero(bad):
                 raise ValueError(f"frame {np.argmax(bad.reshape(len(bad), -1).any(1))}: {what}")
-        for column in vars(log).values():
-            if isinstance(column, np.ndarray):
-                column.flags.writeable = False
+        for column in (log.ts_us, log.can_id, log.extended, log.dlc, log.data, log.channel):
+            column.setflags(write=False)
+        if log.label is not None:
+            log.label.setflags(write=False)
         return log
 
     def _columns(self, rows=slice(None)) -> dict[str, np.ndarray]:
@@ -347,6 +353,16 @@ def _require_fields(doc: Any, fields: Iterable[str], what: str) -> None:
     missing = [name for name in fields if name not in doc]
     if missing:
         raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+
+
+def _csv_rows(lines: Iterable[str], error: type[ValueError] = ValueError) -> Iterator[list[str]]:
+    """The rows csv.reader reads from lines; a line it cannot read raises
+    `error` naming the line, instead of csv.Error."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise error(f"line {reader.line_num}: {exc}") from None
 
 
 def _name_list(value: Any, what: str) -> list[str]:

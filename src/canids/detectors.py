@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import copy
 import json
+import numbers
 import time
 from dataclasses import dataclass
 from typing import IO, Any, Iterable, Iterator, Sequence
@@ -71,6 +72,27 @@ def _numbers(value: Any, dtype: type, what: str) -> np.ndarray:
         return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{what} is not an array of numbers") from None
+
+
+# What each kind of hyperparameter must be: "depth" is an integer or null
+# (no limit); a bool is not a number here.
+_PARAM_TYPES = {
+    "integer": (numbers.Integral, "an integer"),
+    "depth": (numbers.Integral, "an integer or null"),
+    "number": (numbers.Real, "a number"),
+    "flag": (bool, "true or false"),
+}
+
+
+def _require_types(**params: tuple[Any, str]) -> None:
+    """Refuse the first hyperparameter, given as name=(value, kind), whose
+    value is not of its kind, with a ValueError naming it."""
+    for name, (value, kind) in params.items():
+        accepted, what = _PARAM_TYPES[kind]
+        if value is None and kind == "depth":
+            continue
+        if not isinstance(value, accepted) or (kind != "flag" and isinstance(value, bool)):
+            raise ValueError(f"{name} must be {what}, not {value!r}")
 
 
 def _feature_matrix(X: np.ndarray, n_read: int) -> np.ndarray:
@@ -419,6 +441,7 @@ class DecisionTree(Detector):
 
     def __init__(self, max_depth: int | None = None, min_leaf: int = 1) -> None:
         super().__init__()
+        _require_types(max_depth=(max_depth, "depth"), min_leaf=(min_leaf, "integer"))
         if min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
         self.max_depth = max_depth
@@ -479,6 +502,9 @@ class RandomForest(Detector):
         seed: int = 0,
     ) -> None:
         super().__init__()
+        _require_types(n_trees=(n_trees, "integer"), max_depth=(max_depth, "depth"),
+                       min_leaf=(min_leaf, "integer"), bootstrap=(bootstrap, "flag"),
+                       feature_frac=(feature_frac, "number"), seed=(seed, "integer"))
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if not 0.0 < feature_frac <= 1.0:
@@ -567,6 +593,10 @@ class GradientBoosting(Detector):
         seed: int = 0,
     ) -> None:
         super().__init__()
+        _require_types(n_rounds=(n_rounds, "integer"), learning_rate=(learning_rate, "number"),
+                       max_depth=(max_depth, "depth"), min_leaf=(min_leaf, "integer"),
+                       reg_lambda=(reg_lambda, "number"), subsample=(subsample, "number"),
+                       seed=(seed, "integer"))
         if n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
         if not 0.0 < learning_rate <= 1.0:
@@ -675,6 +705,7 @@ class FrequencyDetector(Detector):
 
     def __init__(self, k_sigma: float = 4.0) -> None:
         super().__init__()
+        _require_types(k_sigma=(k_sigma, "number"))
         if k_sigma < 0:
             raise ValueError("k_sigma must be nonnegative")
         self.k_sigma = k_sigma

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import numbers
 from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
@@ -28,6 +29,7 @@ from .core import (
     CanFrame,
     LabeledFrame,
     TrafficLog,
+    _csv_rows,
     _decimal_cells,
     _each_followed_by,
     _float_cells,
@@ -142,6 +144,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.ratio, bool) or not isinstance(self.ratio, numbers.Real):
+            raise ValueError(f"split ratio must be a number in (0, 1), got {self.ratio!r}")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"split ratio must be in (0, 1), got {self.ratio}")
         if self.mode not in SPLIT_MODES:
@@ -347,7 +351,7 @@ def load_dataset_csv(stream: IO[str], classes: Sequence[str] | None = None) -> T
     first appearance, so pass the original list to keep indices stable
     across related files.
     """
-    reader = csv.reader(stream)
+    reader = _csv_rows(stream)
     try:
         header = next(reader)
     except StopIteration:

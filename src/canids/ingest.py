@@ -5,12 +5,16 @@ datasets with a configurable column schema, and per-capture JSON metadata
 describing injection campaigns (interval + id + payload nibble pattern).
 
 Every reader fills the columns of a `TrafficLog` and every writer reads
-them: the parsers collect each line's or row's fields into column lists,
-`serialize_candump` formats slices of the columns through the block text
-encoder in `core` (each line is the text of `serialize_candump_line`), and
-labels are per-frame class codes.  `apply_metadata_labels` tests each
-campaign only on the rows inside its interval, found by binary search over
-the sorted timestamps.
+them.  `parse_candump_log` decodes blocks of lines with array operations
+(`_decode_records`: one byte-class translate, token edges, and per-shape
+tables for the timestamp and id#data fields); the per-line regex parser
+(`_candump_fields`) reads only the lines the block decoder refuses, to
+skip blank ones and to word the error of the rest.  The CSV parser collects
+each row's fields into column lists.  `serialize_candump` formats slices of
+the columns through the block text encoder in `core` (each line is the
+text of `serialize_candump_line`), and labels are per-frame class codes.
+`apply_metadata_labels` tests each campaign only on the rows inside its
+interval, found by binary search over the sorted timestamps.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import json
 import logging
 import re
 import string
+from itertools import accumulate, islice
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -32,6 +37,8 @@ from canids.core import (
     CanFrame,
     LabelSpace,
     TrafficLog,
+    _BLOCK_ROWS,
+    _csv_rows,
     _decimal_cells,
     _hex_cells,
     _text_cells,
@@ -118,31 +125,231 @@ def parse_candump_log(
 ) -> TrafficLog:
     """Parse a candump stream into a TrafficLog, preserving input order.
 
-    Blank lines are permitted. In strict mode (the default, since labeling
+    Each item of `lines` is one line, with or without its newline.  Blank
+    lines are permitted. In strict mode (the default, since labeling
     correctness depends on complete logs) the first malformed line aborts the
     parse; in lenient mode malformed lines are skipped, counted, and reported
-    through `errors` when a list is supplied.  The log is built once, from
-    the fields of every line.
+    through `errors` when a list is supplied.  Then a record whose timestamp
+    is below the previous record's raises ParseError naming both lines.
+
+    Lines are read _BLOCK_ROWS at a time, and `_decode_records` decodes each
+    block with array operations; the per-line parser runs only on the lines
+    it refuses, to skip the blank ones and to word the error of the rest.
     """
-    rows = []
-    skipped = 0
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append(_candump_fields(line, f"line {lineno}"))
-        except ParseError as exc:
-            if strict:
-                raise
-            skipped += 1
-            if errors is not None:
-                errors.append(str(exc))
+    lines = iter(lines)
+    channels: dict[bytes, int] = {}
+    parts, records = [], []  # per block: its columns, and (lines before it, its record lines)
+    skipped = read = 0
+    while block := list(islice(lines, _BLOCK_ROWS)):
+        rows, columns = _decode_records(block, channels)
+        if len(rows) < len(block):
+            refused = np.ones(len(block), dtype=bool)
+            refused[rows] = False
+            for k in refused.nonzero()[0].tolist():
+                line, where = block[k], f"line {read + k + 1}"
+                if not line.strip():
+                    continue
+                try:
+                    _candump_fields(line, where)
+                except ParseError as exc:
+                    if strict:
+                        raise
+                    skipped += 1
+                    if errors is not None:
+                        errors.append(str(exc))
+                else:
+                    raise AssertionError(f"{where}: the block decoder refused a candump record")
+        parts.append(columns)
+        records.append((read, rows))
+        read += len(block)
     if skipped:
         logger.warning("skipped %d malformed candump lines", skipped)
-    ts_us, names, can_id, extended, data = zip(*rows) if rows else [()] * 5
-    channels = {name: i for i, name in enumerate(dict.fromkeys(names))}
-    return TrafficLog._from_columns(ts_us, can_id, extended, [len(d) // 2 for d in data],
-                                    _padded_bytes(data), [channels[c] for c in names], channels)
+    if not parts:  # the columns of no records
+        parts.append(_decode_records([], channels)[1])
+    columns = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
+    ts_us = columns[0]
+    down = (ts_us[1:] < ts_us[:-1]).nonzero()[0]
+    if len(down):
+        k = down[0]
+        line = np.concatenate([rows + read + 1 for read, rows in records])[k:k + 2]
+        raise ParseError(f"line {line[1]}: timestamp {format_timestamp(int(ts_us[k + 1]))} "
+                         f"is below line {line[0]}'s {format_timestamp(int(ts_us[k]))}")
+    return TrafficLog._from_columns(*columns, [name.decode("utf-8", "surrogatepass")
+                                               for name in channels])
+
+
+# The block decoder.
+#
+# A block's lines are joined into one text, between a front pad and a tail
+# of spaces (the tail also holds four one-byte sentinel tokens), with a run
+# of spaces after each line; the pads keep every fixed-width read in bounds
+# and put only spaces before a line's first byte.  One translate maps each
+# byte to its class: its kind (decimal digit, hex letter, each punctuation
+# mark of a record, ASCII whitespace as the regex's \s, or other) and a hex
+# digit's value.  Tokens are the runs of non-space bytes, found where a space
+# and a non-space byte meet: two edges per token, the byte before its first
+# byte and its last byte.  A record is a line of exactly three tokens whose
+# first starts the line.
+#
+# The timestamp token is read as the _WINDOW classes that end at its ")",
+# and the id#data token as the _WINDOW classes that start at its first
+# byte.  Each window has a shape: its token's length (26 for any longer)
+# and the column of its highest-ranked class, which is its first "." or "#"
+# when it has one.  For every shape, tables give the kinds of byte each
+# column may hold (_FORM), the place value of each column's digit in
+# the timestamp, the id or the payload (_WEIGHT), the largest value allowed
+# (_LIMIT), the dlc and the id format.  So a record is decoded by table
+# lookups and one multiply-and-sum per window, whatever its shape.  A
+# timestamp with more than 13 digits of seconds must begin with zeros,
+# which are checked apart (_LEAD).
+
+# Byte classes: a kind in the high four bits, ranked so that a window's
+# argmax is its first ".", else its first "#", else its first other byte,
+# space or "(", in that order; and a hex digit's value in the low four.
+_DIGIT, _HEX, _CLOSE, _OPEN, _SPACE, _OTHER, _HASH, _DOT = range(8)
+_WINDOW = 25  # 24 timestamp bytes and ")"; or 8 id digits, "#" and 16 data digits
+_GAP = " " * 24
+_FRONT = " " * 32
+_TAIL = _GAP + " ~" * 4 + " " * 32
+_SHAPES = 27 * _WINDOW  # shapes of one token: lengths 0..26 times columns
+
+
+def _byte_classes() -> bytes:
+    """The translate table of byte classes: kind << 4 | hex digit value."""
+    table = bytearray([_OTHER << 4]) * 256
+    for value, char in enumerate(b"0123456789"):
+        table[char] = value
+    for value, char in enumerate(b"abcdef", 10):
+        table[char] = table[char - 32] = _HEX << 4 | value
+    for char, kind in zip(b".#() \t\n\r\v\f", (_DOT, _HASH, _OPEN, _CLOSE) + (_SPACE,) * 6):
+        table[char] = kind << 4
+    return bytes(table)
+
+
+# A _FORM cell is the set of kinds its column may hold, bit k for kind k.
+_DIGIT_BIT, _HEX_BIT, _CLOSE_BIT, _OPEN_BIT, _HASH_BIT, _DOT_BIT = (
+    1 << kind for kind in (_DIGIT, _HEX, _CLOSE, _OPEN, _HASH, _DOT))
+
+
+def _shape_tables():
+    """The per-shape tables: timestamp shapes first, then id#data shapes
+    (then, in the weights and limits, the id#data shapes for the payload)."""
+    form = np.zeros((2, 27, _WINDOW, _WINDOW), dtype=np.uint8)
+    # The place values of the timestamp's, the id's and the payload's digits.
+    weight = np.zeros((3, 27, _WINDOW, _WINDOW), dtype=np.uint64)
+    limit = np.full((3, 27, _WINDOW), (1 << 64) - 1, dtype=np.uint64)
+    limit[:2] = 0
+    dlc = np.zeros((2, 27, _WINDOW), dtype=np.uint8)
+    extended = np.zeros((2, 27, _WINDOW), dtype=bool)
+    lead = np.zeros((27, _WINDOW), dtype=bool)
+    # Timestamps: "(" at column 25 - size (left of the window from 26 on);
+    # a window without "." has its argmax on its first space or "(", or on
+    # ")" from 26 on.
+    for size in range(3, 27):
+        for dot in [None] + [d for d in range(17, 23) if d >= 27 - size]:
+            at = dot if dot is not None else (0 if size < 26 else 24)
+            end = 24 if dot is None else dot  # the column after the seconds
+            first = max(26 - size, 0)
+            row = form[0, size, at]
+            row[:] = 0xFF
+            if size < 26:
+                row[25 - size] = _OPEN_BIT
+            row[first:24] = _DIGIT_BIT
+            row[24] = _CLOSE_BIT
+            for j in range(first, 24):
+                power = 5 + end - j if j < end else 6 + end - j
+                if j == dot:
+                    row[j] = _DOT_BIT
+                elif power <= 18:
+                    weight[0, size, at, j] = 10**power
+            limit[0, size, at] = (1 << 63) - 1
+            lead[size, at] = size == 26 or end - first > 13
+    # id#data: a 3- or 8-digit id, "#" and an even number of up to 16 digits.
+    for at in (3, 8):
+        for size in range(at + 1, min(at + 18, 26), 2):
+            row = form[1, size, at]
+            row[:] = 0xFF
+            row[:size] = _DIGIT_BIT | _HEX_BIT
+            row[at] = _HASH_BIT
+            weight[1, size, at, :at] = 16 ** np.arange(at - 1, -1, -1, dtype=np.uint64)
+            weight[2, size, at, at + 1:size] = 16 ** np.arange(15, at + 16 - size, -1,
+                                                               dtype=np.uint64)
+            limit[1, size, at] = MAX_STANDARD_ID if at == 3 else MAX_EXTENDED_ID
+            dlc[1, size, at] = (size - at - 1) // 2
+            extended[1, size, at] = at == 8
+    return (form.reshape(-1, _WINDOW), weight.reshape(-1, _WINDOW), limit.reshape(-1),
+            dlc.reshape(-1), extended.reshape(-1), lead.reshape(-1))
+
+
+_CLASS = _byte_classes()
+_FORM, _WEIGHT, _LIMIT, _DLC, _EXTENDED, _LEAD = _shape_tables()
+# _LEAD_SHIFT[at] + length: the seconds digits before the last 13.
+_LEAD_SHIFT = np.array([24 - 39] + [0] * 16 + list(range(17 - 39, 23 - 39)) + [0, 24 - 39])
+# _SHAPE_ROW[length] is the first shape of that length (any longer reads as 26).
+_SHAPE_ROW = np.arange(27) * _WINDOW
+# Operands as arrays: numpy takes an array faster than a Python scalar.
+_SIX_EDGES, _ONE, _THREE_TOKENS = np.arange(6), np.array(1), np.array(6)
+_SPACE_CLASS, _ZERO_CLASS, _KIND_SHIFT, _VALUE_BITS, _BIT = (
+    np.array(v, dtype=np.uint8) for v in (_SPACE << 4, 0, 4, 0xF, 1))
+# Three windows: the timestamp's, ending at ")"; the id#data token's, read
+# once for the id and once for the payload.
+_CELL_EDGES, _CELL_SHIFT, _SHAPE_BASE = np.array([[1, 4, 4], [-24, 1, 1], [0, 1, 2]])
+_SHAPE_BASE *= _SHAPES
+_CELL_SIZE, _CELL_AT = np.array([[0, 2, 2], [0, 1, 1]])
+
+
+def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.ndarray, list]:
+    """The indices of the lines of a block that hold a candump record (as
+    `_candump_fields` would decide), and the columns of those records:
+    timestamp (us), id, extended flag, dlc, zero-padded payload and channel
+    code.  New channel names join `channels`, as UTF-8 bytes."""
+    text = _FRONT + _GAP.join(block) + _TAIL
+    raw = text.encode("utf-8", "surrogatepass")
+    # The edge before each line's first byte, and after the last line.
+    bound = np.fromiter(accumulate(map(len(_GAP).__add__, map(len, block)),
+                                   initial=len(_FRONT) - 1), dtype=np.intp, count=len(block) + 1)
+    if len(raw) != len(text):  # character offsets to byte offsets
+        char_start = (np.frombuffer(raw, dtype=np.uint8) & 0xC0 != 0x80).nonzero()[0]
+        bound = char_start.take(bound + _ONE) - _ONE
+    classes = raw.translate(_CLASS)
+    space = np.frombuffer(classes, dtype=np.uint8) == _SPACE_CLASS
+    edges = (space[1:] != space[:-1]).nonzero()[0]
+    # A gap holds no edge, so a line has two edges per token.
+    first = edges.searchsorted(bound)
+    pos = edges.take(first[:-1, None] + _SIX_EDGES)  # of the first three tokens
+    size = pos[:, 1::2] - pos[:, 0::2]
+    window = np.ndarray((len(classes) - _WINDOW + 1, _WINDOW), np.uint8, classes, 0, (1, 1))
+    cells = window[pos.take(_CELL_EDGES, axis=1) + _CELL_SHIFT]  # (n, 3, _WINDOW)
+    at = cells[:, :2].argmax(axis=2).take(_CELL_AT, axis=1)
+    shape = _SHAPE_ROW.take(size.take(_CELL_SIZE, axis=1), mode="clip") + at + _SHAPE_BASE
+    value = np.add.reduce((cells & _VALUE_BITS) * _WEIGHT.take(shape, axis=0), axis=2)
+    fits = value <= _LIMIT.take(shape)
+    allowed = _FORM.take(shape[:, :2], axis=0) >> (cells[:, :2] >> _KIND_SHIFT) & _BIT
+    ok = np.logical_and.reduce(allowed.reshape(len(block), 2 * _WINDOW), axis=1)
+    ok &= fits[:, 0] & fits[:, 1] & (pos[:, 0] == bound[:-1]) & (
+        first[1:] - first[:-1] == _THREE_TOKENS)
+    # Seconds of more than 13 digits: the digits before the last 13 are zeros.
+    long = _LEAD.take(shape[:, 0]).nonzero()[0]
+    if len(long):
+        count = size[long, 0] + _LEAD_SHIFT.take(at[long, 0])
+        offset = count.cumsum() - count
+        where = (pos[long, 0] + 2 - offset).repeat(count) + np.arange(count.sum())
+        cls = np.frombuffer(classes, dtype=np.uint8)
+        ok[long] &= ~np.logical_or.reduceat(cls.take(where) != _ZERO_CLASS, offset) & (
+            cls.take(pos[long, 0] + 1) == _OPEN << 4)
+
+    rows = ok.nonzero()[0]
+    if len(rows) < len(block):
+        pos, value, shape = (a.take(rows, axis=0) for a in (pos, value, shape))
+    record = shape[:, 1]
+    # Channel codes, keyed by the name's UTF-8 bytes in order of first appearance.
+    names = list(map(raw.__getitem__, map(slice, *(pos[:, 2:4] + _ONE).T.tolist())))
+    for name in dict.fromkeys(names):
+        channels.setdefault(name, len(channels))
+    channel = np.fromiter(map(channels.__getitem__, names), dtype=np.int64, count=len(names))
+    return rows, [value[:, 0].view(np.int64), value[:, 1].view(np.int64), _EXTENDED.take(record),
+                  _DLC.take(record), value[:, 2].astype(">u8").view(np.uint8).reshape(-1, MAX_DLC),
+                  channel]
 
 
 def _padded_bytes(hex_payloads: Sequence[str]) -> np.ndarray:
@@ -241,11 +448,8 @@ def parse_csv_dataset(
     Data bytes beyond the row's dlc are dropped. Unknown labels and rows of
     the wrong arity raise ParseError with the row index.
     """
-    import csv as _csv
-
     ts_col, id_col, dlc_col, data_col, label_col = [], [], [], [], []
-    reader = _csv.reader(lines)
-    for rowno, row in enumerate(reader, start=1):
+    for rowno, row in enumerate(_csv_rows(lines, ParseError), start=1):
         if schema.has_header and rowno == 1:
             continue
         if not row or all(not c.strip() for c in row):

@@ -28,7 +28,10 @@ from .core import _name_list, _require_fields
 from .detectors import (
     Detector,
     GradientBoosting,
+    _distinct_rows,
+    _feature_matrix,
     _reject_nan,
+    _require_types,
     measure_latency,
     register_model_kind,
 )
@@ -258,6 +261,8 @@ class LccdeEnsemble(Detector):
         seed: int = 0,
     ) -> None:
         super().__init__()
+        _require_types(val_frac=(val_frac, "number"), majority_literal=(majority_literal, "flag"),
+                       seed=(seed, "integer"))
         base_configs = DEFAULT_BASE_CONFIGS if base_configs is None else base_configs
         if len(base_configs) != N_BASE_MODELS:
             raise ValueError(f"exactly {N_BASE_MODELS} base configs required")
@@ -290,15 +295,26 @@ class LccdeEnsemble(Detector):
 
     def predict_labels(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted()
-        labels, _ = lccde_predict(self.models, self.leaders, X, self.majority_literal)
-        return labels
+        distinct, inverse = self._distinct(X)
+        labels, _ = lccde_predict(self.models, self.leaders, distinct, self.majority_literal)
+        return labels[inverse]
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Score rows of whichever base model carried each decision."""
         self._check_fitted()
-        scores = [m.predict_scores(X) for m in self.models]
+        distinct, inverse = self._distinct(X)
+        scores = [m.predict_scores(distinct) for m in self.models]
         _, picked = _arbitrate(scores, self.leaders, self.majority_literal)
-        return np.stack(scores, axis=0)[picked, np.arange(len(picked))]
+        return np.stack(scores, axis=0)[picked, np.arange(len(picked))][inverse]
+
+    @staticmethod
+    def _distinct(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows of X and each row's position among them.  A
+        row's base scores, and so its decision, depend only on that row, so
+        the rows are told apart once for all three base models."""
+        X = _feature_matrix(X, 0)
+        first, inverse = _distinct_rows(X)
+        return X[first], inverse
 
     def descriptor(self) -> dict[str, Any]:
         desc = super().descriptor()

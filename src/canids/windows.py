@@ -159,20 +159,22 @@ def load_bit_grids(grid_stream: IO[bytes], label_stream: IO[bytes]) -> BitGridSe
     magic = grid_stream.read(4)
     if magic != _GRID_MAGIC:
         raise ValueError("not a packed bit-grid file")
-    version, count, window = np.frombuffer(grid_stream.read(12), dtype="<u4")
+    version, count, window = np.frombuffer(grid_stream.read(12), dtype="<u4").tolist()
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported bit-grid format version {version}")
+    # Sizes come from the header, so the rest of each file is read and
+    # measured rather than read by a size that may not fit in memory.
     per_grid = (window * EXTENDED_ID_BITS + 7) // 8
-    raw = grid_stream.read(int(per_grid) * int(count))
+    raw = grid_stream.read()[:per_grid * count]
     if len(raw) != per_grid * count:
         raise ValueError("truncated bit-grid file")
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(count, per_grid)
     bits = np.unpackbits(packed, axis=1)[:, : window * EXTENDED_ID_BITS]
     grids = bits.reshape(count, window, EXTENDED_ID_BITS)
-    (label_count,) = np.frombuffer(label_stream.read(4), dtype="<u4")
+    (label_count,) = np.frombuffer(label_stream.read(4), dtype="<u4").tolist()
     if label_count != count:
         raise ValueError("label file count does not match grid file")
-    labels = np.frombuffer(label_stream.read(int(count)), dtype=np.uint8)
+    labels = np.frombuffer(label_stream.read()[:count], dtype=np.uint8)
     if len(labels) != count:
         raise ValueError("truncated label file")
     return BitGridSet(grids=grids, labels=labels.copy(), starts=None)

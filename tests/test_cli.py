@@ -387,6 +387,16 @@ class TestConfigErrorsExit2:
         assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
         assert section in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, field", [
+        ({"seed": "x"}, "seed"),
+        ({"split": {"ratio": "x"}}, "split ratio"),
+        ({"model": {"kind": "tree", "max_depth": "x"}}, "max_depth"),
+    ])
+    def test_pipeline_wrong_types(self, workspace, capsys, entry, field):
+        write_json("config.json", dict(PIPELINE_CONFIG, **entry))
+        assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
+        assert field in capsys.readouterr().err
+
     def test_train_without_train_csv(self, workspace, capsys):
         assert run(["train", "--model", "tree", "--out", "m.json"]) == 2
         assert "--train" in capsys.readouterr().err

@@ -345,6 +345,35 @@ class TestCsvRoundTrip:
             load_dataset_csv(io.StringIO(text))
 
 
+class TestDatasetCsvRobustness:
+    def test_unreadable_csv_line_is_a_value_error(self):
+        """csv.reader refuses a carriage return inside an unquoted field
+        with csv.Error, which is not a ValueError."""
+        with pytest.raises(ValueError, match="line 2: new-line character"):
+            load_dataset_csv(io.StringIO("f0,label\n1\r2,Normal\n"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_mutated_files_raise_only_value_error(self, data):
+        """A truncated or mutated dataset file raises ValueError, or loads."""
+        ds = log_to_dataset(toy_log(3))
+        buf = io.StringIO()
+        save_dataset_csv(ds, buf)
+        text = buf.getvalue()
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(text)))
+            piece = data.draw(st.sampled_from(
+                ["", ",", '"', "\n", "\r", "\x00", "nan", "inf", "-", "1e999", "x", "label",
+                 "timestamp_us", "provenance", "\u00e9", " "]))
+            text = text[:at] + piece + text[at + data.draw(st.integers(0, 3)):]
+        text = text[:data.draw(st.integers(0, len(text)))]
+        classes = data.draw(st.none() | st.just(ds.classes))
+        try:
+            load_dataset_csv(io.StringIO(text), classes=classes)
+        except ValueError:
+            pass
+
+
 def reference_save_dataset_csv(data, stream):
     """The per-cell writer that save_dataset_csv replaced, kept as its oracle."""
     names = data.names or tuple(f"f{i}" for i in range(data.n_features))

@@ -1,5 +1,7 @@
 import io
 import json
+import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canids.core import _BLOCK_ROWS, CanFrame, LabeledFrame, LabelSpace, TrafficLog, format_timestamp
+from canids import ingest
 from canids.ingest import (
     AttackMetadata,
     CsvSchema,
@@ -200,6 +203,159 @@ class TestBlockCandumpWriter:
         assert parse_candump_log(io.StringIO(text)).frames == log.frames
 
 
+def reference_parse_candump_log(lines, strict=True, errors=None):
+    """The per-line parse that the block decoder replaced, kept as its
+    oracle: every non-blank line through _candump_fields, in order; then
+    the records' timestamps must not fall."""
+    rows, numbers, skipped = [], [], 0
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append(ingest._candump_fields(line, f"line {lineno}"))
+            numbers.append(lineno)
+        except ParseError as exc:
+            if strict:
+                raise
+            skipped += 1
+            if errors is not None:
+                errors.append(str(exc))
+    if skipped:
+        ingest.logger.warning("skipped %d malformed candump lines", skipped)
+    for k in range(1, len(rows)):
+        if rows[k][0] < rows[k - 1][0]:
+            raise ParseError(f"line {numbers[k]}: timestamp {format_timestamp(rows[k][0])} "
+                             f"is below line {numbers[k - 1]}'s {format_timestamp(rows[k - 1][0])}")
+    return TrafficLog(tuple(CanFrame(ts, channel, can_id, bytes.fromhex(data), extended=extended)
+                            for ts, channel, can_id, extended, data in rows))
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def parse_outcome(parse, lines, strict):
+    """Everything a caller can observe of one parse: the columns and
+    channel names or the exception text, the errors list and the warnings."""
+    errors, records = [], _Records()
+    ingest.logger.addHandler(records)
+    try:
+        log = parse(lines, strict=strict, errors=errors)
+        result = (tuple(log._columns()[name].tolist() for name in
+                        ("ts_us", "can_id", "extended", "dlc", "data", "channel")), log.channels)
+    except ValueError as exc:
+        result = (type(exc).__name__, str(exc))
+    finally:
+        ingest.logger.removeHandler(records)
+    return result, errors, records.messages
+
+
+SPACES = " \t\n\r\f\v"
+
+
+def often(draw, valid, *odd):
+    """valid, or one of the odd cases one time in four."""
+    return draw(st.sampled_from(odd)) if odd and draw(st.integers(0, 3)) == 0 else valid
+
+
+@st.composite
+def stamp_texts(draw, ts_us):
+    """ts_us as candump writes it or as the regex still reads it (leading
+    zeros, a short or missing fraction), or an edge case."""
+    secs, frac = divmod(ts_us, 1_000_000)
+    secs = "0" * draw(st.sampled_from([0, 0, 1, 14, 40])) + str(secs)
+    frac = f"{frac:06d}"
+    return often(draw, f"{secs}.{frac}", f"{secs}.{frac[:draw(st.integers(1, 5))]}", secs,
+                 f"{secs}.{frac}0", f"{secs}.", f".{frac}", f"{secs}..{frac}", f"{secs}.{frac}.1",
+                 "", "9223372036854.775807", "9223372036854.775808", "9223372036855",
+                 "09223372036854.7758", "10000000000000", "9999999999999.999999")
+
+
+@st.composite
+def candump_lines(draw, ts_us):
+    """A record with each field drawn from valid and odd values; one time in
+    four a character is then replaced, inserted or cut, or the line is cut."""
+    extended = draw(st.booleans())
+    can_id = f"{draw(st.integers(0, 0x1FFFFFFF if extended else 0x7FF)):0{8 if extended else 3}X}"
+    can_id = often(draw, draw(st.sampled_from([can_id, can_id.lower()])), "800", "fff",
+                   "20000000", "1fffffff", "12", "1234", "123456789", "", "0x1")
+    data = draw(st.binary(max_size=8)).hex()
+    data = often(draw, draw(st.sampled_from([data, data.upper()])), data + "A", "00" * 9, "0g")
+    channel = often(draw, "can0", "vcan12", "can0" * 3, "abcdefgh", "abcdefgi", "c", "c\x00",
+                    "c\x00\x00", "\u00e9t\u00e9", "\ud800", "x#(", "\u3000", "\x1c")
+    line = "".join([
+        f"({draw(stamp_texts(ts_us))})", often(draw, " ", "\t", "  ", "\n", " \v"), channel,
+        often(draw, " ", "\t", " \f ", "\r"), f"{can_id}#{data}",
+        often(draw, "", "\n", "\r", "\f", "\v", " \t\r\n", "\x00", "\x1c", "\u3000")])
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(line)))
+        char = draw(st.sampled_from(list(SPACES + "\x00\x1c\u3000\u00e9()#.0a9Gz")))
+        line = draw(st.sampled_from([line[:at] + char + line[at:], line[:at] + char + line[at + 1:],
+                                     line[:at] + line[at + 1:], line[:at]]))
+    return line
+
+
+@st.composite
+def candump_texts(draw):
+    """Lines of mostly rising timestamps, with blank lines among them."""
+    stamps = sorted(draw(st.lists(st.integers(0, 10**7) | st.integers(0, 2**63 - 1), max_size=12)))
+    if draw(st.integers(0, 7)) == 0:
+        stamps.reverse()
+    blank = st.sampled_from(["", " ", "\t\n", "\x1c", "\u3000", "\x1f\x85 "])
+    return [draw(blank) if draw(st.integers(0, 7)) == 0 else draw(candump_lines(ts))
+            for ts in stamps]
+
+
+class TestBlockParse:
+    """parse_candump_log decodes blocks of lines with array operations; it
+    must give what the per-line parser gives, line for line."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(candump_texts(), st.booleans(), st.sampled_from([1, 2, 3, 5, _BLOCK_ROWS]))
+    def test_matches_per_line_parse(self, lines, strict, block_rows):
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            got = parse_outcome(parse_candump_log, lines, strict)
+        assert got == parse_outcome(reference_parse_candump_log, lines, strict)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(candump_lines(10**12), min_size=4, max_size=4), st.booleans())
+    def test_matches_per_line_parse_across_the_block_boundary(self, tail, strict):
+        lines = [serialize_candump_line(CanFrame(k, "can0", 0x100, b"\x01")) for k in
+                 range(_BLOCK_ROWS - 2)] + tail
+        got = parse_outcome(parse_candump_log, lines, strict)
+        assert got == parse_outcome(reference_parse_candump_log, lines, strict)
+
+    @pytest.mark.parametrize("lines", [[], [""], ["", "\x1c", "\u3000 "]])
+    def test_empty_input(self, lines):
+        log = parse_candump_log(lines)
+        assert len(log) == 0 and log.channels == ()
+
+    def test_item_with_inner_newline_is_one_line(self):
+        log = parse_candump_log(["(1.0) can0\n100#AA\n", "(2.0)\ncan1 100#BB"])
+        assert [(f.channel, f.data) for f in log] == [("can0", b"\xaa"), ("can1", b"\xbb")]
+
+    @pytest.mark.parametrize("strict, lines, line, before", [
+        (False, ["(1.0) can0 100#AA", "", "junk", "(3.0) can0 100#AA", "(2.0) can0 100#AA"], 5, 4),
+        (True, ["(1.0) can0 100#AA", "", "(3.0) can0 100#AA", "", "(2.0) can0 100#AA"], 5, 3),
+    ])
+    def test_out_of_order_timestamp_names_its_line(self, strict, lines, line, before):
+        with pytest.raises(ParseError, match=rf"^line {line}: timestamp 2\.000000 is below "
+                                             rf"line {before}'s 3\.000000$"):
+            parse_candump_log(lines, strict=strict)
+
+    def test_out_of_order_pair_straddles_the_block_boundary(self):
+        lines = [f"({k}.0) can0 100#AA" for k in range(_BLOCK_ROWS)] + ["", "(5.0) can0 100#AA"]
+        message = (f"^line {_BLOCK_ROWS + 2}: timestamp 5.000000 is below "
+                   f"line {_BLOCK_ROWS}'s {_BLOCK_ROWS - 1}.000000$")
+        with pytest.raises(ParseError, match=message):
+            parse_candump_log(lines, strict=False)
+
+
 class TestLabelDocument:
     def test_empty_labeled_log(self):
         log = TrafficLog((), LabelSpace(["A"]))
@@ -235,6 +391,35 @@ class TestLabelDocument:
     def test_valid_document_labels_frames(self):
         doc = {"format_version": 1, "classes": ["Normal", "A"], "labels": [1, 0]}
         assert self.load(doc).labels() == ["A", "Normal"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_raise_only_value_error(self, data):
+        """A truncated or mutated label document raises ValueError, or loads."""
+        doc = {"format_version": 1, "classes": ["Normal", "A", "B"], "labels": [0, 2, 1]}
+        junk = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                        max_size=3),
+            max_leaves=6)
+        field = data.draw(st.sampled_from(sorted(doc)))
+        action = data.draw(st.sampled_from(["keep", "replace", "delete", "element"]))
+        if action == "replace":
+            doc[field] = data.draw(junk)
+        elif action == "delete":
+            del doc[field]
+        elif action == "element" and isinstance(doc[field], list):
+            doc[field][data.draw(st.integers(0, len(doc[field]) - 1))] = data.draw(junk)
+        text = json.dumps(data.draw(st.sampled_from([doc, [doc], doc.get("classes")])))
+        at = data.draw(st.integers(0, len(text)))
+        piece = data.draw(st.sampled_from(["", "[", "]", "{", ",", '"', "1", "-"]))
+        text = text[:at] + piece + text[at:]
+        text = text[:data.draw(st.integers(0, len(text)))]
+        log = TrafficLog(tuple(CanFrame(i, "can0", 1, b"") for i in range(3)))
+        try:
+            load_labels(log, io.StringIO(text))
+        except ValueError:
+            pass
 
     def test_bytes_match_json_dump(self):
         space = LabelSpace(["A, \"quoted\"", "\u00e9"])
@@ -303,6 +488,11 @@ class TestCsvDataset:
         space = LabelSpace(["DoS Attack"])
         with pytest.raises(ParseError, match="row 5"):
             parse_csv_dataset(io.StringIO(HCRL_STYLE_CSV), schema, space)
+
+    def test_unreadable_csv_line_is_a_parse_error(self):
+        schema = CsvSchema(timestamp_col=0, id_col=1, data_cols=(2,))
+        with pytest.raises(ParseError, match="line 1: new-line character"):
+            parse_csv_dataset(["1.0,0a\r0,01"], schema)
 
     def test_row_arity_error(self):
         schema = CsvSchema(timestamp_col=0, id_col=1, dlc_col=2, data_cols=(3, 4), label_col=5)

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,42 @@ def id_sequence_sets(draw, max_rows=12):
     labels = draw(arrays(np.uint8, n))
     starts = draw(st.none() | arrays(np.int64, n))
     return IdSequenceSet(ids=ids, labels=labels, starts=starts)
+
+
+class TestBitGridRobustness:
+    def test_header_sizes_do_not_overflow(self):
+        """A header whose count and window multiply past 32 bits is a
+        truncated file, read without an overflow or a huge read."""
+        header = np.array([1, 2**32 - 1, 2**32 - 1], dtype="<u4").tobytes()
+        labels = np.array([2**32 - 1], dtype="<u4").tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="truncated bit-grid file"):
+                load_bit_grids(io.BytesIO(b"IDBG" + header), io.BytesIO(labels))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_mutated_files_raise_only_value_error(self, data):
+        """A truncated or mutated grid or label file raises ValueError, or
+        loads as grids and labels of matching length."""
+        out = build_bit_grids(make_log(60, attack_indices=[30]), step=29)
+        gbuf, lbuf = io.BytesIO(), io.BytesIO()
+        save_bit_grids(out, gbuf, lbuf)
+        files = [bytearray(gbuf.getvalue()), bytearray(lbuf.getvalue())]
+        for _ in range(data.draw(st.integers(1, 3))):
+            f = files[data.draw(st.integers(0, 1))]
+            at = data.draw(st.integers(0, len(f)))
+            word = data.draw(st.sampled_from([0, 1, 2, 29, 0xFFFF, 2**31, 2**32 - 1])
+                             | st.integers(0, 2**32 - 1)).to_bytes(4, "little")
+            f[at:at + data.draw(st.sampled_from([0, 1, 4]))] = data.draw(
+                st.sampled_from([word, word[:1], b""]))
+        for f in files:
+            del f[data.draw(st.integers(0, len(f))):]
+        try:
+            back = load_bit_grids(io.BytesIO(bytes(files[0])), io.BytesIO(bytes(files[1])))
+        except ValueError:
+            return
+        assert back.grids.shape[0] == back.labels.shape[0]
 
 
 class TestBlockWriters:
