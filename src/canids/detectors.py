@@ -857,8 +857,8 @@ def model_from_json_obj(obj: Any) -> Detector:
 
 
 def save_model(model: Detector, stream: IO[str]) -> None:
-    json.dump(model.to_json_obj(), stream)
-    stream.write("\n")
+    # json.dumps, unlike json.dump, encodes with json's C encoder: same text.
+    stream.write(json.dumps(model.to_json_obj()) + "\n")
 
 
 def load_model(stream: IO[str]) -> Detector:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import numbers
 from dataclasses import dataclass, replace
 from typing import IO, Sequence
@@ -344,12 +345,38 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
+def _plain(text: str) -> bool:
+    """Whether text is printable ASCII without spaces or underscores.
+
+    float() and int() also take underscores, other scripts' digits and
+    surrounding whitespace, which the dataset writer never writes; on plain
+    text they read exactly the ASCII number grammars."""
+    return text.isascii() and text.isprintable() and " " not in text and "_" not in text
+
+
+def _feature_value(cell: str, name: str, rowno: int) -> float:
+    """One feature cell's value; a cell that is not an ASCII float, or
+    whose digits overflow float64, raises ValueError naming row and column."""
+    try:
+        if not _plain(cell):
+            raise ValueError(cell)
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"data row {rowno}: feature {name!r} is not a number: {cell!r}") from None
+    if math.isinf(value) and not cell.lstrip("+-").isalpha():
+        raise ValueError(f"data row {rowno}: feature {name!r} is beyond float64: {cell!r}")
+    return value
+
+
 def load_dataset_csv(stream: IO[str], classes: Sequence[str] | None = None) -> TabularDataset:
     """Read a dataset written by save_dataset_csv.
 
     When `classes` is omitted the class list is rebuilt in order of
     first appearance, so pass the original list to keep indices stable
-    across related files.
+    across related files.  Feature cells are ASCII floats (an infinity
+    only as a word such as `inf`) and timestamps ASCII integers, with no
+    surrounding spaces; any other cell raises ValueError naming its data
+    row and column.
     """
     reader = _csv_rows(stream)
     try:
@@ -374,20 +401,24 @@ def load_dataset_csv(stream: IO[str], classes: Sequence[str] | None = None) -> T
             raise ValueError(
                 f"data row {len(labels) + 1}: {len(row)} fields, expected {len(header)}"
             )
+        cells = row[:label_col]
         try:
-            rows.append([float(v) for v in row[:label_col]])
+            values = [float(v) for v in cells]
         except ValueError:
-            for name, cell in zip(names, row):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ValueError(f"data row {len(labels) + 1}: feature {name!r} "
-                                     f"is not a number: {cell!r}") from None
+            values = None
+        # A sum that is not finite sends a row with an infinity (or NaN, or
+        # merely large values) to the cell-by-cell overflow check.
+        if values is None or not (_plain(",".join(cells)) and math.isfinite(sum(values))):
+            values = [_feature_value(cell, name, len(labels) + 1)
+                      for name, cell in zip(names, cells)]
+        rows.append(values)
         labels.append(row[label_col])
         if prov_col is not None:
             synth.append(row[prov_col] == PROVENANCE_SYNTHETIC)
         if ts_col is not None:
             try:
+                if not _plain(row[ts_col]):
+                    raise ValueError
                 ts.append(int(row[ts_col]))
             except ValueError:
                 raise ValueError(f"data row {len(labels)}: timestamp_us {row[ts_col]!r} "
@@ -404,6 +435,11 @@ def load_dataset_csv(stream: IO[str], classes: Sequence[str] | None = None) -> T
         y = np.array([index[name] for name in labels], dtype=np.int64)
     except KeyError as exc:
         raise ValueError(f"label {exc.args[0]!r} not in provided class list") from None
+    try:
+        timestamps = np.array(ts, dtype=np.int64) if ts_col is not None else None
+    except OverflowError:
+        row = next(k for k, t in enumerate(ts, 1) if not -(1 << 63) <= t < 1 << 63)
+        raise ValueError(f"data row {row}: timestamp_us {ts[row - 1]} is beyond 64 bits") from None
     X = np.array(rows, dtype=np.float64).reshape(len(labels), len(names))
     nan_rows, nan_cols = np.nonzero(np.isnan(X))
     if len(nan_rows):
@@ -412,7 +448,7 @@ def load_dataset_csv(stream: IO[str], classes: Sequence[str] | None = None) -> T
         X=X,
         y=y,
         classes=class_list,
-        timestamps_us=np.array(ts, dtype=np.int64) if ts_col is not None else None,
+        timestamps_us=timestamps,
         synthetic=np.array(synth, dtype=bool) if prov_col is not None else None,
         names=names,
     )

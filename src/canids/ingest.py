@@ -622,9 +622,32 @@ def load_metadata(stream: IO[str]) -> list[AttackMetadata]:
     return campaigns
 
 
+_SIDECAR_ENTRY = """\
+  {{
+    "injection_interval": [
+      {},
+      {}
+    ],
+    "injection_id": {},
+    "injection_data_str": {},
+    "attack_class": {}
+  }}"""
+
+
 def save_metadata(metadata: Sequence[AttackMetadata], stream: IO[str]) -> None:
-    json.dump([m.to_json_obj() for m in metadata], stream, indent=2)
-    stream.write("\n")
+    """Write campaigns as the text of json.dump(entries, indent=2) + "\\n".
+
+    The indented text is written directly: json's indenting encoder is pure
+    Python.  Floats are their repr and json.dumps quotes each string, as
+    that encoder does."""
+    entries = []
+    for m in metadata:
+        obj = m.to_json_obj()
+        start, end = obj["injection_interval"]
+        entries.append(_SIDECAR_ENTRY.format(
+            float.__repr__(start), float.__repr__(end), json.dumps(obj["injection_id"]),
+            json.dumps(obj["injection_data_str"]), json.dumps(obj["attack_class"])))
+    stream.write("[\n" + ",\n".join(entries) + "\n]\n" if entries else "[]\n")
 
 
 def apply_metadata_labels(

@@ -11,12 +11,18 @@ Generators and injectors build `TrafficLog` columns, never frame objects:
 the ambient ids' columns, or the ambient and injected columns, are
 concatenated and merged by a stable argsort of their timestamps, so frames
 at equal timestamps keep their order (ambient before injected).
+
+A random-walk payload draws all of its moves in one call, which leaves the
+id's substream exactly as one draw per frame would, and then solves the
+clamp recursion with a doubling scan over clamped shifts (see `_clamped_walk`)
+instead of stepping frame by frame.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import IO, Sequence
@@ -86,6 +92,39 @@ def _parse_id(value) -> int:
 # ---------------------------------------------------------------------------
 # Ambient surrogate traffic
 
+# The largest random-walk step whose moves -step..step are int64 draws.
+_MAX_WALK_STEP = 2**63 - 2
+
+
+def _clamped_walk(base: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """The first len(moves) uint8 states of s[0] = base,
+    s[k+1] = clip(s[k] + moves[k], 0, 255); the last row of moves goes unused.
+
+    Each step is a clamped shift x -> clip(x + a, lo, hi), and two clamped
+    shifts compose into another: a then (b, lo2, hi2) is
+    (a + b, clip(lo + b, lo2, hi2), clip(hi + b, lo2, hi2)).  A doubling
+    scan composes every prefix of the steps in log2(len(moves)) passes.
+    On states in 0..255 a shift past +-256 saturates like +-256, so shifts
+    are held to that range: exact, and small enough for int16.
+    """
+    shift = np.clip(moves[:-1], -256, 256).astype(np.int16)
+    lo = np.zeros_like(shift)
+    hi = np.full_like(shift, 255)
+    d = 1
+    while d < len(shift):
+        # Row k, which holds steps k-d+1..k, takes on the d steps before them.
+        b, lo_d, hi_d = shift[d:], lo[d:], hi[d:]
+        lo_k = np.clip(lo[:-d] + b, lo_d, hi_d)
+        hi_k = np.clip(hi[:-d] + b, lo_d, hi_d)
+        shift[d:] = np.clip(shift[:-d] + b, -256, 256)
+        lo[d:], hi[d:] = lo_k, hi_k
+        d *= 2
+    out = np.empty(moves.shape, dtype=np.uint8)
+    out[:1] = base
+    out[1:] = np.clip(base + shift, lo, hi)
+    return out
+
+
 @dataclass(frozen=True)
 class PayloadModel:
     """Per-id payload evolution: constant bytes, bounded random walk, or counters."""
@@ -102,23 +141,26 @@ class PayloadModel:
             raise ValueError("payload base exceeds 8 bytes")
         if any(not 0 <= p < len(self.base) for p in self.positions):
             raise ValueError("counter position outside the payload")
+        if (isinstance(self.step, bool) or not isinstance(self.step, numbers.Integral)
+                or not 0 <= self.step <= _MAX_WALK_STEP):
+            raise ValueError(f"step {self.step!r} is not an integer in 0..{_MAX_WALK_STEP}")
 
     def sequence(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """The payloads of `count` frames, one uint8 row of len(base) bytes each."""
+        """The payloads of `count` frames, one uint8 row of len(base) bytes each.
+
+        A random walk starts at `base` and moves each byte by a uniform
+        integer in -step..step per frame, clipped to 0..255.  Its moves come
+        from one `rng.integers` draw of shape (count, len(base)): the same
+        values, and the same generator state afterwards, as one draw of
+        len(base) moves per frame (the last frame's moves go unused).
+        """
         base = np.frombuffer(self.base, dtype=np.uint8)
         if self.kind == "constant":
             return np.tile(base, (count, 1))
         if self.kind == "counter":
             step = np.bincount(np.asarray(self.positions, dtype=np.int64), minlength=base.size)
             return ((base + np.arange(count)[:, None] * step) % 256).astype(np.uint8)
-        # random_walk: each byte moves by at most `step` per frame, clipped
-        out = np.empty((count, base.size), dtype=np.uint8)
-        state = base.astype(np.int16)
-        for k in range(count):
-            out[k] = state
-            move = rng.integers(-self.step, self.step + 1, size=state.size)
-            state = np.clip(state + move, 0, 255)
-        return out
+        return _clamped_walk(base, rng.integers(-self.step, self.step + 1, size=(count, base.size)))
 
     def to_json_obj(self) -> dict:
         obj = {"kind": self.kind, "base": self.base.hex().upper()}
@@ -134,7 +176,7 @@ class PayloadModel:
         return cls(
             kind=obj.get("kind", "constant"),
             base=_field("payload", obj, "base", bytes.fromhex, b"\x00" * 8),
-            step=_field("payload", obj, "step", int, 1),
+            step=obj.get("step", 1),
             positions=_field("payload", obj, "positions", _each(int), ()),
         )
 

@@ -662,6 +662,17 @@ class TestPersistence:
         with pytest.raises(ValueError, match="kind"):
             model_from_json_obj({"format_version": 1, "kind": "oracle"})
 
+    def test_text_is_that_of_json_dump(self):
+        X, y = blobs(seed=17, gap=1.0)
+        models = [fit_decision_tree(X, y, max_depth=3), fit_random_forest(X, y, n_trees=2, seed=1),
+                  fit_gbdt(X, y, n_rounds=2, max_depth=2), LccdeEnsemble(seed=2).fit(X, y),
+                  fit_frequency_detector(periodic_ambient(duration=2.0))]
+        for model in models:
+            got, expected = io.StringIO(), io.StringIO()
+            save_model(model, got)
+            json.dump(model.to_json_obj(), expected)
+            assert got.getvalue() == expected.getvalue() + "\n"
+
     def test_json_is_plain_text(self):
         X, y = blobs(seed=16, gap=2.0)
         buf = io.StringIO()

@@ -345,6 +345,33 @@ class TestCsvRoundTrip:
             load_dataset_csv(io.StringIO(text))
 
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", " 1.5 ", "1.5 ", "\t1", "1e400",
+                                      "-1e400", "1" * 400, "0x10", "", "1,5"])
+    def test_cells_the_writer_never_writes_rejected(self, cell):
+        text = f'f0,f1,label,provenance\n1.0,2.0,Normal,original\n3.0,"{cell}",Normal,original\n'
+        with pytest.raises(ValueError, match=r"data row 2: feature 'f1' is (not a number|beyond float64)"):
+            load_dataset_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", " 12 ", "12 ", "1e3", "", "0x10"])
+    def test_timestamps_the_writer_never_writes_rejected(self, cell):
+        text = f'f0,label,provenance,timestamp_us\n1.0,Normal,original,5\n1.0,Normal,original,"{cell}"\n'
+        with pytest.raises(ValueError, match=r"data row 2: timestamp_us '.*' is not an integer"):
+            load_dataset_csv(io.StringIO(text))
+
+    def test_timestamp_beyond_64_bits_rejected(self):
+        text = f"f0,label,provenance,timestamp_us\n1.0,Normal,original,{2**63}\n"
+        with pytest.raises(ValueError, match=r"data row 1: timestamp_us 9223372036854775808 is beyond"):
+            load_dataset_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("cell, value", [
+        ("1", 1.0), ("-0.0", -0.0), ("1e+16", 1e16), ("5e-324", 5e-324), ("inf", np.inf),
+        ("-Infinity", -np.inf), ("1.7976931348623157e+308", 1.7976931348623157e308)])
+    def test_plain_ascii_numbers_accepted(self, cell, value):
+        back = load_dataset_csv(io.StringIO(f"f0,f1,label\n{cell},1e308,N\n"))
+        assert back.X[0].tolist() == [value, 1e308]
+        assert np.signbit(back.X[0, 0]) == np.signbit(value)
+
+
 class TestDatasetCsvRobustness:
     def test_unreadable_csv_line_is_a_value_error(self):
         """csv.reader refuses a carriage return inside an unquoted field
@@ -406,10 +433,10 @@ CLASS_NAMES = st.text(alphabet=' ,"\'ab\n\u00e9', max_size=6)
 
 
 @st.composite
-def tabular_datasets(draw, max_rows=10):
+def tabular_datasets(draw, max_rows=10, elements=st.sampled_from(SPECIAL_FLOATS) | st.floats()):
     n = draw(st.integers(0, max_rows))
     d = draw(st.integers(0, 4))
-    X = draw(arrays(np.float64, (n, d), elements=st.sampled_from(SPECIAL_FLOATS) | st.floats()))
+    X = draw(arrays(np.float64, (n, d), elements=elements))
     classes = tuple(draw(st.lists(CLASS_NAMES, min_size=1, max_size=4)))
     y = draw(arrays(np.int64, n, elements=st.integers(0, len(classes) - 1)))
     return TabularDataset(
@@ -449,6 +476,19 @@ class TestDatasetCsvWriter:
         assert text == csv_text(reference_save_dataset_csv, data)
         back = load_dataset_csv(io.StringIO(text), classes=data.classes)
         assert np.array_equal(back.X, data.X) and np.array_equal(back.y, data.y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tabular_datasets(
+        elements=st.sampled_from([x for x in SPECIAL_FLOATS if x == x]) | st.floats(allow_nan=False)))
+    def test_every_written_cell_loads_bit_exact(self, data):
+        back = load_dataset_csv(io.StringIO(csv_text(save_dataset_csv, data)), classes=data.classes)
+        assert back.X.shape == data.X.shape
+        assert np.array_equal(back.X.view(np.uint64), data.X.view(np.uint64))
+        assert [back.classes[i] for i in back.y] == [data.classes[i] for i in data.y]
+        if data.timestamps_us is None:
+            assert back.timestamps_us is None
+        else:
+            assert np.array_equal(back.timestamps_us, data.timestamps_us)
 
     def test_empty_labeled_log_writes_header_only(self):
         data = log_to_dataset(TrafficLog((), LabelSpace(["A"])))

@@ -708,6 +708,37 @@ class TestMetadataJson:
             }
         ]
 
+    @pytest.mark.parametrize("md", [
+        [],
+        [AttackMetadata(0, 0, attack_class="Fuzzy Attack")],
+        [AttackMetadata(1_500_000, 2_500_000, can_id=0x6E0, pattern="XXXXFFXX", attack_class="A"),
+         AttackMetadata(0, 1_000_000, can_id=None, pattern="F" * 16, attack_class="B")],
+        [AttackMetadata(7, 9, can_id=0x1BCDEF01, pattern="00", attack_class="Ext"),
+         AttackMetadata(0, 1, can_id=0x00000123, attack_class="Ext")],
+        [AttackMetadata(0, 1, attack_class='quo"te \\ back\\slash \u00e9\u4e2d \U0001f697 \x00\n\t')],
+        [AttackMetadata(-(1 << 63), (1 << 63) - 1, attack_class="wide"),
+         AttackMetadata(-1_234_567, -1, attack_class="negative"),
+         AttackMetadata(1, 3, attack_class="sub-millisecond"),
+         AttackMetadata(123_456_789_012_345, 123_456_789_012_346, attack_class="late")],
+    ])
+    def test_writer_matches_indented_json_dump(self, md):
+        buf = io.StringIO()
+        save_metadata(md, buf)
+        expected = io.StringIO()
+        json.dump([m.to_json_obj() for m in md], expected, indent=2)
+        assert buf.getvalue() == expected.getvalue() + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(
+        lambda a, b, cls, can_id, pattern: AttackMetadata(min(a, b), max(a, b), cls, can_id, pattern),
+        st.integers(-(1 << 63), (1 << 63) - 1), st.integers(-(1 << 63), (1 << 63) - 1),
+        st.text(), st.none() | st.integers(0, 0x1FFFFFFF),
+        st.text(alphabet="0123456789ABCDEFX", max_size=16)), max_size=5))
+    def test_writer_matches_indented_json_dump_property(self, md):
+        buf = io.StringIO()
+        save_metadata(md, buf)
+        assert buf.getvalue() == json.dumps([m.to_json_obj() for m in md], indent=2) + "\n"
+
     @pytest.mark.parametrize("doc, message", [
         ([{"injection_interval": [0, 1], "attack_class": "A"}], "entry 0: .*'injection_id'"),
         ([{"injection_interval": [1], "injection_id": "0D0", "attack_class": "A"}],

@@ -96,6 +96,76 @@ class TestGenerateAmbient:
         assert again == model
 
 
+def reference_random_walk(payload, rng, count):
+    """The per-frame walk that PayloadModel.sequence replaced, kept as its
+    oracle: one draw of len(base) moves per frame, then a clip."""
+    base = np.frombuffer(payload.base, dtype=np.uint8)
+    out = np.empty((count, base.size), dtype=np.uint8)
+    state = base.astype(np.int16)
+    for k in range(count):
+        out[k] = state
+        move = rng.integers(-payload.step, payload.step + 1, size=state.size)
+        state = np.clip(state + move, 0, 255)
+    return out
+
+
+WALK_STEPS = [0, 1, 2, 3, 5, 255, 2**62]
+# A walk of `count` frames composes count - 1 steps, in passes that double
+# in reach; these counts put the step count at and around powers of two.
+WALK_COUNTS = [0, 1, 2, 3, 4, 5, 6, 256, 257, 258, 1024, 1025, 1026]
+
+
+class TestRandomWalk:
+    """The one-draw array walk gives the per-frame loop's payloads and
+    leaves the generator in the same state."""
+
+    def check(self, payload, seed, count):
+        expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = reference_random_walk(payload, expected_rng, count)
+        got = payload.sequence(rng, count)
+        assert got.dtype == np.uint8
+        assert got.shape == expected.shape == (count, len(payload.base))
+        assert np.array_equal(got, expected)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(base=st.lists(st.sampled_from([0x00, 0x01, 0x7F, 0xFE, 0xFF]) | st.integers(0, 255),
+                         max_size=8),
+           step=st.sampled_from(WALK_STEPS),
+           count=st.sampled_from(WALK_COUNTS) | st.integers(0, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_frame_loop(self, base, step, count, seed):
+        self.check(PayloadModel("random_walk", bytes(base), step), seed, count)
+
+    @pytest.mark.parametrize("base", [b"\x00" * 8, b"\xff" * 8, b"\x00\xff" * 4])
+    @pytest.mark.parametrize("step", [1, 255, 2**62])
+    def test_long_walks_pinned_at_a_bound(self, base, step):
+        # Moves of +-step from 0x00 or 0xFF spend long runs clipped at a bound.
+        self.check(PayloadModel("random_walk", base, step), 3, 5000)
+
+    def test_ambient_draws_match_per_frame_loop(self):
+        payload = PayloadModel("random_walk", bytes([0, 0x80, 0xFF, 7]), step=3)
+        spec = AmbientIdSpec(0x123, 0.001, payload=payload)
+        log = generate_ambient(AmbientModel(ids=(spec,), duration=2.0, seed=5))
+        rng = np.random.default_rng([5, 0x123])
+        rng.uniform(0, 1000)  # the phase draw
+        assert np.array_equal(log.data[:, :4], reference_random_walk(payload, rng, len(log)))
+
+    @pytest.mark.parametrize("step", [-1, 2.5, True, "2", None, 2**63 - 1, 10**30])
+    def test_bad_steps_refused(self, step):
+        with pytest.raises(ValueError, match=r"step"):
+            PayloadModel("random_walk", b"\x80", step)
+        doc = {"duration": 1.0, "ids": [
+            {"id": "0D0", "period": 0.01},
+            {"id": "0D1", "period": 0.01, "payload": {"kind": "random_walk", "step": step}}]}
+        with pytest.raises(ValueError, match=r"ambient id entry 1 .*step"):
+            AmbientModel.from_json_obj(doc)
+
+    def test_largest_step_accepted(self):
+        payload = PayloadModel("random_walk", b"\x00\xff", step=2**63 - 2)
+        assert payload.sequence(np.random.default_rng(0), 50).shape == (50, 2)
+
+
 class TestInjectDos:
     def test_count_formula(self):
         ambient = generate_ambient(simple_ambient(duration=1.0))
