@@ -401,12 +401,17 @@ def id_from_bits(bits: np.ndarray) -> int:
 # Block text encoder shared by the candump, id-sequence and dataset writers.
 #
 # A writer describes one block of rows as a list of pieces: a bytes literal
-# repeated on every row, or a cell table `(table, mask)` whose uint8 `table`
-# has shape (rows, ..., width) and whose bool `mask` marks the bytes that
-# belong to each cell.  `_write_rows` lays the pieces side by side and
-# keeps the masked bytes in row-major order, which is the text of the
-# block.  Rows are encoded _BLOCK_ROWS at a time so that the tables stay
-# small whatever the length of the log.
+# repeated on every row, or a cell piece.  A cell piece is a uint8 `table`
+# of text bytes with a bool `mask` of the same shape marking the bytes that
+# belong to each cell.  Either the table is direct, of shape
+# (rows, ..., width), or the piece is a dictionary `(table, mask, codes)`
+# whose (k, width) table holds each of k distinct texts once and whose
+# integer `codes`, of shape (rows, ...), pick a text for every cell.  Cells
+# take few distinct texts (ids, bytes, labels), so a dictionary formats
+# each text once, and `_write_rows` expands it with a row gather.  The
+# pieces are laid side by side, and the masked bytes in row-major order are
+# the text of the block.  Rows are encoded _BLOCK_ROWS at a time so that
+# the tables stay small whatever the length of the log.
 
 _BLOCK_ROWS = 8192
 # _HEX_PAIRS[b] is the two uppercase hex digits of byte b as one uint16.
@@ -414,12 +419,14 @@ _HEX_PAIRS = np.frombuffer("".join(f"{b:02X}" for b in range(256)).encode(), dty
 # _DIGITS4[v] is the four ASCII digits of v < 10,000 as one uint32.
 _DIGITS4 = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
             + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+# Whole floats of smaller magnitude are repr'd as their decimal digits + ".0".
+_WHOLE_FLOAT_LIMIT = float(2**53)
 
 
-def _decimal_cells(values, digits: int = 1):
-    """Decimal text of an integer array, zero-padded to at least `digits`
-    digits, with a leading '-' on negative values: the text of str(int(v))
-    (or f"{v:0{digits}d}" for non-negative v)."""
+def _decimal_table(values, digits: int = 1):
+    """Direct cells holding the decimal text of an integer array, zero-padded
+    to at least `digits` digits, with a leading '-' on negative values: the
+    text of str(int(v)) (or f"{v:0{digits}d}" for non-negative v)."""
     v = np.asarray(values, dtype=np.int64)
     mag = np.abs(v).view(np.uint64)  # abs(-2**63) wraps to 2**63 as uint64
     width = max(digits, len(str(int(mag.max()))) if mag.size else 1)
@@ -438,6 +445,23 @@ def _decimal_cells(values, digits: int = 1):
     return table, mask
 
 
+def _range_cells(lo: int, hi: int):
+    """Dictionary table and mask of the decimal texts of lo..hi, in order."""
+    return _decimal_table(np.arange(hi - lo + 1, dtype=np.int64) + lo)
+
+
+def _decimal_cells(values):
+    """Cells holding str(int(v)) for each entry of an integer array: a
+    dictionary over min..max when that range is shorter than the array,
+    else a direct table."""
+    v = np.asarray(values, dtype=np.int64)
+    if v.size:
+        lo, hi = int(v.min()), int(v.max())
+        if hi - lo < v.size:
+            return (*_range_cells(lo, hi), v - lo)
+    return _decimal_table(v)
+
+
 def _hex_cells(byte_table) -> np.ndarray:
     """Uppercase hex digits of a (..., k) uint8 table, two per byte: shape
     (..., 2k).  The caller masks the ones it shows."""
@@ -445,32 +469,44 @@ def _hex_cells(byte_table) -> np.ndarray:
 
 
 def _text_cells(texts: Sequence[str], codes):
-    """Cells holding texts[code] for each entry of an integer code array."""
+    """Dictionary cells holding texts[code] for each entry of an integer
+    code array."""
     encoded = [t.encode() for t in texts]
     lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
     mask = np.arange(max(map(len, encoded), default=0)) < lengths[:, None]
     table = np.zeros(mask.shape, dtype=np.uint8)
     table[mask] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    return table[codes], mask[codes]
-
-
-def _float_cells(values):
-    """Cells holding repr(float(v)) for each entry of a float array.
-
-    Each distinct bit pattern is formatted once, by Python itself; keying on
-    bits keeps -0.0 apart from 0.0."""
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    bits, codes = np.unique(v.view(np.uint64).ravel(), return_inverse=True)
-    return _text_cells([repr(x) for x in bits.view(np.float64).tolist()],
-                       codes.reshape(v.shape))
+    return table, mask, codes
 
 
 def _each_followed_by(cells, sep: bytes):
-    """Append `sep` after every cell of a (rows, k, width) cell table."""
-    table, mask = cells
+    """Append `sep` after every cell of a direct (rows, k, width) table, or
+    after every text of a dictionary."""
+    table, mask, *codes = cells
     shape = table.shape[:-1] + (len(sep),)
     return (np.concatenate([table, np.broadcast_to(np.frombuffer(sep, np.uint8), shape)], -1),
-            np.concatenate([mask, np.ones(shape, dtype=bool)], -1))
+            np.concatenate([mask, np.ones(shape, dtype=bool)], -1), *codes)
+
+
+def _float_cells(values):
+    """Dictionary cells holding repr(float(v)) for each entry of a float array.
+
+    Whole numbers below 2**53 in magnitude spanning a range shorter than the
+    array are formatted as the decimal range with ".0" appended; their bit
+    patterns must equal those of their int64 casts, which keeps -0.0 out.
+    Any other array has each distinct bit pattern formatted once, by Python
+    itself; keying on bits keeps -0.0 apart from 0.0."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    if v.size:
+        lo, hi = v.min(), v.max()  # nan if any entry is nan, which fails the test
+        if -_WHOLE_FLOAT_LIMIT < lo and hi < _WHOLE_FLOAT_LIMIT and hi - lo < v.size:
+            whole = v.astype(np.int64)
+            if np.array_equal(whole.astype(np.float64).view(np.uint64), v.view(np.uint64)):
+                return (*_each_followed_by(_range_cells(int(lo), int(hi)), b".0"),
+                        whole - int(lo))
+    bits, codes = np.unique(v.view(np.uint64).ravel(), return_inverse=True)
+    return _text_cells([repr(x) for x in bits.view(np.float64).tolist()],
+                       codes.reshape(v.shape))
 
 
 def _write_rows(stream, n: int, encode_block) -> None:
@@ -481,20 +517,28 @@ def _write_rows(stream, n: int, encode_block) -> None:
         stop = min(start + _BLOCK_ROWS, n)
         m = stop - start
         # The literals form a template row shown on every row; each cell
-        # table and its mask are then copied over their own columns.
+        # piece then fills its own columns of the table and of its mask.  A
+        # dictionary is gathered by its codes one piece at a time, so that
+        # only one gathered piece is held at once.
         template, cells = bytearray(), []
         for piece in encode_block(start, stop):
             if isinstance(piece, bytes):
                 template += piece
-            else:
-                cells.append((len(template), piece[0].reshape(m, -1), piece[1].reshape(m, -1)))
-                template += bytes(cells[-1][1].shape[1])
+                continue
+            cell_table, _, *codes = piece
+            width = (codes[0].size * cell_table.shape[-1] if codes else cell_table.size) // m
+            cells.append((len(template), width, piece))
+            template += bytes(width)
         table = np.empty((m, len(template)), dtype=np.uint8)
         table[:] = np.frombuffer(template, dtype=np.uint8)
-        mask = np.ones(table.shape, dtype=bool)
-        for lo, cell_table, cell_mask in cells:
-            table[:, lo:lo + cell_table.shape[1]] = cell_table
-            mask[:, lo:lo + cell_table.shape[1]] = cell_mask
+        mask = np.empty(table.shape, dtype=bool)
+        mask.fill(True)  # cheaper than np.ones, a fixed cost of every tiny log
+        for lo, width, (cell_table, cell_mask, *codes) in cells:
+            if codes:
+                cell_table = cell_table.take(codes[0], axis=0)
+                cell_mask = cell_mask.take(codes[0], axis=0)
+            table[:, lo:lo + width] = cell_table.reshape(m, width)
+            mask[:, lo:lo + width] = cell_mask.reshape(m, width)
         stream.write(table[mask].tobytes().decode())
 
 

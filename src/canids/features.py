@@ -7,10 +7,9 @@ attack class to a fixed target count by interpolating toward same-class
 nearest neighbors; the majority (Normal) class is never touched.
 
 `log_to_dataset` stacks the log's id, dlc and data columns.
-`save_dataset_csv` writes through the block text encoder in `core`: each
-block of rows is formatted column by column, a float as Python's repr of
-each distinct value and a class name as csv.writer quotes it, so the file
-is the one a row-by-row csv.writer would write.
+`save_dataset_csv` writes through the block text encoder in `core`, which
+formats each distinct cell text of a block of rows once, so the file is
+the one a row-by-row csv.writer would write.
 """
 
 from __future__ import annotations
@@ -317,7 +316,13 @@ def smote_oversample(
 
 
 def save_dataset_csv(data: TabularDataset, stream: IO[str]) -> None:
-    """Write the dataset as CSV with a header and a provenance column."""
+    """Write the dataset as CSV with a header and a provenance column.
+
+    The text is that of csv.writer over rows of repr(float) features, the
+    class name, the provenance and str(int) timestamps.  Each block of rows
+    formats every distinct cell once: whole features below 2**53 in a short
+    range as the decimal range plus ".0", other features as the repr of
+    each distinct bit pattern, class names as csv.writer quotes them."""
     names = data.names or tuple(f"f{i}" for i in range(data.n_features))
     header = list(names) + ["label", "provenance"]
     has_ts = data.timestamps_us is not None

@@ -39,7 +39,7 @@ from canids.core import (
     TrafficLog,
     _BLOCK_ROWS,
     _csv_rows,
-    _decimal_cells,
+    _decimal_table,
     _hex_cells,
     _text_cells,
     _name_list,
@@ -377,7 +377,7 @@ def serialize_candump(log: TrafficLog, stream: IO[str]) -> None:
     def encode_block(lo: int, hi: int) -> list:
         # One decimal table of at least 7 digits holds the whole timestamp;
         # its last six digits are the microseconds.
-        stamp, shown = _decimal_cells(log.ts_us[lo:hi], digits=7)
+        stamp, shown = _decimal_table(log.ts_us[lo:hi], digits=7)
         return [
             b"(", (stamp[:, :-6], shown[:, :-6]), b".", (stamp[:, -6:], shown[:, -6:]), b") ",
             _text_cells(log.channels, log.channel[lo:hi]), b" ",
@@ -533,6 +533,10 @@ def _pattern_bytes(patterns: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.
     return mask, nibble[..., 0] << 4 | nibble[..., 1], need
 
 
+# Sidecar intervals are seconds, read back as round(seconds * 1e6) us.
+_SECONDS_LIMIT = (1 << 63) / 1e6
+
+
 @dataclass(frozen=True)
 class AttackMetadata:
     """One injection campaign: when it ran, which id it used, what it wrote.
@@ -589,7 +593,7 @@ class AttackMetadata:
         interval, raw_id = obj["injection_interval"], str(obj["injection_id"]).upper()
         pattern, attack_class = obj.get("injection_data_str", ""), obj["attack_class"]
         if not (isinstance(interval, list) and len(interval) == 2 and all(
-                type(t) in (int, float) and abs(t) < (1 << 63) / 1e6 for t in interval)):
+                type(t) in (int, float) and abs(t) < _SECONDS_LIMIT for t in interval)):
             raise ValueError(f"injection_interval {interval!r} is not [start, end] in seconds")
         if raw_id != ID_WILDCARD and not re.fullmatch(r"[0-9A-F]{1,8}", raw_id):
             raise ValueError(f"injection_id {raw_id!r} is neither hex nor {ID_WILDCARD!r}")
@@ -639,11 +643,17 @@ def save_metadata(metadata: Sequence[AttackMetadata], stream: IO[str]) -> None:
 
     The indented text is written directly: json's indenting encoder is pure
     Python.  Floats are their repr and json.dumps quotes each string, as
-    that encoder does."""
+    that encoder does.  A campaign whose interval would not read back as
+    the same microseconds raises ValueError naming it, before anything is
+    written."""
     entries = []
-    for m in metadata:
+    for k, m in enumerate(metadata):
         obj = m.to_json_obj()
         start, end = obj["injection_interval"]
+        if not (abs(start) < _SECONDS_LIMIT and abs(end) < _SECONDS_LIMIT
+                and round(start * 1e6) == m.start_us and round(end * 1e6) == m.end_us):
+            raise ValueError(f"campaign {k}: injection interval [{m.start_us}, {m.end_us}] us "
+                             "does not read back from seconds")
         entries.append(_SIDECAR_ENTRY.format(
             float.__repr__(start), float.__repr__(end), json.dumps(obj["injection_id"]),
             json.dumps(obj["injection_data_str"]), json.dumps(obj["attack_class"])))

@@ -71,6 +71,18 @@ def _text(value) -> str:
     return value
 
 
+def _integer(value) -> int:
+    if type(value) is not int:  # bool is an int subclass, and is refused too
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _flag(value) -> bool:
+    if type(value) is not bool:
+        raise TypeError(f"{value!r} is not true or false")
+    return value
+
+
 def _each(convert):
     """A converter of JSON lists, item by item."""
     def read(value) -> tuple:
@@ -176,8 +188,8 @@ class PayloadModel:
         return cls(
             kind=obj.get("kind", "constant"),
             base=_field("payload", obj, "base", bytes.fromhex, b"\x00" * 8),
-            step=obj.get("step", 1),
-            positions=_field("payload", obj, "positions", _each(int), ()),
+            step=_field("payload", obj, "step", _integer, 1),
+            positions=_field("payload", obj, "positions", _each(_integer), ()),
         )
 
 
@@ -243,12 +255,12 @@ class AmbientModel:
                 period=_field(where, e, "period", float),
                 jitter_std=_field(where, e, "jitter_std", float, 0.0),
                 payload=_field(where, e, "payload", PayloadModel.from_json_obj, PayloadModel()),
-                extended=bool(e.get("extended", False)),
+                extended=_field(where, e, "extended", _flag, False),
             ))
         return cls(
             ids=tuple(ids),
             duration=_field("ambient model", obj, "duration", float),
-            seed=_field("ambient model", obj, "seed", int, 0),
+            seed=_field("ambient model", obj, "seed", _integer, 0),
             channel=_field("ambient model", obj, "channel", _text, "can0"),
         )
 
@@ -562,8 +574,8 @@ class AttackScenario:
             payload_spec=_field("scenario", obj, "payload_spec", _text),
             period=_field("scenario", obj, "period", float),
             id_cycle=_field("scenario", obj, "id_cycle", _each(_parse_id), ()),
-            seed=_field("scenario", obj, "seed", int, 0),
-            extended_ids=bool(obj.get("extended_ids", False)),
+            seed=_field("scenario", obj, "seed", _integer, 0),
+            extended_ids=_field("scenario", obj, "extended_ids", _flag, False),
             attack_class=_field("scenario", obj, "attack_class", _text),
         )
 

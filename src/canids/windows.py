@@ -8,8 +8,10 @@ the dense stride (step 1), which guarantees that any attack run no
 longer than the window is fully contained in at least one window.
 
 Grids are saved packed with one np.packbits call over all of them.  Id
-sequences are saved as CSV through the block text encoder in `core`,
-which formats whole columns of a block of rows at a time.
+sequences are saved as CSV through the block text encoder in `core`: when
+a block's ids, starts or labels span a range shorter than their count,
+each value of the range is formatted once and the cells are gathered
+from those texts.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 import csv
 import io
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from canids import core
 from canids.core import _BLOCK_ROWS, CanFrame, LabelSpace, LabeledFrame, TrafficLog
 from canids.features import (
     SplitSpec,
@@ -19,6 +21,7 @@ from canids.features import (
     smote_oversample,
     split_train_test,
 )
+from test_windows import int64_cells
 
 
 def segment_check(point, originals, k, tol=1e-9):
@@ -429,6 +432,12 @@ def csv_text(writer, data):
 # integer), subnormals, the ends of the normal range, infinities and NaN.
 SPECIAL_FLOATS = [0.0, -0.0, 1e16, 1e-7, 5e-324, -2.5e-310, 2.2250738585072014e-308,
                   np.inf, -np.inf, np.nan, 0.1, -123456789.125, 1.7976931348623157e308]
+# Whole floats around the bounds of the dense float path: 2**53, 1e16 (the
+# first whole float repr writes in exponent form), 2**63 (past int64) and
+# the largest float, with signed zeros and the non-finite values.
+WHOLE_FLOATS = [0.0, -0.0, 1.0, -2.0, 255.0, 2.0**53 - 2, 2.0**53 - 1, 2.0**53, 2.0**53 + 2,
+                1e16 - 2, 1e16, 1e16 + 2, 2.0**63 - 1024, 2.0**63, 2.0**63 + 2048, -(2.0**63),
+                -(2.0**63) - 2048, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
 CLASS_NAMES = st.text(alphabet=' ,"\'ab\n\u00e9', max_size=6)
 
 
@@ -453,6 +462,28 @@ class TestDatasetCsvWriter:
     @settings(max_examples=200, deadline=None)
     @given(tabular_datasets())
     def test_matches_reference(self, data):
+        assert csv_text(save_dataset_csv, data) == csv_text(reference_save_dataset_csv, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2, 3, 5]))
+    def test_whole_floats_match_reference_at_any_block_size(self, data, block_rows):
+        """Few distinct whole floats per block, so that the dense path is
+        tried near each of its bounds; integer timestamps dense or sparse;
+        blocks of a few rows; against repr(float) and csv.writer per row."""
+        pool = data.draw(st.lists(st.sampled_from(WHOLE_FLOATS), min_size=1, max_size=3))
+        spread = st.integers(-3, 3).map(float) | st.floats()
+        dataset = data.draw(tabular_datasets(max_rows=12, elements=st.sampled_from(pool) | spread
+                                             if data.draw(st.booleans()) else st.sampled_from(pool)))
+        if dataset.timestamps_us is not None:
+            dataset.timestamps_us = data.draw(int64_cells(len(dataset)))
+        with mock.patch.object(core, "_BLOCK_ROWS", block_rows):
+            assert csv_text(save_dataset_csv, dataset) == csv_text(reference_save_dataset_csv, dataset)
+
+    @pytest.mark.parametrize("values", [[1e16] * 3, [2.0**53, 2.0**53 + 2, 2.0**53], [-0.0] * 2,
+                                        [0.0, -0.0, 1.0], [2.0**63] * 2, [1.7976931348623157e308] * 2])
+    def test_whole_floats_past_the_dense_bounds(self, values):
+        X = np.array(values)[:, None]
+        data = TabularDataset(X=X, y=np.zeros(len(X)), classes=("Normal",))
         assert csv_text(save_dataset_csv, data) == csv_text(reference_save_dataset_csv, data)
 
     def test_special_floats_in_one_block(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canids.core import _BLOCK_ROWS, CanFrame, LabeledFrame, LabelSpace, TrafficLog, format_timestamp
-from canids import ingest
+from canids import core, ingest
 from canids.ingest import (
     AttackMetadata,
     CsvSchema,
@@ -194,6 +194,20 @@ class TestBlockCandumpWriter:
         frame = CanFrame(ts_us, "can0", 0x1ABCDEF0 if extended else 0x7F0, data, extended=extended)
         text = candump_text(serialize_candump, TrafficLog((frame,)))
         assert text == serialize_candump_line(frame) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, 10) | st.integers(2**63 - 10, 2**63 - 1) | st.integers(0, 2**63 - 1),
+        st.text(alphabet="c0\u00e9\u4e2d", min_size=1, max_size=3), can_frames()), max_size=12),
+        st.sampled_from([1, 2, 3, 5]))
+    def test_matches_line_serializer_at_any_block_size(self, rows, block_rows):
+        """Timestamps at both ends of their range, non-ASCII channel names,
+        blocks of a few rows."""
+        log = TrafficLog(tuple(CanFrame(ts, channel, f.can_id, f.data, f.extended)
+                               for ts, channel, f in sorted(rows, key=lambda r: r[0])))
+        with mock.patch.object(core, "_BLOCK_ROWS", block_rows):
+            assert candump_text(serialize_candump, log) == candump_text(
+                reference_serialize_candump, log)
 
     @pytest.mark.parametrize("n", [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     def test_across_block_boundaries(self, n):
@@ -716,7 +730,7 @@ class TestMetadataJson:
         [AttackMetadata(7, 9, can_id=0x1BCDEF01, pattern="00", attack_class="Ext"),
          AttackMetadata(0, 1, can_id=0x00000123, attack_class="Ext")],
         [AttackMetadata(0, 1, attack_class='quo"te \\ back\\slash \u00e9\u4e2d \U0001f697 \x00\n\t')],
-        [AttackMetadata(-(1 << 63), (1 << 63) - 1, attack_class="wide"),
+        [AttackMetadata(-(1 << 53), 1 << 53, attack_class="wide"),
          AttackMetadata(-1_234_567, -1, attack_class="negative"),
          AttackMetadata(1, 3, attack_class="sub-millisecond"),
          AttackMetadata(123_456_789_012_345, 123_456_789_012_346, attack_class="late")],
@@ -735,9 +749,34 @@ class TestMetadataJson:
         st.text(), st.none() | st.integers(0, 0x1FFFFFFF),
         st.text(alphabet="0123456789ABCDEFX", max_size=16)), max_size=5))
     def test_writer_matches_indented_json_dump_property(self, md):
+        """The writer writes json.dump's text when every interval reads back
+        as the same microseconds, and otherwise refuses, writing nothing."""
         buf = io.StringIO()
-        save_metadata(md, buf)
-        assert buf.getvalue() == json.dumps([m.to_json_obj() for m in md], indent=2) + "\n"
+        text = json.dumps([m.to_json_obj() for m in md], indent=2) + "\n"
+        try:
+            exact = load_metadata(io.StringIO(text)) == md
+        except ValueError:
+            exact = False
+        if exact:
+            save_metadata(md, buf)
+            assert buf.getvalue() == text
+        else:
+            with pytest.raises(ValueError, match=r"^campaign \d+: injection interval"):
+                save_metadata(md, buf)
+            assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("k, start_us, end_us", [
+        (0, -(1 << 63), (1 << 63) - 1),  # written past the range load_metadata reads
+        (1, 0, (1 << 62) + 1),  # read back as 2**62
+    ])
+    def test_writer_refuses_intervals_that_do_not_read_back(self, k, start_us, end_us):
+        md = [AttackMetadata(0, 1, attack_class="A")] * k + [
+            AttackMetadata(start_us, end_us, attack_class="B")]
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=rf"^campaign {k}: injection interval "
+                                             rf"\[{start_us}, {end_us}\] us"):
+            save_metadata(md, buf)
+        assert buf.getvalue() == ""
 
     @pytest.mark.parametrize("doc, message", [
         ([{"injection_interval": [0, 1], "attack_class": "A"}], "entry 0: .*'injection_id'"),

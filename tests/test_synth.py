@@ -528,6 +528,11 @@ class TestConfigDocuments:
         # Text is not read as a list of its characters.
         ({"kind": "dos", "interval": "12"}, "field 'interval'"),
         ({"kind": "fuzzing_max_payload", "interval": [0, 1], "id_cycle": "0D"}, "field 'id_cycle'"),
+        # Integer and flag fields are not cast: 2.5 is not 2, "no" is not True.
+        ({"kind": "dos", "interval": [0, 1], "seed": 2.5}, "field 'seed': 2.5 is not an integer"),
+        ({"kind": "dos", "interval": [0, 1], "seed": True}, "field 'seed'"),
+        ({"kind": "fuzzy", "interval": [0, 1], "extended_ids": "no"}, "field 'extended_ids'"),
+        ({"kind": "fuzzy", "interval": [0, 1], "extended_ids": 1}, "field 'extended_ids'"),
     ])
     def test_malformed_scenarios(self, doc, message):
         with pytest.raises(ValueError, match=message):
@@ -551,6 +556,21 @@ class TestConfigDocuments:
         ({"duration": 1.0, "ids": [{"id": "0D0", "period": 1,
                                     "payload": {"kind": "counter", "positions": "67"}}]},
          "field 'positions'"),
+        ({"duration": 1.0, "ids": [], "seed": 2.5}, "model field 'seed': 2.5 is not an integer"),
+        ({"duration": 1.0, "ids": [], "seed": False}, "model field 'seed'"),
+        ({"duration": 1.0, "ids": [{"id": "0D0", "period": 1, "extended": "no"}]},
+         "entry 0 field 'extended': 'no' is not true or false"),
+        ({"duration": 1.0, "ids": [{"id": "0D0", "period": 1, "extended": 0}]},
+         "entry 0 field 'extended'"),
+        ({"duration": 1.0, "ids": [{"id": "0D0", "period": 1, "payload": {
+            "kind": "counter", "base": "0000", "positions": [2.5, True]}}]},
+         "entry 0 field 'payload': .*field 'positions': 2.5 is not an integer"),
+        ({"duration": 1.0, "ids": [{"id": "0D0", "period": 1, "payload": {
+            "kind": "counter", "base": "0000", "positions": [1, True]}}]},
+         "entry 0 field 'payload': .*field 'positions': True is not an integer"),
+        ({"duration": 1.0, "ids": [{"id": "0D0", "period": 1, "payload": {
+            "kind": "random_walk", "step": 2.0}}]},
+         "entry 0 field 'payload': .*field 'step': 2.0 is not an integer"),
     ])
     def test_malformed_ambient_models(self, doc, message):
         with pytest.raises(ValueError, match=message):

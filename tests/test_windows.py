@@ -1,11 +1,13 @@
 import io
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from canids import core
 from canids.core import _BLOCK_ROWS, CanFrame, LabelSpace, LabeledFrame, TrafficLog, id_bits
 from canids.windows import (
     BitGridSet,
@@ -230,6 +232,18 @@ def id_sequence_sets(draw, max_rows=12):
     return IdSequenceSet(ids=ids, labels=labels, starts=starts)
 
 
+@st.composite
+def int64_cells(draw, shape):
+    """Integer cells the encoder writes as a dictionary over a short range or
+    as a direct table: runs near zero and near both ends of int64, where
+    range arithmetic such as hi + 1 leaves int64, with or without far
+    outliers."""
+    lo = draw(st.sampled_from([-3, 0, 2**11, 2**63 - 5, -(2**63)]))
+    near = st.integers(lo, min(lo + 4, 2**63 - 1))
+    far = st.sampled_from([-(2**63), 2**63 - 1]) | st.integers(-(2**63), 2**63 - 1)
+    return draw(arrays(np.int64, shape, elements=near | far if draw(st.booleans()) else near))
+
+
 class TestBitGridRobustness:
     def test_header_sizes_do_not_overflow(self):
         """A header whose count and window multiply past 32 bits is a
@@ -274,6 +288,18 @@ class TestBlockWriters:
     @given(id_sequence_sets())
     def test_id_sequences_match_reference(self, seqs):
         assert written(save_id_sequences, seqs) == written(reference_save_id_sequences, seqs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2, 3, 5]))
+    def test_id_sequences_match_reference_at_any_block_size(self, data, block_rows):
+        """Dense and sparse integer columns, with and without starts, in
+        blocks of a few rows, against str(int) per cell."""
+        n, window = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 4))
+        seqs = IdSequenceSet(ids=data.draw(int64_cells((n, window))),
+                             labels=data.draw(arrays(np.uint8, n)),
+                             starts=data.draw(st.none() | int64_cells(n)))
+        with mock.patch.object(core, "_BLOCK_ROWS", block_rows):
+            assert written(save_id_sequences, seqs) == written(reference_save_id_sequences, seqs)
 
     @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     def test_id_sequences_across_block_boundaries(self, n):
