@@ -3,13 +3,18 @@
 Four model kinds: a CART decision tree split on Gini impurity, a
 bootstrap forest of such trees, softmax gradient-boosted regression
 trees with Newton leaf weights, and a per-id inter-arrival frequency
-baseline.  All trees come from one grower, `_grow_tree`, which runs the
+baseline.  All trees come from one grower, `_grow_trees`, which runs the
 split search from an explicit stack (no recursion, so any depth works)
-and takes its criterion as a plug-in: `_Gini` for classification trees,
-`_Newton` for boosting.  The tree learners are written directly on
-numpy so split tie-breaking (lowest feature index, then lowest
-threshold) and per-tree seeding are fully specified; given identical
-inputs the fitted models are identical.
+and takes its criteria as plug-ins: `_Gini` for classification trees,
+`_Newton` for boosting.  A boosting round's class trees grow together:
+all of them fit the same rows, so a node that several trees share (its
+row set is the same in each; for two classes the class-1 tree nearly
+mirrors the class-0 one) sorts each feature once for all of them, and the
+grower hands back every training row's leaf, so the round's raw-score
+update walks only the rows that subsampling left out.  The tree learners
+are written directly on numpy so split tie-breaking (lowest feature
+index, then lowest threshold) and per-tree seeding are fully specified;
+given identical inputs the fitted models are identical.
 
 The split search is exact and rank-coded: each fit encodes every feature
 column once as integer ranks (`_rank_codes`, 8 or 16 bits for up to
@@ -19,7 +24,8 @@ trees are byte-identical to sorting the values themselves; thresholds
 are still midpoints of the two feature values either side of the split.
 Forests and boosting encode once for all their trees.  Fitting rejects
 NaN features with a `ValueError` naming the column; +-inf are ordinary
-values.
+values.  Labels must be one class index per row; a label that is
+negative, fractional or past the class list is refused naming its row.
 
 All score outputs are probability vectors over the fitted class list.
 A feature matrix narrower than the columns a model's trees read is
@@ -222,7 +228,6 @@ class _Gini:
 
     def __init__(self, y: np.ndarray, n_classes: int) -> None:
         self.y = y
-        self.eye = np.eye(n_classes, dtype=np.float64)
         self.width = n_classes
 
     def node(self, idx: np.ndarray) -> tuple[np.ndarray, bool, Any]:
@@ -230,14 +235,20 @@ class _Gini:
         return counts / len(idx), counts.max() < len(idx), None
 
     def scores(self, rows: np.ndarray, cand: np.ndarray, _: Any) -> np.ndarray:
-        cum = np.cumsum(self.eye[self.y[rows]], axis=0)
-        lc = cum[cand - 1]
-        rc = cum[-1] - lc
-        ln = cand.astype(np.float64)
-        rn = len(rows) - ln
         # Minimizing weighted Gini is maximizing the sum of squared
-        # class counts over each side's size.
-        return (lc * lc).sum(axis=1) / ln + (rc * rc).sum(axis=1) / rn
+        # class counts over each side's size.  The counts are integers,
+        # so the sums of squares are exact in any order.
+        y = self.y[rows]
+        at = cand - 1
+        left = right = 0
+        for c in range(self.width):
+            cum = np.cumsum(y == c)
+            lc = cum[at]
+            rc = cum[-1] - lc
+            left = left + lc * lc
+            right = right + rc * rc
+        ln = cand.astype(np.float64)
+        return left / ln + right / (len(rows) - ln)
 
 
 class _Newton:
@@ -296,37 +307,50 @@ def _rank_codes(X: np.ndarray) -> np.ndarray:
     return np.array(ranks, dtype=dtype).reshape(d, n)
 
 
-def _grow_tree(
+def _grow_trees(
     X: np.ndarray,
     codes: np.ndarray,
-    criterion: _Gini | _Newton,
+    criteria: Sequence[_Gini | _Newton],
     max_depth: int | None,
     min_leaf: int,
-) -> _TreeArrays:
-    """Greedy binary tree grown from an explicit stack, so depth is
-    bounded only by max_depth.  Node ids are preorder, left child first.
-    A split must beat criterion.floor; ties go to the lowest feature,
-    then the lowest threshold.
+) -> tuple[list[_TreeArrays], np.ndarray]:
+    """One greedy binary tree per criterion over the same rows, grown
+    together from an explicit stack, so depth is bounded only by
+    max_depth.  Each tree's node ids are its own preorder, left child
+    first.  A split must beat the criterion's floor; ties go to the
+    lowest feature, then the lowest threshold.  Also returns leaves,
+    (trees, rows): leaves[k, i] is tree k's leaf for row i of X.
 
-    The split search sorts `codes` (the `_rank_codes` of X, or a row
-    and column subset of them, which stays order-preserving); X is read
-    only for the two values on either side of the chosen split."""
-    tree = _TreeArrays(value_width=criterion.width)
-    # (rows, depth, parent node, child array the parent links through)
-    stack: list[tuple[np.ndarray, int, int, list[int]]] = [
-        (np.arange(len(X), dtype=np.int64), 0, -1, tree.left)
+    A stack entry is a row set with the group of trees that have a node
+    of exactly those rows; each feature is sorted once for the group and
+    each tree scores it with its own criterion.  Trees that choose the
+    same split share the children.  The sort reads `codes` (the
+    `_rank_codes` of X, or a row and column subset of them, which stays
+    order-preserving); X is read only for the two values on either side
+    of a chosen split."""
+    trees = [_TreeArrays(value_width=c.width) for c in criteria]
+    leaves = np.empty((len(criteria), len(X)), dtype=np.int64)
+    # (rows, depth, [(tree, parent node, child array the parent links through)])
+    stack: list[tuple[np.ndarray, int, list[tuple[int, int, list[int]]]]] = [
+        (np.arange(len(X), dtype=np.int64), 0, [(k, -1, t.left) for k, t in enumerate(trees)])
     ]
     while stack:
-        idx, depth, parent, link = stack.pop()
-        value, may_split, state = criterion.node(idx)
-        node = tree.add_node(value)
-        if parent >= 0:
-            link[parent] = node
+        idx, depth, group = stack.pop()
         m = len(idx)
-        if not may_split or m < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
+        stop = m < 2 * min_leaf or (max_depth is not None and depth >= max_depth)
+        # (tree, node, criterion state, best score, best (feature, rows, position))
+        searching: list[list[Any]] = []
+        for k, parent, link in group:
+            value, may_split, state = criteria[k].node(idx)
+            node = trees[k].add_node(value)
+            if parent >= 0:
+                link[parent] = node
+            if may_split and not stop:
+                searching.append([k, node, state, criteria[k].floor, None])
+            else:
+                leaves[k, idx] = node
+        if not searching:
             continue
-        best_score = criterion.floor
-        best: tuple[int, np.ndarray, int] | None = None
         for f, col in enumerate(codes):
             v = col[idx]
             order = np.argsort(v, kind="stable")
@@ -334,20 +358,41 @@ def _grow_tree(
             if len(cand) == 0:
                 continue
             rows = idx[order]
-            score = criterion.scores(rows, cand, state)
-            j = int(np.argmax(score))
-            if score[j] > best_score:
-                best_score = float(score[j])
-                best = (f, rows, int(cand[j]))
-        if best is None:
-            continue
-        f, rows, i = best
-        tree.feature[node] = f
-        tree.threshold[node] = _safe_threshold(float(X[rows[i - 1], f]), float(X[rows[i], f]))
-        stack.append((rows[i:], depth + 1, node, tree.right))
-        stack.append((rows[:i], depth + 1, node, tree.left))
-    tree.finalize()
-    return tree
+            for entry in searching:
+                score = criteria[entry[0]].scores(rows, cand, entry[2])
+                j = int(np.argmax(score))
+                if score[j] > entry[3]:
+                    entry[3] = float(score[j])
+                    entry[4] = (f, rows, int(cand[j]))
+        # One pair of children per distinct (feature, position) choice.
+        children: dict[tuple[int, int], tuple[np.ndarray, list[tuple[int, int]]]] = {}
+        for k, node, _, _, best in searching:
+            if best is None:
+                leaves[k, idx] = node
+                continue
+            f, rows, i = best
+            children.setdefault((f, i), (rows, []))[1].append((k, node))
+        for (f, i), (rows, split) in children.items():
+            threshold = _safe_threshold(float(X[rows[i - 1], f]), float(X[rows[i], f]))
+            for k, node in split:
+                trees[k].feature[node] = f
+                trees[k].threshold[node] = threshold
+            stack.append((rows[i:], depth + 1, [(k, node, trees[k].right) for k, node in split]))
+            stack.append((rows[:i], depth + 1, [(k, node, trees[k].left) for k, node in split]))
+    for tree in trees:
+        tree.finalize()
+    return trees, leaves
+
+
+def _grow_tree(
+    X: np.ndarray,
+    codes: np.ndarray,
+    criterion: _Gini | _Newton,
+    max_depth: int | None,
+    min_leaf: int,
+) -> _TreeArrays:
+    """The one tree `_grow_trees` grows for a single criterion."""
+    return _grow_trees(X, codes, [criterion], max_depth, min_leaf)[0][0]
 
 
 class Detector:
@@ -374,11 +419,29 @@ class Detector:
     def _fit_data(
         self, X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """X and y as arrays; sets the class list, by default "0".."max(y)"."""
+        """X and y as arrays; sets the class list, by default "0".."max(y)".
+        y must hold one class index per row of X: an integer from 0, and
+        below the number of classes when they are given."""
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
         if len(X) == 0:
             raise ValueError("cannot fit on an empty set")
+        labels = np.asarray(y)
+        if labels.ndim != 1 or len(labels) != len(X):
+            raise ValueError(
+                f"labels must be 1-D with one per row: X has {len(X)} rows, y has shape {labels.shape}"
+            )
+        if labels.dtype.kind not in "biuf":
+            raise ValueError(f"labels must be integer class indices, not {labels.dtype}")
+        limit = len(classes) if classes is not None else np.inf
+        # NaN fails every comparison, so it is bad too.
+        bad = ~((labels >= 0) & (labels < limit) & (labels == np.floor(labels)))
+        if bad.any():
+            row = int(np.argmax(bad))
+            allowed = f"0..{limit - 1}" if classes is not None else "0 or more"
+            raise ValueError(
+                f"label {labels[row].item()!r} in row {row} is not a class index ({allowed})"
+            )
+        y = labels.astype(np.int64)
         self.classes = tuple(classes) if classes is not None else tuple(map(str, range(y.max() + 1)))
         return X, y
 
@@ -628,16 +691,30 @@ class GradientBoosting(Detector):
                 size = max(1, int(self.subsample * n))
                 rows = np.sort(rng.permutation(n)[:size])
             else:
-                rows = np.arange(n)
-            X_rows, codes_rows = X[rows], codes[:, rows]
-            round_trees: list[_TreeArrays] = []
-            for c in range(n_classes):
-                g = p[rows, c] - onehot[rows, c]
-                h = np.maximum(p[rows, c] * (1.0 - p[rows, c]), 1e-12)
-                criterion = _Newton(g, h, self.reg_lambda)
-                tree = _grow_tree(X_rows, codes_rows, criterion, self.max_depth, self.min_leaf)
-                round_trees.append(tree)
-                raw[:, c] += self.learning_rate * tree.leaf_values(X)[:, 0]
+                # Every row: a slice, so X and codes are not copied.
+                rows = slice(None)
+            criteria = [
+                _Newton(
+                    p[rows, c] - onehot[rows, c],
+                    np.maximum(p[rows, c] * (1.0 - p[rows, c]), 1e-12),
+                    self.reg_lambda,
+                )
+                for c in range(n_classes)
+            ]
+            round_trees, leaves = _grow_trees(
+                X[rows], codes[:, rows], criteria, self.max_depth, self.min_leaf
+            )
+            # The grower's leaves are where the sampled rows land; a
+            # threshold reproduces its fit-time partition, so only the rows
+            # left out are walked down the tree.
+            left_out = np.ones(n, dtype=bool)
+            left_out[rows] = False
+            X_out = X[left_out]
+            step = np.empty(n)
+            for c, tree in enumerate(round_trees):
+                step[rows] = tree.value[leaves[c], 0]
+                step[left_out] = tree.leaf_values(X_out)[:, 0]
+                raw[:, c] += self.learning_rate * step
             self._rounds.append(round_trees)
         self._fitted = True
         return self

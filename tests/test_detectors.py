@@ -30,6 +30,7 @@ from canids.detectors import (
     _MODEL_KINDS,
     _Gini,
     _grow_tree,
+    _grow_trees,
     _Newton,
     _rank_codes,
     _safe_threshold,
@@ -295,6 +296,98 @@ class TestRankCodedGrower:
             fit(X, y)
 
 
+def newton_criteria(kind, k, n, rng):
+    """k Newton criteria on n rows: "mirrored" gradients g, -g, then -g
+    nudged, whose trees share most nodes, or "independent" ones, whose
+    trees mostly part at the root."""
+    if kind == "independent":
+        return [_Newton(rng.normal(size=n), rng.uniform(0.01, 0.25, n), 1.0) for _ in range(k)]
+    g, h = rng.normal(size=n), rng.uniform(0.01, 0.25, n)
+    grads = [g, -g, -g + 1e-3 * rng.normal(size=n)]
+    return [_Newton(grads[c], h, 1.0) for c in range(k)]
+
+
+class TestSharedGrower:
+    """`_grow_trees` grows a group of trees over the same rows together;
+    each tree, and each training row's leaf in it, must be what growing
+    that tree alone gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tie_heavy_matrices(),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["mirrored", "independent", "gini"]),
+        st.integers(1, 3),
+        st.one_of(st.none(), st.integers(1, 5)),
+        st.integers(1, 4),
+    )
+    def test_matches_separate_growers(self, X, seed, kind, k, max_depth, min_leaf):
+        rng = np.random.default_rng(seed)
+        n = len(X)
+        if kind == "gini":
+            criteria = [_Gini(rng.integers(0, 3, n), 3) for _ in range(k)]
+        else:
+            criteria = newton_criteria(kind, k, n, rng)
+        codes = _rank_codes(X)
+        trees, leaves = _grow_trees(X, codes, criteria, max_depth, min_leaf)
+        assert len(trees) == k and leaves.shape == (k, n)
+        for criterion, tree, leaf in zip(criteria, trees, leaves):
+            alone = _grow_tree(X, codes, criterion, max_depth, min_leaf)
+            assert tree_json(tree) == tree_json(alone)
+            assert np.array_equal(leaf, tree.apply(X))
+
+
+FITS_WITH_CLASSES = [
+    lambda X, y, classes: fit_decision_tree(X, y, classes),
+    lambda X, y, classes: fit_random_forest(X, y, classes, n_trees=2),
+    lambda X, y, classes: fit_gbdt(X, y, classes, n_rounds=2),
+    lambda X, y, classes: LccdeEnsemble(seed=0).fit(X, y, classes),
+]
+
+
+class TestFitLabels:
+    """Fitting refuses labels that are not one class index per row with a
+    ValueError; none of them may reach the grower, which would index with
+    them (IndexError) or wrap a negative one to the last class."""
+
+    X, y = blobs(seed=23)
+
+    @pytest.mark.parametrize("fit", FITS_WITH_CLASSES, ids=["tree", "forest", "gbdt", "lccde"])
+    @pytest.mark.parametrize(
+        "row, label, message",
+        [
+            (9, 2, r"label 2 in row 9 is not a class index \(0\.\.1\)"),
+            (5, -1, r"label -1 in row 5 is not a class index"),
+            (3, 0.5, r"label 0\.5 in row 3 is not a class index"),
+            (4, np.nan, r"label nan in row 4 is not a class index"),
+        ],
+        ids=["past-classes", "negative", "fraction", "nan"],
+    )
+    def test_bad_label_names_its_row(self, fit, row, label, message):
+        y = self.y.astype(type(label))
+        y[row] = label
+        with pytest.raises(ValueError, match=message):
+            fit(self.X, y, ("Normal", "Attack"))
+
+    @pytest.mark.parametrize("fit", FITS_WITH_CLASSES, ids=["tree", "forest", "gbdt", "lccde"])
+    @pytest.mark.parametrize(
+        "reshape, shape",
+        [(lambda y: y[:-1], r"\(239,\)"), (lambda y: y[:, None], r"\(240, 1\)")],
+        ids=["short", "2-D"],
+    )
+    def test_labels_of_wrong_shape_name_both_lengths(self, fit, reshape, shape):
+        with pytest.raises(ValueError, match=rf"X has 240 rows, y has shape {shape}"):
+            fit(self.X, reshape(self.y), ("Normal", "Attack"))
+
+    def test_non_numeric_labels_refused(self):
+        with pytest.raises(ValueError, match="labels must be integer class indices"):
+            fit_decision_tree(self.X, self.y.astype(str))
+
+    def test_integral_float_labels_still_fit(self):
+        as_int = fit_decision_tree(self.X, self.y).to_json_obj()
+        assert fit_decision_tree(self.X, self.y.astype(np.float64)).to_json_obj() == as_int
+
+
 def digest_fixture(seed=11, n=300):
     rng = np.random.default_rng(seed)
     X = np.column_stack(
@@ -341,6 +434,21 @@ class TestFittedModelDigests:
         model = fit_gbdt(self.X, self.y, n_rounds=4, max_depth=3, min_leaf=2, subsample=0.7, seed=4)
         assert sha256_of(model.to_json_obj()) == (
             "b966df0660c067698882f107572e340b1a5db3ee561116efdedc550b0302688a"
+        )
+
+    def test_gbdt_without_subsampling(self):
+        # Every row is sampled, so each round adds the grower's training-row
+        # leaves to the raw scores and walks no row down a tree.
+        model = fit_gbdt(self.X, self.y, n_rounds=4, max_depth=3, min_leaf=2)
+        assert sha256_of(model.to_json_obj()) == (
+            "7d4b94e97bf991fb3bb935a65210edc7e327d338530625bb1e71cff77b97e3ce"
+        )
+
+    def test_unbounded_two_class_gbdt(self):
+        # Two classes: the class-1 tree is a near mirror of the class-0 one.
+        model = fit_gbdt(self.X, (self.y > 0).astype(int), n_rounds=4, max_depth=None)
+        assert sha256_of(model.to_json_obj()) == (
+            "843fb71789552160c36fa323cdb84b0bd97e9a311e3c6a1c6f8af9b1c62d3a4a"
         )
 
     def test_lccde(self):
