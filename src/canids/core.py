@@ -401,29 +401,32 @@ def id_from_bits(bits: np.ndarray) -> int:
 # Block text encoder shared by the candump, id-sequence and dataset writers.
 #
 # A writer describes one block of rows as a list of pieces: a bytes literal
-# repeated on every row, or a cell piece.  A cell piece is a uint8 `table`
-# of text bytes with a bool `mask` of the same shape marking the bytes that
-# belong to each cell.  Either the table is direct, of shape
-# (rows, ..., width), or the piece is a dictionary `(table, mask, codes)`
-# whose (k, width) table holds each of k distinct texts once and whose
-# integer `codes`, of shape (rows, ...), pick a text for every cell.  Cells
-# take few distinct texts (ids, bytes, labels), so a dictionary formats
-# each text once, and `_write_rows` expands it with a row gather.  The
-# pieces are laid side by side, and the masked bytes in row-major order are
-# the text of the block.  Rows are encoded _BLOCK_ROWS at a time so that
-# the tables stay small whatever the length of the log.
+# repeated on every row, or a cell piece, a uint8 table of text bytes that
+# fills what its cells do not show with _PAD.  No UTF-8 text holds 0xFF, nor
+# does a lone surrogate passed through, so the block's bytes in row-major
+# order, less every _PAD, are its text.  A piece is either direct, of shape
+# (rows, ..., width), or a dictionary `(table, codes)` whose (k, width) table
+# holds each of k distinct texts once and whose integer `codes`, of shape
+# (rows, ...), pick a text for every cell.  Cells take few distinct texts
+# (ids, bytes, labels), so a dictionary formats each text once, and
+# `_write_rows` expands it with a row gather.  Rows are encoded _BLOCK_ROWS
+# at a time so that the tables stay small whatever the length of the log.
 
 _BLOCK_ROWS = 8192
+_PAD = 0xFF
+_PAD_BYTE = bytes([_PAD])
 # _HEX_PAIRS[b] is the two uppercase hex digits of byte b as one uint16.
 _HEX_PAIRS = np.frombuffer("".join(f"{b:02X}" for b in range(256)).encode(), dtype=np.uint16)
-# _DIGITS4[v] is the four ASCII digits of v < 10,000 as one uint32.
-_DIGITS4 = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+# _DIGITS4[10,000 p + v] is the four ASCII digits of v < 10,000 as one
+# uint32, with those of its leading zeros among the first p (<= 4) padded.
+_DIGITS4 = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+_DIGITS4 = np.where((np.arange(4) < np.arange(5)[:, None, None]) & (_DIGITS4.cumsum(1) == 0),
+                    _PAD, _DIGITS4 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 # Whole floats of smaller magnitude are repr'd as their decimal digits + ".0".
 _WHOLE_FLOAT_LIMIT = float(2**53)
 
 
-def _decimal_table(values, digits: int = 1):
+def _decimal_table(values, digits: int = 1) -> np.ndarray:
     """Direct cells holding the decimal text of an integer array, zero-padded
     to at least `digits` digits, with a leading '-' on negative values: the
     text of str(int(v)) (or f"{v:0{digits}d}" for non-negative v)."""
@@ -431,22 +434,24 @@ def _decimal_table(values, digits: int = 1):
     mag = np.abs(v).view(np.uint64)  # abs(-2**63) wraps to 2**63 as uint64
     width = max(digits, len(str(int(mag.max()))) if mag.size else 1)
     # Four digits at a time, least significant first, each group one
-    # lookup; the sign goes in the byte before the `width` digit columns.
+    # lookup; a group with nothing above it pads its leading zeros but for
+    # the number's lowest `digits`.  The sign takes the byte before the
+    # `width` digit columns, which is otherwise padded.
     groups = np.empty(v.shape + (1 + -(-width // 4),), dtype=np.uint32)
-    for i in range(groups.shape[-1] - 1, 0, -1):
+    groups[..., 0] = 0xFFFF_FFFF
+    for i, low_digits in zip(range(groups.shape[-1] - 1, 0, -1), range(0, width, 4)):
         mag, low = np.divmod(mag, np.uint64(10_000))
-        groups[..., i] = _DIGITS4[low]
+        pads = 4 - min(max(digits - low_digits, 0), 4)
+        if pads:
+            low += (mag == 0) * np.uint64(10_000 * pads)
+        groups[..., i] = _DIGITS4.take(low)
     table = groups.view(np.uint8)[..., -1 - width:]
-    table[..., 0] = ord("-")
-    mask = np.empty(table.shape, dtype=bool)
-    mask[..., 0] = v < 0
-    np.logical_or.accumulate(table[..., 1:] != ord("0"), axis=-1, out=mask[..., 1:])
-    mask[..., -digits:] = True
-    return table, mask
+    np.copyto(table[..., 0], ord("-"), where=v < 0)
+    return table
 
 
-def _range_cells(lo: int, hi: int):
-    """Dictionary table and mask of the decimal texts of lo..hi, in order."""
+def _range_cells(lo: int, hi: int) -> np.ndarray:
+    """Dictionary table of the decimal texts of lo..hi, in order."""
     return _decimal_table(np.arange(hi - lo + 1, dtype=np.int64) + lo)
 
 
@@ -458,34 +463,32 @@ def _decimal_cells(values):
     if v.size:
         lo, hi = int(v.min()), int(v.max())
         if hi - lo < v.size:
-            return (*_range_cells(lo, hi), v - lo)
+            return _range_cells(lo, hi), v - lo
     return _decimal_table(v)
 
 
 def _hex_cells(byte_table) -> np.ndarray:
     """Uppercase hex digits of a (..., k) uint8 table, two per byte: shape
-    (..., 2k).  The caller masks the ones it shows."""
+    (..., 2k).  The caller pads the ones it hides."""
     return _HEX_PAIRS[byte_table].view(np.uint8)
 
 
 def _text_cells(texts: Sequence[str], codes):
     """Dictionary cells holding texts[code] for each entry of an integer
-    code array."""
-    encoded = [t.encode() for t in texts]
-    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    mask = np.arange(max(map(len, encoded), default=0)) < lengths[:, None]
-    table = np.zeros(mask.shape, dtype=np.uint8)
-    table[mask] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    return table, mask, codes
+    code array; lone surrogates pass through, as csv.writer lets them."""
+    encoded = [t.encode("utf-8", "surrogatepass") for t in texts]
+    width = max(map(len, encoded), default=0)
+    table = np.frombuffer(b"".join(t.ljust(width, _PAD_BYTE) for t in encoded), dtype=np.uint8)
+    return table.reshape(len(encoded), width), codes
 
 
 def _each_followed_by(cells, sep: bytes):
     """Append `sep` after every cell of a direct (rows, k, width) table, or
     after every text of a dictionary."""
-    table, mask, *codes = cells
+    table, *codes = cells if isinstance(cells, tuple) else (cells,)
     shape = table.shape[:-1] + (len(sep),)
-    return (np.concatenate([table, np.broadcast_to(np.frombuffer(sep, np.uint8), shape)], -1),
-            np.concatenate([mask, np.ones(shape, dtype=bool)], -1), *codes)
+    table = np.concatenate([table, np.broadcast_to(np.frombuffer(sep, np.uint8), shape)], -1)
+    return (table, *codes) if codes else table
 
 
 def _float_cells(values):
@@ -502,8 +505,7 @@ def _float_cells(values):
         if -_WHOLE_FLOAT_LIMIT < lo and hi < _WHOLE_FLOAT_LIMIT and hi - lo < v.size:
             whole = v.astype(np.int64)
             if np.array_equal(whole.astype(np.float64).view(np.uint64), v.view(np.uint64)):
-                return (*_each_followed_by(_range_cells(int(lo), int(hi)), b".0"),
-                        whole - int(lo))
+                return _each_followed_by(_range_cells(int(lo), int(hi)), b".0"), whole - int(lo)
     bits, codes = np.unique(v.view(np.uint64).ravel(), return_inverse=True)
     return _text_cells([repr(x) for x in bits.view(np.float64).tolist()],
                        codes.reshape(v.shape))
@@ -517,29 +519,25 @@ def _write_rows(stream, n: int, encode_block) -> None:
         stop = min(start + _BLOCK_ROWS, n)
         m = stop - start
         # The literals form a template row shown on every row; each cell
-        # piece then fills its own columns of the table and of its mask.  A
-        # dictionary is gathered by its codes one piece at a time, so that
-        # only one gathered piece is held at once.
+        # piece then fills its own columns of the table.  A dictionary is
+        # gathered by its codes one piece at a time, so that only one
+        # gathered piece is held at once.
         template, cells = bytearray(), []
         for piece in encode_block(start, stop):
             if isinstance(piece, bytes):
                 template += piece
                 continue
-            cell_table, _, *codes = piece
-            width = (codes[0].size * cell_table.shape[-1] if codes else cell_table.size) // m
+            width = (piece[1].size * piece[0].shape[-1] if isinstance(piece, tuple)
+                     else piece.size) // m
             cells.append((len(template), width, piece))
             template += bytes(width)
         table = np.empty((m, len(template)), dtype=np.uint8)
         table[:] = np.frombuffer(template, dtype=np.uint8)
-        mask = np.empty(table.shape, dtype=bool)
-        mask.fill(True)  # cheaper than np.ones, a fixed cost of every tiny log
-        for lo, width, (cell_table, cell_mask, *codes) in cells:
-            if codes:
-                cell_table = cell_table.take(codes[0], axis=0)
-                cell_mask = cell_mask.take(codes[0], axis=0)
-            table[:, lo:lo + width] = cell_table.reshape(m, width)
-            mask[:, lo:lo + width] = cell_mask.reshape(m, width)
-        stream.write(table[mask].tobytes().decode())
+        for lo, width, piece in cells:
+            if isinstance(piece, tuple):
+                piece = piece[0].take(piece[1], axis=0)
+            table[:, lo:lo + width] = piece.reshape(m, width)
+        stream.write(table.tobytes().translate(None, _PAD_BYTE).decode("utf-8", "surrogatepass"))
 
 
 def arbitration_winner(frames: Iterable[CanFrame | LabeledFrame]) -> CanFrame | LabeledFrame:

@@ -209,7 +209,7 @@ def _split_candidates(sv: np.ndarray, m: int, min_leaf: int) -> np.ndarray:
     """Positions i where the sorted feature changes value and both sides
     keep at least min_leaf samples; left side = first i samples."""
     lo, hi = min_leaf, m - min_leaf
-    return np.flatnonzero(sv[lo : hi + 1] > sv[lo - 1 : hi]) + lo
+    return (sv[lo : hi + 1] > sv[lo - 1 : hi]).nonzero()[0] + lo
 
 
 def _safe_threshold(lo: float, hi: float) -> float:
@@ -231,19 +231,19 @@ class _Gini:
         self.width = n_classes
 
     def node(self, idx: np.ndarray) -> tuple[np.ndarray, bool, Any]:
-        counts = np.bincount(self.y[idx], minlength=self.width).astype(np.float64)
+        counts = np.bincount(self.y.take(idx), minlength=self.width).astype(np.float64)
         return counts / len(idx), counts.max() < len(idx), None
 
     def scores(self, rows: np.ndarray, cand: np.ndarray, _: Any) -> np.ndarray:
         # Minimizing weighted Gini is maximizing the sum of squared
         # class counts over each side's size.  The counts are integers,
         # so the sums of squares are exact in any order.
-        y = self.y[rows]
+        y = self.y.take(rows)
         at = cand - 1
         left = right = 0
         for c in range(self.width):
             cum = np.cumsum(y == c)
-            lc = cum[at]
+            lc = cum.take(at)
             rc = cum[-1] - lc
             left = left + lc * lc
             right = right + rc * rc
@@ -266,16 +266,16 @@ class _Newton:
     def node(self, idx: np.ndarray) -> tuple[np.ndarray, bool, Any]:
         # Node totals in the node's own row order; a cumsum's last element
         # rounds differently.
-        G = self.g[idx].sum()
-        H = self.h[idx].sum()
+        G = self.g.take(idx).sum()
+        H = self.h.take(idx).sum()
         return np.array([-G / (H + self.reg_lambda)]), True, (G, H)
 
     def scores(self, rows: np.ndarray, cand: np.ndarray, totals: Any) -> np.ndarray:
         G, H = totals
         lam = self.reg_lambda
         at = cand - 1
-        gl = self.g[rows].cumsum()[at]
-        hl = self.h[rows].cumsum()[at]
+        gl = self.g.take(rows).cumsum().take(at)
+        hl = self.h.take(rows).cumsum().take(at)
         gr = G - gl
         hr = H - hl
         return gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam)
@@ -352,15 +352,15 @@ def _grow_trees(
         if not searching:
             continue
         for f, col in enumerate(codes):
-            v = col[idx]
-            order = np.argsort(v, kind="stable")
-            cand = _split_candidates(v[order], m, min_leaf)
+            v = col.take(idx)
+            order = v.argsort(kind="stable")
+            cand = _split_candidates(v.take(order), m, min_leaf)
             if len(cand) == 0:
                 continue
-            rows = idx[order]
+            rows = idx.take(order)
             for entry in searching:
                 score = criteria[entry[0]].scores(rows, cand, entry[2])
-                j = int(np.argmax(score))
+                j = int(score.argmax())
                 if score[j] > entry[3]:
                     entry[3] = float(score[j])
                     entry[4] = (f, rows, int(cand[j]))

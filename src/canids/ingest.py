@@ -38,6 +38,7 @@ from canids.core import (
     LabelSpace,
     TrafficLog,
     _BLOCK_ROWS,
+    _PAD,
     _csv_rows,
     _decimal_table,
     _hex_cells,
@@ -363,9 +364,11 @@ def serialize_candump_line(frame: CanFrame) -> str:
     return f"({format_timestamp(frame.timestamp_us)}) {frame.channel} {id_text}#{frame.data.hex().upper()}"
 
 
-# The hex digits shown of a standard (row 0) or extended (row 1) id, and of each payload length.
-_ID_SHOWN = np.arange(8) >= np.array([[5], [0]])
-_DATA_SHOWN = np.arange(2 * MAX_DLC) < 2 * np.arange(MAX_DLC + 1)[:, None]
+# Pad bytes over the hex digits hidden of a standard (row 0) or extended
+# (row 1) id, and of each payload length.  A cell ORs its row in: the pad
+# byte has every bit set, and 0 leaves a digit as it is.
+_ID_PAD = (np.arange(8) < np.array([[5], [0]])).astype(np.uint8) * _PAD
+_DATA_PAD = (np.arange(2 * MAX_DLC) >= 2 * np.arange(MAX_DLC + 1)[:, None]).astype(np.uint8) * _PAD
 
 
 def serialize_candump(log: TrafficLog, stream: IO[str]) -> None:
@@ -377,15 +380,13 @@ def serialize_candump(log: TrafficLog, stream: IO[str]) -> None:
     def encode_block(lo: int, hi: int) -> list:
         # One decimal table of at least 7 digits holds the whole timestamp;
         # its last six digits are the microseconds.
-        stamp, shown = _decimal_table(log.ts_us[lo:hi], digits=7)
-        return [
-            b"(", (stamp[:, :-6], shown[:, :-6]), b".", (stamp[:, -6:], shown[:, -6:]), b") ",
-            _text_cells(log.channels, log.channel[lo:hi]), b" ",
-            (_hex_cells(log.can_id[lo:hi].astype(">u4").view(np.uint8).reshape(-1, 4)),
-             _ID_SHOWN[log.extended[lo:hi].view(np.uint8)]), b"#",
-            (_hex_cells(log.data[lo:hi]), _DATA_SHOWN[log.dlc[lo:hi]]),
-            b"\n",
-        ]
+        stamp = _decimal_table(log.ts_us[lo:hi], digits=7)
+        can_id = _hex_cells(log.can_id[lo:hi].astype(">u4").view(np.uint8).reshape(-1, 4))
+        can_id |= _ID_PAD.take(log.extended[lo:hi].view(np.uint8), axis=0)
+        data = _hex_cells(log.data[lo:hi])
+        data |= _DATA_PAD.take(log.dlc[lo:hi], axis=0)
+        return [b"(", stamp[:, :-6], b".", stamp[:, -6:], b") ",
+                _text_cells(log.channels, log.channel[lo:hi]), b" ", can_id, b"#", data, b"\n"]
 
     _write_rows(stream, len(log), encode_block)
 

@@ -1,8 +1,12 @@
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canids import core
 from canids.core import (
     CanFrame,
     AttackClass,
@@ -17,6 +21,10 @@ from canids.core import (
     hcrl_label_space,
     ivn_label_space,
 )
+from canids.features import TabularDataset, save_dataset_csv
+from canids.ingest import parse_candump_log, serialize_candump, serialize_candump_line
+from test_features import csv_text, reference_save_dataset_csv
+from test_ingest import candump_text
 
 
 def frame(can_id=0x100, ts_us=0, data=b"", extended=False, channel="can0"):
@@ -211,3 +219,34 @@ class TestArbitration:
         frames = [frame(can_id=i, ts_us=k) for k, i in enumerate(ids)]
         winner = arbitration_winner(frames)
         assert all(winner.can_id <= f.can_id for f in frames)
+
+
+# Names from all of Unicode, lone surrogates included, with the characters
+# nearest the block writers' pad byte 0xFF drawn often: U+00FF (UTF-8 C3
+# BF), NUL, DEL, a non-BMP character and both halves of a surrogate pair.
+NAMES = st.text(st.sampled_from("\u00ff\x00\x7f\U0001f600\ud800\udc00")
+                | st.characters(exclude_categories=()), min_size=1, max_size=12)
+
+
+class TestBlockPadByte:
+    """The block text writers drop every 0xFF byte of a block, which no
+    UTF-8 text holds (nor a lone surrogate passed through), so any name is
+    written as the per-row writers write it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(NAMES.filter(lambda name: not any(c.isspace() for c in name)),
+                    min_size=1, max_size=3),
+           st.lists(NAMES, min_size=1, max_size=3, unique=True),
+           st.lists(st.integers(0, 2), max_size=7), st.sampled_from([1, 2, 3, 5]))
+    def test_names_from_all_of_unicode(self, channels, classes, codes, block_rows):
+        log = TrafficLog(CanFrame(k, channels[c % len(channels)], 0x100 + k, bytes([k]) * c,
+                                  extended=k % 2 == 1) for k, c in enumerate(codes))
+        data = TabularDataset(X=np.arange(len(codes), dtype=np.float64)[:, None],
+                              y=[c % len(classes) for c in codes], classes=tuple(classes))
+        with mock.patch.object(core, "_BLOCK_ROWS", block_rows):
+            text = candump_text(serialize_candump, log)
+            dataset_text = csv_text(save_dataset_csv, data)
+        assert text == "".join(serialize_candump_line(f) + "\n" for f in log)
+        back = parse_candump_log(io.StringIO(text))
+        assert back.channels == log.channels and back.frames == log.frames
+        assert dataset_text == csv_text(reference_save_dataset_csv, data)

@@ -495,6 +495,11 @@ class TestDatasetCsvWriter:
         assert text == csv_text(reference_save_dataset_csv, data)
         assert [row.split(",")[0] for row in text.splitlines()[1:3]] == ["0.0", "-0.0"]
 
+    def test_lone_surrogate_class_name(self):
+        """csv.writer writes a class name holding a lone surrogate."""
+        data = TabularDataset(X=np.zeros((2, 1)), y=[0, 1], classes=("Normal", "bad\udc80"))
+        assert csv_text(save_dataset_csv, data) == csv_text(reference_save_dataset_csv, data)
+
     @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     def test_across_block_boundaries(self, n):
         rng = np.random.default_rng(n)

@@ -216,6 +216,16 @@ class TestBlockCandumpWriter:
         assert text == candump_text(reference_serialize_candump, log)
         assert parse_candump_log(io.StringIO(text)).frames == log.frames
 
+    def test_lone_surrogate_channel_round_trips(self):
+        """The parser takes a channel name holding a lone surrogate, so the
+        block writer must write it as serialize_candump_line does."""
+        text = "(1.000000) can\udc80 123#00\n(2.000000) can0 1ABCDEF0#\n"
+        log = parse_candump_log(io.StringIO(text))
+        assert log.channels == ("can\udc80", "can0")
+        written = candump_text(serialize_candump, log)
+        assert written == text
+        assert parse_candump_log(io.StringIO(written)).frames == log.frames
+
 
 def reference_parse_candump_log(lines, strict=True, errors=None):
     """The per-line parse that the block decoder replaced, kept as its
