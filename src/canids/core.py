@@ -365,6 +365,65 @@ def _csv_rows(lines: Iterable[str], error: type[ValueError] = ValueError) -> Ite
         raise error(f"line {reader.line_num}: {exc}") from None
 
 
+# The CSV readers share one row loop and one ASCII cell grammar (int() and
+# float() alone also read spaces, '_' and other scripts' digits).  Columns
+# are tested and converted at once; single cells are read only to word errors.
+_DIGITS = {10: b"0123456789", 16: b"0123456789ABCDEFabcdef"}
+
+
+def _data_rows(rows: Iterable[list[str]], width: int | None = None) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows (a blank row is an empty line), numbered from 1;
+    with a `width`, a row of another length raises ValueError naming it."""
+    for number, row in enumerate(filter(None, rows), 1):
+        if width is not None and len(row) != width:
+            raise ValueError(f"data row {number}: {len(row)} fields, expected {width}")
+        yield number, row
+
+
+def _int_cell(text: str, base: int = 10) -> int | None:
+    """The value of an unsigned integer cell, ASCII digits of `base`, or None."""
+    if not text.isascii() or text.encode().translate(None, _DIGITS[base]):
+        return None
+    try:
+        return int(text, base)
+    except ValueError:  # no digits, or more than int() converts
+        return None
+
+
+def _int64_table(cells: list[str], names: Sequence[str]) -> np.ndarray:
+    """The int64 values of signed integer cells (an unsigned one after an
+    optional '-') laid out len(names) to a data row; a cell that is not
+    one, or is past int64, raises ValueError naming its row and column."""
+    text = "".join(cells)
+    if text.isascii() and not text.encode().translate(None, b"-" + _DIGITS[10]):
+        try:
+            return np.array(cells, dtype=np.int64).reshape(-1, len(names))
+        except (ValueError, OverflowError):
+            pass  # int() refused a misplaced '-', or a value is past int64
+    for k, cell in enumerate(cells):
+        value = _int_cell(cell.removeprefix("-"))
+        if value is None or value > (1 << 63) - (not cell.startswith("-")):
+            where = f"data row {k // len(names) + 1}: {names[k % len(names)]}"
+            raise ValueError(f"{where} {cell!r} is not an integer" if value is None
+                             else f"{where} {cell} is beyond 64 bits")
+    raise AssertionError("numpy refused int64 cells")
+
+
+def _float64_cells(cells: list[str]) -> np.ndarray | None:
+    """The float64 values of float cells, printable ASCII without spaces or
+    '_' that float() reads, spelling any infinity as a word; None if any
+    cell is not one."""
+    text = "".join(cells)
+    if not text.isascii() or not text.isprintable() or " " in text or "_" in text:
+        return None
+    try:
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:
+        return None
+    infinite = np.isinf(values).nonzero()[0]
+    return values if all(cells[k].lstrip("+-").isalpha() for k in infinite) else None
+
+
 def _name_list(value: Any, what: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ValueError(f"{what} must be a list of names")

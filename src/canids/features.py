@@ -17,9 +17,9 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import math
 import numbers
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import IO, Sequence
 
 import numpy as np
@@ -30,9 +30,12 @@ from .core import (
     LabeledFrame,
     TrafficLog,
     _csv_rows,
+    _data_rows,
     _decimal_cells,
     _each_followed_by,
+    _float64_cells,
     _float_cells,
+    _int64_table,
     _text_cells,
     _write_rows,
 )
@@ -41,6 +44,8 @@ logger = logging.getLogger(__name__)
 
 PROVENANCE_ORIGINAL = "original"
 PROVENANCE_SYNTHETIC = "synthetic"
+_PROVENANCES = (PROVENANCE_ORIGINAL, PROVENANCE_SYNTHETIC)
+_RESERVED_COLUMNS = ("label", "provenance", "timestamp_us")
 
 SPLIT_MODES = ("stratified_random", "chronological")
 
@@ -324,18 +329,19 @@ def save_dataset_csv(data: TabularDataset, stream: IO[str]) -> None:
     range as the decimal range plus ".0", other features as the repr of
     each distinct bit pattern, class names as csv.writer quotes them."""
     names = data.names or tuple(f"f{i}" for i in range(data.n_features))
+    if set(names) & set(_RESERVED_COLUMNS):
+        raise ValueError(f"feature names may not be any of {_RESERVED_COLUMNS}: {names}")
     header = list(names) + ["label", "provenance"]
     has_ts = data.timestamps_us is not None
     if has_ts:
         header.append("timestamp_us")
     csv.writer(stream, lineterminator="\n").writerow(header)
     classes = [_csv_cell(name) for name in data.classes]
-    provenance = [PROVENANCE_ORIGINAL, PROVENANCE_SYNTHETIC]
 
     def encode_block(lo: int, hi: int) -> list:
         pieces = [_each_followed_by(_float_cells(data.X[lo:hi]), b","),
                   _text_cells(classes, data.y[lo:hi]), b",",
-                  _text_cells(provenance, data.synthetic[lo:hi].astype(np.intp))]
+                  _text_cells(_PROVENANCES, data.synthetic[lo:hi].astype(np.intp))]
         if has_ts:
             pieces += [b",", _decimal_cells(data.timestamps_us[lo:hi])]
         return pieces + [b"\n"]
@@ -350,110 +356,60 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _plain(text: str) -> bool:
-    """Whether text is printable ASCII without spaces or underscores.
-
-    float() and int() also take underscores, other scripts' digits and
-    surrounding whitespace, which the dataset writer never writes; on plain
-    text they read exactly the ASCII number grammars."""
-    return text.isascii() and text.isprintable() and " " not in text and "_" not in text
-
-
-def _feature_value(cell: str, name: str, rowno: int) -> float:
-    """One feature cell's value; a cell that is not an ASCII float, or
-    whose digits overflow float64, raises ValueError naming row and column."""
-    try:
-        if not _plain(cell):
-            raise ValueError(cell)
-        value = float(cell)
-    except ValueError:
-        raise ValueError(f"data row {rowno}: feature {name!r} is not a number: {cell!r}") from None
-    if math.isinf(value) and not cell.lstrip("+-").isalpha():
-        raise ValueError(f"data row {rowno}: feature {name!r} is beyond float64: {cell!r}")
-    return value
-
-
 def load_dataset_csv(stream: IO[str], classes: Sequence[str] | None = None) -> TabularDataset:
     """Read a dataset written by save_dataset_csv.
 
     When `classes` is omitted the class list is rebuilt in order of
     first appearance, so pass the original list to keep indices stable
-    across related files.  Feature cells are ASCII floats (an infinity
-    only as a word such as `inf`) and timestamps ASCII integers, with no
-    surrounding spaces; any other cell raises ValueError naming its data
-    row and column.
+    across related files.  Features are float cells and timestamps integer
+    cells (`core`), provenance `original` or `synthetic`.  Any other cell,
+    or a NaN feature, raises ValueError naming its data row and column, as
+    does a header that names a reserved column twice.
     """
     reader = _csv_rows(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty dataset file") from None
-    try:
-        label_col = header.index("label")
-    except ValueError:
-        raise ValueError("dataset file lacks a label column") from None
-    prov_col = header.index("provenance") if "provenance" in header else None
-    ts_col = header.index("timestamp_us") if "timestamp_us" in header else None
+    header = next(reader, [])
+    for name in _RESERVED_COLUMNS:
+        if header.count(name) > 1:
+            raise ValueError(f"dataset header names {name!r} {header.count(name)} times")
+    if "label" not in header:
+        raise ValueError("dataset file lacks a label column")
+    label_col = header.index("label")
     names = tuple(header[:label_col])
-    rows: list[list[float]] = []
-    labels: list[str] = []
-    synth: list[bool] = []
-    ts: list[int] = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ValueError(
-                f"data row {len(labels) + 1}: {len(row)} fields, expected {len(header)}"
-            )
-        cells = row[:label_col]
-        try:
-            values = [float(v) for v in cells]
-        except ValueError:
-            values = None
-        # A sum that is not finite sends a row with an infinity (or NaN, or
-        # merely large values) to the cell-by-cell overflow check.
-        if values is None or not (_plain(",".join(cells)) and math.isfinite(sum(values))):
-            values = [_feature_value(cell, name, len(labels) + 1)
-                      for name, cell in zip(names, cells)]
-        rows.append(values)
-        labels.append(row[label_col])
-        if prov_col is not None:
-            synth.append(row[prov_col] == PROVENANCE_SYNTHETIC)
-        if ts_col is not None:
-            try:
-                if not _plain(row[ts_col]):
-                    raise ValueError
-                ts.append(int(row[ts_col]))
-            except ValueError:
-                raise ValueError(f"data row {len(labels)}: timestamp_us {row[ts_col]!r} "
-                                 "is not an integer") from None
-    if classes is None:
-        seen: dict[str, int] = {}
-        for name in labels:
-            seen.setdefault(name, len(seen))
-        class_list = tuple(seen)
-    else:
-        class_list = tuple(classes)
-    index = {name: i for i, name in enumerate(class_list)}
-    try:
-        y = np.array([index[name] for name in labels], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"label {exc.args[0]!r} not in provided class list") from None
-    try:
-        timestamps = np.array(ts, dtype=np.int64) if ts_col is not None else None
-    except OverflowError:
-        row = next(k for k, t in enumerate(ts, 1) if not -(1 << 63) <= t < 1 << 63)
-        raise ValueError(f"data row {row}: timestamp_us {ts[row - 1]} is beyond 64 bits") from None
-    X = np.array(rows, dtype=np.float64).reshape(len(labels), len(names))
+    table = [row for _, row in _data_rows(reader, len(header))]
+    cells = list(chain.from_iterable(row[:label_col] for row in table))
+    X = _float64_cells(cells)
+    if X is None:
+        k = next(k for k, cell in enumerate(cells) if _float64_cells([cell]) is None)
+        raise ValueError(f"data row {k // label_col + 1}: feature {names[k % label_col]!r} "
+                         f"is not a number: {cells[k]!r}")
+    X = X.reshape(len(table), label_col)
     nan_rows, nan_cols = np.nonzero(np.isnan(X))
     if len(nan_rows):
         raise ValueError(f"data row {nan_rows[0] + 1}: feature {names[nan_cols[0]]!r} is NaN")
+    labels = [row[label_col] for row in table]
+    class_list = tuple(dict.fromkeys(labels) if classes is None else classes)
+    index = {name: i for i, name in enumerate(class_list)}
+    try:
+        y = np.array(list(map(index.__getitem__, labels)), dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"data row {labels.index(exc.args[0]) + 1}: label {exc.args[0]!r} "
+                         "not in provided class list") from None
+    synth = None
+    if "provenance" in header:
+        col = header.index("provenance")
+        provenance = [row[col] for row in table]
+        if not set(provenance) <= set(_PROVENANCES):
+            k = next(k for k, p in enumerate(provenance) if p not in _PROVENANCES)
+            raise ValueError(f"data row {k + 1}: provenance {provenance[k]!r} not in {_PROVENANCES}")
+        synth = np.array(list(map(PROVENANCE_SYNTHETIC.__eq__, provenance)), dtype=bool)
+    ts_col = header.index("timestamp_us") if "timestamp_us" in header else None
+    timestamps = (None if ts_col is None
+                  else _int64_table([row[ts_col] for row in table], ["timestamp_us"])[:, 0])
     return TabularDataset(
         X=X,
         y=y,
         classes=class_list,
         timestamps_us=timestamps,
-        synthetic=np.array(synth, dtype=bool) if prov_col is not None else None,
+        synthetic=synth,
         names=names,
     )

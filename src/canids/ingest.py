@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-import string
 from itertools import accumulate, islice
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -40,8 +39,10 @@ from canids.core import (
     _BLOCK_ROWS,
     _PAD,
     _csv_rows,
+    _data_rows,
     _decimal_table,
     _hex_cells,
+    _int_cell,
     _text_cells,
     _name_list,
     _require_fields,
@@ -71,7 +72,7 @@ class LabelAmbiguityError(ValueError):
 def _parse_timestamp_us(text: str, where: str) -> int:
     """Microseconds of "SECONDS[.FRACTION]" in ASCII digits, as candump writes."""
     secs, dot, frac = text.partition(".")
-    if not (text.isascii() and secs.isdigit() and (frac.isdigit() or not dot)):
+    if _int_cell(secs) is None or (dot and _int_cell(frac) is None):
         raise ParseError(f"{where}: unparseable timestamp {text!r}")
     if len(frac) > 6:
         raise ParseError(f"{where}: timestamp {text!r} has sub-microsecond precision")
@@ -432,13 +433,6 @@ def hcrl_schema() -> CsvSchema:
     )
 
 
-def _parse_cell_int(cell: str, hex_flag: bool, where: str, what: str) -> int:
-    # ASCII digits only: int() also takes signs, underscores and other scripts' digits.
-    if not cell or cell.strip(string.hexdigits if hex_flag else string.digits):
-        raise ParseError(f"{where}: unparseable {what} {cell!r}")
-    return int(cell, 16 if hex_flag else 10)
-
-
 def parse_csv_dataset(
     lines: Iterable[str],
     schema: CsvSchema,
@@ -446,47 +440,41 @@ def parse_csv_dataset(
 ) -> TrafficLog:
     """Parse a labeled CSV dataset into a labeled TrafficLog on channel "csv".
 
-    Data bytes beyond the row's dlc are dropped. Unknown labels and rows of
-    the wrong arity raise ParseError with the row index.
+    Rows and cells are read as by the other CSV readers (`core`). Data
+    bytes beyond the row's dlc are dropped. Unknown labels and rows of the
+    wrong arity raise ParseError with the row index.
     """
+    needed = max([schema.timestamp_col, schema.id_col]
+                 + ([schema.dlc_col] if schema.dlc_col is not None else []))
     ts_col, id_col, dlc_col, data_col, label_col = [], [], [], [], []
-    for rowno, row in enumerate(_csv_rows(lines, ParseError), start=1):
+    for rowno, row in _data_rows(_csv_rows(lines, ParseError)):
         if schema.has_header and rowno == 1:
             continue
-        if not row or all(not c.strip() for c in row):
-            continue
         where = f"row {rowno}"
-        row = [c.strip() for c in row]
-        needed = max(
-            [schema.timestamp_col, schema.id_col]
-            + ([schema.dlc_col] if schema.dlc_col is not None else [])
-        )
         if len(row) <= needed:
             raise ParseError(f"{where}: expected at least {needed + 1} columns, got {len(row)}")
 
         ts_us = _parse_timestamp_us(row[schema.timestamp_col], where)
-        can_id = _parse_cell_int(row[schema.id_col], schema.id_hex, where, "id")
+        can_id = _int_cell(row[schema.id_col], 16 if schema.id_hex else 10)
+        if can_id is None:
+            raise ParseError(f"{where}: unparseable id {row[schema.id_col]!r}")
         if can_id > MAX_EXTENDED_ID:
             raise ParseError(f"{where}: id {can_id:#x} exceeds the 29-bit space")
 
         if schema.dlc_col is not None:
-            dlc = _parse_cell_int(row[schema.dlc_col], False, where, "dlc")
-            if not 0 <= dlc <= MAX_DLC:
-                raise ParseError(f"{where}: dlc {dlc} out of range")
+            dlc = _int_cell(row[schema.dlc_col])
+            if dlc is None:
+                raise ParseError(f"{where}: unparseable dlc {row[schema.dlc_col]!r}")
         else:
             dlc = min(len(schema.data_cols), len(row) - 1)
         if dlc > len(schema.data_cols):
             raise ParseError(f"{where}: dlc {dlc} exceeds the {len(schema.data_cols)} schema data columns")
 
-        data = bytearray()
-        for k in range(dlc):
-            col = schema.data_cols[k]
-            if col >= len(row) or not row[col]:
-                raise ParseError(f"{where}: missing data byte {k} for dlc {dlc}")
-            v = _parse_cell_int(row[col], schema.data_hex, where, f"data byte {k}")
-            if not 0 <= v <= 0xFF:
-                raise ParseError(f"{where}: data byte {k} value {v} out of range")
-            data.append(v)
+        cells = [row[col] if col < len(row) else "" for col in schema.data_cols[:dlc]]
+        data = [_int_cell(cell, 16 if schema.data_hex else 10) for cell in cells]
+        bad = [k for k, v in enumerate(data) if v is None or v > 0xFF]
+        if bad:
+            raise ParseError(f"{where}: unparseable data byte {bad[0]} {cells[bad[0]]!r} (dlc {dlc})")
 
         label_name = NORMAL_LABEL
         if schema.label_col is not None or schema.label_after_data:
@@ -505,7 +493,7 @@ def parse_csv_dataset(
         ts_col.append(ts_us)
         id_col.append(can_id)
         dlc_col.append(dlc)
-        data_col.append(data.hex())
+        data_col.append(bytes(data).hex())
         label_col.append(label_name)
 
     if label_space is None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -25,8 +26,11 @@ import numpy as np
 from .core import (
     EXTENDED_ID_BITS,
     TrafficLog,
+    _csv_rows,
+    _data_rows,
     _decimal_cells,
     _each_followed_by,
+    _int64_table,
     _write_rows,
     id_bits_matrix,
 )
@@ -199,23 +203,15 @@ def save_id_sequences(seqs: IdSequenceSet, stream: IO[str]) -> None:
 
 
 def load_id_sequences(stream: IO[str]) -> IdSequenceSet:
+    """Read sequences written by save_id_sequences: cells are signed integer
+    cells (`core`), and labels 0..255."""
     header = stream.readline().strip().split(",")
     if len(header) < 3 or header[0] != "start" or header[-1] != "label":
         raise ValueError("not an id-sequence file")
-    window = len(header) - 2
-    starts, rows, labels = [], [], []
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != window + 2:
-            raise ValueError(f"sequence row has {len(parts)} fields, expected {window + 2}")
-        starts.append(int(parts[0]))
-        rows.append([int(v) for v in parts[1:-1]])
-        labels.append(int(parts[-1]))
-    return IdSequenceSet(
-        ids=np.array(rows, dtype=np.int64).reshape(len(labels), window),
-        labels=np.array(labels, dtype=np.uint8),
-        starts=np.array(starts, dtype=np.int64),
-    )
+    cells = chain.from_iterable(row for _, row in _data_rows(_csv_rows(stream), len(header)))
+    values = _int64_table(list(cells), header)
+    labels = values[:, -1].astype(np.uint8)
+    bad = np.flatnonzero(labels != values[:, -1])
+    if len(bad):
+        raise ValueError(f"data row {bad[0] + 1}: label {values[bad[0], -1]} outside 0..255")
+    return IdSequenceSet(ids=values[:, 1:-1], labels=labels, starts=values[:, 0])

@@ -21,7 +21,8 @@ from canids.features import (
     smote_oversample,
     split_train_test,
 )
-from test_windows import int64_cells
+from canids.windows import build_id_sequences, load_id_sequences, save_id_sequences
+from test_windows import int64_cells, make_log, written
 
 
 def segment_check(point, originals, k, tol=1e-9):
@@ -375,6 +376,30 @@ class TestCsvRoundTrip:
         assert np.signbit(back.X[0, 0]) == np.signbit(value)
 
 
+    @pytest.mark.parametrize("names", [("label", "provenance"), ("id", "timestamp_us"),
+                                       ("provenance",)])
+    def test_reserved_feature_names_refused_before_writing(self, names):
+        data = TabularDataset(X=np.ones((1, len(names))), y=[0], classes=("1.0",), names=names)
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="feature names"):
+            save_dataset_csv(data, buf)
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("header", ["label,provenance,label,provenance,timestamp_us",
+                                        "f0,label,provenance,timestamp_us,timestamp_us",
+                                        "f0,label,provenance,provenance"])
+    def test_header_naming_a_reserved_column_twice_refused(self, header):
+        row = ",".join(["1"] * len(header.split(",")))
+        with pytest.raises(ValueError, match="names '(label|provenance|timestamp_us)' 2 times"):
+            load_dataset_csv(io.StringIO(f"{header}\n{row}\n"))
+
+    @pytest.mark.parametrize("cell", ["Synthetic", "junk", "", " synthetic", "ORIGINAL"])
+    def test_provenance_other_than_original_or_synthetic_refused(self, cell):
+        text = f'f0,label,provenance\n1.0,Normal,synthetic\n1.0,Normal,"{cell}"\n'
+        with pytest.raises(ValueError, match=r"data row 2: provenance"):
+            load_dataset_csv(io.StringIO(text))
+
+
 class TestDatasetCsvRobustness:
     def test_unreadable_csv_line_is_a_value_error(self):
         """csv.reader refuses a carriage return inside an unquoted field
@@ -382,24 +407,29 @@ class TestDatasetCsvRobustness:
         with pytest.raises(ValueError, match="line 2: new-line character"):
             load_dataset_csv(io.StringIO("f0,label\n1\r2,Normal\n"))
 
+    @pytest.mark.parametrize("write, read", [
+        (lambda: csv_text(save_dataset_csv, log_to_dataset(toy_log(3))),
+         lambda stream, data: load_dataset_csv(
+             stream, classes=data.draw(st.none() | st.just(("Normal", "Attack A", "Attack B"))))),
+        (lambda: written(save_id_sequences, build_id_sequences(make_log(8, [3]), window=3)),
+         lambda stream, data: load_id_sequences(stream)),
+    ], ids=["dataset", "id-sequences"])
     @settings(max_examples=400, deadline=None)
     @given(st.data())
-    def test_mutated_files_raise_only_value_error(self, data):
-        """A truncated or mutated dataset file raises ValueError, or loads."""
-        ds = log_to_dataset(toy_log(3))
-        buf = io.StringIO()
-        save_dataset_csv(ds, buf)
-        text = buf.getvalue()
+    def test_mutated_files_raise_only_value_error(self, write, read, data):
+        """A truncated or mutated dataset or id-sequence file raises
+        ValueError, or loads."""
+        text = write()
         for _ in range(data.draw(st.integers(1, 4))):
             at = data.draw(st.integers(0, len(text)))
             piece = data.draw(st.sampled_from(
                 ["", ",", '"', "\n", "\r", "\x00", "nan", "inf", "-", "1e999", "x", "label",
-                 "timestamp_us", "provenance", "\u00e9", " "]))
+                 "timestamp_us", "provenance", "\u00e9", " ", "start", "_", "\u0661",
+                 "300", "99999999999999999999"]))
             text = text[:at] + piece + text[at + data.draw(st.integers(0, 3)):]
         text = text[:data.draw(st.integers(0, len(text)))]
-        classes = data.draw(st.none() | st.just(ds.classes))
         try:
-            load_dataset_csv(io.StringIO(text), classes=classes)
+            read(io.StringIO(text), data)
         except ValueError:
             pass
 

@@ -83,6 +83,14 @@ class TestCandumpLine:
         with pytest.raises(ParseError, match="line 42"):
             parse_candump_line("garbage", lineno=42)
 
+    def test_seconds_past_the_int_string_limit_are_a_parse_error(self):
+        """int() refuses more than 4,300 digits with a ValueError that names
+        no line."""
+        with pytest.raises(ParseError, match="line 1: unparseable timestamp"):
+            parse_candump_log(io.StringIO(f"({'9' * 5000}.000000) can0 123#00\n"))
+        with pytest.raises(ParseError, match="row 1: unparseable timestamp"):
+            parse_csv_dataset([f"{'9' * 5000}.0,010,00"], CsvSchema(0, 1, data_cols=(2,)))
+
 
 class TestCandumpLog:
     def test_order_preserved_and_blank_lines(self):
@@ -549,6 +557,22 @@ class TestCsvDataset:
         good = "0.5,010,1,00\n"
         with pytest.raises(ParseError, match=f"row 2: unparseable {field} "):
             parse_csv_dataset(io.StringIO(good + row + "\n"), schema)
+
+
+    @pytest.mark.parametrize("row, field", [("1.0, 010,1,01", "id"), ("1.0,010,1 ,01", "dlc"),
+                                            ("1.0,010,1,01 ", "data byte 0")])
+    def test_cells_are_read_verbatim(self, row, field):
+        """Spaces around a cell are refused, as the other CSV readers refuse
+        them, rather than stripped."""
+        schema = CsvSchema(timestamp_col=0, id_col=1, dlc_col=2, data_cols=(3,))
+        with pytest.raises(ParseError, match=f"row 2: unparseable {field} "):
+            parse_csv_dataset(io.StringIO("0.5,010,1,00\n" + row + "\n"), schema)
+
+    def test_rows_numbered_as_by_the_other_csv_readers(self):
+        """Blank rows are skipped and not counted."""
+        schema = CsvSchema(timestamp_col=0, id_col=1, data_cols=(2,))
+        with pytest.raises(ParseError, match="row 2: unparseable id 'zz'"):
+            parse_csv_dataset(io.StringIO("0.5,010,00\n\n\n1.0,zz,01\n"), schema)
 
 
 def mk_log(entries, channel="can0"):

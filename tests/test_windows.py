@@ -180,6 +180,26 @@ class TestPersistence:
         assert np.array_equal(back.labels, out.labels)
         assert np.array_equal(back.starts, out.starts)
 
+    @pytest.mark.parametrize("row", ["0,1_0,6,0", "0, 12 ,6,0", "0,\u0661\u0662,6,0", "0,5,6,300",
+                                     "0,5,6,-1", "0,99999999999999999999,6,0", "x,5,6,0"])
+    def test_sequence_cells_the_writer_never_writes_rejected(self, row):
+        text = f"start,id0,id1,label\n0,5,6,0\n{row}\n"
+        with pytest.raises(ValueError, match=r"data row 2: "):
+            load_id_sequences(io.StringIO(text))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_written_sequence_file_loads(self, data):
+        n, window = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 20))
+        seqs = IdSequenceSet(
+            ids=data.draw(arrays(np.int64, (n, window), elements=st.integers(0, 2**29 - 1))),
+            labels=data.draw(arrays(np.uint8, n, elements=st.integers(0, 1))),
+            starts=data.draw(st.none() | arrays(np.int64, n, elements=st.integers(0, 2**40))))
+        back = load_id_sequences(io.StringIO(written(save_id_sequences, seqs)))
+        assert np.array_equal(back.ids, seqs.ids) and back.ids.shape == (n, window)
+        assert np.array_equal(back.labels, seqs.labels) and back.labels.dtype == np.uint8
+        assert np.array_equal(back.starts, np.full(n, -1) if seqs.starts is None else seqs.starts)
+
     def test_sequence_bad_header(self):
         with pytest.raises(ValueError, match="id-sequence"):
             load_id_sequences(io.StringIO("a,b\n"))
