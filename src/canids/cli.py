@@ -24,7 +24,7 @@ from typing import Any, IO
 
 import numpy as np
 
-from .core import NORMAL_LABEL, TrafficLog
+from .core import NORMAL_LABEL, TrafficLog, _read_field
 from .detectors import _MODEL_KINDS, load_model, save_model
 from .evaluate import EvalReport, Timer, compute_metrics, emit_report, evaluate_pipeline
 from .features import (
@@ -203,7 +203,7 @@ def _prepare(labeled: TrafficLog, include_dlc: bool, ratio: float, mode: str, se
     try:
         spec = SplitSpec(ratio=ratio, mode=mode, seed=seed)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"bad split ratio or mode: {exc}") from None
     train, test = split_train_test(dataset, spec)
     if smote:
         train = smote_oversample(train, target_count=smote[0], k=smote[1], seed=seed)
@@ -262,21 +262,20 @@ def _parse_params(text: str | None) -> dict[str, Any]:
     return params
 
 
-def _fit(kind: str, params: dict[str, Any], seed: int, train, ambient: TrafficLog | None):
-    """The fitted model and its fit seconds: frequency models learn the
+def _fit(model, train, ambient: TrafficLog | None) -> float:
+    """Fit the model and return its fit seconds: frequency models learn the
     ambient log, every other kind the train rows."""
-    model = build_model(kind, params, seed)
     with Timer() as timer:
-        if kind == "frequency":
+        if model.kind == "frequency":
             model.fit(ambient)
         else:
             model.fit(train.X, train.y, train.classes)
-    return model, timer.seconds
+    return timer.seconds
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
-    params = _parse_params(args.params)
+    model = build_model(args.model, _parse_params(args.params), seed)
     train = ambient = None
     if args.model == "frequency":
         if not args.ambient:
@@ -289,7 +288,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         classes = tuple(_read_json(args.classes)) if args.classes else None
         with open(_require_file(args.train)) as fh:
             train = load_dataset_csv(fh, classes=classes)
-    model, seconds = _fit(args.model, params, seed, train, ambient)
+    seconds = _fit(model, train, ambient)
     with _open_out(args.out, args.force) as fh:
         save_model(model, fh)
     print(f"trained {args.model} in {seconds:.2f}s -> {args.out}")
@@ -346,36 +345,36 @@ PIPELINE_DEFAULTS = {
 }
 
 
-def _check_counts(section: str, cfg: dict[str, Any] | None, names: tuple[str, ...],
-                  nullable: tuple[str, ...] = ()) -> None:
-    """Refuse a section entry that is not a positive integer (null is
-    allowed for the `nullable` entries, where it skips an output); an
-    absent entry takes its default."""
-    for name in names:
-        value = (cfg or {}).get(name, 1)
-        if value is None and name in nullable:
-            continue
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"pipeline config {section}.{name} must be a positive integer, "
-                              f"not {value!r}")
+# The pipeline config's count entries: positive integers, or null to skip an output.
+_COUNTS = {"eval": {"window": "integer", "step": "integer"},
+           "smote": {"target_count": "integer", "k": "integer"},
+           "windows": {"window": "integer or null", "step": "integer",
+                       "sequences": "integer or null"}}
 
 
 def _resolve_config(raw: dict[str, Any], seed_override: int | None) -> dict[str, Any]:
-    for key in ("model", "split", "eval", "smote", "windows"):
-        value = raw.get(key, {})
-        if not isinstance(value, dict) and (value is not None or key == "model"):
-            raise ConfigError(f"pipeline config {key!r} must be a JSON object, not {value!r}")
-    config = dict(PIPELINE_DEFAULTS)
-    config.update(raw)
-    for key in ("split", "eval"):
-        merged = dict(PIPELINE_DEFAULTS[key])
-        merged.update(raw.get(key) or {})
-        config[key] = merged
-    if seed_override is not None:
-        config["seed"] = seed_override
-    seed = config["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"pipeline config seed must be a non-negative integer, not {seed!r}")
+    try:
+        for key in ("model", "split", "eval", "smote", "windows"):
+            _read_field("pipeline config", key, raw.get(key, {}),
+                        "object" if key == "model" else "object or null")
+        config = {**PIPELINE_DEFAULTS, **raw}
+        for key in ("split", "eval"):
+            config[key] = {**PIPELINE_DEFAULTS[key], **(raw.get(key) or {})}
+        if seed_override is not None:
+            config["seed"] = seed_override
+        for name, kind in (("seed", "integer"), ("include_dlc", "flag")):
+            config[name] = _read_field("pipeline config", name, config[name], kind)
+        for section, kinds in _COUNTS.items():
+            for name, kind in kinds.items():
+                value = _read_field(f"pipeline config {section}", name,
+                                    (config[section] or {}).get(name, 1), kind)
+                if value is not None and value < 1:
+                    raise ValueError(f"pipeline config {section}.{name} must be positive, "
+                                     f"not {value}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if config["seed"] < 0:
+        raise ConfigError(f"pipeline config seed must be non-negative, not {config['seed']}")
     if "ambient" not in config or "scenario" not in config:
         raise ConfigError("pipeline config needs 'ambient' and 'scenario' entries")
     for key in ("ambient", "scenario"):
@@ -392,10 +391,6 @@ def _resolve_config(raw: dict[str, Any], seed_override: int | None) -> dict[str,
     if config["eval"]["mode"] not in ("frame", "window"):
         raise ConfigError(f"pipeline config eval.mode must be 'frame' or 'window', "
                           f"not {config['eval']['mode']!r}")
-    _check_counts("eval", config["eval"], ("window", "step"))
-    _check_counts("smote", config["smote"], ("target_count", "k"))
-    _check_counts("windows", config["windows"], ("window", "step", "sequences"),
-                  nullable=("window", "sequences"))
     return config
 
 
@@ -407,6 +402,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise ConfigError("pipeline config must be a JSON object")
     config = _resolve_config(raw, args.seed)
     seed = config["seed"]
+    model_cfg = dict(config["model"])
+    kind = model_cfg.pop("kind")
+    model = build_model(kind, model_cfg, seed)
     out_path = _out_dir(args.out)
     with _open_out(out_path("resolved_config.json"), args.force) as fh:
         json.dump(config, fh, indent=2)
@@ -422,8 +420,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         _write_windows(out_path, args.force, labeled, wcfg.get("window", 29), wcfg.get("step", 29),
                        wcfg.get("sequences", 16))
 
-    model_cfg = dict(config["model"])
-    kind = model_cfg.pop("kind")
     dataset_desc: dict[str, Any] = {
         "source": "synthetic",
         "scenario_kind": scenario.kind,
@@ -445,7 +441,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 "classes": list(train.classes),
             }
         )
-    model, timings["fit_seconds"] = _fit(kind, model_cfg, seed, train, ambient)
+    timings["fit_seconds"] = _fit(model, train, ambient)
     with _open_out(out_path("model.json"), args.force) as fh:
         save_model(model, fh)
     ecfg = config["eval"]

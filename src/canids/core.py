@@ -11,8 +11,10 @@ the columns on demand.
 from __future__ import annotations
 
 import csv
+import re
+import sys
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -355,6 +357,80 @@ def _require_fields(doc: Any, fields: Iterable[str], what: str) -> None:
         raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
 
 
+# The one field reader: every document and constructor reads its scalar and
+# list fields through it and stores what it returns, plain JSON values, so
+# everything a constructor accepts can be written back.
+_KINDS = {"integer": "an integer", "number": "a number", "flag": "true or false",
+          "text": "a string", "object": "an object", "list": "a list",
+          "id": "a CAN id (an integer or 1 to 8 hex digits, in 29 bits)"}
+_PLAIN = {"integer": int, "number": float, "flag": bool, "text": str, "object": dict,
+          "integer or null": int, "number or null": float, "text or null": str}
+_HEX_ID = re.compile(r"[0-9A-Fa-f]{1,8}")
+
+
+def _plain(value: Any, kind: str) -> Any:
+    """value as a plain value of kind (see _read_field), else TypeError."""
+    if type(value) is _PLAIN.get(kind):
+        return value
+    if kind.endswith(" or null"):
+        return None if value is None else _plain(value, kind.removesuffix(" or null"))
+    if kind.startswith("list of "):
+        if isinstance(value, (list, tuple)):
+            return tuple(_plain(v, kind.removeprefix("list of ")) for v in value)
+        kind = "list"
+    elif isinstance(value, (bool, np.bool_)):
+        if kind == "flag":
+            return bool(value)
+    elif kind in ("text", "object"):
+        if isinstance(value, _PLAIN[kind]):
+            return _PLAIN[kind](value)
+    elif isinstance(value, (int, np.integer)) or (
+            kind == "id" and isinstance(value, str) and _HEX_ID.fullmatch(value)):
+        whole = int(value, 16) if isinstance(value, str) else int(value)
+        if (kind == "integer" or kind == "number" and abs(whole) <= sys.float_info.max
+                or kind == "id" and 0 <= whole <= MAX_EXTENDED_ID):
+            return whole
+    elif kind == "number" and isinstance(value, (float, np.floating)):
+        return float(value)
+    raise TypeError(f"{value!r} is not {_KINDS[kind]}")
+
+
+def _read_field(what: str, name: str, value: Any, kind: str | Callable[[Any], Any]) -> Any:
+    """`value`, field `name` of the document `what`, as a plain value of `kind`.
+
+    The kinds are "integer", "number", "flag", "text", "object" (a dict),
+    "id" (a CAN id: an integer or hex text), "<kind> or null" and "list of
+    <kind>" (a tuple).  A bool is never a number, nor is a string, nor an int
+    beyond float64; a numpy scalar comes back as the Python int, float or
+    bool, and an int stays an int.  Any other value raises ValueError
+    "<what> field '<name>': <value> is not <kind>" ("<name>: ..." when
+    `what` is empty).  A callable kind converts the value; its TypeError or
+    ValueError is reworded the same way.
+    """
+    try:
+        return kind(value) if callable(kind) else _plain(value, kind)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} field {name!r}: {exc}" if what else f"{name}: {exc}") from None
+
+
+def _read_fields(obj: Any, what: str, **kinds: str) -> None:
+    """Read the named attributes of obj (a frozen dataclass too) as their
+    kinds, and store the plain values in their place."""
+    for name, kind in kinds.items():
+        value = getattr(obj, name)
+        if type(value) is not _PLAIN.get(kind):  # a plain value is stored as it is
+            object.__setattr__(obj, name, _read_field(what, name, value, kind))
+
+
+def _present_fields(doc: dict, what: str, **kinds: str | Callable[[Any], Any]) -> dict[str, Any]:
+    """The named fields that doc holds, each read as its kind; absent ones
+    are left to the constructor's defaults.  A document holds no null where
+    a constructor takes None for "absent": "<kind> or null" reads as <kind>."""
+    return {name: _read_field(what, name, doc[name],
+                              kind if callable(kind) else kind.removesuffix(" or null"))
+            for name, kind in kinds.items() if name in doc}
+
+
 def _csv_rows(lines: Iterable[str], error: type[ValueError] = ValueError) -> Iterator[list[str]]:
     """The rows csv.reader reads from lines; a line it cannot read raises
     `error` naming the line, instead of csv.Error."""
@@ -422,12 +498,6 @@ def _float64_cells(cells: list[str]) -> np.ndarray | None:
         return None
     infinite = np.isinf(values).nonzero()[0]
     return values if all(cells[k].lstrip("+-").isalpha() for k in infinite) else None
-
-
-def _name_list(value: Any, what: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"{what} must be a list of names")
-    return value
 
 
 def id_bits(frame: CanFrame) -> np.ndarray:

@@ -42,14 +42,13 @@ from __future__ import annotations
 
 import copy
 import json
-import numbers
 import time
 from dataclasses import dataclass
 from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import CanFrame, LabeledFrame, TrafficLog, _name_list, _require_fields
+from .core import CanFrame, LabeledFrame, TrafficLog, _read_field, _require_fields
 
 MODEL_FORMAT_VERSION = 1
 
@@ -78,27 +77,6 @@ def _numbers(value: Any, dtype: type, what: str) -> np.ndarray:
         return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{what} is not an array of numbers") from None
-
-
-# What each kind of hyperparameter must be: "depth" is an integer or null
-# (no limit); a bool is not a number here.
-_PARAM_TYPES = {
-    "integer": (numbers.Integral, "an integer"),
-    "depth": (numbers.Integral, "an integer or null"),
-    "number": (numbers.Real, "a number"),
-    "flag": (bool, "true or false"),
-}
-
-
-def _require_types(**params: tuple[Any, str]) -> None:
-    """Refuse the first hyperparameter, given as name=(value, kind), whose
-    value is not of its kind, with a ValueError naming it."""
-    for name, (value, kind) in params.items():
-        accepted, what = _PARAM_TYPES[kind]
-        if value is None and kind == "depth":
-            continue
-        if not isinstance(value, accepted) or (kind != "flag" and isinstance(value, bool)):
-            raise ValueError(f"{name} must be {what}, not {value!r}")
 
 
 def _feature_matrix(X: np.ndarray, n_read: int) -> np.ndarray:
@@ -407,7 +385,11 @@ class Detector:
     params: tuple[str, ...] = ()
     state: tuple[str, ...] = ()
 
-    def __init__(self) -> None:
+    def __init__(self, **params: tuple[Any, str]) -> None:
+        """Store each hyperparameter, given as name=(value, kind), as the
+        plain value `core._read_field` reads."""
+        for name, (value, kind) in params.items():
+            setattr(self, name, _read_field(f"{self.kind} model", name, value, kind))
         self.classes: tuple[str, ...] = ()
         self.latency_us: float | None = None
         self._fitted = False
@@ -483,13 +465,14 @@ class Detector:
             model = cls(**{name: obj[name] for name in cls.params})
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{cls.kind} model has a bad hyperparameter: {exc}") from None
-        model.latency_us = obj.get("latency_us")
+        model.latency_us = _read_field(f"{cls.kind} model", "latency_us", obj.get("latency_us"),
+                                       "number or null")
         return model
 
     @classmethod
     def from_json_obj(cls, obj: Any) -> "Detector":
         model = cls._from_params(obj, "classes")
-        model.classes = tuple(_name_list(obj["classes"], f"{cls.kind} model classes"))
+        model.classes = _read_field(f"{cls.kind} model", "classes", obj["classes"], "list of text")
         model._load_state(obj)
         model._fitted = True
         return model
@@ -503,12 +486,9 @@ class DecisionTree(Detector):
     state = ("tree",)
 
     def __init__(self, max_depth: int | None = None, min_leaf: int = 1) -> None:
-        super().__init__()
-        _require_types(max_depth=(max_depth, "depth"), min_leaf=(min_leaf, "integer"))
-        if min_leaf < 1:
+        super().__init__(max_depth=(max_depth, "integer or null"), min_leaf=(min_leaf, "integer"))
+        if self.min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
         self._tree: _TreeArrays | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None = None) -> "DecisionTree":
@@ -564,20 +544,13 @@ class RandomForest(Detector):
         feature_frac: float = 1.0,
         seed: int = 0,
     ) -> None:
-        super().__init__()
-        _require_types(n_trees=(n_trees, "integer"), max_depth=(max_depth, "depth"),
-                       min_leaf=(min_leaf, "integer"), bootstrap=(bootstrap, "flag"),
-                       feature_frac=(feature_frac, "number"), seed=(seed, "integer"))
-        if n_trees < 1:
+        super().__init__(n_trees=(n_trees, "integer"), max_depth=(max_depth, "integer or null"),
+                         min_leaf=(min_leaf, "integer"), bootstrap=(bootstrap, "flag"),
+                         feature_frac=(feature_frac, "number"), seed=(seed, "integer"))
+        if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        if not 0.0 < feature_frac <= 1.0:
+        if not 0.0 < self.feature_frac <= 1.0:
             raise ValueError("feature_frac must be in (0, 1]")
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.bootstrap = bootstrap
-        self.feature_frac = feature_frac
-        self.seed = seed
         self._trees: list[_TreeArrays] = []
         self._feats: list[np.ndarray] = []
 
@@ -655,24 +628,16 @@ class GradientBoosting(Detector):
         subsample: float = 1.0,
         seed: int = 0,
     ) -> None:
-        super().__init__()
-        _require_types(n_rounds=(n_rounds, "integer"), learning_rate=(learning_rate, "number"),
-                       max_depth=(max_depth, "depth"), min_leaf=(min_leaf, "integer"),
-                       reg_lambda=(reg_lambda, "number"), subsample=(subsample, "number"),
-                       seed=(seed, "integer"))
-        if n_rounds < 1:
+        super().__init__(n_rounds=(n_rounds, "integer"), learning_rate=(learning_rate, "number"),
+                         max_depth=(max_depth, "integer or null"), min_leaf=(min_leaf, "integer"),
+                         reg_lambda=(reg_lambda, "number"), subsample=(subsample, "number"),
+                         seed=(seed, "integer"))
+        if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
-        if not 0.0 < learning_rate <= 1.0:
+        if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if not 0.0 < subsample <= 1.0:
+        if not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample must be in (0, 1]")
-        self.n_rounds = n_rounds
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.reg_lambda = reg_lambda
-        self.subsample = subsample
-        self.seed = seed
         self._rounds: list[list[_TreeArrays]] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None = None) -> "GradientBoosting":
@@ -765,6 +730,9 @@ def softmax_cross_entropy(raw: np.ndarray, y: np.ndarray) -> float:
     return float(-np.log(np.maximum(p[np.arange(len(y)), y], 1e-300)).mean())
 
 
+_FREQUENCY_STATS = ("mean_us", "std_us", "threshold_us", "count")
+
+
 class FrequencyDetector(Detector):
     """Per-id inter-arrival baseline.
 
@@ -781,11 +749,9 @@ class FrequencyDetector(Detector):
     state = ("ids",)
 
     def __init__(self, k_sigma: float = 4.0) -> None:
-        super().__init__()
-        _require_types(k_sigma=(k_sigma, "number"))
-        if k_sigma < 0:
+        super().__init__(k_sigma=(k_sigma, "number"))
+        if self.k_sigma < 0:
             raise ValueError("k_sigma must be nonnegative")
-        self.k_sigma = k_sigma
         self.classes = ("Normal", "Attack")
         self.stats: dict[int, dict[str, float]] = {}
 
@@ -857,14 +823,15 @@ class FrequencyDetector(Detector):
         return {"ids": {f"{can_id:X}": dict(stat) for can_id, stat in sorted(self.stats.items())}}
 
     def _load_state(self, obj: dict[str, Any]) -> None:
-        if not isinstance(obj["ids"], dict):
-            raise ValueError("frequency ids must map hex ids to statistics")
         self.stats = {}
-        for key, stat in obj["ids"].items():
-            _require_fields(stat, ("mean_us", "std_us", "threshold_us", "count"), f"frequency id {key}")
-            if not all(isinstance(v, (int, float)) for v in stat.values()):
-                raise ValueError(f"frequency id {key} statistics must be numbers")
-            self.stats[int(key, 16)] = dict(stat)
+        for key, stat in _read_field("frequency model", "ids", obj["ids"], "object").items():
+            where = f"frequency id {key}"
+            _require_fields(stat, _FREQUENCY_STATS, where)
+            can_id = _read_field("frequency model", "ids", key, "id")
+            if can_id in self.stats:
+                raise ValueError(f"frequency model field 'ids': {key!r} repeats id {can_id:X}")
+            self.stats[can_id] = {
+                name: _read_field(where, name, stat[name], "number") for name in _FREQUENCY_STATS}
 
 
 def fit_decision_tree(

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import numbers
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import IO, Sequence
@@ -36,6 +35,7 @@ from .core import (
     _float64_cells,
     _float_cells,
     _int64_table,
+    _read_fields,
     _text_cells,
     _write_rows,
 )
@@ -149,8 +149,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.ratio, bool) or not isinstance(self.ratio, numbers.Real):
-            raise ValueError(f"split ratio must be a number in (0, 1), got {self.ratio!r}")
+        _read_fields(self, "split", ratio="number", mode="text", seed="integer")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"split ratio must be in (0, 1), got {self.ratio}")
         if self.mode not in SPLIT_MODES:
@@ -320,6 +319,11 @@ def smote_oversample(
     )
 
 
+def _refuse_reserved(names: Sequence[str]) -> None:
+    if set(names) & set(_RESERVED_COLUMNS):
+        raise ValueError(f"feature names may not be any of {_RESERVED_COLUMNS}: {names}")
+
+
 def save_dataset_csv(data: TabularDataset, stream: IO[str]) -> None:
     """Write the dataset as CSV with a header and a provenance column.
 
@@ -329,8 +333,7 @@ def save_dataset_csv(data: TabularDataset, stream: IO[str]) -> None:
     range as the decimal range plus ".0", other features as the repr of
     each distinct bit pattern, class names as csv.writer quotes them."""
     names = data.names or tuple(f"f{i}" for i in range(data.n_features))
-    if set(names) & set(_RESERVED_COLUMNS):
-        raise ValueError(f"feature names may not be any of {_RESERVED_COLUMNS}: {names}")
+    _refuse_reserved(names)
     header = list(names) + ["label", "provenance"]
     has_ts = data.timestamps_us is not None
     if has_ts:
@@ -364,7 +367,7 @@ def load_dataset_csv(stream: IO[str], classes: Sequence[str] | None = None) -> T
     across related files.  Features are float cells and timestamps integer
     cells (`core`), provenance `original` or `synthetic`.  Any other cell,
     or a NaN feature, raises ValueError naming its data row and column, as
-    does a header that names a reserved column twice.
+    does a header that names a reserved column twice or as a feature.
     """
     reader = _csv_rows(stream)
     header = next(reader, [])
@@ -375,6 +378,7 @@ def load_dataset_csv(stream: IO[str], classes: Sequence[str] | None = None) -> T
         raise ValueError("dataset file lacks a label column")
     label_col = header.index("label")
     names = tuple(header[:label_col])
+    _refuse_reserved(names)
     table = [row for _, row in _data_rows(reader, len(header))]
     cells = list(chain.from_iterable(row[:label_col] for row in table))
     X = _float64_cells(cells)

@@ -44,7 +44,8 @@ from canids.core import (
     _hex_cells,
     _int_cell,
     _text_cells,
-    _name_list,
+    _read_field,
+    _read_fields,
     _require_fields,
     _write_rows,
     format_timestamp,
@@ -465,8 +466,9 @@ def parse_csv_dataset(
             dlc = _int_cell(row[schema.dlc_col])
             if dlc is None:
                 raise ParseError(f"{where}: unparseable dlc {row[schema.dlc_col]!r}")
-        else:
-            dlc = min(len(schema.data_cols), len(row) - 1)
+        else:  # the data columns the row holds, less a trailing label cell
+            held = len(row) - schema.label_after_data
+            dlc = sum(col < held for col in schema.data_cols)
         if dlc > len(schema.data_cols):
             raise ParseError(f"{where}: dlc {dlc} exceeds the {len(schema.data_cols)} schema data columns")
 
@@ -542,6 +544,8 @@ class AttackMetadata:
     pattern: str = ""
 
     def __post_init__(self):
+        _read_fields(self, "attack metadata", start_us="integer", end_us="integer",
+                     attack_class="text", can_id="integer or null", pattern="text")
         if not -(1 << 63) <= self.start_us <= self.end_us < 1 << 63:
             raise ValueError("injection interval must run forward within 64-bit microseconds")
         if self.can_id is not None and not 0 <= self.can_id <= MAX_EXTENDED_ID:
@@ -579,21 +583,18 @@ class AttackMetadata:
         """The campaign an entry describes; a malformed entry raises ValueError
         naming the field."""
         _require_fields(obj, ("injection_interval", "injection_id", "attack_class"), "entry")
-        interval, raw_id = obj["injection_interval"], str(obj["injection_id"]).upper()
-        pattern, attack_class = obj.get("injection_data_str", ""), obj["attack_class"]
-        if not (isinstance(interval, list) and len(interval) == 2 and all(
-                type(t) in (int, float) and abs(t) < _SECONDS_LIMIT for t in interval)):
-            raise ValueError(f"injection_interval {interval!r} is not [start, end] in seconds")
-        if raw_id != ID_WILDCARD and not re.fullmatch(r"[0-9A-F]{1,8}", raw_id):
-            raise ValueError(f"injection_id {raw_id!r} is neither hex nor {ID_WILDCARD!r}")
-        if not isinstance(pattern, str) or not isinstance(attack_class, str):
-            raise ValueError("injection_data_str and attack_class must be strings")
+        # Fields are named alone: load_metadata names the entry.
+        interval = _read_field("", "injection_interval", obj["injection_interval"], "list of number")
+        if len(interval) != 2 or not all(abs(t) < _SECONDS_LIMIT for t in interval):
+            raise ValueError(f"injection_interval {obj['injection_interval']!r} is not [start, end] "
+                             "in seconds")
+        can_id = _read_field("", "injection_id", obj["injection_id"], "text")
         return cls(
             start_us=round(interval[0] * 1e6),
             end_us=round(interval[1] * 1e6),
-            can_id=None if raw_id == ID_WILDCARD else int(raw_id, 16),
-            pattern=pattern,
-            attack_class=attack_class,
+            can_id=None if can_id.upper() == ID_WILDCARD else _read_field("", "injection_id", can_id, "id"),
+            pattern=_read_field("", "injection_data_str", obj.get("injection_data_str", ""), "text"),
+            attack_class=_read_field("", "attack_class", obj["attack_class"], "text"),
         )
 
 
@@ -724,7 +725,7 @@ def load_labels(log: TrafficLog, stream: IO[str]) -> TrafficLog:
     if doc.get("format_version") != 1:
         raise ValueError(f"unsupported label document version {doc.get('format_version')!r}")
     _require_fields(doc, ("classes", "labels"), "label document")
-    classes = _name_list(doc["classes"], "label document classes")
+    classes = _read_field("label document", "classes", doc["classes"], "list of text")
     indices = doc["labels"]
     if not isinstance(indices, list):
         raise ValueError("label document labels must be a list of class indices")

@@ -24,14 +24,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .core import _name_list, _require_fields
+from .core import _plain, _read_field, _read_fields, _require_fields
 from .detectors import (
     Detector,
     GradientBoosting,
     _distinct_rows,
     _feature_matrix,
     _reject_nan,
-    _require_types,
     measure_latency,
     register_model_kind,
 )
@@ -67,6 +66,8 @@ class LeaderMap:
     latencies_us: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _read_fields(self, "lccde leaders", classes="list of text", leader="list of integer",
+                     latencies_us="list of number")
         if len(self.leader) != len(self.classes):
             raise ValueError("one leader per class required")
         if any(not 0 <= m < N_BASE_MODELS for m in self.leader):
@@ -86,15 +87,9 @@ class LeaderMap:
     @classmethod
     def from_json_obj(cls, obj: Any) -> "LeaderMap":
         _require_fields(obj, ("classes", "leader", "f1_matrix", "latencies_us"), "lccde leaders")
-        try:
-            return cls(
-                classes=tuple(_name_list(obj["classes"], "lccde leader classes")),
-                leader=tuple(int(v) for v in obj["leader"]),
-                f1_matrix=np.asarray(obj["f1_matrix"], dtype=np.float64),
-                latencies_us=tuple(float(v) for v in obj["latencies_us"]),
-            )
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"lccde leaders: {exc}") from None
+        f1 = _read_field("lccde leaders", "f1_matrix", obj["f1_matrix"], "list of list of number")
+        return cls(classes=obj["classes"], leader=obj["leader"],
+                   f1_matrix=np.array(f1, dtype=np.float64), latencies_us=obj["latencies_us"])
 
 
 def select_leaders(
@@ -122,7 +117,7 @@ def select_leaders(
             lat.append(m.latency_us if m.latency_us is not None else measure_latency(m, val_X))
         latencies_us = tuple(lat)
     else:
-        latencies_us = tuple(float(v) for v in latencies_us)
+        latencies_us = tuple(latencies_us)
         if len(latencies_us) != len(models):
             raise ValueError("one latency per model required")
 
@@ -242,6 +237,23 @@ DEFAULT_BASE_CONFIGS = (
 )
 
 
+def _base_config(cfg: dict[str, Any]) -> dict[str, Any]:
+    """An object of gbdt hyperparameters, checked by building its model,
+    with the plain values the model stores."""
+    unknown = [name for name in cfg if name not in GradientBoosting.params]
+    if unknown:
+        raise ValueError(f"{unknown[0]!r} is not a gbdt hyperparameter")
+    model = GradientBoosting(**cfg)
+    return {name: getattr(model, name) for name in cfg}
+
+
+def _base_configs(configs: Any) -> list[dict[str, Any]]:
+    configs = _plain(configs, "list of object")
+    if len(configs) != N_BASE_MODELS:
+        raise ValueError(f"exactly {N_BASE_MODELS} base configs required")
+    return [_read_field("", f"entry {k}", cfg, _base_config) for k, cfg in enumerate(configs)]
+
+
 class LccdeEnsemble(Detector):
     """Three boosted-tree base learners plus leader arbitration.
 
@@ -260,18 +272,13 @@ class LccdeEnsemble(Detector):
         majority_literal: bool = True,
         seed: int = 0,
     ) -> None:
-        super().__init__()
-        _require_types(val_frac=(val_frac, "number"), majority_literal=(majority_literal, "flag"),
-                       seed=(seed, "integer"))
-        base_configs = DEFAULT_BASE_CONFIGS if base_configs is None else base_configs
-        if len(base_configs) != N_BASE_MODELS:
-            raise ValueError(f"exactly {N_BASE_MODELS} base configs required")
-        if not 0.0 < val_frac < 1.0:
+        super().__init__(
+            val_frac=(val_frac, "number"), majority_literal=(majority_literal, "flag"),
+            seed=(seed, "integer"),
+            base_configs=(DEFAULT_BASE_CONFIGS if base_configs is None else base_configs,
+                          _base_configs))
+        if not 0.0 < self.val_frac < 1.0:
             raise ValueError("val_frac must be in (0, 1)")
-        self.base_configs = [dict(cfg) for cfg in base_configs]
-        self.val_frac = val_frac
-        self.majority_literal = majority_literal
-        self.seed = seed
         self.models: list[GradientBoosting] = []
         self.leaders: LeaderMap | None = None
 
@@ -330,9 +337,7 @@ class LccdeEnsemble(Detector):
 
     def _load_state(self, obj: dict[str, Any]) -> None:
         # The constructor reads null as the defaults, not the saved models' configs.
-        configs = obj["base_configs"]
-        if not (isinstance(configs, list) and len(configs) == N_BASE_MODELS
-                and all(isinstance(cfg, dict) for cfg in configs)):
+        if obj["base_configs"] is None:
             raise ValueError(f"lccde base_configs must list {N_BASE_MODELS} objects")
         models = obj["models"]
         if not isinstance(models, list) or len(models) != N_BASE_MODELS:

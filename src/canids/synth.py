@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import re
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
@@ -34,6 +32,9 @@ from canids.core import (
     MAX_EXTENDED_ID,
     MAX_STANDARD_ID,
     TrafficLog,
+    _present_fields,
+    _read_field,
+    _read_fields,
     _require_fields,
     binary_label_space,
     to_us,
@@ -52,53 +53,6 @@ SPOOF_CLASS = "Spoofing Attack"
 MAX_PAYLOAD_FUZZ_CLASS = "Fuzzing Attack"
 FABRICATION_CLASS = "Fabrication Attack"
 MASQUERADE_CLASS = "Masquerade Attack"
-
-
-def _field(what: str, obj: dict, name: str, convert, default=None):
-    """obj[name] through `convert`, or `default` when the field is absent; a
-    value that does not convert raises ValueError naming the field."""
-    if name not in obj:
-        return default
-    try:
-        return convert(obj[name])
-    except (TypeError, ValueError, LookupError, OverflowError) as exc:
-        raise ValueError(f"{what} field {name!r}: {exc}") from None
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"{value!r} is not a string")
-    return value
-
-
-def _integer(value) -> int:
-    if type(value) is not int:  # bool is an int subclass, and is refused too
-        raise TypeError(f"{value!r} is not an integer")
-    return value
-
-
-def _flag(value) -> bool:
-    if type(value) is not bool:
-        raise TypeError(f"{value!r} is not true or false")
-    return value
-
-
-def _each(convert):
-    """A converter of JSON lists, item by item."""
-    def read(value) -> tuple:
-        if not isinstance(value, list):
-            raise TypeError(f"{value!r} is not a list")
-        return tuple(map(convert, value))
-    return read
-
-
-def _parse_id(value) -> int:
-    """Ids in JSON configs may be ints or hex strings ("0D0")."""
-    if isinstance(value, str) and re.fullmatch(r"[0-9A-Fa-f]{1,8}", value):
-        value = int(value, 16)
-    if type(value) is not int or not 0 <= value <= MAX_EXTENDED_ID:
-        raise ValueError(f"id {value!r} is neither hex text nor an int in the 29-bit space")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +91,9 @@ def _clamped_walk(base: np.ndarray, moves: np.ndarray) -> np.ndarray:
     return out
 
 
+_PAYLOAD_FIELDS = dict(kind="text", step="integer", positions="list of integer")
+
+
 @dataclass(frozen=True)
 class PayloadModel:
     """Per-id payload evolution: constant bytes, bounded random walk, or counters."""
@@ -147,14 +104,14 @@ class PayloadModel:
     positions: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _read_fields(self, "payload", **_PAYLOAD_FIELDS)
         if self.kind not in ("constant", "random_walk", "counter"):
             raise ValueError(f"unknown payload model {self.kind!r}")
         if len(self.base) > MAX_DLC:
             raise ValueError("payload base exceeds 8 bytes")
         if any(not 0 <= p < len(self.base) for p in self.positions):
             raise ValueError("counter position outside the payload")
-        if (isinstance(self.step, bool) or not isinstance(self.step, numbers.Integral)
-                or not 0 <= self.step <= _MAX_WALK_STEP):
+        if not 0 <= self.step <= _MAX_WALK_STEP:
             raise ValueError(f"step {self.step!r} is not an integer in 0..{_MAX_WALK_STEP}")
 
     def sequence(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -185,12 +142,10 @@ class PayloadModel:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PayloadModel":
         _require_fields(obj, (), "payload")
-        return cls(
-            kind=obj.get("kind", "constant"),
-            base=_field("payload", obj, "base", bytes.fromhex, b"\x00" * 8),
-            step=_field("payload", obj, "step", _integer, 1),
-            positions=_field("payload", obj, "positions", _each(_integer), ()),
-        )
+        return cls(**_present_fields(obj, "payload", base=bytes.fromhex, **_PAYLOAD_FIELDS))
+
+
+_ID_FIELDS = dict(period="number", jitter_std="number", extended="flag")
 
 
 @dataclass(frozen=True)
@@ -202,10 +157,14 @@ class AmbientIdSpec:
     extended: bool = False
 
     def __post_init__(self):
+        _read_fields(self, "ambient id", can_id="id", **_ID_FIELDS)
         if not 0 < self.period < math.inf:
             raise ValueError("ambient period must be positive and finite")
         if not 0 <= self.jitter_std < math.inf:
             raise ValueError("jitter_std must be non-negative and finite")
+
+
+_AMBIENT_FIELDS = dict(duration="number", seed="integer", channel="text")
 
 
 @dataclass(frozen=True)
@@ -218,6 +177,7 @@ class AmbientModel:
     channel: str = "can0"
 
     def __post_init__(self):
+        _read_fields(self, "ambient model", **_AMBIENT_FIELDS)
         if not 0 < self.duration < math.inf:
             raise ValueError("duration must be positive and finite")
         seen = [s.can_id for s in self.ids]
@@ -247,22 +207,13 @@ class AmbientModel:
         ValueError naming the id entry and the field."""
         _require_fields(obj, ("ids", "duration"), "ambient model")
         ids = []
-        for k, e in enumerate(_field("ambient model", obj, "ids", list)):
+        for k, e in enumerate(_read_field("ambient model", "ids", obj["ids"], "list of object")):
             where = f"ambient id entry {k}"
             _require_fields(e, ("id", "period"), where)
             ids.append(AmbientIdSpec(
-                can_id=_field(where, e, "id", _parse_id),
-                period=_field(where, e, "period", float),
-                jitter_std=_field(where, e, "jitter_std", float, 0.0),
-                payload=_field(where, e, "payload", PayloadModel.from_json_obj, PayloadModel()),
-                extended=_field(where, e, "extended", _flag, False),
-            ))
-        return cls(
-            ids=tuple(ids),
-            duration=_field("ambient model", obj, "duration", float),
-            seed=_field("ambient model", obj, "seed", _integer, 0),
-            channel=_field("ambient model", obj, "channel", _text, "can0"),
-        )
+                can_id=_read_field(where, "id", e["id"], "id"),
+                **_present_fields(e, where, payload=PayloadModel.from_json_obj, **_ID_FIELDS)))
+        return cls(ids=tuple(ids), **_present_fields(obj, "ambient model", **_AMBIENT_FIELDS))
 
 
 def generate_ambient(model: AmbientModel) -> TrafficLog:
@@ -504,6 +455,12 @@ _DEFAULT_CLASS = {
 _DEFAULT_PERIOD = {"dos": DOS_PERIOD_S, "fuzzy": FUZZY_PERIOD_S, "targeted_spoof": SPOOF_PERIOD_S}
 
 
+_SCENARIO_FIELDS = dict(
+    kind="text", interval="list of number", target_id="id or null", payload_spec="text or null",
+    period="number or null", id_cycle="list of id", seed="integer", extended_ids="flag",
+    attack_class="text or null")
+
+
 @dataclass(frozen=True)
 class AttackScenario:
     """Declarative description of one injection campaign."""
@@ -520,6 +477,7 @@ class AttackScenario:
     attack_class: str | None = None
 
     def __post_init__(self):
+        _read_fields(self, "scenario", **_SCENARIO_FIELDS)
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if len(self.interval) != 2 or not -math.inf < self.interval[0] <= self.interval[1] < math.inf:
@@ -566,18 +524,7 @@ class AttackScenario:
         """The scenario a JSON object describes; a malformed one raises
         ValueError naming the field."""
         _require_fields(obj, ("kind", "interval"), "scenario")
-        return cls(
-            kind=obj["kind"],
-            interval=_field("scenario", obj, "interval", _each(float)),
-            target_id=_field("scenario", obj, "target_id", _parse_id),
-            payload=_field("scenario", obj, "payload", bytes.fromhex),
-            payload_spec=_field("scenario", obj, "payload_spec", _text),
-            period=_field("scenario", obj, "period", float),
-            id_cycle=_field("scenario", obj, "id_cycle", _each(_parse_id), ()),
-            seed=_field("scenario", obj, "seed", _integer, 0),
-            extended_ids=_field("scenario", obj, "extended_ids", _flag, False),
-            attack_class=_field("scenario", obj, "attack_class", _text),
-        )
+        return cls(**_present_fields(obj, "scenario", payload=bytes.fromhex, **_SCENARIO_FIELDS))
 
 
 def load_scenario(stream: IO[str]) -> AttackScenario:

@@ -387,15 +387,34 @@ class TestConfigErrorsExit2:
         assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
         assert section in capsys.readouterr().err
 
+    BAD_LCCDE_MODELS = [
+        {"kind": "lccde", "base_configs": [{"n_roundz": 2}, {"n_rounds": 2}, {"n_rounds": 2}]},
+        {"kind": "lccde", "base_configs": [{"n_rounds": "2"}, {"n_rounds": 2}, {"n_rounds": 2}]},
+    ]
+
     @pytest.mark.parametrize("entry, field", [
         ({"seed": "x"}, "seed"),
         ({"split": {"ratio": "x"}}, "split ratio"),
         ({"model": {"kind": "tree", "max_depth": "x"}}, "max_depth"),
+        ({"model": BAD_LCCDE_MODELS[0]}, "n_roundz"),
+        ({"model": BAD_LCCDE_MODELS[1]}, "n_rounds"),
     ])
     def test_pipeline_wrong_types(self, workspace, capsys, entry, field):
         write_json("config.json", dict(PIPELINE_CONFIG, **entry))
         assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        {"seed": True},
+        {"include_dlc": "yes"},
+        {"model": {"kind": "tree", "max_depth": "x"}},
+        {"model": {"kind": "gbdt", "wat": 1}},
+    ] + [{"model": model} for model in BAD_LCCDE_MODELS])
+    def test_pipeline_bad_entry_writes_nothing(self, workspace, entry):
+        """The config and the model are read before the run writes a file."""
+        write_json("config.json", dict(PIPELINE_CONFIG, **entry))
+        assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
+        assert not os.path.exists("runb")
 
     def test_train_without_train_csv(self, workspace, capsys):
         assert run(["train", "--model", "tree", "--out", "m.json"]) == 2

@@ -1,4 +1,5 @@
 import io
+import json
 from unittest import mock
 
 import numpy as np
@@ -250,3 +251,147 @@ class TestBlockPadByte:
         back = parse_candump_log(io.StringIO(text))
         assert back.channels == log.channels and back.frames == log.frames
         assert dataset_text == csv_text(reference_save_dataset_csv, data)
+
+
+INT_TYPES = (int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+FLOAT_TYPES = (float, np.float16, np.float32, np.float64)
+PLAIN_TYPES = (int, float, bool, str, type(None))
+
+
+def ints(lo, hi):
+    """Integers in lo..hi (within 0..127, so every integer type holds them),
+    as Python or numpy scalars."""
+    return st.builds(lambda t, v: t(v), st.sampled_from(INT_TYPES), st.integers(lo, hi))
+
+
+def numbers(*values):
+    """The given numbers as float scalars of every width, and the whole ones
+    also as integer scalars."""
+    floats = st.builds(lambda t, v: t(v), st.sampled_from(FLOAT_TYPES), st.sampled_from(values))
+    whole = [int(v) for v in values if v == int(v)]
+    if not whole:
+        return floats
+    return floats | st.builds(lambda t, v: t(v), st.sampled_from(INT_TYPES), st.sampled_from(whole))
+
+
+FLAGS = st.builds(lambda t, v: t(v), st.sampled_from((bool, np.bool_)), st.booleans())
+
+
+def payloads():
+    from canids.synth import PayloadModel
+
+    return st.one_of(
+        st.builds(PayloadModel, st.just("random_walk"), st.just(b"\x01\x02"), ints(0, 100)),
+        st.builds(lambda p: PayloadModel("counter", b"\x01\x02", positions=p),
+                  st.lists(ints(0, 1), max_size=2).map(tuple)),
+        st.just(PayloadModel()))
+
+
+def documents():
+    """(object, its JSON object, the object read back from that JSON) for
+    every document class: synth documents, model hyperparameters, sidecar
+    metadata and LCCDE leaders."""
+    from canids.detectors import _MODEL_KINDS
+    from canids.ingest import AttackMetadata
+    from canids.lccde import LeaderMap
+    from canids.synth import AmbientIdSpec, AmbientModel, AttackScenario, PayloadModel
+
+    fraction = numbers(0.25, 0.5, 0.75)
+    depth = st.none() | ints(1, 9)
+    models = {
+        "tree": dict(max_depth=depth, min_leaf=ints(1, 5)),
+        "forest": dict(n_trees=ints(1, 9), max_depth=depth, min_leaf=ints(1, 5), bootstrap=FLAGS,
+                       feature_frac=numbers(0.5, 1.0), seed=ints(0, 127)),
+        "gbdt": dict(n_rounds=ints(1, 9), learning_rate=numbers(0.25, 1.0), max_depth=depth,
+                     min_leaf=ints(1, 5), reg_lambda=numbers(0.0, 0.5, 2.0),
+                     subsample=numbers(0.5, 1.0), seed=ints(0, 127)),
+        "frequency": dict(k_sigma=numbers(0.0, 0.5, 4.0)),
+        "lccde": dict(val_frac=fraction, majority_literal=FLAGS, seed=ints(0, 127),
+                      base_configs=st.lists(st.fixed_dictionaries(
+                          {"n_rounds": ints(1, 9)}, optional={"learning_rate": fraction,
+                                                              "max_depth": depth}),
+                          min_size=3, max_size=3)),
+    }
+
+    def params(kind):
+        cls = _MODEL_KINDS[kind]
+        return st.builds(lambda kw: cls(**kw), st.fixed_dictionaries(models[kind])).map(
+            lambda m: (m, m.descriptor(), lambda obj: cls(**{k: obj[k] for k in cls.params})))
+
+    def dataclass_docs(strategy):
+        return strategy.map(lambda d: (d, d.to_json_obj(), type(d).from_json_obj))
+
+    ambient = st.builds(
+        lambda spec, duration, seed: AmbientModel((spec,), duration, seed),
+        st.builds(AmbientIdSpec, ints(0, 127), numbers(0.25, 1.0), numbers(0.0, 0.25), payloads(),
+                  FLAGS),
+        numbers(0.5, 2.0), ints(0, 127))
+    scenario = st.builds(
+        lambda a, b, **kw: AttackScenario(interval=tuple(sorted((a, b), key=float)), **kw),
+        numbers(0.25, 1.0), numbers(0.5, 2.0), kind=st.just("fuzzing_max_payload"),
+        target_id=ints(0, 127), payload_spec=st.just("XXFF"), period=numbers(0.25, 1.0),
+        id_cycle=st.lists(ints(0, 127), min_size=1, max_size=3).map(tuple), seed=ints(0, 127),
+        extended_ids=FLAGS)
+    metadata = st.builds(AttackMetadata, ints(0, 60), ints(60, 127), st.just("A"),
+                         st.none() | ints(0, 127), st.just("0X"))
+    leaders = st.builds(
+        lambda leader, lat: LeaderMap(("Normal", "A"), leader, np.eye(2, 3), lat),
+        st.tuples(ints(0, 2), ints(0, 2)), st.tuples(*[numbers(0.5, 1.0, 2.0)] * 3))
+    return st.one_of(
+        [dataclass_docs(s) for s in (ambient, scenario, payloads(), metadata)]
+        + [leaders.map(lambda m: (m, m.to_json_obj(), LeaderMap.from_json_obj))]
+        + [params(kind) for kind in models])
+
+
+def plain_leaves(obj):
+    if isinstance(obj, dict):
+        return all(plain_leaves(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(plain_leaves(v) for v in obj)
+    return type(obj) in PLAIN_TYPES
+
+
+class TestFieldReader:
+    """Every document class takes plain JSON values and numpy scalars alike,
+    stores them as plain values, and reads back what it writes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(documents())
+    def test_numpy_and_python_scalars_round_trip(self, doc):
+        model, obj, read = doc
+        text = json.dumps(obj)
+        assert plain_leaves(obj)
+        back = read(json.loads(text))
+        assert type(back) is type(model)
+        detector = hasattr(back, "descriptor")
+        assert json.dumps(back.descriptor() if detector else back.to_json_obj()) == text
+        if not detector and not hasattr(back, "f1_matrix"):  # a LeaderMap holds an array
+            assert back == model
+
+    @pytest.mark.parametrize("value, kind, plain", [
+        (np.int64(3), "integer", 3), (np.uint64(2**64 - 1), "integer", 2**64 - 1),
+        (np.float32(0.5), "number", 0.5), (np.int8(-2), "number", -2), (7, "number", 7),
+        (np.True_, "flag", True), (np.str_("a"), "text", "a"), (None, "integer or null", None),
+        ("0D0", "id", 0xD0), (np.uint16(5), "id", 5), ([np.int32(1), 2], "list of integer", (1, 2)),
+    ])
+    def test_plain_values(self, value, kind, plain):
+        got = core._read_field("doc", "f", value, kind)
+        assert got == plain and type(got) is type(plain)
+
+    @pytest.mark.parametrize("value, kind, message", [
+        (True, "integer", "True is not an integer"),
+        (np.True_, "number", r"(np\.)?True_? is not a number"),
+        ("1", "number", "'1' is not a number"),
+        (2.0, "integer", "2.0 is not an integer"),
+        (10**400, "number", "10+ is not a number"),
+        (1, "flag", "1 is not true or false"),
+        (3, "text", "3 is not a string"),
+        ("12", "list of integer", "'12' is not a list"),
+        ([1, True], "list of integer", "True is not an integer"),
+        ("-1", "id", "'-1' is not a CAN id"),
+        (2**29, "id", "536870912 is not a CAN id"),
+        ("1_0", "id", "'1_0' is not a CAN id"),
+    ])
+    def test_refusals_name_document_field_and_value(self, value, kind, message):
+        with pytest.raises(ValueError, match=rf"^doc field 'f': {message}"):
+            core._read_field("doc", "f", value, kind)

@@ -920,6 +920,44 @@ class TestModelDocuments:
         except ValueError:
             pass
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ids, key: ids[key].update(count=True), r"frequency id \w+ field 'count': True"),
+        (lambda ids, key: ids[key].update(mean_us=True), r"field 'mean_us': True is not a number"),
+        (lambda ids, key: ids[key].update(std_us="3"), r"field 'std_us': '3' is not a number"),
+        (lambda ids, key: ids.update({"-1": ids.pop(key)}), r"field 'ids': '-1' is not a CAN id"),
+        (lambda ids, key: ids.update({"zz": ids.pop(key)}), r"field 'ids': 'zz' is not a CAN id"),
+        (lambda ids, key: ids.update({"20000000": ids.pop(key)}), r"field 'ids': '20000000'"),
+        (lambda ids, key: ids.update({"0x1": ids.pop(key)}), r"field 'ids': '0x1'"),
+        (lambda ids, key: ids.update({"0" + key: ids[key]}), rf"field 'ids': '0\w+' repeats id"),
+    ], ids=["bool-count", "bool-mean", "text-std", "negative-id", "non-hex-id", "id-past-29-bits",
+            "prefixed-id", "repeated-id"])
+    def test_frequency_document_fields(self, edit, message):
+        doc = fitted_models()["frequency"].to_json_obj()
+        edit(doc["ids"], next(iter(doc["ids"])))
+        with pytest.raises(ValueError, match=message):
+            model_from_json_obj(doc)
+
+    @pytest.mark.parametrize("fit, params", [
+        (fit_decision_tree, dict(max_depth=np.int64(3), min_leaf=np.uint8(1))),
+        (fit_random_forest, dict(n_trees=np.int64(2), bootstrap=np.True_,
+                                 feature_frac=np.float16(0.5), seed=np.uint32(3))),
+        (fit_gbdt, dict(n_rounds=np.int64(2), learning_rate=np.float32(0.1), subsample=np.int8(1))),
+    ], ids=["tree", "forest", "gbdt"])
+    def test_numpy_hyperparameters_are_saved_as_plain_values(self, fit, params):
+        X, y = blobs(seed=26, gap=1.0)
+        model = fit(X, y, **params)
+        plain = {name: value.item() for name, value in params.items()}
+        assert fit(X, y, **plain).to_json_obj() == model.to_json_obj()
+        buf = io.StringIO()
+        save_model(model, buf)
+        assert load_model(io.StringIO(buf.getvalue())).descriptor() == model.descriptor()
+
+    def test_frequency_ids_take_the_synth_id_rule(self):
+        doc = fitted_models()["frequency"].to_json_obj()
+        key = next(iter(doc["ids"]))
+        doc["ids"][key.lower().rjust(8, "0")] = doc["ids"].pop(key)
+        assert sorted(model_from_json_obj(doc).stats) == sorted(fitted_models()["frequency"].stats)
+
 
 @st.composite
 def repeated_row_matrices(draw, width=4):

@@ -393,6 +393,15 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="names '(label|provenance|timestamp_us)' 2 times"):
             load_dataset_csv(io.StringIO(f"{header}\n{row}\n"))
 
+    @pytest.mark.parametrize("text", ["timestamp_us,label\n5,N\n",
+                                      "f0,provenance,label\n1.0,original,N\n",
+                                      "f0,timestamp_us,label,provenance\n1.0,5,N,original\n"])
+    def test_reserved_column_before_label_refused_as_by_the_writer(self, text):
+        """A reserved column before `label` would be read as a feature and
+        as its own column at once."""
+        with pytest.raises(ValueError, match="feature names may not be any of"):
+            load_dataset_csv(io.StringIO(text))
+
     @pytest.mark.parametrize("cell", ["Synthetic", "junk", "", " synthetic", "ORIGINAL"])
     def test_provenance_other_than_original_or_synthetic_refused(self, cell):
         text = f'f0,label,provenance\n1.0,Normal,synthetic\n1.0,Normal,"{cell}"\n'

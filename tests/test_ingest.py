@@ -568,6 +568,22 @@ class TestCsvDataset:
         with pytest.raises(ParseError, match=f"row 2: unparseable {field} "):
             parse_csv_dataset(io.StringIO("0.5,010,1,00\n" + row + "\n"), schema)
 
+    @pytest.mark.parametrize("label, rows", [
+        ("R", ["1.0,010,01,R", "1.0,010,01,02,03,R"]),
+        (None, ["1.0,010,01", "1.0,010,01,02", "1.0,010,01,02,03"]),
+    ], ids=["label-after-data", "unlabeled"])
+    def test_dlc_without_a_dlc_column_counts_the_data_cells(self, label, rows):
+        """With no dlc column, a row's dlc is the number of data columns it
+        holds; a trailing label cell is not one of them."""
+        schema = CsvSchema(timestamp_col=0, id_col=1, data_cols=(2, 3, 4),
+                           label_col=5 if label else None, label_after_data=bool(label),
+                           label_map={"R": "Normal"})
+        log = parse_csv_dataset(rows, schema)
+        data = [row.split(",")[2:len(row.split(",")) - bool(label)] for row in rows]
+        assert log.dlc.tolist() == [len(cells) for cells in data]
+        assert [f.data for f in log.can_frames()] == [bytes.fromhex("".join(c)) for c in data]
+        assert log.labels() == ["Normal"] * len(rows)
+
     def test_rows_numbered_as_by_the_other_csv_readers(self):
         """Blank rows are skipped and not counted."""
         schema = CsvSchema(timestamp_col=0, id_col=1, data_cols=(2,))
@@ -826,10 +842,25 @@ class TestMetadataJson:
          "entry 0: injection_interval"),
         ({"attacks": 5}, "list of attack entries"),
         ([5], "entry 0: .*JSON object"),
+        # Fields are read, not cast: str() read an injection_id of 123 as 0x123.
+        ([{"injection_interval": [0, 1], "injection_id": 123, "attack_class": "A"}],
+         "entry 0: injection_id: 123 is not a string"),
+        ([{"injection_interval": [0, True], "injection_id": "0D0", "attack_class": "A"}],
+         "entry 0: injection_interval: True is not a number"),
+        ([{"injection_interval": ["0", 1], "injection_id": "0D0", "attack_class": "A"}],
+         "entry 0: injection_interval: '0' is not a number"),
+        ([{"injection_interval": [0, 1], "injection_id": "0D0", "attack_class": None}],
+         "entry 0: attack_class: None is not a string"),
     ])
     def test_malformed_documents_name_entry_and_field(self, doc, message):
         with pytest.raises(ValueError, match=message):
             load_metadata(io.StringIO(json.dumps(doc)))
+
+    def test_numpy_fields_are_stored_plain(self):
+        md = AttackMetadata(np.int64(1), np.uint32(2), np.str_("A"), np.uint16(0xD0), "0X")
+        assert load_metadata(io.StringIO(json.dumps([md.to_json_obj()]))) == [md]
+        assert [type(v) for v in (md.start_us, md.end_us, md.attack_class, md.can_id)] == [
+            int, int, str, int]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -370,6 +370,46 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="lccde model has a bad hyperparameter"):
             load_model(io.StringIO(json.dumps(doc)))
 
+    @pytest.mark.parametrize("configs, message", [
+        ([{"n_roundz": 2}, {}, {}], r"entry 0: 'n_roundz' is not a gbdt hyperparameter"),
+        ([{}, {"n_rounds": "2"}, {}], r"entry 1: gbdt model field 'n_rounds': '2' is not an integer"),
+        ([{}, {}, {"learning_rate": True}], r"entry 2: .*'learning_rate': True is not a number"),
+        ([{}, {}, {"n_rounds": 0}], r"entry 2: n_rounds must be >= 1"),
+        ([{}, {}, [("n_rounds", 2)]], r"\[\('n_rounds', 2\)\] is not an object"),
+        ({"a": {}, "b": {}, "c": {}}, r"\{.*\} is not a list"),
+    ])
+    def test_base_configs_checked_when_built(self, configs, message):
+        with pytest.raises(ValueError, match=rf"lccde model field 'base_configs': {message}"):
+            LccdeEnsemble(base_configs=configs)
+
+    def test_numpy_hyperparameters_are_stored_plain(self):
+        X, y = blobs3(seed=8)
+        model = LccdeEnsemble(base_configs=[{"n_rounds": np.int64(2), "max_depth": np.uint8(2),
+                                             "learning_rate": np.float32(0.5)}] * 3,
+                              val_frac=np.float16(0.25), majority_literal=np.True_,
+                              seed=np.int64(9)).fit(X, y)
+        buf = io.StringIO()
+        save_model(model, buf)
+        back = load_model(io.StringIO(buf.getvalue()))
+        assert back.base_configs == [{"n_rounds": 2, "max_depth": 2, "learning_rate": 0.5}] * 3
+        assert (back.seed, back.val_frac, back.majority_literal) == (9, 0.25, True)
+        assert np.array_equal(back.predict_labels(X), model.predict_labels(X))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("leader", [1.7, True, 0], "field 'leader': 1.7 is not an integer"),
+        ("leader", [1, True, 0], "field 'leader': True is not an integer"),
+        ("latencies_us", ["3", 1.0, 2.0], "field 'latencies_us': '3' is not a number"),
+        ("f1_matrix", [[1.0, "0.5", 0.0]] * 3, "field 'f1_matrix': '0.5' is not a number"),
+        ("classes", ["Normal", 1, "B"], "field 'classes': 1 is not a string"),
+    ])
+    def test_leader_map_fields_are_not_cast(self, field, value, message):
+        """int() and float() would read 1.7 and true as 1, and "3" as 3.0."""
+        doc = LeaderMap(classes=CLASSES3, leader=(0, 1, 2), f1_matrix=np.eye(3),
+                        latencies_us=(1.0, 2.0, 3.0)).to_json_obj()
+        doc[field] = value
+        with pytest.raises(ValueError, match=rf"lccde leaders {message}"):
+            LeaderMap.from_json_obj(doc)
+
     def test_leader_map_json(self):
         lm = LeaderMap(
             classes=CLASSES3,

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -575,6 +576,33 @@ class TestConfigDocuments:
     def test_malformed_ambient_models(self, doc, message):
         with pytest.raises(ValueError, match=message):
             AmbientModel.from_json_obj(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("period", True), ("period", "0.1"), ("jitter_std", False), ("jitter_std", "0"),
+        ("duration", True), ("duration", "4.0"), ("interval", [True, 2.0]),
+        ("interval", ["0.5", 1.0]), ("scenario period", "0.002"), ("scenario period", True),
+    ])
+    def test_numbers_are_not_bools_or_strings(self, field, value):
+        """Number fields are read as numbers, never cast: float() would read
+        true as 1.0 and "0.1" as 0.1."""
+        entry = {"id": "0D0", "period": 0.01}
+        ambient = {"duration": 1.0, "ids": [entry]}
+        scenario = {"kind": "dos", "interval": [0.5, 1.0]}
+        doc = {"period": entry, "jitter_std": entry, "duration": ambient}.get(field, scenario)
+        field = field.removeprefix("scenario ")
+        doc[field] = value
+        reader, top = (AttackScenario, scenario) if doc is scenario else (AmbientModel, ambient)
+        with pytest.raises(ValueError, match=f"field '{field}': .* is not a number"):
+            reader.from_json_obj(top)
+
+    def test_numbers_keep_their_kind(self):
+        """An integer stays an integer, so the documents write back what they read."""
+        doc = {"duration": 4, "seed": 1, "channel": "can0", "ids": [
+            {"id": "0D0", "period": 1, "jitter_std": 0, "extended": False,
+             "payload": {"kind": "constant", "base": "00"}}]}
+        assert json.dumps(AmbientModel.from_json_obj(doc).to_json_obj()) == json.dumps(doc)
+        scenario = {"kind": "dos", "interval": [1, 2], "seed": 0, "period": 1}
+        assert json.dumps(AttackScenario.from_json_obj(scenario).to_json_obj()) == json.dumps(scenario)
 
     def test_documents_round_trip(self):
         assert AmbientModel.from_json_obj(FULL_AMBIENT.to_json_obj()) == FULL_AMBIENT
