@@ -193,28 +193,32 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _prepare(labeled: TrafficLog, include_dlc: bool, ratio: float, mode: str, seed: int,
+def _split_spec(ratio: float, mode: str, seed: int) -> SplitSpec:
+    try:
+        return SplitSpec(ratio=ratio, mode=mode, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"bad split ratio or mode: {exc}") from None
+
+
+def _prepare(labeled: TrafficLog, include_dlc: bool, spec: SplitSpec,
              smote: tuple[int, int] | None):
     """The log's train and test rows; `smote` = (target_count, k) oversamples train."""
     # Looked up per call, so that a wrapper installed on canids.features applies.
     from .features import split_train_test
 
     dataset = log_to_dataset(labeled, include_dlc=include_dlc)
-    try:
-        spec = SplitSpec(ratio=ratio, mode=mode, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"bad split ratio or mode: {exc}") from None
     train, test = split_train_test(dataset, spec)
     if smote:
-        train = smote_oversample(train, target_count=smote[0], k=smote[1], seed=seed)
+        train = smote_oversample(train, target_count=smote[0], k=smote[1], seed=spec.seed)
     return train, test
 
 
 def cmd_prep(args: argparse.Namespace) -> int:
-    labeled = _load_labeled_log(args.log, args.labels)
     seed = args.seed if args.seed is not None else 0
+    spec = _split_spec(args.ratio, args.mode, seed)
+    labeled = _load_labeled_log(args.log, args.labels)
     smote = (args.smote_target, args.smote_k) if args.smote_target else None
-    train, test = _prepare(labeled, args.include_dlc, args.ratio, args.mode, seed, smote)
+    train, test = _prepare(labeled, args.include_dlc, spec, smote)
     out_path = _out_dir(args.out)
     _write_split(out_path, args.force, train, test)
     with _open_out(out_path("classes.json"), args.force) as fh:
@@ -405,6 +409,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     model_cfg = dict(config["model"])
     kind = model_cfg.pop("kind")
     model = build_model(kind, model_cfg, seed)
+    spec = _split_spec(config["split"]["ratio"], config["split"]["mode"], seed)
     out_path = _out_dir(args.out)
     with _open_out(out_path("resolved_config.json"), args.force) as fh:
         json.dump(config, fh, indent=2)
@@ -430,8 +435,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if kind != "frequency":
         scfg = config["smote"]
         smote = (scfg.get("target_count", 100_000), scfg.get("k", 5)) if scfg else None
-        train, test = _prepare(labeled, config["include_dlc"], config["split"]["ratio"],
-                               config["split"]["mode"], seed, smote)
+        train, test = _prepare(labeled, config["include_dlc"], spec, smote)
         _write_split(out_path, args.force, train, test)
         dataset_desc.update(
             {

@@ -22,10 +22,26 @@ column once as integer ranks (`_rank_codes`, 8 or 16 bits for up to
 of the float values.  Ranks keep order and ties exactly, so the fitted
 trees are byte-identical to sorting the values themselves; thresholds
 are still midpoints of the two feature values either side of the split.
-Forests and boosting encode once for all their trees.  Fitting rejects
-NaN features with a `ValueError` naming the column; +-inf are ordinary
-values.  Labels must be one class index per row; a label that is
-negative, fractional or past the class list is refused naming its row.
+Forests and boosting encode once for all their trees.
+
+A node searches its features in groups of `_GROUP_CELLS // m` features
+(m node rows, at least one feature): one gather of the codes, one stable
+sort per feature row, one compare for every candidate split, and for each
+tree one 2-D prefix sum, one score array and one argmax.  `_Newton` holds
+the gradients and hessians as the real and imaginary parts of one complex
+array; complex addition adds the parts separately and a prefix sum adds in
+row order, so each part is the float prefix sum bit for bit.  `_Gini`
+runs one integer prefix sum per class but the last, whose left counts are
+the left side's size minus the others'.  The first argmax of a group is
+its lowest feature, then its lowest threshold, and a later group must
+score strictly higher, so the trees are those of a one-feature-at-a-time
+search.
+
+Fitting rejects NaN features with a `ValueError` naming the column;
++-inf are ordinary values.  Labels must be one class index per row; a
+label that is negative, fractional or past the class list is refused
+naming its row.  `min_leaf` below 1, and for boosting a negative or NaN
+`reg_lambda`, are refused when the model is built.
 
 All score outputs are probability vectors over the fitted class list.
 A feature matrix narrower than the columns a model's trees read is
@@ -73,10 +89,20 @@ class Prediction:
 
 
 def _numbers(value: Any, dtype: type, what: str) -> np.ndarray:
+    """value as an array of dtype (np.int64 or np.float64).  What numpy
+    reads it as is checked before the cast, which would read strings and
+    bools as numbers and wrap integers past int64.  numpy reads a bool
+    among numbers as 0 or 1, so the element types are checked too, by
+    `map` over the object array (no Python loop per value)."""
     try:
-        return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
+        raw = np.asarray(value)
+    except (TypeError, ValueError):
         raise ValueError(f"{what} is not an array of numbers") from None
+    integer = dtype is np.int64
+    if raw.size and (raw.dtype.kind not in ("i" if integer else "iuf") or not {bool, np.bool_}
+                     .isdisjoint(map(type, np.asarray(value, dtype=object).flat))):
+        raise ValueError(f"{what} is not an array of {'integers' if integer else 'numbers'}")
+    return raw.astype(dtype, copy=False)
 
 
 def _feature_matrix(X: np.ndarray, n_read: int) -> np.ndarray:
@@ -183,13 +209,6 @@ class _TreeArrays:
         return tree
 
 
-def _split_candidates(sv: np.ndarray, m: int, min_leaf: int) -> np.ndarray:
-    """Positions i where the sorted feature changes value and both sides
-    keep at least min_leaf samples; left side = first i samples."""
-    lo, hi = min_leaf, m - min_leaf
-    return (sv[lo : hi + 1] > sv[lo - 1 : hi]).nonzero()[0] + lo
-
-
 def _safe_threshold(lo: float, hi: float) -> float:
     """Midpoint, pulled back to the left value if rounding reaches hi or
     lo is -inf (the midpoint is then NaN), so `x <= threshold` always
@@ -200,38 +219,47 @@ def _safe_threshold(lo: float, hi: float) -> float:
 
 class _Gini:
     """Classification criterion: leaves hold class distributions, a pure
-    node stays a leaf, and a split scores the weighted Gini decrease."""
+    node stays a leaf, and a split scores the weighted Gini decrease.  The
+    node state is its class counts."""
 
     floor = -np.inf
 
     def __init__(self, y: np.ndarray, n_classes: int) -> None:
         self.y = y
         self.width = n_classes
+        # One indicator row per class but the last, whose left counts are
+        # the candidate position minus the others'.
+        self.indicators = (y == np.arange(n_classes - 1)[:, None]).astype(np.int64)
 
     def node(self, idx: np.ndarray) -> tuple[np.ndarray, bool, Any]:
-        counts = np.bincount(self.y.take(idx), minlength=self.width).astype(np.float64)
-        return counts / len(idx), counts.max() < len(idx), None
+        counts = np.bincount(self.y.take(idx), minlength=self.width)
+        return counts / len(idx), counts.max() < len(idx), counts
 
-    def scores(self, rows: np.ndarray, cand: np.ndarray, _: Any) -> np.ndarray:
+    def scores(self, idx: np.ndarray, order: np.ndarray, at: np.ndarray, counts: Any) -> np.ndarray:
         # Minimizing weighted Gini is maximizing the sum of squared
         # class counts over each side's size.  The counts are integers,
         # so the sums of squares are exact in any order.
-        y = self.y.take(rows)
-        at = cand - 1
+        m = len(idx)
+        cand = at % m + 1
         left = right = 0
-        for c in range(self.width):
-            cum = np.cumsum(y == c)
-            lc = cum.take(at)
-            rc = cum[-1] - lc
+        rest = cand
+        for c, indicator in enumerate(self.indicators):
+            lc = indicator.take(idx).take(order).cumsum(axis=1).take(at)
+            rest = rest - lc
+            rc = counts[c] - lc
             left = left + lc * lc
             right = right + rc * rc
+        rc = counts[-1] - rest
+        left = left + rest * rest
+        right = right + rc * rc
         ln = cand.astype(np.float64)
-        return left / ln + right / (len(rows) - ln)
+        return left / ln + right / (m - ln)
 
 
 class _Newton:
     """Regression criterion on gradient/hessian pairs: leaves hold the
-    Newton step -G/(H + lambda) and splits maximize the usual gain."""
+    Newton step -G/(H + lambda) and splits maximize the usual gain.  The
+    node state is its totals (G, H)."""
 
     floor = 1e-12
     width = 1
@@ -239,21 +267,30 @@ class _Newton:
     def __init__(self, g: np.ndarray, h: np.ndarray, reg_lambda: float) -> None:
         self.g = g
         self.h = h
+        # g and h as one complex array, so one gather and one cumsum give
+        # both prefix sums.  Complex addition adds the real and imaginary
+        # parts separately, so each part is the float cumsum bit for bit;
+        # the parts are written in place because g + 1j*h would add 0.0
+        # to g and turn -0.0 into 0.0.
+        self.gh = np.empty(len(g), dtype=np.complex128)
+        self.gh.real = g
+        self.gh.imag = h
         self.reg_lambda = reg_lambda
 
     def node(self, idx: np.ndarray) -> tuple[np.ndarray, bool, Any]:
-        # Node totals in the node's own row order; a cumsum's last element
-        # rounds differently.
+        # Node totals in the node's own row order, as two float sums: a
+        # cumsum's last element, or a sum over the complex array, may
+        # round differently.
         G = self.g.take(idx).sum()
         H = self.h.take(idx).sum()
         return np.array([-G / (H + self.reg_lambda)]), True, (G, H)
 
-    def scores(self, rows: np.ndarray, cand: np.ndarray, totals: Any) -> np.ndarray:
+    def scores(self, idx: np.ndarray, order: np.ndarray, at: np.ndarray, totals: Any) -> np.ndarray:
         G, H = totals
         lam = self.reg_lambda
-        at = cand - 1
-        gl = self.g.take(rows).cumsum().take(at)
-        hl = self.h.take(rows).cumsum().take(at)
+        ghl = self.gh.take(idx).take(order).cumsum(axis=1).take(at)
+        gl = ghl.real
+        hl = ghl.imag
         gr = G - gl
         hr = H - hl
         return gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam)
@@ -285,6 +322,12 @@ def _rank_codes(X: np.ndarray) -> np.ndarray:
     return np.array(ranks, dtype=dtype).reshape(d, n)
 
 
+# The split search scores a node's features in groups of about this many
+# cells (features x node rows), so that a group's sort orders, prefix sums
+# and scores stay in cache.
+_GROUP_CELLS = 65_536
+
+
 def _grow_trees(
     X: np.ndarray,
     codes: np.ndarray,
@@ -305,7 +348,18 @@ def _grow_trees(
     same split share the children.  The sort reads `codes` (the
     `_rank_codes` of X, or a row and column subset of them, which stays
     order-preserving); X is read only for the two values on either side
-    of a chosen split."""
+    of a chosen split.
+
+    A node of m rows searches its features in groups of q =
+    max(1, _GROUP_CELLS // m).  A group's codes are gathered as one (q, m)
+    array and each row is stably sorted; `order[j]` holds the node
+    positions of feature f0 + j in sorted order.  Every candidate of the
+    group is found by one compare, and each searching tree scores all of
+    them in one `criterion.scores(idx, order, at, state)` call, where `at`
+    holds the candidates' flat positions feat * m + i - 1 in (q, m) (the
+    last row of the left side), ascending.  The first argmax is the lowest
+    feature, then the lowest threshold, of the group; a later group must
+    beat it strictly."""
     trees = [_TreeArrays(value_width=c.width) for c in criteria]
     leaves = np.empty((len(criteria), len(X)), dtype=np.int64)
     # (rows, depth, [(tree, parent node, child array the parent links through)])
@@ -316,7 +370,7 @@ def _grow_trees(
         idx, depth, group = stack.pop()
         m = len(idx)
         stop = m < 2 * min_leaf or (max_depth is not None and depth >= max_depth)
-        # (tree, node, criterion state, best score, best (feature, rows, position))
+        # (tree, node, criterion state, best score, best (feature, node sort order, position))
         searching: list[list[Any]] = []
         for k, parent, link in group:
             value, may_split, state = criteria[k].node(idx)
@@ -329,28 +383,36 @@ def _grow_trees(
                 leaves[k, idx] = node
         if not searching:
             continue
-        for f, col in enumerate(codes):
-            v = col.take(idx)
-            order = v.argsort(kind="stable")
-            cand = _split_candidates(v.take(order), m, min_leaf)
-            if len(cand) == 0:
+        # A candidate splits a feature's sorted rows after row i - 1, where
+        # the codes change, and leaves both sides at least min_leaf rows.
+        lo, hi = min_leaf, m - min_leaf
+        size = max(1, _GROUP_CELLS // m)
+        for f0 in range(0, len(codes), size):
+            v = codes[f0 : f0 + size].take(idx, axis=1)
+            order = v.argsort(axis=1, kind="stable")
+            sv = v.take(order + np.arange(0, v.size, m)[:, None])
+            last_left = np.zeros(v.shape, dtype=bool)
+            np.greater(sv[:, lo : hi + 1], sv[:, lo - 1 : hi], out=last_left[:, lo - 1 : hi])
+            at = np.flatnonzero(last_left)
+            if len(at) == 0:
                 continue
-            rows = idx.take(order)
             for entry in searching:
-                score = criteria[entry[0]].scores(rows, cand, entry[2])
+                score = criteria[entry[0]].scores(idx, order, at, entry[2])
                 j = int(score.argmax())
                 if score[j] > entry[3]:
                     entry[3] = float(score[j])
-                    entry[4] = (f, rows, int(cand[j]))
+                    feat, i = divmod(int(at[j]), m)
+                    entry[4] = (f0 + feat, order[feat], i + 1)
         # One pair of children per distinct (feature, position) choice.
         children: dict[tuple[int, int], tuple[np.ndarray, list[tuple[int, int]]]] = {}
         for k, node, _, _, best in searching:
             if best is None:
                 leaves[k, idx] = node
                 continue
-            f, rows, i = best
-            children.setdefault((f, i), (rows, []))[1].append((k, node))
-        for (f, i), (rows, split) in children.items():
+            f, order_f, i = best
+            children.setdefault((f, i), (order_f, []))[1].append((k, node))
+        for (f, i), (order_f, split) in children.items():
+            rows = idx.take(order_f)
             threshold = _safe_threshold(float(X[rows[i - 1], f]), float(X[rows[i], f]))
             for k, node in split:
                 trees[k].feature[node] = f
@@ -549,6 +611,8 @@ class RandomForest(Detector):
                          feature_frac=(feature_frac, "number"), seed=(seed, "integer"))
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if self.min_leaf < 1:
+            raise ValueError("min_leaf must be >= 1")
         if not 0.0 < self.feature_frac <= 1.0:
             raise ValueError("feature_frac must be in (0, 1]")
         self._trees: list[_TreeArrays] = []
@@ -634,6 +698,12 @@ class GradientBoosting(Detector):
                          seed=(seed, "integer"))
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
+        if self.min_leaf < 1:
+            raise ValueError("min_leaf must be >= 1")
+        # A negative or NaN lambda gives infinite or NaN leaves and scores,
+        # and a NaN score would hide every other split of its feature group.
+        if not self.reg_lambda >= 0.0:
+            raise ValueError(f"reg_lambda must be >= 0, not {self.reg_lambda}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
         if not 0.0 < self.subsample <= 1.0:

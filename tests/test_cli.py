@@ -404,17 +404,41 @@ class TestConfigErrorsExit2:
         assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
         assert field in capsys.readouterr().err
 
+    # Hyperparameters that would fit a wrong model: infinite or NaN leaves
+    # from a negative or NaN lambda, one-leaf trees or wrapped candidate
+    # slices from min_leaf below 1.
+    WRONG_MODELS = [
+        {"kind": "gbdt", "reg_lambda": -1.0},
+        {"kind": "gbdt", "reg_lambda": float("nan")},
+        {"kind": "gbdt", "min_leaf": 0},
+        {"kind": "gbdt", "min_leaf": -1},
+        {"kind": "forest", "min_leaf": 0},
+        {"kind": "forest", "min_leaf": -1},
+        {"kind": "lccde", "base_configs": [{"min_leaf": 0}, {}, {}]},
+        {"kind": "lccde", "base_configs": [{}, {}, {"reg_lambda": -0.5}]},
+    ]
+
     @pytest.mark.parametrize("entry", [
         {"seed": True},
         {"include_dlc": "yes"},
         {"model": {"kind": "tree", "max_depth": "x"}},
         {"model": {"kind": "gbdt", "wat": 1}},
-    ] + [{"model": model} for model in BAD_LCCDE_MODELS])
+        {"split": {"ratio": "x"}},
+    ] + [{"model": model} for model in BAD_LCCDE_MODELS + WRONG_MODELS])
     def test_pipeline_bad_entry_writes_nothing(self, workspace, entry):
         """The config and the model are read before the run writes a file."""
         write_json("config.json", dict(PIPELINE_CONFIG, **entry))
         assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
         assert not os.path.exists("runb")
+
+    @pytest.mark.parametrize("split", [{"ratio": "x"}, {"ratio": 1.5}, {"mode": "sideways"}])
+    def test_pipeline_bad_split_leaves_run_dir_empty(self, workspace, capsys, split):
+        """A bad split is refused before synth writes its logs and labels."""
+        os.mkdir("runb")
+        write_json("config.json", dict(PIPELINE_CONFIG, split=split))
+        assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
+        assert "split" in capsys.readouterr().err
+        assert os.listdir("runb") == []
 
     def test_train_without_train_csv(self, workspace, capsys):
         assert run(["train", "--model", "tree", "--out", "m.json"]) == 2

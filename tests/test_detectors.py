@@ -3,11 +3,13 @@ import hashlib
 import inspect
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from canids import detectors
 from canids.core import CanFrame, TrafficLog
 from canids.detectors import (
     DecisionTree,
@@ -150,14 +152,42 @@ class TestDeepTrees:
         assert (model.predict_labels(X) == y).mean() >= 0.75
 
 
+def _reference_scores(criterion, idx, rows, cand):
+    """Split scores of the node idx with its rows in sorted order, from
+    1-D prefix sums: float cumsums of g and h for Newton, one integer
+    cumsum per class for Gini."""
+    at = cand - 1
+    if isinstance(criterion, _Newton):
+        lam = criterion.reg_lambda
+        G = criterion.g[idx].sum()
+        H = criterion.h[idx].sum()
+        gl = np.cumsum(criterion.g[rows])[at]
+        hl = np.cumsum(criterion.h[rows])[at]
+        gr = G - gl
+        hr = H - hl
+        return gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam)
+    y = criterion.y[rows]
+    left = right = 0
+    for c in range(criterion.width):
+        cum = np.cumsum(y == c)
+        lc = cum[at]
+        rc = cum[-1] - lc
+        left = left + lc * lc
+        right = right + rc * rc
+    ln = cand.astype(np.float64)
+    return left / ln + right / (len(rows) - ln)
+
+
 def _reference_grow_tree(X, criterion, max_depth, min_leaf):
-    """The grower before rank coding: every node argsorts the float64
-    feature values themselves.  `_grow_tree` must build the same tree."""
+    """The grower before rank coding and grouped search: every node
+    argsorts the float64 feature values themselves, one feature at a time,
+    and scores them with `_reference_scores`.  `_grow_tree` must build the
+    same tree."""
     tree = _TreeArrays(value_width=criterion.width)
     stack = [(np.arange(len(X), dtype=np.int64), 0, -1, tree.left)]
     while stack:
         idx, depth, parent, link = stack.pop()
-        value, may_split, state = criterion.node(idx)
+        value, may_split, _ = criterion.node(idx)
         node = tree.add_node(value)
         if parent >= 0:
             link[parent] = node
@@ -174,7 +204,7 @@ def _reference_grow_tree(X, criterion, max_depth, min_leaf):
             cand = pos[(sv[1:] > sv[:-1]) & (pos >= min_leaf) & (pos <= m - min_leaf)]
             if len(cand) == 0:
                 continue
-            score = criterion.scores(idx[order], cand, state)
+            score = _reference_scores(criterion, idx, idx[order], cand)
             j = int(np.argmax(score))
             if score[j] > best_score:
                 i = int(cand[j])
@@ -335,6 +365,52 @@ class TestSharedGrower:
             alone = _grow_tree(X, codes, criterion, max_depth, min_leaf)
             assert tree_json(tree) == tree_json(alone)
             assert np.array_equal(leaf, tree.apply(X))
+
+
+class TestGroupedSearch:
+    """A node's features are searched in groups of `_GROUP_CELLS // m`
+    features: one 2-D prefix sum and one argmax per tree per group."""
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tie_heavy_matrices(),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(1, 5)),
+        st.integers(1, 4),
+    )
+    def test_small_groups_match_reference(self, cells, X, seed, newton, max_depth, min_leaf):
+        # Repeated columns give equal scores in different groups, which
+        # must still go to the lowest feature.
+        rng = np.random.default_rng(seed)
+        X = X[:, rng.integers(0, X.shape[1], X.shape[1] + 3)]
+        n = len(X)
+        if newton:
+            criterion = _Newton(rng.normal(size=n), rng.uniform(0.01, 0.25, n), 1.0)
+        else:
+            criterion = _Gini(rng.integers(0, 3, n), 3)
+        with mock.patch.object(detectors, "_GROUP_CELLS", cells):
+            fast = _grow_tree(X, _rank_codes(X), criterion, max_depth, min_leaf)
+        slow = _reference_grow_tree(X, criterion, max_depth, min_leaf)
+        assert tree_json(fast) == tree_json(slow)
+
+    def test_complex_prefix_sums_are_float_prefix_sums(self):
+        # Each part of a complex cumsum is the float cumsum bit for bit,
+        # -0.0, subnormals and overflow to +-inf included.
+        values = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-308, -1e-310, 1e308, -1e308, 1.5, -3.25]
+        rng = np.random.default_rng(3)
+        g = rng.choice(values, 400)
+        h = rng.choice(values, 400)
+        g[0] = -0.0
+        order = np.array([rng.permutation(400) for _ in range(5)])
+        order[0] = np.arange(400)
+        with np.errstate(over="ignore", invalid="ignore"):
+            both = _Newton(g, h, 1.0).gh.take(order).cumsum(axis=1)
+            for part, floats in ((both.real, g), (both.imag, h)):
+                alone = np.array([floats.take(row).cumsum() for row in order])
+                assert np.array_equal(part.view(np.int64), alone.view(np.int64))
+        assert np.signbit(both.real[0, 0])
 
 
 FITS_WITH_CLASSES = [
@@ -505,6 +581,12 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             RandomForest(feature_frac=0.0)
 
+    @pytest.mark.parametrize("min_leaf", [0, -1])
+    def test_min_leaf_below_one_refused(self, min_leaf):
+        # min_leaf=-1 would wrap the candidate slices around the node.
+        with pytest.raises(ValueError, match="min_leaf"):
+            RandomForest(min_leaf=min_leaf)
+
 
 class TestGradientBoosting:
     def test_training_loss_monotone(self):
@@ -565,6 +647,18 @@ class TestGradientBoosting:
             GradientBoosting(learning_rate=0.0)
         with pytest.raises(ValueError):
             GradientBoosting(subsample=1.5)
+
+    @pytest.mark.parametrize("params", [
+        dict(min_leaf=0), dict(min_leaf=-1), dict(reg_lambda=-1.0), dict(reg_lambda=-1e-300),
+        dict(reg_lambda=float("nan")),
+    ])
+    def test_wrong_model_params_refused(self, params):
+        # A negative or NaN lambda writes Infinity and NaN leaves; min_leaf
+        # 0 grows one-leaf trees.  LCCDE base configs are gbdt models.
+        with pytest.raises(ValueError, match=next(iter(params))):
+            GradientBoosting(**params)
+        with pytest.raises(ValueError, match=next(iter(params))):
+            LccdeEnsemble(base_configs=[params, {}, {}])
 
 
 def periodic_ambient(duration=30.0, seed=4):
@@ -919,6 +1013,25 @@ class TestModelDocuments:
             model_from_json_obj(doc["root"])
         except ValueError:
             pass
+
+    @pytest.mark.parametrize("field, values, message", [
+        ("threshold", lambda t: [str(v) for v in t], r"'threshold' is not an array of numbers"),
+        ("threshold", lambda t: t[:-1] + ["0.0223"], r"'threshold' is not an array of numbers"),
+        ("feature", lambda f: [v >= 0 for v in f], r"'feature' is not an array of integers"),
+        ("feature", lambda f: [True] + f[1:], r"'feature' is not an array of integers"),
+        ("threshold", lambda t: [False] + t[1:], r"'threshold' is not an array of numbers"),
+        ("feature", lambda f: [float(v) for v in f], r"'feature' is not an array of integers"),
+        ("left", lambda f: [2**64 - 1] * len(f), r"'left' is not an array of integers"),
+        ("value", lambda v: [[str(x) for x in row] for row in v], r"'value' is not an array"),
+    ], ids=["text-thresholds", "one-text-threshold", "bool-features", "one-bool-feature",
+            "one-bool-threshold", "float-features", "past-int64", "text-values"])
+    def test_tree_fields_must_hold_numbers_of_their_kind(self, field, values, message):
+        # The node arrays are read whole, so their dtype is checked before
+        # the cast, which would read "1.5" as 1.5 and true as column 1.
+        doc = fitted_models()["tree"].to_json_obj()
+        doc["tree"][field] = values(doc["tree"][field])
+        with pytest.raises(ValueError, match=message):
+            model_from_json_obj(doc)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda ids, key: ids[key].update(count=True), r"frequency id \w+ field 'count': True"),
