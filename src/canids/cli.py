@@ -321,6 +321,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if model.kind == "frequency":
         if not (args.log and args.labels):
             raise ConfigError("frequency models evaluate logs: pass --log and --labels")
+        if args.mode == "window":
+            raise ConfigError("model kind 'frequency' flags frames: --mode window does not apply")
         labeled = _load_labeled_log(args.log, args.labels)
     else:
         if not args.test:
@@ -395,6 +397,8 @@ def _resolve_config(raw: dict[str, Any], seed_override: int | None) -> dict[str,
     if config["eval"]["mode"] not in ("frame", "window"):
         raise ConfigError(f"pipeline config eval.mode must be 'frame' or 'window', "
                           f"not {config['eval']['mode']!r}")
+    if kind == "frequency" and config["eval"]["mode"] == "window":
+        raise ConfigError("model kind 'frequency' flags frames: eval.mode must be 'frame'")
     return config
 
 

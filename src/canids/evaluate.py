@@ -1,11 +1,14 @@
 """Confusion-matrix metrics, timing capture, and report emission.
 
-Per-class precision, recall, and F1 follow the usual one-vs-rest
-counting.  Metrics whose denominator is zero are reported as 0 and
-flagged as undefined rather than omitted, so never-predicted classes
-still show up as explicit zero rows.  Macro averages cover the attack
-classes only unless asked to include Normal, and micro averages reduce
-to plain accuracy.  Wall-clock timings live in a separate block so
+Every figure comes from the confusion matrix with array operations:
+per-class precision is the diagonal over the column sums, recall the
+diagonal over the row sums, and F1 their harmonic mean.  A metric whose
+denominator is zero is reported as 0 and flagged as undefined rather
+than omitted, so never-predicted classes still show up as explicit zero
+rows.  Macro averages are the mean over the attack classes, in class
+order, unless asked to include Normal.  Single-label scoring pools as
+many false positives as false negatives, so micro precision and recall
+are the accuracy.  Wall-clock timings live in a separate block so
 reports can be compared byte-for-byte across runs.
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import IO, Any, Sequence
 
 import numpy as np
@@ -24,6 +28,9 @@ from .windows import _window_labels, _window_layout
 REPORT_SCHEMA_VERSION = 1
 
 REPORT_FORMATS = ("json", "csv", "text_table")
+
+# The metrics a class's `undefined` flags can name, in the order they are listed.
+_METRICS = ("precision", "recall", "f1")
 
 
 class Timer:
@@ -123,8 +130,8 @@ def compute_metrics(
 ) -> EvalReport:
     """Score predicted class indices against truth.
 
-    Zero-denominator precision or recall is reported as 0.0 with the
-    metric name listed in the class's `undefined` flags.
+    A zero-denominator precision, recall or F1 is reported as 0.0 with
+    the metric name listed in the class's `undefined` flags.
     """
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
@@ -137,78 +144,35 @@ def compute_metrics(
         raise ValueError("label index out of range for the class list")
 
     cm = confusion_matrix(y_true, y_pred, n_classes)
-    tp = np.diag(cm).astype(np.float64)
-    fp = cm.sum(axis=0) - tp
-    fn = cm.sum(axis=1) - tp
+    tp = np.diag(cm)
+    predicted = cm.sum(axis=0)
     support = cm.sum(axis=1)
-
-    per_class: list[ClassMetrics] = []
-    for c, name in enumerate(classes):
-        undefined = []
-        pred_pos = tp[c] + fp[c]
-        actual_pos = tp[c] + fn[c]
-        if pred_pos > 0:
-            precision = tp[c] / pred_pos
-        else:
-            precision = 0.0
-            undefined.append("precision")
-        if actual_pos > 0:
-            recall = tp[c] / actual_pos
-        else:
-            recall = 0.0
-            undefined.append("recall")
-        if precision + recall > 0:
-            f1 = 2 * precision * recall / (precision + recall)
-        else:
-            f1 = 0.0
-            undefined.append("f1")
-        per_class.append(
-            ClassMetrics(
-                name=name,
-                precision=float(precision),
-                recall=float(recall),
-                f1=float(f1),
-                support=int(support[c]),
-                undefined=tuple(undefined),
-            )
-        )
+    precision = np.divide(tp, predicted, out=np.zeros(n_classes), where=predicted > 0)
+    recall = np.divide(tp, support, out=np.zeros(n_classes), where=support > 0)
+    either = precision + recall
+    f1 = np.divide(2 * precision * recall, either, out=np.zeros(n_classes), where=either > 0)
+    flags = np.array([predicted == 0, support == 0, either == 0]).T.tolist()
+    undefined = map(tuple, map(compress, repeat(_METRICS), flags))
+    per_class = list(map(ClassMetrics, classes, precision.tolist(), recall.tolist(), f1.tolist(),
+                         support.tolist(), undefined))
 
     accuracy = float(tp.sum() / len(y_true))
-    macro_names = tuple(
-        name for name in classes if include_normal_in_macro or name != NORMAL_LABEL
-    )
-    if not macro_names:
-        macro_names = tuple(classes)
-    macro_members = [m for m in per_class if m.name in macro_names]
-    macro_precision = float(np.mean([m.precision for m in macro_members]))
-    macro_recall = float(np.mean([m.recall for m in macro_members]))
-    macro_f1 = float(np.mean([m.f1 for m in macro_members]))
-
-    # Micro counts pool every class; in single-label multiclass scoring
-    # the pooled FP and FN totals coincide, so all three micro metrics
-    # equal the accuracy.
-    micro_tp = tp.sum()
-    micro_fp = fp.sum()
-    micro_fn = fn.sum()
-    micro_precision = float(micro_tp / (micro_tp + micro_fp)) if micro_tp + micro_fp else 0.0
-    micro_recall = float(micro_tp / (micro_tp + micro_fn)) if micro_tp + micro_fn else 0.0
-    micro_f1 = (
-        float(2 * micro_precision * micro_recall / (micro_precision + micro_recall))
-        if micro_precision + micro_recall
-        else 0.0
-    )
-
+    member = np.array(list(map(NORMAL_LABEL.__ne__, classes))) | bool(include_normal_in_macro)
+    if not member.any():
+        member[:] = True
+    # Micro precision and recall are the accuracy (see the module docstring).
+    micro_f1 = 2 * accuracy * accuracy / (accuracy + accuracy) if accuracy else 0.0
     return EvalReport(
         classes=tuple(classes),
         confusion=cm,
         per_class=per_class,
         accuracy=accuracy,
-        macro_precision=macro_precision,
-        macro_recall=macro_recall,
-        macro_f1=macro_f1,
-        macro_classes=macro_names,
-        micro_precision=micro_precision,
-        micro_recall=micro_recall,
+        macro_precision=float(np.mean(precision[member])),
+        macro_recall=float(np.mean(recall[member])),
+        macro_f1=float(np.mean(f1[member])),
+        macro_classes=tuple(compress(classes, member)),
+        micro_precision=accuracy,
+        micro_recall=accuracy,
         micro_f1=micro_f1,
     )
 

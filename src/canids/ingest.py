@@ -355,12 +355,6 @@ def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.nd
                   channel]
 
 
-def _padded_bytes(hex_payloads: Sequence[str]) -> np.ndarray:
-    """The (n, 8) zero-padded byte table of n payloads given as hex text."""
-    raw = bytes.fromhex("".join(d.ljust(2 * MAX_DLC, "0") for d in hex_payloads))
-    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, MAX_DLC)
-
-
 def serialize_candump_line(frame: CanFrame) -> str:
     id_text = f"{frame.can_id:08X}" if frame.extended else f"{frame.can_id:03X}"
     return f"({format_timestamp(frame.timestamp_us)}) {frame.channel} {id_text}#{frame.data.hex().upper()}"
@@ -394,7 +388,7 @@ def serialize_candump(log: TrafficLog, stream: IO[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# CSV-style IDS datasets (HCRL / IVN-challenge layouts)
+# CSV-style IDS datasets (the HCRL layout and other fixed column schemas)
 
 @dataclass
 class CsvSchema:
@@ -411,10 +405,7 @@ class CsvSchema:
     dlc_col: int | None = None
     label_col: int | None = None
     label_after_data: bool = False
-    id_hex: bool = True
-    data_hex: bool = True
     label_map: dict[str, str] = field(default_factory=dict)
-    has_header: bool = False
 
     def __post_init__(self):
         if len(self.data_cols) > MAX_DLC:
@@ -449,14 +440,12 @@ def parse_csv_dataset(
                  + ([schema.dlc_col] if schema.dlc_col is not None else []))
     ts_col, id_col, dlc_col, data_col, label_col = [], [], [], [], []
     for rowno, row in _data_rows(_csv_rows(lines, ParseError)):
-        if schema.has_header and rowno == 1:
-            continue
         where = f"row {rowno}"
         if len(row) <= needed:
             raise ParseError(f"{where}: expected at least {needed + 1} columns, got {len(row)}")
 
         ts_us = _parse_timestamp_us(row[schema.timestamp_col], where)
-        can_id = _int_cell(row[schema.id_col], 16 if schema.id_hex else 10)
+        can_id = _int_cell(row[schema.id_col], 16)
         if can_id is None:
             raise ParseError(f"{where}: unparseable id {row[schema.id_col]!r}")
         if can_id > MAX_EXTENDED_ID:
@@ -473,7 +462,7 @@ def parse_csv_dataset(
             raise ParseError(f"{where}: dlc {dlc} exceeds the {len(schema.data_cols)} schema data columns")
 
         cells = [row[col] if col < len(row) else "" for col in schema.data_cols[:dlc]]
-        data = [_int_cell(cell, 16 if schema.data_hex else 10) for cell in cells]
+        data = [_int_cell(cell, 16) for cell in cells]
         bad = [k for k, v in enumerate(data) if v is None or v > 0xFF]
         if bad:
             raise ParseError(f"{where}: unparseable data byte {bad[0]} {cells[bad[0]]!r} (dlc {dlc})")
@@ -495,7 +484,7 @@ def parse_csv_dataset(
         ts_col.append(ts_us)
         id_col.append(can_id)
         dlc_col.append(dlc)
-        data_col.append(bytes(data).hex())
+        data_col.append(bytes(data).ljust(MAX_DLC, b"\0"))
         label_col.append(label_name)
 
     if label_space is None:
@@ -503,7 +492,8 @@ def parse_csv_dataset(
     codes = {name: i for i, name in enumerate(label_space.names())}
     ids = np.array(id_col, dtype=np.int64)
     return TrafficLog._from_columns(
-        ts_col, ids, ids > MAX_STANDARD_ID, dlc_col, _padded_bytes(data_col),
+        ts_col, ids, ids > MAX_STANDARD_ID, dlc_col,
+        np.frombuffer(b"".join(data_col), dtype=np.uint8).reshape(-1, MAX_DLC),
         np.zeros(len(ids), dtype=np.int64), ("csv",), [codes[n] for n in label_col], label_space)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Sequence
 
 import numpy as np
@@ -122,28 +123,17 @@ def select_leaders(
             raise ValueError("one latency per model required")
 
     reports = [compute_metrics(val_y, m.predict_labels(val_X), classes) for m in models]
-    f1_matrix = np.array(
-        [[r.per_class[c].f1 for r in reports] for c in range(len(classes))], dtype=np.float64
-    )
-    support = np.bincount(val_y, minlength=len(classes))
-    macro = np.array([r.macro_f1 for r in reports])
-
-    leader = []
-    for c, name in enumerate(classes):
-        if support[c] == 0:
-            logger.warning(
-                "class %r absent from validation; leader picked by macro F1", name
-            )
-            row = macro
-        else:
-            row = f1_matrix[c]
-        ranked = sorted(
-            range(len(models)), key=lambda i: (-row[i], latencies_us[i], i)
-        )
-        leader.append(ranked[0])
+    f1_matrix = np.array([[m.f1 for m in r.per_class] for r in reports], dtype=np.float64).T
+    absent = np.bincount(val_y, minlength=len(classes)) == 0
+    for name in compress(classes, absent):
+        logger.warning("class %r absent from validation; leader picked by macro F1", name)
+    score = np.where(absent[:, None], [r.macro_f1 for r in reports], f1_matrix)
+    # Best score first, then the lowest latency; the sort is stable, so a
+    # full tie goes to the lower model index.
+    order = np.lexsort((np.broadcast_to(latencies_us, score.shape), -score))
     return LeaderMap(
         classes=classes,
-        leader=tuple(leader),
+        leader=tuple(order[:, 0].tolist()),
         f1_matrix=f1_matrix,
         latencies_us=latencies_us,
     )

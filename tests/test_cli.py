@@ -27,6 +27,11 @@ def write_json(path, obj):
         json.dump(obj, fh)
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 @pytest.fixture
 def workspace(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -82,7 +87,7 @@ class TestIngestAndLabel:
         assert run(["ingest", "--input", "capture.csv", "--format", "hcrl-csv",
                     "--attack-class", "Fuzzing Attack", "--out", "capture.log"]) == 0
         assert os.path.isfile("capture.log.labels.json")
-        doc = json.load(open("capture.log.labels.json"))
+        doc = read_json("capture.log.labels.json")
         assert doc["classes"] == ["Normal", "Fuzzing Attack"]
         assert doc["labels"] == [0, 1, 0]
 
@@ -91,8 +96,8 @@ class TestIngestAndLabel:
              "--out", "synth"])
         assert run(["label", "--log", "synth/attack.log",
                     "--metadata", "synth/sidecar.json", "--out", "relabel.json"]) == 0
-        original = json.load(open("synth/attack.labels.json"))
-        relabeled = json.load(open("relabel.json"))
+        original = read_json("synth/attack.labels.json")
+        relabeled = read_json("relabel.json")
         assert original["labels"] == relabeled["labels"]
         assert original["classes"] == relabeled["classes"]
 
@@ -112,7 +117,7 @@ class TestPrepTrainEval:
                     "--out", "model.json", "--seed", "3"]) == 0
         assert run(["eval", "--model", "model.json", "--test", "prep/test.csv",
                     "--out", "report.json"]) == 0
-        report = json.load(open("report.json"))
+        report = read_json("report.json")
         attack_row = next(r for r in report["per_class"] if r["class"] != "Normal")
         assert attack_row["f1"] >= 0.99
         assert report["accuracy"] >= 0.99
@@ -156,7 +161,7 @@ class TestPrepTrainEval:
                     "--out", "freq.json"]) == 0
         assert run(["eval", "--model", "freq.json", "--log", "synth/attack.log",
                     "--labels", "synth/attack.labels.json", "--out", "freq_report.json"]) == 0
-        report = json.load(open("freq_report.json"))
+        report = read_json("freq_report.json")
         attack = next(r for r in report["per_class"] if r["class"] == "Attack")
         # Every injected frame uses an id the ambient model never emits.
         assert attack["recall"] >= 0.99
@@ -173,7 +178,7 @@ PIPELINE_CONFIG = {
 
 
 def report_without_timings(path):
-    obj = json.load(open(path))
+    obj = read_json(path)
     obj.pop("timings")
     return json.dumps(obj, sort_keys=True)
 
@@ -197,16 +202,16 @@ class TestPipeline:
         assert report_without_timings("runA/report.json") == report_without_timings(
             "runB/report.json"
         )
-        raw_a = json.load(open("runA/report.json"))
-        raw_b = json.load(open("runB/report.json"))
+        raw_a = read_json("runA/report.json")
+        raw_b = read_json("runB/report.json")
         assert raw_a["timings"].keys() == raw_b["timings"].keys()
 
     def test_seed_override_changes_split(self, workspace):
         write_json("config.json", PIPELINE_CONFIG)
         assert run(["pipeline", "--config", "config.json", "--out", "runA"]) == 0
         assert run(["pipeline", "--config", "config.json", "--out", "runB", "--seed", "99"]) == 0
-        a = json.load(open("runA/resolved_config.json"))
-        b = json.load(open("runB/resolved_config.json"))
+        a = read_json("runA/resolved_config.json")
+        b = read_json("runB/resolved_config.json")
         assert a["seed"] == 5 and b["seed"] == 99
 
     def test_window_mode_defaults_to_chronological_split(self, workspace):
@@ -215,9 +220,9 @@ class TestPipeline:
         config["eval"] = {"mode": "window", "window": 29, "step": 29}
         write_json("config.json", config)
         assert run(["pipeline", "--config", "config.json", "--out", "runw"]) == 0
-        resolved = json.load(open("runw/resolved_config.json"))
+        resolved = read_json("runw/resolved_config.json")
         assert resolved["split"]["mode"] == "chronological"
-        report = json.load(open("runw/report.json"))
+        report = read_json("runw/report.json")
         assert report["mode"] == "window"
         assert report["classes"] == ["Normal", "Attack"]
 
@@ -230,7 +235,7 @@ class TestPipeline:
         }
         write_json("config.json", config)
         assert run(["pipeline", "--config", "config.json", "--out", "runf"]) == 0
-        report = json.load(open("runf/report.json"))
+        report = read_json("runf/report.json")
         attack = next(r for r in report["per_class"] if r["class"] == "Attack")
         assert attack["recall"] >= 0.99
 
@@ -369,6 +374,17 @@ class TestConfigErrorsExit2:
         assert "frequency" in capsys.readouterr().err
         assert not os.path.exists("freq.json")
 
+    def test_eval_frequency_window_mode(self, synth_dir, capsys):
+        """A frequency model flags frames; it has no window-mode report."""
+        assert run(["train", "--model", "frequency", "--ambient", "synth/ambient.log",
+                    "--out", "freq.json"]) == 0
+        code = run(["eval", "--model", "freq.json", "--log", "synth/attack.log",
+                    "--labels", "synth/attack.labels.json", "--mode", "window",
+                    "--out", "report.json"])
+        assert code == 2
+        assert "frequency" in capsys.readouterr().err
+        assert not os.path.exists("report.json")
+
     @pytest.mark.parametrize("kind", ["frequency", "tree", "forest", "gbdt", "lccde"])
     def test_pipeline_bad_params(self, workspace, capsys, kind):
         write_json("config.json", dict(PIPELINE_CONFIG, model={"kind": kind, "wat": 1}))
@@ -424,7 +440,9 @@ class TestConfigErrorsExit2:
         {"model": {"kind": "tree", "max_depth": "x"}},
         {"model": {"kind": "gbdt", "wat": 1}},
         {"split": {"ratio": "x"}},
-    ] + [{"model": model} for model in BAD_LCCDE_MODELS + WRONG_MODELS])
+    ] + [{"model": model} for model in BAD_LCCDE_MODELS + WRONG_MODELS] + [
+        {"model": {"kind": "frequency"}, "eval": {"mode": "window", "window": 29, "step": 29}},
+    ])
     def test_pipeline_bad_entry_writes_nothing(self, workspace, entry):
         """The config and the model are read before the run writes a file."""
         write_json("config.json", dict(PIPELINE_CONFIG, **entry))
@@ -479,7 +497,7 @@ def read_bytes(path):
 
 
 def report_outside(path, keys=("timings", "dataset", "seed")):
-    obj = json.load(open(path))
+    obj = read_json(path)
     for key in keys:
         obj.pop(key)
     return obj
@@ -548,4 +566,4 @@ class TestPipelineEqualsVerbs:
             assert read_bytes(mine) == read_bytes(theirs), mine
         assert report_outside("run/report.json") == report_outside("report.json")
         if "smote" in cfg:
-            assert json.load(open("run/report.json"))["dataset"]["train_synthetic_rows"] > 0
+            assert read_json("run/report.json")["dataset"]["train_synthetic_rows"] > 0

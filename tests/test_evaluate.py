@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -93,21 +94,44 @@ class TestComputeMetrics:
         assert full.macro_classes == CLASSES3
 
     def test_against_brute_force(self):
+        """Every figure equals the counting oracle's exactly: per-class
+        values and flags, macro means over the member classes in class
+        order, and micro figures from the pooled counts."""
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            n_classes = rng.integers(2, 6)
-            n = rng.integers(1, 120)
-            y_true = rng.integers(0, n_classes, n)
-            y_pred = rng.integers(0, n_classes, n)
-            classes = tuple(f"C{i}" for i in range(n_classes))
-            report = compute_metrics(y_true, y_pred, classes)
-            oracle = brute_force_metrics(y_true.tolist(), y_pred.tolist(), n_classes)
-            for c in range(n_classes):
-                m = report.per_class[c]
-                p, r, f1, *_ = oracle[c]
-                assert m.precision == pytest.approx(p, abs=1e-12)
-                assert m.recall == pytest.approx(r, abs=1e-12)
-                assert m.f1 == pytest.approx(f1, abs=1e-12)
+        for with_normal, include_normal in itertools.product((False, True), repeat=2):
+            for _ in range(50):
+                n_classes = int(rng.integers(1, 6))
+                n = rng.integers(1, 120)
+                y_true = rng.integers(0, n_classes, n)
+                y_pred = rng.integers(0, n_classes, n)
+                classes = [f"C{i}" for i in range(n_classes)]
+                if with_normal:
+                    classes[rng.integers(n_classes)] = "Normal"
+                report = compute_metrics(y_true, y_pred, classes, include_normal)
+                oracle = brute_force_metrics(y_true.tolist(), y_pred.tolist(), n_classes)
+                for c in range(n_classes):
+                    m = report.per_class[c]
+                    p, r, f1, tp, fp, fn = oracle[c]
+                    assert (m.precision, m.recall, m.f1) == (p, r, f1)
+                    flags = (tp + fp == 0, tp + fn == 0, p + r == 0)
+                    assert m.undefined == tuple(
+                        name for name, flag in zip(("precision", "recall", "f1"), flags) if flag)
+
+                members = [c for c in range(n_classes)
+                           if include_normal or classes[c] != "Normal"] or list(range(n_classes))
+                assert report.macro_classes == tuple(classes[c] for c in members)
+                for k, macro in enumerate((report.macro_precision, report.macro_recall,
+                                           report.macro_f1)):
+                    assert macro == np.mean([oracle[c][k] for c in members])
+
+                micro_tp, micro_fp, micro_fn = (sum(oracle[c][k] for c in range(n_classes))
+                                                for k in (3, 4, 5))
+                micro_p = micro_tp / (micro_tp + micro_fp)
+                micro_r = micro_tp / (micro_tp + micro_fn)
+                assert micro_p == micro_r == report.accuracy == (y_true == y_pred).mean()
+                assert (report.micro_precision, report.micro_recall) == (micro_p, micro_r)
+                assert report.micro_f1 == (
+                    2 * micro_p * micro_r / (micro_p + micro_r) if micro_p + micro_r else 0.0)
 
     def test_micro_recall_is_accuracy(self):
         rng = np.random.default_rng(5)

@@ -5,8 +5,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canids.detectors import fit_gbdt, load_model, save_model
+from canids.evaluate import compute_metrics
 from canids.lccde import (
     CASE_MAJORITY,
     CASE_SPLIT,
@@ -242,6 +244,29 @@ class TestSelectLeaders:
             leaders = select_leaders([good, bad, worse], val_X, val_y)
         assert leaders.leader[2] == 0
         assert any("absent from validation" in r.message for r in caplog.records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_leader_is_first_in_sort_order(self, data):
+        """On a few rows, F1 ties, latency ties and classes absent from
+        validation are common; each leader is still the first model by
+        (-F1, latency, index), with macro F1 standing in for an absent
+        class's F1."""
+        n = data.draw(st.integers(1, 5))
+        rows = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+        val_y = np.array(data.draw(rows))
+        preds = [data.draw(rows) for _ in range(N_BASE_MODELS)]
+        latencies = data.draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=3, max_size=3))
+        models = [_Canned([onehotish(v) for v in p], CLASSES3) for p in preds]
+        leaders = select_leaders(models, np.zeros((n, 2)), val_y, latencies_us=latencies)
+        reports = [compute_metrics(val_y, p, CLASSES3) for p in preds]
+        for c in range(len(CLASSES3)):
+            f1 = [r.per_class[c].f1 for r in reports]
+            assert leaders.f1_matrix[c].tolist() == f1
+            if not (val_y == c).any():
+                f1 = [r.macro_f1 for r in reports]
+            ranked = sorted(range(N_BASE_MODELS), key=lambda i: (-f1[i], latencies[i], i))
+            assert leaders.leader[c] == ranked[0]
 
     def test_injected_latencies(self):
         val_X, val_y = self.make_val()
