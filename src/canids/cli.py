@@ -315,6 +315,9 @@ def _evaluate(model, test, labeled: TrafficLog | None, mode: str, window: int,
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    for name in ("window", "step"):
+        if getattr(args, name) < 1:
+            raise ConfigError(f"--{name} must be positive, not {getattr(args, name)}")
     with open(_require_file(args.model)) as fh:
         model = load_model(fh)
     test = labeled = None

@@ -37,6 +37,12 @@ its lowest feature, then its lowest threshold, and a later group must
 score strictly higher, so the trees are those of a one-feature-at-a-time
 search.
 
+A tree walks all its rows together, one level per pass
+(`_TreeArrays.apply`): a leaf leads back to itself, so a tree of depth D
+takes D passes of a few gathers each, and no pass selects or compacts
+rows.  The walk arrays and the depth are built once per tree, when it is
+grown or loaded.
+
 Fitting rejects NaN features with a `ValueError` naming the column;
 +-inf are ordinary values.  Labels must be one class index per row; a
 label that is negative, fractional or past the class list is refused
@@ -60,6 +66,7 @@ import copy
 import json
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -106,26 +113,28 @@ def _numbers(value: Any, dtype: type, what: str) -> np.ndarray:
 
 
 def _feature_matrix(X: np.ndarray, n_read: int) -> np.ndarray:
-    """X as float64, refused unless it is 2-D with at least the n_read
-    columns a model reads."""
+    """X as C-contiguous float64 (each tree walk reads it flat), refused
+    unless it is 2-D with at least the n_read columns a model reads."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"a feature matrix is 2-D (rows, columns), not {X.ndim}-D")
     if X.shape[1] < n_read:
         raise ValueError(f"the model reads {n_read} feature columns, the matrix has {X.shape[1]}")
-    return X
+    return np.ascontiguousarray(X)
 
 
 def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One row index per distinct row of X, and each row's position among
     them: X[first][inverse] equals X row for row (-0.0 and 0.0 are equal,
     as they are to a split).  Scoring X[first] and taking [inverse] gives
-    the scores of X whenever a row's score depends only on that row."""
+    the scores of X whenever a row's score depends only on that row.  The
+    columns are sorted and compared as contiguous rows of X.T."""
     n, d = X.shape
-    order = np.lexsort(X.T) if d else np.arange(n)
-    ranked = X[order]
+    columns = X.T.copy()
+    order = np.lexsort(columns) if d else np.arange(n)
+    ranked = columns.take(order, axis=1)
     new = np.ones(n, dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
@@ -140,7 +149,8 @@ _TREE_FIELDS = dict(
 class _TreeArrays:
     """Flat binary-tree storage: node i splits on feature[i] (or is a
     leaf when feature[i] < 0) at threshold[i]; value[i] is the leaf
-    payload (class distribution or regression weight)."""
+    payload (class distribution or regression weight).  Every node but
+    the root is the child of exactly one node, numbered after it."""
 
     def __init__(self, value_width: int) -> None:
         self.feature: list[int] = []
@@ -164,22 +174,32 @@ class _TreeArrays:
         self.left = np.asarray(self.left, dtype=np.int64)
         self.right = np.asarray(self.right, dtype=np.int64)
         self.value = np.vstack(self.value) if len(self.value) else np.zeros((0, self.value_width))
+        self._index()
+
+    def _index(self) -> None:
+        walks = _tree_walks(self.feature, self.left, self.right, np.array([len(self.feature)]))
+        if walks is None:
+            raise ValueError("tree node links must point past their parent, stay in range "
+                             "and reach every node but the root once")
+        self.depth, self._walk = int(walks[0][0]), walks[1]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index for every row; walks one level per iteration."""
-        node = np.zeros(len(X), dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            active = np.flatnonzero(feat >= 0)
-            if len(active) == 0:
-                return node
-            f = feat[active]
-            go_left = X[active, f] <= self.threshold[node[active]]
-            nxt = np.where(go_left, self.left[node[active]], self.right[node[active]])
-            node[active] = nxt
+        """Leaf index for every row.  A pass moves every row down one
+        level, and a row on a leaf stays there, so `depth` passes of a
+        fixed handful of gathers take every row to its leaf; no pass
+        selects or compacts rows."""
+        feature, left, right = self._walk
+        n, d = X.shape
+        flat = X.reshape(-1)
+        base = np.arange(n) * d
+        node = np.zeros(n, dtype=np.int64)
+        for _ in range(self.depth):
+            go = flat.take(base + feature.take(node)) <= self.threshold.take(node)
+            node = np.where(go, left.take(node), right.take(node))
+        return node
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        return self.value[self.apply(X)]
+        return self.value.take(self.apply(X), axis=0)
 
     @property
     def n_read(self) -> int:
@@ -200,13 +220,102 @@ class _TreeArrays:
         shapes = {name: np.shape(getattr(tree, name)) for name in _TREE_FIELDS}
         if n == 0 or list(shapes.values()) != [(n,)] * 4 + [(n, width)]:
             raise ValueError(f"tree fields need one entry and {width} leaf values per node: {shapes}")
-        # Growth numbers children after their parent; walking a tree and
-        # measuring its depth rely on it, and a cycle would never end.
-        internal = np.flatnonzero(tree.feature >= 0)
-        for child in (tree.left[internal], tree.right[internal]):
-            if not ((child > internal) & (child < len(tree.feature))).all():
-                raise ValueError("tree node links must point past their parent and stay in range")
+        tree._index()
         return tree
+
+    @classmethod
+    def from_json_objs(cls, objs: Sequence[Any], width: int) -> list["_TreeArrays"]:
+        """Trees from tree documents, as `from_json_obj` reads each.  When
+        every field of every document is plain (`_plain_tree_fields`), each
+        field is read once for all the trees and their links are checked
+        and indexed together; otherwise the documents are read one by one,
+        which also words the first error."""
+        plain = _plain_tree_fields(objs, width)
+        walks = None if plain is None else _tree_walks(
+            plain[0]["feature"], plain[0]["left"], plain[0]["right"], plain[1])
+        if walks is None:
+            return [cls.from_json_obj(obj, width) for obj in objs]
+        fields, sizes = plain
+        depths, walk = walks
+        stops = np.cumsum(sizes).tolist()
+        trees = []
+        for depth, lo, hi in zip(depths.tolist(), [0] + stops, stops):
+            tree = cls(width)
+            for name in _TREE_FIELDS:
+                setattr(tree, name, fields[name][lo:hi])
+            tree.depth, tree._walk = depth, tuple(a[lo:hi] for a in walk)
+            trees.append(tree)
+        return trees
+
+
+def _plain_tree_fields(objs: Sequence[Any],
+                       width: int) -> tuple[dict[str, np.ndarray], np.ndarray] | None:
+    """The fields of tree documents laid end to end, and each tree's node
+    count, when every document is an object whose fields are lists of one
+    entry per node of plain JSON numbers of the field's kind: integers in
+    int64 for feature, left and right, floats for threshold, and lists of
+    `width` floats for value.  None for anything else.  `from_json_obj`
+    reads each such document to the same arrays."""
+    if not all(type(obj) is dict and obj.keys() >= _TREE_FIELDS.keys() for obj in objs):
+        return None
+    sizes = [len(obj["feature"]) if type(obj["feature"]) is list else 0 for obj in objs]
+    columns = {}
+    for name in _TREE_FIELDS:
+        if not all(type(obj[name]) is list and len(obj[name]) == n > 0
+                   for obj, n in zip(objs, sizes)):
+            return None
+        columns[name] = list(chain.from_iterable(obj[name] for obj in objs))
+    rows = columns["value"]
+    if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {width}:
+        return None
+    columns["value"] = list(chain.from_iterable(rows))
+    floats = columns["threshold"] + columns["value"]
+    ints = columns["feature"] + columns["left"] + columns["right"]
+    if not set(map(type, floats)) <= {float} or not set(map(type, ints)) <= {int} or (
+            ints and not -(1 << 63) <= min(ints) <= max(ints) < 1 << 63):
+        return None
+    fields = {name: np.array(columns[name], dtype=dtype) for name, dtype in _TREE_FIELDS.items()}
+    fields["value"] = fields["value"].reshape(-1, width)
+    return fields, np.array(sizes, dtype=np.int64)
+
+
+def _tree_walks(feature: np.ndarray, left: np.ndarray, right: np.ndarray,
+                sizes: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]] | None:
+    """For trees laid end to end, `sizes` nodes each, whose links count
+    from their own first node: each tree's depth, and what
+    `_TreeArrays.apply` walks, laid out like the fields: each node's
+    feature and children, where a leaf reads feature 0 and leads back to
+    itself.  None unless the links of every tree make it a tree: each
+    node but the first is the child of exactly one node numbered before
+    it, which also rules out cycles.
+
+    The depths come from each node's parent by pointer doubling: every
+    round adds a node's distance to its current ancestor and moves on to
+    that ancestor's, so a tree of depth D takes about log2(D) rounds."""
+    n, first = len(feature), np.cumsum(sizes) - sizes
+    root = np.repeat(first, sizes)  # each node's tree's first node
+    node = np.arange(n)
+    internal = (feature >= 0).nonzero()[0]
+    base, stop = root.take(internal), np.repeat(first + sizes, sizes).take(internal)
+    left, right = left.take(internal) + base, right.take(internal) + base
+    # n - len(sizes) links in range, each past its parent, that give every
+    # node but the first of its tree a parent.
+    up = node.copy()
+    linked = (left > internal) & (right > internal) & (left < stop) & (right < stop)
+    if 2 * len(internal) == n - len(sizes) and np.count_nonzero(linked) == len(internal):
+        up[left] = internal
+        up[right] = internal
+    if np.count_nonzero(up < node) != n - len(sizes):
+        return None
+    local = node - root
+    depth = np.minimum(local, 1)
+    while np.count_nonzero(up != root):
+        depth += depth.take(up)
+        up = up.take(up)
+    walk_left, walk_right = local.copy(), local.copy()
+    walk_left[internal] = left - base
+    walk_right[internal] = right - base
+    return np.maximum.reduceat(depth, first), (np.maximum(feature, 0), walk_left, walk_right)
 
 
 def _safe_threshold(lo: float, hi: float) -> float:
@@ -575,12 +684,7 @@ class DecisionTree(Detector):
     @property
     def depth(self) -> int:
         self._check_fitted()
-        tree = self._tree
-        # Children always follow their parent, so one forward pass suffices.
-        depth = np.zeros(len(tree.feature), dtype=np.int64)
-        for node in np.flatnonzero(tree.feature >= 0):
-            depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
-        return int(depth.max())
+        return self._tree.depth
 
     def _state_json(self) -> dict[str, Any]:
         return {"tree": self._tree.to_json_obj()}
@@ -661,7 +765,7 @@ class RandomForest(Detector):
         for name in self.state:
             if not isinstance(obj[name], list) or len(obj[name]) != self.n_trees:
                 raise ValueError(f"forest {name} must have n_trees = {self.n_trees!r} entries")
-        self._trees = [_TreeArrays.from_json_obj(t, len(self.classes)) for t in obj["trees"]]
+        self._trees = _TreeArrays.from_json_objs(obj["trees"], len(self.classes))
         self._feats = [_numbers(f, np.int64, "forest tree_features") for f in obj["tree_features"]]
         for tree, cols in zip(self._trees, self._feats):
             if cols.ndim != 1 or cols.size == 0 or cols.min() < 0 or tree.n_read > cols.size:
@@ -791,7 +895,9 @@ class GradientBoosting(Detector):
             not isinstance(rt, list) or len(rt) != len(self.classes) for rt in rounds
         ):
             raise ValueError("gbdt rounds must be n_rounds lists of one tree per class")
-        self._rounds = [[_TreeArrays.from_json_obj(t, 1) for t in rt] for rt in rounds]
+        trees = _TreeArrays.from_json_objs([t for rt in rounds for t in rt], 1)
+        k = len(self.classes)
+        self._rounds = [trees[i:i + k] for i in range(0, len(trees), k)]
 
 
 def softmax_cross_entropy(raw: np.ndarray, y: np.ndarray) -> float:

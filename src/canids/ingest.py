@@ -6,15 +6,17 @@ describing injection campaigns (interval + id + payload nibble pattern).
 
 Every reader fills the columns of a `TrafficLog` and every writer reads
 them.  `parse_candump_log` decodes blocks of lines with array operations
-(`_decode_records`: one byte-class translate, token edges, and per-shape
-tables for the timestamp and id#data fields); the per-line regex parser
-(`_candump_fields`) reads only the lines the block decoder refuses, to
-skip blank ones and to word the error of the rest.  The CSV parser collects
-each row's fields into column lists.  `serialize_candump` formats slices of
-the columns through the block text encoder in `core` (each line is the
-text of `serialize_candump_line`), and labels are per-frame class codes.
-`apply_metadata_labels` tests each campaign only on the rows inside its
-interval, found by binary search over the sorted timestamps.
+(`_decode_records`: line bounds from one running sum of the line lengths,
+one byte-class translate, token edges, per-shape tables for the timestamp
+and id#data fields, and the channel names from one gather and one split);
+the per-line regex parser (`_candump_fields`) reads only the lines the
+block decoder refuses, to skip blank ones and to word the error of the
+rest.  The CSV parser collects each row's fields into column lists.
+`serialize_candump` formats slices of the columns through the block text
+encoder in `core` (each line is the text of `serialize_candump_line`), and
+labels are per-frame class codes.  `apply_metadata_labels` tests each
+campaign only on the rows inside its interval, found by binary search over
+the sorted timestamps.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from itertools import accumulate, islice
+from itertools import chain, islice
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -192,7 +194,10 @@ def parse_candump_log(
 # digit's value.  Tokens are the runs of non-space bytes, found where a space
 # and a non-space byte meet: two edges per token, the byte before its first
 # byte and its last byte.  A record is a line of exactly three tokens whose
-# first starts the line.
+# first starts the line.  The line bounds are a running sum of the line
+# lengths and gaps.  The channel names are the records' middle tokens: one
+# take gathers each with the space byte on either side, and one
+# bytes.split(), which splits on exactly the _SPACE bytes, cuts them apart.
 #
 # The timestamp token is read as the _WINDOW classes that end at its ")",
 # and the id#data token as the _WINDOW classes that start at its first
@@ -291,7 +296,9 @@ _LEAD_SHIFT = np.array([24 - 39] + [0] * 16 + list(range(17 - 39, 23 - 39)) + [0
 # _SHAPE_ROW[length] is the first shape of that length (any longer reads as 26).
 _SHAPE_ROW = np.arange(27) * _WINDOW
 # Operands as arrays: numpy takes an array faster than a Python scalar.
-_SIX_EDGES, _ONE, _THREE_TOKENS = np.arange(6), np.array(1), np.array(6)
+_SIX_EDGES, _ONE, _TWO, _THREE_TOKENS = np.arange(6), np.array(1), np.array(2), np.array(6)
+# The first line bound, before _GAP_SIZE is added to every entry.
+_FIRST_BOUND, _GAP_SIZE = (len(_FRONT) - 1 - len(_GAP),), np.array(len(_GAP))
 _SPACE_CLASS, _ZERO_CLASS, _KIND_SHIFT, _VALUE_BITS, _BIT = (
     np.array(v, dtype=np.uint8) for v in (_SPACE << 4, 0, 4, 0xF, 1))
 # Three windows: the timestamp's, ending at ")"; the id#data token's, read
@@ -301,6 +308,14 @@ _SHAPE_BASE *= _SHAPES
 _CELL_SIZE, _CELL_AT = np.array([[0, 2, 2], [0, 1, 1]])
 
 
+def _runs(stop: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The positions of runs of count[i] positions that end before stop[i],
+    one run after another."""
+    taken = (stop - np.add.accumulate(count)).repeat(count)
+    taken += np.arange(len(taken))
+    return taken
+
+
 def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.ndarray, list]:
     """The indices of the lines of a block that hold a candump record (as
     `_candump_fields` would decide), and the columns of those records:
@@ -308,11 +323,14 @@ def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.nd
     code.  New channel names join `channels`, as UTF-8 bytes."""
     text = _FRONT + _GAP.join(block) + _TAIL
     raw = text.encode("utf-8", "surrogatepass")
-    # The edge before each line's first byte, and after the last line.
-    bound = np.fromiter(accumulate(map(len(_GAP).__add__, map(len, block)),
-                                   initial=len(_FRONT) - 1), dtype=np.intp, count=len(block) + 1)
+    byte = np.frombuffer(raw, dtype=np.uint8)
+    # The edge before each line's first byte, and after the last line: a
+    # running sum of the line lengths, each with its gap.
+    bound = np.fromiter(chain(_FIRST_BOUND, map(len, block)), dtype=np.intp, count=len(block) + 1)
+    bound += _GAP_SIZE
+    np.add.accumulate(bound, out=bound)
     if len(raw) != len(text):  # character offsets to byte offsets
-        char_start = (np.frombuffer(raw, dtype=np.uint8) & 0xC0 != 0x80).nonzero()[0]
+        char_start = (byte & 0xC0 != 0x80).nonzero()[0]
         bound = char_start.take(bound + _ONE) - _ONE
     classes = raw.translate(_CLASS)
     space = np.frombuffer(classes, dtype=np.uint8) == _SPACE_CLASS
@@ -325,7 +343,7 @@ def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.nd
     cells = window[pos.take(_CELL_EDGES, axis=1) + _CELL_SHIFT]  # (n, 3, _WINDOW)
     at = cells[:, :2].argmax(axis=2).take(_CELL_AT, axis=1)
     shape = _SHAPE_ROW.take(size.take(_CELL_SIZE, axis=1), mode="clip") + at + _SHAPE_BASE
-    value = np.add.reduce((cells & _VALUE_BITS) * _WEIGHT.take(shape, axis=0), axis=2)
+    value = np.einsum("nck,nck->nc", cells & _VALUE_BITS, _WEIGHT.take(shape, axis=0))
     fits = value <= _LIMIT.take(shape)
     allowed = _FORM.take(shape[:, :2], axis=0) >> (cells[:, :2] >> _KIND_SHIFT) & _BIT
     ok = np.logical_and.reduce(allowed.reshape(len(block), 2 * _WINDOW), axis=1)
@@ -336,7 +354,7 @@ def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.nd
     if len(long):
         count = size[long, 0] + _LEAD_SHIFT.take(at[long, 0])
         offset = count.cumsum() - count
-        where = (pos[long, 0] + 2 - offset).repeat(count) + np.arange(count.sum())
+        where = _runs(pos[long, 0] + 2 + count, count)
         cls = np.frombuffer(classes, dtype=np.uint8)
         ok[long] &= ~np.logical_or.reduceat(cls.take(where) != _ZERO_CLASS, offset) & (
             cls.take(pos[long, 0] + 1) == _OPEN << 4)
@@ -345,13 +363,17 @@ def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.nd
     if len(rows) < len(block):
         pos, value, shape = (a.take(rows, axis=0) for a in (pos, value, shape))
     record = shape[:, 1]
-    # Channel codes, keyed by the name's UTF-8 bytes in order of first appearance.
-    names = list(map(raw.__getitem__, map(slice, *(pos[:, 2:4] + _ONE).T.tolist())))
+    # Channel names: every name token with the space byte on each side of
+    # it, gathered by one take and split on ASCII whitespace, which is
+    # exactly the _SPACE bytes.  Codes are keyed by the name's UTF-8 bytes
+    # in order of first appearance.
+    stop = pos[:, 3] + _TWO
+    names = byte.take(_runs(stop, stop - pos[:, 2])).tobytes().split()
     for name in dict.fromkeys(names):
         channels.setdefault(name, len(channels))
     channel = np.fromiter(map(channels.__getitem__, names), dtype=np.int64, count=len(names))
     return rows, [value[:, 0].view(np.int64), value[:, 1].view(np.int64), _EXTENDED.take(record),
-                  _DLC.take(record), value[:, 2].astype(">u8").view(np.uint8).reshape(-1, MAX_DLC),
+                  _DLC.take(record), value[:, 2:].astype(">u8").view(np.uint8),
                   channel]
 
 
@@ -723,15 +745,22 @@ def load_labels(log: TrafficLog, stream: IO[str]) -> TrafficLog:
         raise ValueError(
             f"label document covers {len(indices)} frames, log has {len(log)}"
         )
-    bad = next((k for k, i in enumerate(indices)
-                if type(i) is not int or not 0 <= i < len(classes)), None)
-    if bad is not None:
-        raise ValueError(
-            f"label document frame {bad}: label {indices[bad]!r} is not a class index "
-            f"from 0 to {len(classes) - 1}"
-        )
+    labels = np.zeros(0, dtype=np.int64)
+    if indices:
+        # Whole-list checks (numpy reads an int past int64 as another
+        # dtype); the scan for the first bad label only words the error.
+        if set(map(type, indices)) == {int}:
+            labels = np.array(indices)
+        if (len(labels) < len(indices) or labels.dtype.kind != "i" or labels.min() < 0
+                or labels.max() >= len(classes)):
+            bad = next(k for k, i in enumerate(indices)
+                       if type(i) is not int or not 0 <= i < len(classes))
+            raise ValueError(
+                f"label document frame {bad}: label {indices[bad]!r} is not a class index "
+                f"from 0 to {len(classes) - 1}"
+            )
     space = LabelSpace([name for name in classes if name != NORMAL_LABEL])
     codes = np.array([space.names().index(name) for name in classes], dtype=np.int64)
-    label = codes[np.array(indices, dtype=np.int64)]
+    label = codes[labels]
     return TrafficLog._from_columns(**log._columns(), channels=log.channels, label=label,
                                     label_space=space)

@@ -385,6 +385,26 @@ class TestConfigErrorsExit2:
         assert "frequency" in capsys.readouterr().err
         assert not os.path.exists("report.json")
 
+    @pytest.mark.parametrize("mode", ["frame", "window"])
+    @pytest.mark.parametrize("flag", ["--window", "--step"])
+    def test_eval_window_and_step_must_be_positive(self, synth_dir, capsys, mode, flag):
+        """Refused like the pipeline's eval.window, in either mode and
+        before any file is read: the model named does not exist."""
+        for value in ("0", "-3"):
+            code = run(["eval", "--model", "missing.json", "--test", "missing.csv",
+                        "--mode", mode, flag, value, "--out", "report.json"])
+            assert code == 2
+            assert f"{flag} must be positive, not {value}" in capsys.readouterr().err
+        assert run(["prep", "--log", "synth/attack.log", "--labels", "synth/attack.labels.json",
+                    "--out", "prep"]) == 0
+        assert run(["train", "--train", "prep/train.csv", "--model", "tree",
+                    "--params", '{"max_depth": 3}', "--out", "model.json"]) == 0
+        code = run(["eval", "--model", "model.json", "--test", "prep/test.csv",
+                    "--mode", mode, flag, "0", "--out", "report.json"])
+        assert code == 2
+        assert f"{flag} must be positive, not 0" in capsys.readouterr().err
+        assert not os.path.exists("report.json")
+
     @pytest.mark.parametrize("kind", ["frequency", "tree", "forest", "gbdt", "lccde"])
     def test_pipeline_bad_params(self, workspace, capsys, kind):
         write_json("config.json", dict(PIPELINE_CONFIG, model={"kind": kind, "wat": 1}))

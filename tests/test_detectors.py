@@ -33,6 +33,7 @@ from canids.detectors import (
     _Gini,
     _grow_tree,
     _grow_trees,
+    _distinct_rows,
     _Newton,
     _rank_codes,
     _safe_threshold,
@@ -1033,6 +1034,47 @@ class TestModelDocuments:
         with pytest.raises(ValueError, match=message):
             model_from_json_obj(doc)
 
+    @staticmethod
+    def read_one_by_one(docs, width):
+        trees, error = [], None
+        try:
+            for doc in docs:
+                trees.append(_TreeArrays.from_json_obj(doc, width))
+        except ValueError as exc:
+            error = str(exc)
+        return trees, error
+
+    @pytest.mark.parametrize("kind", ["forest", "gbdt"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_trees_read_together_as_one_by_one(self, kind, data):
+        """A model's trees are read field by field for all of them at once;
+        every document, plain or edited, must give the trees or the error
+        that reading the trees one at a time gives."""
+        model = fitted_models()[kind]
+        doc = model.to_json_obj()
+        docs = doc["trees"] if kind == "forest" else [t for rt in doc["rounds"] for t in rt]
+        width = len(model.classes) if kind == "forest" else 1
+        for _ in range(data.draw(st.integers(0, 2))):
+            tree = data.draw(st.sampled_from(docs))
+            field = data.draw(st.sampled_from(sorted(tree)))
+            at = data.draw(st.integers(0, len(tree[field]) - 1))
+            scalars = [0, 1, -1, 2, 2**63, -(2**63) - 1, 0.5, 1.0, float("nan"), True, "1", None]
+            rows = [[0.5] * (width - 1), [0.5] * (width + 1), [1] * width, [True] * width,
+                    [[0.5]] * width, 0.5, None]
+            tree[field][at] = data.draw(st.sampled_from(rows if field == "value" else scalars))
+        trees, error = self.read_one_by_one(docs, width)
+        if error is not None:
+            with pytest.raises(ValueError) as raised:
+                _TreeArrays.from_json_objs(docs, width)
+            assert str(raised.value) == error
+            return
+        together = _TreeArrays.from_json_objs(docs, width)
+        assert [tree_json(t) for t in together] == [tree_json(t) for t in trees]
+        for a, b in zip(together, trees):
+            assert a.depth == b.depth
+            assert all(np.array_equal(x, y) for x, y in zip(a._walk, b._walk))
+
     @pytest.mark.parametrize("edit, message", [
         (lambda ids, key: ids[key].update(count=True), r"frequency id \w+ field 'count': True"),
         (lambda ids, key: ids[key].update(mean_us=True), r"field 'mean_us': True is not a number"),
@@ -1109,6 +1151,105 @@ class TestDistinctRowScoring:
         assert model.n_nodes == 1
         assert np.array_equal(model.predict_scores(X), self.row_by_row(model, X))
         assert model.predict_scores(X).shape == (n, 1)
+
+
+def _reference_apply(tree, X):
+    """The walk that `_TreeArrays.apply` replaced, kept as its oracle: each
+    pass selects the rows still on an internal node and moves only them."""
+    node = np.zeros(len(X), dtype=np.int64)
+    while True:
+        feat = tree.feature[node]
+        active = np.flatnonzero(feat >= 0)
+        if len(active) == 0:
+            return node
+        go_left = X[active, feat[active]] <= tree.threshold[node[active]]
+        node[active] = np.where(go_left, tree.left[node[active]], tree.right[node[active]])
+
+
+def _reference_distinct_rows(X):
+    """The row-major `_distinct_rows` that the column-major one replaced."""
+    n, d = X.shape
+    order = np.lexsort(X.T) if d else np.arange(n)
+    ranked = X[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+EDGE_CELLS = [-np.inf, -1.5, -0.0, 0.0, 0.5, 1.0, 2.5, np.inf, np.nan]
+
+
+@st.composite
+def walk_trees(draw, width):
+    """A tree of depth 0 to 8 over `width` features, grown by splitting
+    leaves picked at random, so nodes are numbered after their parent but
+    not in preorder; thresholds include +-inf, both zeros and NaN."""
+    tree = _TreeArrays(value_width=1)
+    depth = [0]
+    open_leaves = [tree.add_node(np.zeros(1))]
+    for _ in range(draw(st.integers(0, 40))):
+        splittable = [k for k in open_leaves if depth[k] < 8]
+        if not splittable:
+            break
+        node = draw(st.sampled_from(splittable))
+        open_leaves.remove(node)
+        tree.feature[node] = draw(st.integers(0, width - 1))
+        tree.threshold[node] = draw(st.sampled_from(EDGE_CELLS))
+        for link in (tree.left, tree.right):
+            child = tree.add_node(np.zeros(1))
+            link[node] = child
+            depth.append(depth[node] + 1)
+            open_leaves.append(child)
+    tree.finalize()
+    return tree, max(depth)
+
+
+class TestTreeWalk:
+    """`_TreeArrays.apply` moves every row one level per pass, without
+    selecting rows; it must land each row where the compacting walk does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.integers(0, 3), st.integers(0, 40), st.booleans())
+    def test_matches_the_compacting_walk(self, data, width, extra, n, fortran):
+        tree, depth = data.draw(walk_trees(width))
+        cells = data.draw(st.lists(st.sampled_from(EDGE_CELLS), min_size=n * (width + extra),
+                                   max_size=n * (width + extra)))
+        X = np.array(cells, dtype=np.float64).reshape(n, width + extra)
+        if fortran:
+            X = np.asfortranarray(X)
+        assert tree.depth == depth
+        assert np.array_equal(tree.apply(X), _reference_apply(tree, X))
+
+    def test_links_that_are_not_a_tree_rejected(self):
+        # Four links for five nodes, but node 3 is both children of node 1
+        # and node 4 hangs under nothing.
+        doc = {"feature": [0, 0, -1, -1, -1], "threshold": [0.0] * 5, "left": [1, 3, -1, -1, -1],
+               "right": [2, 3, -1, -1, -1], "value": [[1.0]] * 5}
+        with pytest.raises(ValueError, match="node links"):
+            _TreeArrays.from_json_obj(doc, 1)
+
+
+@st.composite
+def distinct_row_matrices(draw):
+    """Rows drawn from a few with repeats, -0.0 beside 0.0 and NaN, of zero
+    to 5 columns and zero to 30 rows."""
+    width = draw(st.integers(0, 5))
+    pool = draw(st.lists(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.0, np.nan, np.inf]),
+                                  min_size=width, max_size=width), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+    return np.array([pool[i] for i in picks], dtype=np.float64).reshape(len(picks), width)
+
+
+class TestDistinctRows:
+    @settings(max_examples=200, deadline=None)
+    @given(distinct_row_matrices())
+    def test_matches_the_row_major_version(self, X):
+        first, inverse = _distinct_rows(X)
+        ref_first, ref_inverse = _reference_distinct_rows(X)
+        assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
+        assert np.array_equal(X[first][inverse], X, equal_nan=True)
 
 
 class TestLatencyAndPredictions:

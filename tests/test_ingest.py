@@ -318,11 +318,15 @@ def candump_lines(draw, ts_us):
                    "20000000", "1fffffff", "12", "1234", "123456789", "", "0x1")
     data = draw(st.binary(max_size=8)).hex()
     data = often(draw, draw(st.sampled_from([data, data.upper()])), data + "A", "00" * 9, "0g")
+    # Names the decoder must not cut or merge: long ones that differ only in
+    # their last byte, and bytes (0x85 of U+0145's UTF-8, and 0x1c) that a
+    # split of decoded text would take for whitespace, unlike the regex.
     channel = often(draw, "can0", "vcan12", "can0" * 3, "abcdefgh", "abcdefgi", "c", "c\x00",
-                    "c\x00\x00", "\u00e9t\u00e9", "\ud800", "x#(", "\u3000", "\x1c")
+                    "c\x00\x00", "\u00e9t\u00e9", "\ud800", "x#(", "\u3000", "\x1c",
+                    "channel_name_17_a", "channel_name_17_b", "\u0145\x1c")
     line = "".join([
         f"({draw(stamp_texts(ts_us))})", often(draw, " ", "\t", "  ", "\n", " \v"), channel,
-        often(draw, " ", "\t", " \f ", "\r"), f"{can_id}#{data}",
+        often(draw, " ", "\t", " \f ", "\r", "\v"), f"{can_id}#{data}",
         often(draw, "", "\n", "\r", "\f", "\v", " \t\r\n", "\x00", "\x1c", "\u3000")])
     if draw(st.integers(0, 3)) == 0:
         at = draw(st.integers(0, len(line)))
@@ -361,6 +365,17 @@ class TestBlockParse:
                  range(_BLOCK_ROWS - 2)] + tail
         got = parse_outcome(parse_candump_log, lines, strict)
         assert got == parse_outcome(reference_parse_candump_log, lines, strict)
+
+    @pytest.mark.parametrize("block_rows", [2, _BLOCK_ROWS])
+    def test_channel_first_seen_in_a_later_block_takes_the_next_code(self, block_rows):
+        lines = [f"({k}.0) {'can1' if k % 2 else 'can0'} 100#AA" for k in range(block_rows)]
+        lines += ["(9000.0) can1 100#AA", "(9001.0) vcan7 100#AA", "(9002.0) can0 100#AA"]
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            log = parse_candump_log(lines)
+            assert parse_outcome(parse_candump_log, lines, True) == parse_outcome(
+                reference_parse_candump_log, lines, True)
+        assert log.channels == ("can0", "can1", "vcan7")
+        assert log.channel[-3:].tolist() == [1, 2, 0]
 
     @pytest.mark.parametrize("lines", [[], [""], ["", "\x1c", "\u3000 "]])
     def test_empty_input(self, lines):
@@ -408,6 +423,16 @@ class TestLabelDocument:
         doc = {"format_version": 1, "classes": ["Normal", "A"], "labels": [0, index]}
         with pytest.raises(ValueError, match="frame 1: label .* is not a class index from 0 to 1"):
             self.load(doc)
+
+    @pytest.mark.parametrize("index", [True, 1.0, -1, 2**64])
+    def test_label_deep_in_a_long_document_named(self, index):
+        labels = [1, 0] * 25_000
+        labels[40_000] = index
+        doc = {"format_version": 1, "classes": ["Normal", "A"], "labels": labels}
+        with pytest.raises(ValueError) as raised:
+            self.load(doc, n=50_000)
+        assert str(raised.value) == (f"label document frame 40000: label {index!r} is not a "
+                                     f"class index from 0 to 1")
 
     @pytest.mark.parametrize("field", ["labels", "classes"])
     def test_missing_field_rejected(self, field):
