@@ -39,9 +39,11 @@ search.
 
 A tree walks all its rows together, one level per pass
 (`_TreeArrays.apply`): a leaf leads back to itself, so a tree of depth D
-takes D passes of a few gathers each, and no pass selects or compacts
-rows.  The walk arrays and the depth are built once per tree, when it is
-grown or loaded.
+takes D passes of a few gathers each.  Rows that reached a leaf are
+dropped only after passes 16, 32, 64, ..., so a shallow tree never
+selects rows and a deep, lopsided one does not carry its early leaves to
+the end.  The walk arrays and the depth are built once per tree, when it
+is grown or loaded.
 
 Fitting rejects NaN features with a `ValueError` naming the column;
 +-inf are ordinary values.  Labels must be one class index per row; a
@@ -66,7 +68,6 @@ import copy
 import json
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -140,6 +141,9 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], inverse
 
 
+# The first pass after which `_TreeArrays.apply` drops rows on a leaf.
+_SHRINK_FROM = 16
+
 # A tree document's fields, in document order, with their dtypes.
 _TREE_FIELDS = dict(
     feature=np.int64, threshold=np.float64, left=np.int64, right=np.int64, value=np.float64
@@ -177,26 +181,64 @@ class _TreeArrays:
         self._index()
 
     def _index(self) -> None:
-        walks = _tree_walks(self.feature, self.left, self.right, np.array([len(self.feature)]))
-        if walks is None:
+        """Check the links and build what `apply` walks: each node's
+        feature and children, where a leaf reads feature 0 and leads back
+        to itself, and the tree's depth.  The links make a tree when there
+        are two per internal node, each in range and past its parent, and
+        every node but the root gets a parent; this also rules out cycles.
+
+        The depth comes from each node's parent by pointer doubling: every
+        round adds a node's distance to its current ancestor and moves on
+        to that ancestor's, so a tree of depth D takes about log2(D)
+        rounds."""
+        n = len(self.feature)
+        node = np.arange(n)
+        internal = (self.feature >= 0).nonzero()[0]
+        left, right = self.left.take(internal), self.right.take(internal)
+        up = node.copy()
+        linked = 2 * len(internal) == n - 1 and bool(
+            ((left > internal) & (right > internal) & (left < n) & (right < n)).all())
+        if linked:
+            up[left] = internal
+            up[right] = internal
+        if not linked or np.count_nonzero(up < node) != n - 1:
             raise ValueError("tree node links must point past their parent, stay in range "
                              "and reach every node but the root once")
-        self.depth, self._walk = int(walks[0][0]), walks[1]
+        depth = np.minimum(node, 1)
+        while up.any():
+            depth += depth.take(up)
+            up = up.take(up)
+        self.depth = int(depth.max())
+        walk_left, walk_right = node.copy(), node.copy()
+        walk_left[internal] = left
+        walk_right[internal] = right
+        self._walk = np.maximum(self.feature, 0), walk_left, walk_right
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index for every row.  A pass moves every row down one
         level, and a row on a leaf stays there, so `depth` passes of a
-        fixed handful of gathers take every row to its leaf; no pass
-        selects or compacts rows."""
+        fixed handful of gathers take every row to its leaf.  Rows on a
+        leaf are dropped only after passes 16, 32, 64, ...: a tree of
+        depth 16 or less never selects rows, and in a deeper one a row
+        that stops at level L is carried for fewer than 2L passes."""
         feature, left, right = self._walk
         n, d = X.shape
         flat = X.reshape(-1)
-        base = np.arange(n) * d
+        rows = np.arange(n)
+        at = rows * d
         node = np.zeros(n, dtype=np.int64)
-        for _ in range(self.depth):
-            go = flat.take(base + feature.take(node)) <= self.threshold.take(node)
+        leaf = np.empty(n, dtype=np.int64)
+        for level in range(1, self.depth + 1):
+            go = flat.take(at + feature.take(node)) <= self.threshold.take(node)
             node = np.where(go, left.take(node), right.take(node))
-        return node
+            if level >= _SHRINK_FROM and level & (level - 1) == 0:
+                leaf[rows] = node
+                inner = (self.feature.take(node) >= 0).nonzero()[0]
+                rows, at, node = rows.take(inner), at.take(inner), node.take(inner)
+        if len(rows) == n:
+            return node
+        leaf[rows] = node
+        return leaf
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         return self.value.take(self.apply(X), axis=0)
@@ -222,100 +264,6 @@ class _TreeArrays:
             raise ValueError(f"tree fields need one entry and {width} leaf values per node: {shapes}")
         tree._index()
         return tree
-
-    @classmethod
-    def from_json_objs(cls, objs: Sequence[Any], width: int) -> list["_TreeArrays"]:
-        """Trees from tree documents, as `from_json_obj` reads each.  When
-        every field of every document is plain (`_plain_tree_fields`), each
-        field is read once for all the trees and their links are checked
-        and indexed together; otherwise the documents are read one by one,
-        which also words the first error."""
-        plain = _plain_tree_fields(objs, width)
-        walks = None if plain is None else _tree_walks(
-            plain[0]["feature"], plain[0]["left"], plain[0]["right"], plain[1])
-        if walks is None:
-            return [cls.from_json_obj(obj, width) for obj in objs]
-        fields, sizes = plain
-        depths, walk = walks
-        stops = np.cumsum(sizes).tolist()
-        trees = []
-        for depth, lo, hi in zip(depths.tolist(), [0] + stops, stops):
-            tree = cls(width)
-            for name in _TREE_FIELDS:
-                setattr(tree, name, fields[name][lo:hi])
-            tree.depth, tree._walk = depth, tuple(a[lo:hi] for a in walk)
-            trees.append(tree)
-        return trees
-
-
-def _plain_tree_fields(objs: Sequence[Any],
-                       width: int) -> tuple[dict[str, np.ndarray], np.ndarray] | None:
-    """The fields of tree documents laid end to end, and each tree's node
-    count, when every document is an object whose fields are lists of one
-    entry per node of plain JSON numbers of the field's kind: integers in
-    int64 for feature, left and right, floats for threshold, and lists of
-    `width` floats for value.  None for anything else.  `from_json_obj`
-    reads each such document to the same arrays."""
-    if not all(type(obj) is dict and obj.keys() >= _TREE_FIELDS.keys() for obj in objs):
-        return None
-    sizes = [len(obj["feature"]) if type(obj["feature"]) is list else 0 for obj in objs]
-    columns = {}
-    for name in _TREE_FIELDS:
-        if not all(type(obj[name]) is list and len(obj[name]) == n > 0
-                   for obj, n in zip(objs, sizes)):
-            return None
-        columns[name] = list(chain.from_iterable(obj[name] for obj in objs))
-    rows = columns["value"]
-    if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {width}:
-        return None
-    columns["value"] = list(chain.from_iterable(rows))
-    floats = columns["threshold"] + columns["value"]
-    ints = columns["feature"] + columns["left"] + columns["right"]
-    if not set(map(type, floats)) <= {float} or not set(map(type, ints)) <= {int} or (
-            ints and not -(1 << 63) <= min(ints) <= max(ints) < 1 << 63):
-        return None
-    fields = {name: np.array(columns[name], dtype=dtype) for name, dtype in _TREE_FIELDS.items()}
-    fields["value"] = fields["value"].reshape(-1, width)
-    return fields, np.array(sizes, dtype=np.int64)
-
-
-def _tree_walks(feature: np.ndarray, left: np.ndarray, right: np.ndarray,
-                sizes: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]] | None:
-    """For trees laid end to end, `sizes` nodes each, whose links count
-    from their own first node: each tree's depth, and what
-    `_TreeArrays.apply` walks, laid out like the fields: each node's
-    feature and children, where a leaf reads feature 0 and leads back to
-    itself.  None unless the links of every tree make it a tree: each
-    node but the first is the child of exactly one node numbered before
-    it, which also rules out cycles.
-
-    The depths come from each node's parent by pointer doubling: every
-    round adds a node's distance to its current ancestor and moves on to
-    that ancestor's, so a tree of depth D takes about log2(D) rounds."""
-    n, first = len(feature), np.cumsum(sizes) - sizes
-    root = np.repeat(first, sizes)  # each node's tree's first node
-    node = np.arange(n)
-    internal = (feature >= 0).nonzero()[0]
-    base, stop = root.take(internal), np.repeat(first + sizes, sizes).take(internal)
-    left, right = left.take(internal) + base, right.take(internal) + base
-    # n - len(sizes) links in range, each past its parent, that give every
-    # node but the first of its tree a parent.
-    up = node.copy()
-    linked = (left > internal) & (right > internal) & (left < stop) & (right < stop)
-    if 2 * len(internal) == n - len(sizes) and np.count_nonzero(linked) == len(internal):
-        up[left] = internal
-        up[right] = internal
-    if np.count_nonzero(up < node) != n - len(sizes):
-        return None
-    local = node - root
-    depth = np.minimum(local, 1)
-    while np.count_nonzero(up != root):
-        depth += depth.take(up)
-        up = up.take(up)
-    walk_left, walk_right = local.copy(), local.copy()
-    walk_left[internal] = left - base
-    walk_right[internal] = right - base
-    return np.maximum.reduceat(depth, first), (np.maximum(feature, 0), walk_left, walk_right)
 
 
 def _safe_threshold(lo: float, hi: float) -> float:
@@ -765,7 +713,7 @@ class RandomForest(Detector):
         for name in self.state:
             if not isinstance(obj[name], list) or len(obj[name]) != self.n_trees:
                 raise ValueError(f"forest {name} must have n_trees = {self.n_trees!r} entries")
-        self._trees = _TreeArrays.from_json_objs(obj["trees"], len(self.classes))
+        self._trees = [_TreeArrays.from_json_obj(t, len(self.classes)) for t in obj["trees"]]
         self._feats = [_numbers(f, np.int64, "forest tree_features") for f in obj["tree_features"]]
         for tree, cols in zip(self._trees, self._feats):
             if cols.ndim != 1 or cols.size == 0 or cols.min() < 0 or tree.n_read > cols.size:
@@ -895,9 +843,7 @@ class GradientBoosting(Detector):
             not isinstance(rt, list) or len(rt) != len(self.classes) for rt in rounds
         ):
             raise ValueError("gbdt rounds must be n_rounds lists of one tree per class")
-        trees = _TreeArrays.from_json_objs([t for rt in rounds for t in rt], 1)
-        k = len(self.classes)
-        self._rounds = [trees[i:i + k] for i in range(0, len(trees), k)]
+        self._rounds = [[_TreeArrays.from_json_obj(t, 1) for t in rt] for rt in rounds]
 
 
 def softmax_cross_entropy(raw: np.ndarray, y: np.ndarray) -> float:

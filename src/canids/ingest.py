@@ -172,15 +172,20 @@ def parse_candump_log(
     if not parts:  # the columns of no records
         parts.append(_decode_records([], channels)[1])
     columns = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
-    ts_us = columns[0]
-    down = (ts_us[1:] < ts_us[:-1]).nonzero()[0]
-    if len(down):
-        k = down[0]
-        line = np.concatenate([rows + read + 1 for read, rows in records])[k:k + 2]
-        raise ParseError(f"line {line[1]}: timestamp {format_timestamp(int(ts_us[k + 1]))} "
-                         f"is below line {line[0]}'s {format_timestamp(int(ts_us[k]))}")
-    return TrafficLog._from_columns(*columns, [name.decode("utf-8", "surrogatepass")
-                                               for name in channels])
+    try:
+        return TrafficLog._from_columns(*columns, [name.decode("utf-8", "surrogatepass")
+                                                   for name in channels])
+    except ValueError:
+        # Decoded columns keep every rule of a log but the timestamp order,
+        # which is worded here by the two lines out of order.
+        ts_us = columns[0]
+        down = (ts_us[1:] < ts_us[:-1]).nonzero()[0]
+        if not len(down):
+            raise
+    k = down[0]
+    line = np.concatenate([rows + read + 1 for read, rows in records])[k:k + 2]
+    raise ParseError(f"line {line[1]}: timestamp {format_timestamp(int(ts_us[k + 1]))} "
+                     f"is below line {line[0]}'s {format_timestamp(int(ts_us[k]))}")
 
 
 # The block decoder.
@@ -196,8 +201,8 @@ def parse_candump_log(
 # byte and its last byte.  A record is a line of exactly three tokens whose
 # first starts the line.  The line bounds are a running sum of the line
 # lengths and gaps.  The channel names are the records' middle tokens: one
-# take gathers each with the space byte on either side, and one
-# bytes.split(), which splits on exactly the _SPACE bytes, cuts them apart.
+# take gathers each with the spaces around it, and one bytes.split(), which
+# splits on exactly the _SPACE bytes, cuts them apart.
 #
 # The timestamp token is read as the _WINDOW classes that end at its ")",
 # and the id#data token as the _WINDOW classes that start at its first
@@ -247,8 +252,10 @@ def _shape_tables():
     weight = np.zeros((3, 27, _WINDOW, _WINDOW), dtype=np.uint64)
     limit = np.full((3, 27, _WINDOW), (1 << 64) - 1, dtype=np.uint64)
     limit[:2] = 0
-    dlc = np.zeros((2, 27, _WINDOW), dtype=np.uint8)
-    extended = np.zeros((2, 27, _WINDOW), dtype=bool)
+    # int64, as the other columns of a record are, so a log stacks them
+    # without a cast.
+    dlc = np.zeros((2, 27, _WINDOW), dtype=np.int64)
+    extended = np.zeros((2, 27, _WINDOW), dtype=np.int64)
     lead = np.zeros((27, _WINDOW), dtype=bool)
     # Timestamps: "(" at column 25 - size (left of the window from 26 on);
     # a window without "." has its argmax on its first space or "(", or on
@@ -296,9 +303,9 @@ _LEAD_SHIFT = np.array([24 - 39] + [0] * 16 + list(range(17 - 39, 23 - 39)) + [0
 # _SHAPE_ROW[length] is the first shape of that length (any longer reads as 26).
 _SHAPE_ROW = np.arange(27) * _WINDOW
 # Operands as arrays: numpy takes an array faster than a Python scalar.
-_SIX_EDGES, _ONE, _TWO, _THREE_TOKENS = np.arange(6), np.array(1), np.array(2), np.array(6)
-# The first line bound, before _GAP_SIZE is added to every entry.
-_FIRST_BOUND, _GAP_SIZE = (len(_FRONT) - 1 - len(_GAP),), np.array(len(_GAP))
+_SIX_EDGES, _ONE, _THREE_TOKENS = np.arange(6), np.array(1), np.array(6)
+# The first line bound: the edge before the first line's first byte.
+_FIRST_BOUND = (len(_FRONT) - 1,)
 _SPACE_CLASS, _ZERO_CLASS, _KIND_SHIFT, _VALUE_BITS, _BIT = (
     np.array(v, dtype=np.uint8) for v in (_SPACE << 4, 0, 4, 0xF, 1))
 # Three windows: the timestamp's, ending at ")"; the id#data token's, read
@@ -326,9 +333,9 @@ def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.nd
     byte = np.frombuffer(raw, dtype=np.uint8)
     # The edge before each line's first byte, and after the last line: a
     # running sum of the line lengths, each with its gap.
-    bound = np.fromiter(chain(_FIRST_BOUND, map(len, block)), dtype=np.intp, count=len(block) + 1)
-    bound += _GAP_SIZE
-    np.add.accumulate(bound, out=bound)
+    bound = np.add.accumulate(np.fromiter(
+        chain(_FIRST_BOUND, map(len(_GAP).__add__, map(len, block))), dtype=np.intp,
+        count=len(block) + 1))
     if len(raw) != len(text):  # character offsets to byte offsets
         char_start = (byte & 0xC0 != 0x80).nonzero()[0]
         bound = char_start.take(bound + _ONE) - _ONE
@@ -363,12 +370,11 @@ def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.nd
     if len(rows) < len(block):
         pos, value, shape = (a.take(rows, axis=0) for a in (pos, value, shape))
     record = shape[:, 1]
-    # Channel names: every name token with the space byte on each side of
-    # it, gathered by one take and split on ASCII whitespace, which is
-    # exactly the _SPACE bytes.  Codes are keyed by the name's UTF-8 bytes
+    # Channel names: every name token with the spaces between the tokens
+    # before and after it, gathered by one take and split on ASCII
+    # whitespace, which is exactly the _SPACE bytes.  Codes are keyed by the name's UTF-8 bytes
     # in order of first appearance.
-    stop = pos[:, 3] + _TWO
-    names = byte.take(_runs(stop, stop - pos[:, 2])).tobytes().split()
+    names = byte.take(_runs(pos[:, 4], pos[:, 4] - pos[:, 2])).tobytes().split()
     for name in dict.fromkeys(names):
         channels.setdefault(name, len(channels))
     channel = np.fromiter(map(channels.__getitem__, names), dtype=np.int64, count=len(names))

@@ -1034,47 +1034,6 @@ class TestModelDocuments:
         with pytest.raises(ValueError, match=message):
             model_from_json_obj(doc)
 
-    @staticmethod
-    def read_one_by_one(docs, width):
-        trees, error = [], None
-        try:
-            for doc in docs:
-                trees.append(_TreeArrays.from_json_obj(doc, width))
-        except ValueError as exc:
-            error = str(exc)
-        return trees, error
-
-    @pytest.mark.parametrize("kind", ["forest", "gbdt"])
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_trees_read_together_as_one_by_one(self, kind, data):
-        """A model's trees are read field by field for all of them at once;
-        every document, plain or edited, must give the trees or the error
-        that reading the trees one at a time gives."""
-        model = fitted_models()[kind]
-        doc = model.to_json_obj()
-        docs = doc["trees"] if kind == "forest" else [t for rt in doc["rounds"] for t in rt]
-        width = len(model.classes) if kind == "forest" else 1
-        for _ in range(data.draw(st.integers(0, 2))):
-            tree = data.draw(st.sampled_from(docs))
-            field = data.draw(st.sampled_from(sorted(tree)))
-            at = data.draw(st.integers(0, len(tree[field]) - 1))
-            scalars = [0, 1, -1, 2, 2**63, -(2**63) - 1, 0.5, 1.0, float("nan"), True, "1", None]
-            rows = [[0.5] * (width - 1), [0.5] * (width + 1), [1] * width, [True] * width,
-                    [[0.5]] * width, 0.5, None]
-            tree[field][at] = data.draw(st.sampled_from(rows if field == "value" else scalars))
-        trees, error = self.read_one_by_one(docs, width)
-        if error is not None:
-            with pytest.raises(ValueError) as raised:
-                _TreeArrays.from_json_objs(docs, width)
-            assert str(raised.value) == error
-            return
-        together = _TreeArrays.from_json_objs(docs, width)
-        assert [tree_json(t) for t in together] == [tree_json(t) for t in trees]
-        for a, b in zip(together, trees):
-            assert a.depth == b.depth
-            assert all(np.array_equal(x, y) for x, y in zip(a._walk, b._walk))
-
     @pytest.mark.parametrize("edit, message", [
         (lambda ids, key: ids[key].update(count=True), r"frequency id \w+ field 'count': True"),
         (lambda ids, key: ids[key].update(mean_us=True), r"field 'mean_us': True is not a number"),
@@ -1183,17 +1142,19 @@ EDGE_CELLS = [-np.inf, -1.5, -0.0, 0.0, 0.5, 1.0, 2.5, np.inf, np.nan]
 
 @st.composite
 def walk_trees(draw, width):
-    """A tree of depth 0 to 8 over `width` features, grown by splitting
+    """A tree of depth 0 to 40 over `width` features, grown by splitting
     leaves picked at random, so nodes are numbered after their parent but
-    not in preorder; thresholds include +-inf, both zeros and NaN."""
+    not in preorder; thresholds include +-inf, both zeros and NaN.  Most
+    splits pick one of the last split's children, which grows chains past
+    the passes (16 and 32) after which the walk drops rows."""
     tree = _TreeArrays(value_width=1)
     depth = [0]
     open_leaves = [tree.add_node(np.zeros(1))]
-    for _ in range(draw(st.integers(0, 40))):
-        splittable = [k for k in open_leaves if depth[k] < 8]
+    for _ in range(draw(st.integers(0, 80))):
+        splittable = [k for k in open_leaves if depth[k] < 40]
         if not splittable:
             break
-        node = draw(st.sampled_from(splittable))
+        node = draw(st.sampled_from(splittable[-2:] if draw(st.integers(0, 3)) else splittable))
         open_leaves.remove(node)
         tree.feature[node] = draw(st.integers(0, width - 1))
         tree.threshold[node] = draw(st.sampled_from(EDGE_CELLS))
@@ -1207,8 +1168,9 @@ def walk_trees(draw, width):
 
 
 class TestTreeWalk:
-    """`_TreeArrays.apply` moves every row one level per pass, without
-    selecting rows; it must land each row where the compacting walk does."""
+    """`_TreeArrays.apply` moves every row one level per pass and drops
+    rows on a leaf only after passes 16, 32, ...; it must land each row
+    where the walk that compacts after every pass does."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(1, 4), st.integers(0, 3), st.integers(0, 40), st.booleans())
@@ -1222,11 +1184,24 @@ class TestTreeWalk:
         assert tree.depth == depth
         assert np.array_equal(tree.apply(X), _reference_apply(tree, X))
 
+    def test_rows_dropped_on_the_way_down_a_deep_tree(self):
+        # A staircase: each split peels one value off, so rows stop at every
+        # depth from 1 to 199, around each pass after which rows are dropped.
+        X = np.arange(200.0)[:, None]
+        tree = fit_decision_tree(X, np.arange(200) % 2)._tree
+        X = np.vstack([X[::-1], [[np.nan], [np.inf], [-np.inf], [-0.0], [99.5]]])
+        assert tree.depth == 199
+        assert np.array_equal(tree.apply(X), _reference_apply(tree, X))
+
     def test_links_that_are_not_a_tree_rejected(self):
         # Four links for five nodes, but node 3 is both children of node 1
         # and node 4 hangs under nothing.
         doc = {"feature": [0, 0, -1, -1, -1], "threshold": [0.0] * 5, "left": [1, 3, -1, -1, -1],
                "right": [2, 3, -1, -1, -1], "value": [[1.0]] * 5}
+        with pytest.raises(ValueError, match="node links"):
+            _TreeArrays.from_json_obj(doc, 1)
+        # One node, marked internal, whose links point past the tree.
+        doc = {"feature": [0], "threshold": [0.0], "left": [5], "right": [6], "value": [[1.0]]}
         with pytest.raises(ValueError, match="node links"):
             _TreeArrays.from_json_obj(doc, 1)
 
