@@ -68,6 +68,7 @@ import copy
 import json
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -178,41 +179,9 @@ class _TreeArrays:
         self.left = np.asarray(self.left, dtype=np.int64)
         self.right = np.asarray(self.right, dtype=np.int64)
         self.value = np.vstack(self.value) if len(self.value) else np.zeros((0, self.value_width))
-        self._index()
-
-    def _index(self) -> None:
-        """Check the links and build what `apply` walks: each node's
-        feature and children, where a leaf reads feature 0 and leads back
-        to itself, and the tree's depth.  The links make a tree when there
-        are two per internal node, each in range and past its parent, and
-        every node but the root gets a parent; this also rules out cycles.
-
-        The depth comes from each node's parent by pointer doubling: every
-        round adds a node's distance to its current ancestor and moves on
-        to that ancestor's, so a tree of depth D takes about log2(D)
-        rounds."""
-        n = len(self.feature)
-        node = np.arange(n)
-        internal = (self.feature >= 0).nonzero()[0]
-        left, right = self.left.take(internal), self.right.take(internal)
-        up = node.copy()
-        linked = 2 * len(internal) == n - 1 and bool(
-            ((left > internal) & (right > internal) & (left < n) & (right < n)).all())
-        if linked:
-            up[left] = internal
-            up[right] = internal
-        if not linked or np.count_nonzero(up < node) != n - 1:
-            raise ValueError("tree node links must point past their parent, stay in range "
-                             "and reach every node but the root once")
-        depth = np.minimum(node, 1)
-        while up.any():
-            depth += depth.take(up)
-            up = up.take(up)
-        self.depth = int(depth.max())
-        walk_left, walk_right = node.copy(), node.copy()
-        walk_left[internal] = left
-        walk_right[internal] = right
-        self._walk = np.maximum(self.feature, 0), walk_left, walk_right
+        depths, self._walk = _tree_walks(self.feature, self.left, self.right,
+                                         np.array([len(self.feature)]))
+        self.depth = int(depths[0])
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index for every row.  A pass moves every row down one
@@ -252,18 +221,106 @@ class _TreeArrays:
         return {name: np.asarray(getattr(self, name)).tolist() for name in _TREE_FIELDS}
 
     @classmethod
-    def from_json_obj(cls, obj: Any, width: int) -> "_TreeArrays":
-        """A tree document with one entry per node in each field, `width` leaf values each."""
-        _require_fields(obj, _TREE_FIELDS, "tree")
-        tree = cls(width)
-        for name, dtype in _TREE_FIELDS.items():
-            setattr(tree, name, _numbers(obj[name], dtype, f"tree field {name!r}"))
-        n = len(tree.feature) if tree.feature.ndim == 1 else 0
-        shapes = {name: np.shape(getattr(tree, name)) for name in _TREE_FIELDS}
-        if n == 0 or list(shapes.values()) != [(n,)] * 4 + [(n, width)]:
-            raise ValueError(f"tree fields need one entry and {width} leaf values per node: {shapes}")
-        tree._index()
-        return tree
+    def from_json_objs(cls, objs: Sequence[Any], width: int) -> list["_TreeArrays"]:
+        """Trees from tree documents, each with one entry per node in every
+        field and `width` leaf values per node.  Each field is read once for
+        all the trees, and their links are checked and indexed together;
+        when that fails, the documents are checked one by one only to word
+        the first bad one's error."""
+        if not objs:
+            return []
+        joined = _joined_tree_fields(objs, width)
+        walks = None if joined is None else _tree_walks(
+            joined[0]["feature"], joined[0]["left"], joined[0]["right"], joined[1])
+        if walks is None:
+            for obj in objs:
+                _check_tree(obj, width)
+            raise AssertionError("tree documents that read one by one did not read together")
+        (fields, sizes), (depths, walk) = joined, walks
+        stops = np.cumsum(sizes).tolist()
+        trees = []
+        for depth, lo, hi in zip(depths.tolist(), [0] + stops, stops):
+            tree = cls(width)
+            for name in _TREE_FIELDS:
+                setattr(tree, name, fields[name][lo:hi])
+            tree.depth, tree._walk = depth, tuple(a[lo:hi] for a in walk)
+            trees.append(tree)
+        return trees
+
+
+def _joined_tree_fields(objs: Sequence[Any],
+                        width: int) -> tuple[dict[str, np.ndarray], np.ndarray] | None:
+    """The fields of tree documents laid end to end, as `_numbers` reads
+    them, and each tree's node count; None unless every document is an
+    object whose fields hold one entry per node and `width` leaf values
+    per node."""
+    if not all(isinstance(obj, dict) and obj.keys() >= _TREE_FIELDS.keys() for obj in objs):
+        return None
+    try:
+        sizes = [len(obj["feature"]) for obj in objs]
+        if any(len(obj[name]) != n for name in _TREE_FIELDS for obj, n in zip(objs, sizes)):
+            return None
+        fields = {name: _numbers(list(chain.from_iterable(obj[name] for obj in objs)), dtype, name)
+                  for name, dtype in _TREE_FIELDS.items()}
+    except (TypeError, ValueError):
+        return None
+    n = sum(sizes)
+    if [a.shape for a in fields.values()] != [(n,)] * 4 + [(n, width)]:
+        return None
+    return fields, np.array(sizes)
+
+
+def _check_tree(obj: Any, width: int) -> None:
+    """Raise the ValueError that the tree document obj breaks, if any."""
+    _require_fields(obj, _TREE_FIELDS, "tree")
+    fields = {name: _numbers(obj[name], dtype, f"tree field {name!r}")
+              for name, dtype in _TREE_FIELDS.items()}
+    n = len(fields["feature"]) if fields["feature"].ndim == 1 else 0
+    shapes = {name: a.shape for name, a in fields.items()}
+    if n == 0 or list(shapes.values()) != [(n,)] * 4 + [(n, width)]:
+        raise ValueError(f"tree fields need one entry and {width} leaf values per node: {shapes}")
+    if _tree_walks(fields["feature"], fields["left"], fields["right"], np.array([n])) is None:
+        raise ValueError("tree node links must point past their parent, stay in range "
+                         "and reach every node but the root once")
+
+
+def _tree_walks(feature: np.ndarray, left: np.ndarray, right: np.ndarray,
+                sizes: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]] | None:
+    """For trees laid end to end, `sizes` nodes each, whose links count
+    from their own first node: each tree's depth, and what
+    `_TreeArrays.apply` walks, laid out like the fields: each node's
+    feature and children, where a leaf reads feature 0 and leads back to
+    itself.  None unless the links make each a tree: two per internal
+    node, each past its parent and inside its tree, and every node but a
+    tree's first the child of one node, which also rules out cycles and
+    trees of no nodes.
+
+    The depths come from each node's parent by pointer doubling: every
+    round adds a node's distance to its current ancestor and moves on to
+    that ancestor's, so a tree of depth D takes about log2(D) rounds."""
+    n, first = len(feature), np.cumsum(sizes) - sizes
+    root = np.repeat(first, sizes)  # each node's tree's first node
+    node = np.arange(n)
+    internal = (feature >= 0).nonzero()[0]
+    base, stop = root.take(internal), np.repeat(first + sizes, sizes).take(internal)
+    left, right = left.take(internal) + base, right.take(internal) + base
+    up = node.copy()
+    linked = 2 * len(internal) == n - len(sizes) and bool(
+        ((left > internal) & (right > internal) & (left < stop) & (right < stop)).all())
+    if linked:
+        up[left] = internal
+        up[right] = internal
+    if not linked or np.count_nonzero(up < node) != n - len(sizes):
+        return None
+    local = node - root
+    depth = np.minimum(local, 1)
+    while np.count_nonzero(up != root):
+        depth += depth.take(up)
+        up = up.take(up)
+    walk_left, walk_right = local.copy(), local.copy()
+    walk_left[internal] = left - base
+    walk_right[internal] = right - base
+    return np.maximum.reduceat(depth, first), (np.maximum(feature, 0), walk_left, walk_right)
 
 
 def _safe_threshold(lo: float, hi: float) -> float:
@@ -638,7 +695,7 @@ class DecisionTree(Detector):
         return {"tree": self._tree.to_json_obj()}
 
     def _load_state(self, obj: dict[str, Any]) -> None:
-        self._tree = _TreeArrays.from_json_obj(obj["tree"], len(self.classes))
+        self._tree = _TreeArrays.from_json_objs([obj["tree"]], len(self.classes))[0]
 
 
 class RandomForest(Detector):
@@ -713,7 +770,7 @@ class RandomForest(Detector):
         for name in self.state:
             if not isinstance(obj[name], list) or len(obj[name]) != self.n_trees:
                 raise ValueError(f"forest {name} must have n_trees = {self.n_trees!r} entries")
-        self._trees = [_TreeArrays.from_json_obj(t, len(self.classes)) for t in obj["trees"]]
+        self._trees = _TreeArrays.from_json_objs(obj["trees"], len(self.classes))
         self._feats = [_numbers(f, np.int64, "forest tree_features") for f in obj["tree_features"]]
         for tree, cols in zip(self._trees, self._feats):
             if cols.ndim != 1 or cols.size == 0 or cols.min() < 0 or tree.n_read > cols.size:
@@ -843,7 +900,8 @@ class GradientBoosting(Detector):
             not isinstance(rt, list) or len(rt) != len(self.classes) for rt in rounds
         ):
             raise ValueError("gbdt rounds must be n_rounds lists of one tree per class")
-        self._rounds = [[_TreeArrays.from_json_obj(t, 1) for t in rt] for rt in rounds]
+        trees = iter(_TreeArrays.from_json_objs([t for rt in rounds for t in rt], 1))
+        self._rounds = [[next(trees) for _ in rt] for rt in rounds]
 
 
 def softmax_cross_entropy(raw: np.ndarray, y: np.ndarray) -> float:

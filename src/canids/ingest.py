@@ -370,10 +370,10 @@ def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.nd
     if len(rows) < len(block):
         pos, value, shape = (a.take(rows, axis=0) for a in (pos, value, shape))
     record = shape[:, 1]
-    # Channel names: every name token with the spaces between the tokens
-    # before and after it, gathered by one take and split on ASCII
-    # whitespace, which is exactly the _SPACE bytes.  Codes are keyed by the name's UTF-8 bytes
-    # in order of first appearance.
+    # Channel names: every name token with the spaces between it and the
+    # tokens on either side, gathered by one take and split on ASCII
+    # whitespace, which is exactly the _SPACE bytes.  Codes are keyed by
+    # the name's UTF-8 bytes in order of first appearance.
     names = byte.take(_runs(pos[:, 4], pos[:, 4] - pos[:, 2])).tobytes().split()
     for name in dict.fromkeys(names):
         channels.setdefault(name, len(channels))

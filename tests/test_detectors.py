@@ -1034,6 +1034,50 @@ class TestModelDocuments:
         with pytest.raises(ValueError, match=message):
             model_from_json_obj(doc)
 
+    @pytest.mark.parametrize("kind", ["forest", "gbdt"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_trees_read_together_as_each_alone(self, kind, data):
+        """A model's trees are read field by field for all of them at once.
+        Every document, plain or edited, must give the trees that reading
+        each alone gives, or the error of the first that fails alone."""
+        model = fitted_models()[kind]
+        doc = model.to_json_obj()
+        docs = doc["trees"] if kind == "forest" else [t for rt in doc["rounds"] for t in rt]
+        width = len(model.classes) if kind == "forest" else 1
+        for _ in range(data.draw(st.integers(0, 2))):
+            tree = data.draw(st.sampled_from(docs))
+            field = data.draw(st.sampled_from(sorted(tree)))
+            if not tree[field]:
+                continue
+            if data.draw(st.booleans()):
+                # Move a field's last entry to another tree: the lengths
+                # still add up over the model, but not tree by tree.
+                data.draw(st.sampled_from(docs))[field].append(tree[field].pop())
+                continue
+            at = data.draw(st.integers(0, len(tree[field]) - 1))
+            # len(...) links one node past the tree, to the next tree's first.
+            scalars = [0, 1, -1, 2, len(tree[field]), 2**63, -(2**63) - 1, 0.5, 1.0,
+                       float("nan"), True, "1", None]
+            rows = [[0.5] * (width - 1), [0.5] * (width + 1), [1] * width, [True] * width,
+                    [[0.5]] * width, 0.5, None]
+            tree[field][at] = data.draw(st.sampled_from(rows if field == "value" else scalars))
+        alone, error = [], None
+        try:
+            alone = [_TreeArrays.from_json_objs([t], width)[0] for t in docs]
+        except ValueError as exc:
+            error = str(exc)
+        if error is not None:
+            with pytest.raises(ValueError) as raised:
+                _TreeArrays.from_json_objs(docs, width)
+            assert str(raised.value) == error
+            return
+        together = _TreeArrays.from_json_objs(docs, width)
+        assert [tree_json(t) for t in together] == [tree_json(t) for t in alone]
+        for a, b in zip(together, alone):
+            assert a.depth == b.depth
+            assert all(np.array_equal(x, y) for x, y in zip(a._walk, b._walk))
+
     @pytest.mark.parametrize("edit, message", [
         (lambda ids, key: ids[key].update(count=True), r"frequency id \w+ field 'count': True"),
         (lambda ids, key: ids[key].update(mean_us=True), r"field 'mean_us': True is not a number"),
@@ -1193,17 +1237,26 @@ class TestTreeWalk:
         assert tree.depth == 199
         assert np.array_equal(tree.apply(X), _reference_apply(tree, X))
 
+    def test_trees_read_together_keep_their_depths(self):
+        stump = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                 "value": [[1.0]]}
+        pair = {"feature": [0, -1, 0, -1, -1], "threshold": [0.0] * 5, "left": [1, -1, 3, -1, -1],
+                "right": [2, -1, 4, -1, -1], "value": [[1.0]] * 5}
+        trees = _TreeArrays.from_json_objs([pair, stump, pair], 1)
+        assert [tree.depth for tree in trees] == [2, 0, 2]
+        assert np.array_equal(trees[2].apply(np.array([[1.0], [0.0]])), [4, 1])
+
     def test_links_that_are_not_a_tree_rejected(self):
         # Four links for five nodes, but node 3 is both children of node 1
         # and node 4 hangs under nothing.
         doc = {"feature": [0, 0, -1, -1, -1], "threshold": [0.0] * 5, "left": [1, 3, -1, -1, -1],
                "right": [2, 3, -1, -1, -1], "value": [[1.0]] * 5}
         with pytest.raises(ValueError, match="node links"):
-            _TreeArrays.from_json_obj(doc, 1)
+            _TreeArrays.from_json_objs([doc], 1)
         # One node, marked internal, whose links point past the tree.
         doc = {"feature": [0], "threshold": [0.0], "left": [5], "right": [6], "value": [[1.0]]}
         with pytest.raises(ValueError, match="node links"):
-            _TreeArrays.from_json_obj(doc, 1)
+            _TreeArrays.from_json_objs([doc], 1)
 
 
 @st.composite
