@@ -304,8 +304,8 @@ _LEAD_SHIFT = np.array([24 - 39] + [0] * 16 + list(range(17 - 39, 23 - 39)) + [0
 _SHAPE_ROW = np.arange(27) * _WINDOW
 # Operands as arrays: numpy takes an array faster than a Python scalar.
 _SIX_EDGES, _ONE, _THREE_TOKENS = np.arange(6), np.array(1), np.array(6)
-# The first line bound: the edge before the first line's first byte.
-_FIRST_BOUND = (len(_FRONT) - 1,)
+# The first line bound, before _GAP_SIZE is added to every entry.
+_FIRST_BOUND, _GAP_SIZE = (len(_FRONT) - 1 - len(_GAP),), np.array(len(_GAP))
 _SPACE_CLASS, _ZERO_CLASS, _KIND_SHIFT, _VALUE_BITS, _BIT = (
     np.array(v, dtype=np.uint8) for v in (_SPACE << 4, 0, 4, 0xF, 1))
 # Three windows: the timestamp's, ending at ")"; the id#data token's, read
@@ -332,10 +332,10 @@ def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.nd
     raw = text.encode("utf-8", "surrogatepass")
     byte = np.frombuffer(raw, dtype=np.uint8)
     # The edge before each line's first byte, and after the last line: a
-    # running sum of the line lengths, each with its gap.
-    bound = np.add.accumulate(np.fromiter(
-        chain(_FIRST_BOUND, map(len(_GAP).__add__, map(len, block))), dtype=np.intp,
-        count=len(block) + 1))
+    # running sum of the line lengths, each with its gap.  The gap is added
+    # to the array: added per line in Python it doubles the cost of a block.
+    bound = np.add.accumulate(np.fromiter(chain(_FIRST_BOUND, map(len, block)), dtype=np.intp,
+                                          count=len(block) + 1) + _GAP_SIZE)
     if len(raw) != len(text):  # character offsets to byte offsets
         char_start = (byte & 0xC0 != 0x80).nonzero()[0]
         bound = char_start.take(bound + _ONE) - _ONE
