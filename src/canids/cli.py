@@ -197,7 +197,7 @@ def _split_spec(ratio: float, mode: str, seed: int) -> SplitSpec:
     try:
         return SplitSpec(ratio=ratio, mode=mode, seed=seed)
     except ValueError as exc:
-        raise ConfigError(f"bad split ratio or mode: {exc}") from None
+        raise ConfigError(f"bad split ratio, mode or seed: {exc}") from None
 
 
 def _prepare(labeled: TrafficLog, include_dlc: bool, spec: SplitSpec,
@@ -315,9 +315,6 @@ def _evaluate(model, test, labeled: TrafficLog | None, mode: str, window: int,
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    for name in ("window", "step"):
-        if getattr(args, name) < 1:
-            raise ConfigError(f"--{name} must be positive, not {getattr(args, name)}")
     with open(_require_file(args.model)) as fh:
         model = load_model(fh)
     test = labeled = None
@@ -371,7 +368,7 @@ def _resolve_config(raw: dict[str, Any], seed_override: int | None) -> dict[str,
             config[key] = {**PIPELINE_DEFAULTS[key], **(raw.get(key) or {})}
         if seed_override is not None:
             config["seed"] = seed_override
-        for name, kind in (("seed", "integer"), ("include_dlc", "flag")):
+        for name, kind in (("seed", "seed"), ("include_dlc", "flag")):
             config[name] = _read_field("pipeline config", name, config[name], kind)
         for section, kinds in _COUNTS.items():
             for name, kind in kinds.items():
@@ -382,8 +379,6 @@ def _resolve_config(raw: dict[str, Any], seed_override: int | None) -> dict[str,
                                      f"not {value}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if config["seed"] < 0:
-        raise ConfigError(f"pipeline config seed must be non-negative, not {config['seed']}")
     if "ambient" not in config or "scenario" not in config:
         raise ConfigError("pipeline config needs 'ambient' and 'scenario' entries")
     for key in ("ambient", "scenario"):
@@ -471,6 +466,20 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _add_count(parser: argparse.ArgumentParser, flag: str, default: int | None,
+               low: int = 1) -> None:
+    """An integer option that argparse refuses below `low` (exit 2, before
+    any file is read); where `low` is 0, a 0 turns an output off."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be {'positive' if low else '0 (off) or more'}, not {value}")
+        return value
+
+    parser.add_argument(flag, type=count, default=default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="global random seed")
@@ -506,11 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.8)
     p.add_argument("--mode", choices=("stratified_random", "chronological"), default="stratified_random")
     p.add_argument("--include-dlc", action="store_true")
-    p.add_argument("--smote-target", type=int, default=None)
-    p.add_argument("--smote-k", type=int, default=5)
-    p.add_argument("--grid-window", type=int, default=None)
-    p.add_argument("--grid-step", type=int, default=29)
-    p.add_argument("--sequence-window", type=int, default=None)
+    _add_count(p, "--smote-target", None, low=0)
+    _add_count(p, "--smote-k", 5)
+    _add_count(p, "--grid-window", None, low=0)
+    _add_count(p, "--grid-step", 29)
+    _add_count(p, "--sequence-window", None, low=0)
     p.set_defaults(func=cmd_prep, default_out="prep")
 
     p = sub.add_parser("train", parents=[common], help="fit a detector")
@@ -527,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default=None, help="labeled log (frequency models)")
     p.add_argument("--labels", default=None)
     p.add_argument("--mode", choices=("frame", "window"), default="frame")
-    p.add_argument("--window", type=int, default=29)
-    p.add_argument("--step", type=int, default=29)
+    _add_count(p, "--window", 29)
+    _add_count(p, "--step", 29)
     p.add_argument("--print-table", action="store_true")
     p.set_defaults(func=cmd_eval, default_out="report.json")
 

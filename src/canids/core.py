@@ -362,7 +362,8 @@ def _require_fields(doc: Any, fields: Iterable[str], what: str) -> None:
 # everything a constructor accepts can be written back.
 _KINDS = {"integer": "an integer", "number": "a number", "flag": "true or false",
           "text": "a string", "object": "an object", "list": "a list",
-          "id": "a CAN id (an integer or 1 to 8 hex digits, in 29 bits)"}
+          "id": "a CAN id (an integer or 1 to 8 hex digits, in 29 bits)",
+          "seed": "an integer from 0"}
 _PLAIN = {"integer": int, "number": float, "flag": bool, "text": str, "object": dict,
           "integer or null": int, "number or null": float, "text or null": str}
 _HEX_ID = re.compile(r"[0-9A-Fa-f]{1,8}")
@@ -388,7 +389,8 @@ def _plain(value: Any, kind: str) -> Any:
             kind == "id" and isinstance(value, str) and _HEX_ID.fullmatch(value)):
         whole = int(value, 16) if isinstance(value, str) else int(value)
         if (kind == "integer" or kind == "number" and abs(whole) <= sys.float_info.max
-                or kind == "id" and 0 <= whole <= MAX_EXTENDED_ID):
+                or kind == "id" and 0 <= whole <= MAX_EXTENDED_ID
+                or kind == "seed" and whole >= 0):
             return whole
     elif kind == "number" and isinstance(value, (float, np.floating)):
         return float(value)
@@ -399,10 +401,11 @@ def _read_field(what: str, name: str, value: Any, kind: str | Callable[[Any], An
     """`value`, field `name` of the document `what`, as a plain value of `kind`.
 
     The kinds are "integer", "number", "flag", "text", "object" (a dict),
-    "id" (a CAN id: an integer or hex text), "<kind> or null" and "list of
-    <kind>" (a tuple).  A bool is never a number, nor is a string, nor an int
-    beyond float64; a numpy scalar comes back as the Python int, float or
-    bool, and an int stays an int.  Any other value raises ValueError
+    "id" (a CAN id: an integer or hex text), "seed" (an integer from 0),
+    "<kind> or null" and "list of <kind>" (a tuple).  A bool is never a
+    number, nor is a string, nor an int beyond float64; a numpy scalar
+    comes back as the Python int, float or bool, and an int stays an int.
+    Any other value raises ValueError
     "<what> field '<name>': <value> is not <kind>" ("<name>: ..." when
     `what` is empty).  A callable kind converts the value; its TypeError or
     ValueError is reworded the same way.

@@ -51,9 +51,12 @@ label that is negative, fractional or past the class list is refused
 naming its row.  `min_leaf` below 1, and for boosting a negative or NaN
 `reg_lambda`, are refused when the model is built.
 
-All score outputs are probability vectors over the fitted class list.
-A feature matrix narrower than the columns a model's trees read is
-refused with a `ValueError` naming both widths.
+Every kind scores through `Detector.predict_scores`: it scores each
+distinct row once, through the kind's own `_scores`, and hands the
+scores back row for row.  All score outputs are probability vectors over
+the fitted class list.  A feature matrix narrower than the columns a
+model's trees read, fixed when a tree is grown or loaded, is refused
+with a `ValueError` naming both widths.
 
 Each model class declares its hyperparameters (`params`, its constructor
 arguments) and fitted fields (`state`); `Detector` lays out every JSON
@@ -130,13 +133,16 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     them: X[first][inverse] equals X row for row (-0.0 and 0.0 are equal,
     as they are to a split).  Scoring X[first] and taking [inverse] gives
     the scores of X whenever a row's score depends only on that row.  The
-    columns are sorted and compared as contiguous rows of X.T."""
+    columns are sorted as contiguous rows of X.T and compared one sorted
+    column at a time."""
     n, d = X.shape
     columns = X.T.copy()
     order = np.lexsort(columns) if d else np.arange(n)
-    ranked = columns.take(order, axis=1)
-    new = np.ones(n, dtype=bool)
-    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for column in columns:
+        ranked = column.take(order)
+        new[1:] |= ranked[1:] != ranked[:-1]
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
@@ -182,6 +188,8 @@ class _TreeArrays:
         depths, self._walk = _tree_walks(self.feature, self.left, self.right,
                                          np.array([len(self.feature)]))
         self.depth = int(depths[0])
+        # The feature columns a row needs: one past the largest split feature.
+        self.n_read = int(self.feature.max(initial=-1)) + 1
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index for every row.  A pass moves every row down one
@@ -212,11 +220,6 @@ class _TreeArrays:
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         return self.value.take(self.apply(X), axis=0)
 
-    @property
-    def n_read(self) -> int:
-        """Feature columns a row needs: one past the largest split feature."""
-        return int(self.feature.max(initial=-1)) + 1
-
     def to_json_obj(self) -> dict[str, Any]:
         return {name: np.asarray(getattr(self, name)).tolist() for name in _TREE_FIELDS}
 
@@ -238,12 +241,13 @@ class _TreeArrays:
             raise AssertionError("tree documents that read one by one did not read together")
         (fields, sizes), (depths, walk) = joined, walks
         stops = np.cumsum(sizes).tolist()
+        n_reads = np.maximum.reduceat(fields["feature"], [0] + stops[:-1]) + 1
         trees = []
-        for depth, lo, hi in zip(depths.tolist(), [0] + stops, stops):
+        for depth, n_read, lo, hi in zip(depths.tolist(), n_reads.tolist(), [0] + stops, stops):
             tree = cls(width)
             for name in _TREE_FIELDS:
                 setattr(tree, name, fields[name][lo:hi])
-            tree.depth, tree._walk = depth, tuple(a[lo:hi] for a in walk)
+            tree.depth, tree.n_read, tree._walk = depth, n_read, tuple(a[lo:hi] for a in walk)
             trees.append(tree)
         return trees
 
@@ -555,11 +559,13 @@ class Detector:
     A model class declares `params`, its hyperparameters in document order
     (constructor arguments and attributes of the same names), and `state`,
     its fitted fields, which its `_state_json` writes and `_load_state`
-    reads; the descriptor and the model document are built from them."""
+    reads; the descriptor and the model document are built from them.  It
+    scores the distinct rows `predict_scores` hands its `_scores`."""
 
     kind = "base"
     params: tuple[str, ...] = ()
     state: tuple[str, ...] = ()
+    n_read = 0  # feature columns a row needs; a kind with trees reads it from them
 
     def __init__(self, **params: tuple[Any, str]) -> None:
         """Store each hyperparameter, given as name=(value, kind), as the
@@ -603,8 +609,18 @@ class Detector:
         self.classes = tuple(classes) if classes is not None else tuple(map(str, range(y.max() + 1)))
         return X, y
 
+    def _distinct(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows of X, as the matrix the model reads, and each
+        row's position among them: a row's score depends only on that row."""
+        self._check_fitted()
+        X = _feature_matrix(X, self.n_read)
+        first, inverse = _distinct_rows(X)
+        return X[first], inverse
+
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """One probability vector per row of X; each distinct row is scored once."""
+        distinct, inverse = self._distinct(X)
+        return self._scores(distinct)[inverse]
 
     def predict_labels(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_scores(X), axis=1)
@@ -675,11 +691,10 @@ class DecisionTree(Detector):
         self._fitted = True
         return self
 
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X = _feature_matrix(X, self._tree.n_read)
-        first, inverse = _distinct_rows(X)
-        return self._tree.leaf_values(X[first])[inverse]
+    n_read = property(lambda self: self._tree.n_read)
+
+    def _scores(self, X: np.ndarray) -> np.ndarray:
+        return self._tree.leaf_values(X)
 
     @property
     def n_nodes(self) -> int:
@@ -717,7 +732,7 @@ class RandomForest(Detector):
     ) -> None:
         super().__init__(n_trees=(n_trees, "integer"), max_depth=(max_depth, "integer or null"),
                          min_leaf=(min_leaf, "integer"), bootstrap=(bootstrap, "flag"),
-                         feature_frac=(feature_frac, "number"), seed=(seed, "integer"))
+                         feature_frac=(feature_frac, "number"), seed=(seed, "seed"))
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if self.min_leaf < 1:
@@ -750,15 +765,13 @@ class RandomForest(Detector):
         self._fitted = True
         return self
 
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X = _feature_matrix(X, max(int(cols.max()) for cols in self._feats) + 1)
-        first, inverse = _distinct_rows(X)
-        X = X[first]
+    n_read = property(lambda self: max(int(cols.max()) for cols in self._feats) + 1)
+
+    def _scores(self, X: np.ndarray) -> np.ndarray:
         total = np.zeros((len(X), len(self.classes)))
         for tree, cols in zip(self._trees, self._feats):
             total += tree.leaf_values(X[:, cols])
-        return (total / len(self._trees))[inverse]
+        return total / len(self._trees)
 
     def _state_json(self) -> dict[str, Any]:
         return {
@@ -804,7 +817,7 @@ class GradientBoosting(Detector):
         super().__init__(n_rounds=(n_rounds, "integer"), learning_rate=(learning_rate, "number"),
                          max_depth=(max_depth, "integer or null"), min_leaf=(min_leaf, "integer"),
                          reg_lambda=(reg_lambda, "number"), subsample=(subsample, "number"),
-                         seed=(seed, "integer"))
+                         seed=(seed, "seed"))
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
         if self.min_leaf < 1:
@@ -863,11 +876,13 @@ class GradientBoosting(Detector):
         self._fitted = True
         return self
 
+    n_read = property(lambda self: max(tree.n_read for rt in self._rounds for tree in rt))
+
     def _accumulate(self, X: np.ndarray) -> Iterator[np.ndarray]:
         """The running raw scores after each round, as one array that
         every later round updates in place."""
         self._check_fitted()
-        X = _feature_matrix(X, max(tree.n_read for rt in self._rounds for tree in rt))
+        X = _feature_matrix(X, self.n_read)
         raw = np.zeros((len(X), len(self.classes)))
         for round_trees in self._rounds:
             for c, tree in enumerate(round_trees):
@@ -885,11 +900,8 @@ class GradientBoosting(Detector):
         for raw in self._accumulate(X):
             yield raw.copy()
 
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X = _feature_matrix(X, 0)
-        first, inverse = _distinct_rows(X)
-        return _softmax(self.raw_scores(X[first]))[inverse]
+    def _scores(self, X: np.ndarray) -> np.ndarray:
+        return _softmax(self.raw_scores(X))
 
     def _state_json(self) -> dict[str, Any]:
         return {"rounds": [[t.to_json_obj() for t in rt] for rt in self._rounds]}

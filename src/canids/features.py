@@ -35,6 +35,7 @@ from .core import (
     _float64_cells,
     _float_cells,
     _int64_table,
+    _read_field,
     _read_fields,
     _text_cells,
     _write_rows,
@@ -149,7 +150,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _read_fields(self, "split", ratio="number", mode="text", seed="integer")
+        _read_fields(self, "split", ratio="number", mode="text", seed="seed")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"split ratio must be in (0, 1), got {self.ratio}")
         if self.mode not in SPLIT_MODES:
@@ -175,26 +176,17 @@ def _stratified_counts(counts: np.ndarray, ratio: float, total_train: int) -> np
     base = np.floor(ideal).astype(np.int64)
     train_counts[open_classes] = base
     leftover = budget - int(base.sum())
+    # Each open class moves by at most one: up in (-remainder, index) order,
+    # where floor(count * ratio) < count leaves every open class room, or
+    # down in (remainder, -index) order among the classes above 0.
+    remainder = ideal - base
     if leftover > 0:
-        remainder = ideal - base
         order = np.lexsort((open_classes, -remainder))
-        for pos in order:
-            if leftover == 0:
-                break
-            c = open_classes[pos]
-            if train_counts[c] < counts[c]:
-                train_counts[c] += 1
-                leftover -= 1
+        train_counts[open_classes[order[:leftover]]] += 1
     elif leftover < 0:
-        remainder = ideal - base
         order = np.lexsort((-open_classes, remainder))
-        for pos in order:
-            if leftover == 0:
-                break
-            c = open_classes[pos]
-            if train_counts[c] > 0:
-                train_counts[c] -= 1
-                leftover += 1
+        order = order[base.take(order) > 0]
+        train_counts[open_classes[order[:-leftover]]] -= 1
     return train_counts
 
 
@@ -277,6 +269,7 @@ def smote_oversample(
         raise ValueError("target_count must be positive")
     if k < 1:
         raise ValueError("k must be positive")
+    seed = _read_field("smote", "seed", seed, "seed")
     new_X = [train.X]
     new_y = [train.y]
     new_synth = [train.synthetic]

@@ -14,6 +14,11 @@ arbitrated:
                     candidates; one candidate wins outright, several
                     resolve by confidence, none falls back to the most
                     confident base prediction
+
+One array rule, `_decide`, arbitrates a batch (`_arbitrate`) and a single
+triple (`arbitrate_one`).  The ensemble scores through
+`Detector.predict_scores`, so its rows are told apart once for all three
+base models.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ from .core import _plain, _read_field, _read_fields, _require_fields
 from .detectors import (
     Detector,
     GradientBoosting,
-    _distinct_rows,
-    _feature_matrix,
     _reject_nan,
     measure_latency,
     register_model_kind,
@@ -149,34 +152,12 @@ def arbitrate_one(
 
     The returned model is the base learner whose prediction carried the
     decision, so its score vector is a faithful confidence readout for
-    the final class.
+    the final class.  The rule is `_decide`'s, on one row.
     """
     if len(labels) != N_BASE_MODELS or len(confidences) != N_BASE_MODELS:
         raise ValueError(f"expected {N_BASE_MODELS} predictions")
-    case = arbitration_case(labels)
-    if case == CASE_UNANIMOUS:
-        winner = int(np.argmax(confidences))
-        return labels[winner], winner
-    if case == CASE_MAJORITY:
-        if labels[0] == labels[1]:
-            majority, pair = labels[0], (0, 1)
-        elif labels[0] == labels[2]:
-            majority, pair = labels[0], (0, 2)
-        else:
-            majority, pair = labels[1], (1, 2)
-        if majority_literal:
-            model = leaders[majority]
-            return labels[model], model
-        model = pair[0] if confidences[pair[0]] >= confidences[pair[1]] else pair[1]
-        return majority, model
-    aligned = [i for i in range(N_BASE_MODELS) if leaders[labels[i]] == i]
-    if len(aligned) == 1:
-        return labels[aligned[0]], aligned[0]
-    if aligned:
-        best = max(aligned, key=lambda i: (confidences[i], -i))
-        return labels[best], best
-    winner = int(np.argmax(confidences))
-    return labels[winner], winner
+    label, model = _decide(np.array([labels]), np.array([confidences]), leaders, majority_literal)
+    return int(label[0]), int(model[0])
 
 
 def _arbitrate(
@@ -186,7 +167,14 @@ def _arbitrate(
     models' score matrices."""
     labels = np.stack([s.argmax(axis=1) for s in scores], axis=1)
     confs = np.stack([s.max(axis=1) for s in scores], axis=1)
-    lead = np.asarray(leaders.leader, dtype=np.int64)
+    return _decide(labels, confs, leaders.leader, majority_literal)
+
+
+def _decide(labels: np.ndarray, confs: np.ndarray, leaders: Sequence[int],
+            majority_literal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Arbitrated class indices and deciding-model indices of rows of base
+    labels and confidences, one column per base model."""
+    lead = np.asarray(leaders, dtype=np.int64)
     rows = np.arange(len(labels))
     a, b, c = labels.T
     ab, ac, bc = a == b, a == c, b == c
@@ -264,7 +252,7 @@ class LccdeEnsemble(Detector):
     ) -> None:
         super().__init__(
             val_frac=(val_frac, "number"), majority_literal=(majority_literal, "flag"),
-            seed=(seed, "integer"),
+            seed=(seed, "seed"),
             base_configs=(DEFAULT_BASE_CONFIGS if base_configs is None else base_configs,
                           _base_configs))
         if not 0.0 < self.val_frac < 1.0:
@@ -291,27 +279,15 @@ class LccdeEnsemble(Detector):
         return self
 
     def predict_labels(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
         distinct, inverse = self._distinct(X)
         labels, _ = lccde_predict(self.models, self.leaders, distinct, self.majority_literal)
         return labels[inverse]
 
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
+    def _scores(self, X: np.ndarray) -> np.ndarray:
         """Score rows of whichever base model carried each decision."""
-        self._check_fitted()
-        distinct, inverse = self._distinct(X)
-        scores = [m.predict_scores(distinct) for m in self.models]
+        scores = [m.predict_scores(X) for m in self.models]
         _, picked = _arbitrate(scores, self.leaders, self.majority_literal)
-        return np.stack(scores, axis=0)[picked, np.arange(len(picked))][inverse]
-
-    @staticmethod
-    def _distinct(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct rows of X and each row's position among them.  A
-        row's base scores, and so its decision, depend only on that row, so
-        the rows are told apart once for all three base models."""
-        X = _feature_matrix(X, 0)
-        first, inverse = _distinct_rows(X)
-        return X[first], inverse
+        return np.stack(scores, axis=0)[picked, np.arange(len(picked))]
 
     def descriptor(self) -> dict[str, Any]:
         desc = super().descriptor()

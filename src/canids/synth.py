@@ -164,7 +164,7 @@ class AmbientIdSpec:
             raise ValueError("jitter_std must be non-negative and finite")
 
 
-_AMBIENT_FIELDS = dict(duration="number", seed="integer", channel="text")
+_AMBIENT_FIELDS = dict(duration="number", seed="seed", channel="text")
 
 
 @dataclass(frozen=True)
@@ -457,7 +457,7 @@ _DEFAULT_PERIOD = {"dos": DOS_PERIOD_S, "fuzzy": FUZZY_PERIOD_S, "targeted_spoof
 
 _SCENARIO_FIELDS = dict(
     kind="text", interval="list of number", target_id="id or null", payload_spec="text or null",
-    period="number or null", id_cycle="list of id", seed="integer", extended_ids="flag",
+    period="number or null", id_cycle="list of id", seed="seed", extended_ids="flag",
     attack_class="text or null")
 
 

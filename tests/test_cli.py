@@ -405,6 +405,45 @@ class TestConfigErrorsExit2:
         assert f"{flag} must be positive, not 0" in capsys.readouterr().err
         assert not os.path.exists("report.json")
 
+    @pytest.mark.parametrize("ambient, scenario", [
+        (dict(AMBIENT, seed=-3), DOS_SCENARIO),
+        (AMBIENT, {"kind": "fuzzy", "interval": [1.0, 2.0], "seed": -2}),
+    ])
+    def test_synth_negative_seed(self, workspace, capsys, ambient, scenario):
+        write_json("bad_ambient.json", ambient)
+        write_json("bad_scenario.json", scenario)
+        assert run(["synth", "--ambient", "bad_ambient.json", "--scenario", "bad_scenario.json",
+                    "--out", "synth"]) == 2
+        assert "field 'seed': -" in capsys.readouterr().err
+        assert not os.path.exists("synth")
+
+    @pytest.mark.parametrize("argv", [
+        ["prep", "--log", "synth/attack.log", "--labels", "synth/attack.labels.json",
+         "--seed", "-1"],
+        ["train", "--train", "prep/train.csv", "--model", "forest", "--seed", "-3"],
+        ["train", "--train", "prep/train.csv", "--model", "gbdt", "--params", '{"seed": -2}'],
+    ])
+    def test_prep_and_train_negative_seed(self, synth_dir, capsys, argv):
+        assert run(["prep", "--log", "synth/attack.log", "--labels", "synth/attack.labels.json",
+                    "--out", "prep"]) == 0
+        assert run(argv + ["--out", "out"]) == 2
+        assert "field 'seed': -" in capsys.readouterr().err
+        assert not os.path.exists("out")
+
+    @pytest.mark.parametrize("counts, message", [
+        (["--smote-target", "50", "--smote-k", "0"], "--smote-k must be positive, not 0"),
+        (["--smote-target", "-5"], "--smote-target must be 0 (off) or more, not -5"),
+        (["--grid-window", "29", "--grid-step", "0"], "--grid-step must be positive, not 0"),
+        (["--grid-window", "-1"], "--grid-window must be 0 (off) or more, not -1"),
+        (["--sequence-window", "-4"], "--sequence-window must be 0 (off) or more, not -4"),
+    ])
+    def test_prep_counts_refused_before_any_read(self, synth_dir, capsys, counts, message):
+        for log in ("synth/attack.log", "missing.log"):
+            assert run(["prep", "--log", log, "--labels", "synth/attack.labels.json",
+                        *counts, "--out", "prep"]) == 2
+            assert message in capsys.readouterr().err
+            assert not os.path.exists("prep")
+
     @pytest.mark.parametrize("kind", ["frequency", "tree", "forest", "gbdt", "lccde"])
     def test_pipeline_bad_params(self, workspace, capsys, kind):
         write_json("config.json", dict(PIPELINE_CONFIG, model={"kind": kind, "wat": 1}))
@@ -430,6 +469,7 @@ class TestConfigErrorsExit2:
 
     @pytest.mark.parametrize("entry, field", [
         ({"seed": "x"}, "seed"),
+        ({"seed": -1}, "seed"),
         ({"split": {"ratio": "x"}}, "split ratio"),
         ({"model": {"kind": "tree", "max_depth": "x"}}, "max_depth"),
         ({"model": BAD_LCCDE_MODELS[0]}, "n_roundz"),

@@ -12,6 +12,7 @@ from canids import core
 from canids.core import _BLOCK_ROWS, CanFrame, LabelSpace, LabeledFrame, TrafficLog
 from canids.features import (
     SplitSpec,
+    _stratified_counts,
     TabularDataset,
     feature_names,
     frame_to_features,
@@ -214,6 +215,52 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitSpec(mode="sideways")
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="split field 'seed': -1 is not an integer from 0"):
+            SplitSpec(seed=-1)
+
+
+def stratified_counts_by_loops(counts, ratio, total_train):
+    """The per-class loops the split once ran: top classes up one at a
+    time in (-remainder, index) order, or trim them in (remainder, -index)
+    order, skipping a class that cannot move."""
+    train_counts = np.where(counts == 1, counts, 0)
+    budget = total_train - int(train_counts.sum())
+    open_classes = np.flatnonzero(counts >= 2)
+    ideal = counts[open_classes] * ratio
+    base = np.floor(ideal).astype(np.int64)
+    train_counts[open_classes] = base
+    leftover = budget - int(base.sum())
+    remainder = ideal - base
+    if leftover > 0:
+        for pos in np.lexsort((open_classes, -remainder)):
+            c = open_classes[pos]
+            if leftover and train_counts[c] < counts[c]:
+                train_counts[c] += 1
+                leftover -= 1
+    elif leftover < 0:
+        for pos in np.lexsort((-open_classes, remainder)):
+            c = open_classes[pos]
+            if leftover and train_counts[c] > 0:
+                train_counts[c] -= 1
+                leftover += 1
+    return train_counts
+
+
+class TestStratifiedCounts:
+    @settings(max_examples=500, deadline=None)
+    @given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+           ratio=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           total_offset=st.integers(-3, 3))
+    def test_matches_the_loops(self, counts, ratio, total_offset):
+        """Both the split's own total and totals a few rows either side,
+        which can leave every class short or every class over."""
+        counts = np.array(counts, dtype=np.int64)
+        n = int(counts.sum())
+        total_train = max(int(round(ratio * n)) + total_offset, 0)
+        got = _stratified_counts(counts, ratio, total_train)
+        assert got.tolist() == stratified_counts_by_loops(counts, ratio, total_train).tolist()
+
 
 def small_imbalanced(n_attack=43, n_normal=400, seed=5):
     rng = np.random.default_rng(seed)
@@ -262,6 +309,10 @@ class TestSmote:
         synth = out.X[out.synthetic]
         lo, hi = originals.min(0), originals.max(0)
         assert (synth >= lo - 1e-12).all() and (synth <= hi + 1e-12).all()
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="smote field 'seed': -1 is not an integer from 0"):
+            smote_oversample(small_imbalanced(), target_count=100, k=3, seed=-1)
 
     def test_singleton_duplicates(self, caplog):
         X = np.vstack([np.zeros((5, 3)), np.ones((1, 3))])

@@ -165,6 +165,28 @@ class TestArbitrationExhaustive:
         with pytest.raises(ValueError):
             arbitrate_one([0, 1], [0.5, 0.5], (0, 0, 0))
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_classes=st.integers(2, 6), literal=st.booleans())
+    def test_one_row_and_batch_match_oracle_for_2_to_6_classes(self, data, n_classes, literal):
+        """Random finite confidences drawn from a few levels, so exact ties
+        are common; each row's confidence sits on its label, the rest is 0."""
+        leaders = tuple(data.draw(st.lists(st.integers(0, N_BASE_MODELS - 1),
+                                           min_size=n_classes, max_size=n_classes)))
+        triple = st.lists(st.integers(0, n_classes - 1), min_size=3, max_size=3)
+        levels = st.lists(st.sampled_from((0.25, 0.5, 0.7, 1.0)) | st.floats(0.01, 1.0),
+                          min_size=3, max_size=3)
+        rows = data.draw(st.lists(st.tuples(triple, levels), min_size=1, max_size=20))
+        scores = np.zeros((N_BASE_MODELS, len(rows), n_classes))
+        for r, (labels, confs) in enumerate(rows):
+            scores[np.arange(N_BASE_MODELS), r, labels] = confs
+        leader_map = LeaderMap(tuple(map(str, range(n_classes))), leaders,
+                               np.zeros((n_classes, 3)), (1.0, 1.0, 1.0))
+        batch, _ = _arbitrate(list(scores), leader_map, literal)
+        for r, (labels, confs) in enumerate(rows):
+            want = oracle_arbitrate(labels, confs, leaders, literal)
+            assert arbitrate_one(labels, confs, leaders, literal)[0] == want
+            assert batch[r] == want
+
 
 class _Canned:
     """Stub detector returning fixed score matrices."""

@@ -65,3 +65,42 @@ def test_pipeline_routes_through_every_cli_shim(tmp_path, monkeypatch):
         assert cli.main(["pipeline", "--config", str(path), "--out", str(tmp_path / name)]) == 0
     missing = [f"{module}.{path}" for module, path in wanted if not calls.get((module, path))]
     assert not missing, f"never called through its shimmed name: {missing}"
+
+
+def test_lccde_scores_its_base_models_inside_lccde_predict(monkeypatch):
+    """The harness counts LCCDE rows and arbitration cases from the base
+    models' `predict_scores` calls made inside `lccde_predict`, both looked
+    up where its shims sit: on the module and on the class."""
+    import numpy as np
+
+    from canids import lccde
+    from canids.detectors import GradientBoosting
+    from canids.evaluate import evaluate_pipeline
+    from canids.features import TabularDataset
+
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.normal(0, 1, (60, 3)), rng.normal(4, 1, (60, 3))])
+    y = np.repeat([0, 1], 60)
+    model = lccde.LccdeEnsemble(base_configs=[{"n_rounds": 2}] * 3, seed=1).fit(X, y)
+    inside = []
+    calls = {"lccde_predict": 0, "predict_scores": 0}
+
+    predict, scores = lccde.lccde_predict, GradientBoosting.predict_scores
+
+    def counted_predict(*args, **kwargs):
+        calls["lccde_predict"] += 1
+        inside.append(True)
+        try:
+            return predict(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_scores(self, X):
+        assert inside, "a base model scored outside lccde_predict"
+        calls["predict_scores"] += 1
+        return scores(self, X)
+
+    monkeypatch.setattr(lccde, "lccde_predict", counted_predict)
+    monkeypatch.setattr(GradientBoosting, "predict_scores", counted_scores)
+    evaluate_pipeline(model, TabularDataset(X=X, y=y, classes=model.classes))
+    assert calls == {"lccde_predict": 1, "predict_scores": 3}
