@@ -63,6 +63,23 @@ def oracle_arbitrate(labels, confidences, leaders, majority_literal):
     return labels[best]
 
 
+def oracle_deciding_model(labels, confidences, leaders, majority_literal):
+    """The base model that carries `oracle_arbitrate`'s decision: the
+    majority class's leader under the literal reading, else the most
+    confident of the models the case leaves, the lowest index on a tie."""
+    def most_confident(models):
+        return max(models, key=lambda i: (confidences[i], -i))
+
+    if len(set(labels)) == 1:
+        return most_confident(range(3))
+    if len(set(labels)) == 2:
+        majority = max(set(labels), key=list(labels).count)
+        if majority_literal:
+            return leaders[majority]
+        return most_confident([i for i in range(3) if labels[i] == majority])
+    return most_confident([i for i in range(3) if leaders[labels[i]] == i] or range(3))
+
+
 CONFIDENCE_PATTERNS = [
     (0.9, 0.6, 0.8),
     (0.2, 0.95, 0.5),
@@ -181,11 +198,12 @@ class TestArbitrationExhaustive:
             scores[np.arange(N_BASE_MODELS), r, labels] = confs
         leader_map = LeaderMap(tuple(map(str, range(n_classes))), leaders,
                                np.zeros((n_classes, 3)), (1.0, 1.0, 1.0))
-        batch, _ = _arbitrate(list(scores), leader_map, literal)
+        batch, picked = _arbitrate(list(scores), leader_map, literal)
         for r, (labels, confs) in enumerate(rows):
-            want = oracle_arbitrate(labels, confs, leaders, literal)
-            assert arbitrate_one(labels, confs, leaders, literal)[0] == want
-            assert batch[r] == want
+            want = (oracle_arbitrate(labels, confs, leaders, literal),
+                    oracle_deciding_model(labels, confs, leaders, literal))
+            assert arbitrate_one(labels, confs, leaders, literal) == want
+            assert (batch[r], picked[r]) == want
 
 
 class _Canned:
