@@ -156,6 +156,8 @@ def arbitrate_one(
     """
     if len(labels) != N_BASE_MODELS or len(confidences) != N_BASE_MODELS:
         raise ValueError(f"expected {N_BASE_MODELS} predictions")
+    if not all(0 <= label < len(leaders) for label in labels):
+        raise ValueError(f"labels must be class indices below {len(leaders)}, not {list(labels)}")
     label, model = _decide(np.array([labels]), np.array([confidences]), leaders, majority_literal)
     return int(label[0]), int(model[0])
 

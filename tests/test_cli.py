@@ -469,11 +469,11 @@ class TestConfigErrorsExit2:
 
     @pytest.mark.parametrize("entry, field", [
         ({"seed": "x"}, "seed"),
-        ({"seed": -1}, "seed"),
         ({"split": {"ratio": "x"}}, "split ratio"),
         ({"model": {"kind": "tree", "max_depth": "x"}}, "max_depth"),
         ({"model": BAD_LCCDE_MODELS[0]}, "n_roundz"),
         ({"model": BAD_LCCDE_MODELS[1]}, "n_rounds"),
+        ({"seed": -1}, "seed"),
     ])
     def test_pipeline_wrong_types(self, workspace, capsys, entry, field):
         write_json("config.json", dict(PIPELINE_CONFIG, **entry))

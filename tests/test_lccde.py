@@ -182,6 +182,12 @@ class TestArbitrationExhaustive:
         with pytest.raises(ValueError):
             arbitrate_one([0, 1], [0.5, 0.5], (0, 0, 0))
 
+    @pytest.mark.parametrize("labels", [[3, 3, 3], [0, 3, 3], [-1, 0, 0]])
+    def test_label_outside_the_leader_map(self, labels):
+        """A ValueError, not an IndexError or a class read from the end."""
+        with pytest.raises(ValueError, match="class indices below 3"):
+            arbitrate_one(labels, [0.5, 0.6, 0.7], (0, 1, 2))
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n_classes=st.integers(2, 6), literal=st.booleans())
     def test_one_row_and_batch_match_oracle_for_2_to_6_classes(self, data, n_classes, literal):
