@@ -134,14 +134,17 @@ def cmd_label(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _synthesize(ambient_obj: Any, scenario_obj: Any):
-    """The scenario two JSON documents describe, with the ambient log, the
-    labeled attack log and its sidecar metadata, checked to relabel the log."""
+def _read_synth(ambient_obj: Any, scenario_obj: Any) -> tuple[AmbientModel, AttackScenario]:
+    """The ambient model and the scenario two JSON documents describe."""
     try:
-        ambient_model = AmbientModel.from_json_obj(ambient_obj)
-        scenario = AttackScenario.from_json_obj(scenario_obj)
+        return AmbientModel.from_json_obj(ambient_obj), AttackScenario.from_json_obj(scenario_obj)
     except ValueError as exc:
         raise ConfigError(f"bad ambient/scenario config: {exc}") from None
+
+
+def _synthesize(ambient_model: AmbientModel, scenario: AttackScenario):
+    """The scenario, with the ambient log, the labeled attack log and its
+    sidecar metadata, checked to relabel the log."""
     ambient = generate_ambient(ambient_model)
     labeled = run_scenario(ambient, scenario)
     metadata = sidecar_metadata(scenario, labeled)
@@ -182,8 +185,8 @@ def _write_windows(out_path, force: bool, labeled: TrafficLog, grid_window: int 
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    scenario, ambient, labeled, metadata = _synthesize(_read_json(args.ambient),
-                                                       _read_json(args.scenario))
+    scenario, ambient, labeled, metadata = _synthesize(
+        *_read_synth(_read_json(args.ambient), _read_json(args.scenario)))
     _write_synth(_out_dir(args.out), args.force, ambient, labeled, metadata)
     attacks = int(labeled.attack_flags().sum())
     print(
@@ -352,10 +355,10 @@ PIPELINE_DEFAULTS = {
 
 
 # The pipeline config's count entries: positive integers, or null to skip an output.
-_COUNTS = {"eval": {"window": "integer", "step": "integer"},
-           "smote": {"target_count": "integer", "k": "integer"},
-           "windows": {"window": "integer or null", "step": "integer",
-                       "sequences": "integer or null"}}
+_COUNTS = {"eval": {"window": "integer from 1", "step": "integer from 1"},
+           "smote": {"target_count": "integer from 1", "k": "integer from 1"},
+           "windows": {"window": "integer from 1 or null", "step": "integer from 1",
+                       "sequences": "integer from 1 or null"}}
 
 
 def _resolve_config(raw: dict[str, Any], seed_override: int | None) -> dict[str, Any]:
@@ -372,11 +375,8 @@ def _resolve_config(raw: dict[str, Any], seed_override: int | None) -> dict[str,
             config[name] = _read_field("pipeline config", name, config[name], kind)
         for section, kinds in _COUNTS.items():
             for name, kind in kinds.items():
-                value = _read_field(f"pipeline config {section}", name,
-                                    (config[section] or {}).get(name, 1), kind)
-                if value is not None and value < 1:
-                    raise ValueError(f"pipeline config {section}.{name} must be positive, "
-                                     f"not {value}")
+                _read_field(f"pipeline config {section}", name,
+                            (config[section] or {}).get(name, 1), kind)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if "ambient" not in config or "scenario" not in config:
@@ -412,6 +412,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     kind = model_cfg.pop("kind")
     model = build_model(kind, model_cfg, seed)
     spec = _split_spec(config["split"]["ratio"], config["split"]["mode"], seed)
+    synth_docs = _read_synth(config["ambient"], config["scenario"])
     out_path = _out_dir(args.out)
     with _open_out(out_path("resolved_config.json"), args.force) as fh:
         json.dump(config, fh, indent=2)
@@ -419,7 +420,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     timings: dict[str, float] = {}
     with Timer() as timer:
-        scenario, ambient, labeled, metadata = _synthesize(config["ambient"], config["scenario"])
+        scenario, ambient, labeled, metadata = _synthesize(*synth_docs)
     timings["synth_seconds"] = timer.seconds
     _write_synth(out_path, args.force, ambient, labeled, metadata)
     if config["windows"]:
@@ -480,9 +481,18 @@ def _add_count(parser: argparse.ArgumentParser, flag: str, default: int | None,
     parser.add_argument(flag, type=count, default=default)
 
 
+def _seed(text: str) -> int:
+    """The --seed option, read as every document reads its seed: exit 2
+    below 0, before any file is read."""
+    try:
+        return _read_field("command line", "seed", int(text), "seed")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="global random seed")
+    common.add_argument("--seed", type=_seed, default=None, help="global random seed")
     common.add_argument("--out", default=None, help="output file or directory")
     common.add_argument("--force", action="store_true", help="overwrite existing outputs")
     common.add_argument("--config", default=None, help="JSON configuration file")

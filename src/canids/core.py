@@ -11,6 +11,7 @@ the columns on demand.
 from __future__ import annotations
 
 import csv
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -358,8 +359,9 @@ def _require_fields(doc: Any, fields: Iterable[str], what: str) -> None:
 
 
 # The one field reader: every document and constructor reads its scalar and
-# list fields through it and stores what it returns, plain JSON values, so
-# everything a constructor accepts can be written back.
+# list fields through it, settings within their ranges, and stores what it
+# returns, plain JSON values, so everything a constructor accepts can be
+# written back.
 _KINDS = {"integer": "an integer", "number": "a number", "flag": "true or false",
           "text": "a string", "object": "an object", "list": "a list",
           "id": "a CAN id (an integer or 1 to 8 hex digits, in 29 bits)",
@@ -367,6 +369,16 @@ _KINDS = {"integer": "an integer", "number": "a number", "flag": "true or false"
 _PLAIN = {"integer": int, "number": float, "flag": bool, "text": str, "object": dict,
           "integer or null": int, "number or null": float, "text or null": str}
 _HEX_ID = re.compile(r"[0-9A-Fa-f]{1,8}")
+# Range kinds: a value of the base kind that passes the test, returned as the
+# base kind returns it.  Each but "seed", an integer from 0, is named for its values.
+_RANGES = {"seed": ("integer", lambda v: v >= 0),
+           "integer from 1": ("integer", lambda v: v >= 1),
+           "number in (0, 1]": ("number", lambda v: 0 < v <= 1),
+           "number in (0, 1)": ("number", lambda v: 0 < v < 1),
+           "number in (0, inf)": ("number", lambda v: 0 < v < math.inf),
+           "number in [0, inf)": ("number", lambda v: 0 <= v < math.inf)}
+_KINDS.update((kind, f"{_KINDS[base]}{kind.removeprefix(base)}")
+              for kind, (base, _) in _RANGES.items() if kind != "seed")
 
 
 def _plain(value: Any, kind: str) -> Any:
@@ -375,7 +387,14 @@ def _plain(value: Any, kind: str) -> Any:
         return value
     if kind.endswith(" or null"):
         return None if value is None else _plain(value, kind.removesuffix(" or null"))
-    if kind.startswith("list of "):
+    if kind in _RANGES:
+        base, test = _RANGES[kind]
+        try:
+            if test(plain := _plain(value, base)):  # NaN passes no test
+                return plain
+        except TypeError:
+            pass
+    elif kind.startswith("list of "):
         if isinstance(value, (list, tuple)):
             return tuple(_plain(v, kind.removeprefix("list of ")) for v in value)
         kind = "list"
@@ -389,8 +408,7 @@ def _plain(value: Any, kind: str) -> Any:
             kind == "id" and isinstance(value, str) and _HEX_ID.fullmatch(value)):
         whole = int(value, 16) if isinstance(value, str) else int(value)
         if (kind == "integer" or kind == "number" and abs(whole) <= sys.float_info.max
-                or kind == "id" and 0 <= whole <= MAX_EXTENDED_ID
-                or kind == "seed" and whole >= 0):
+                or kind == "id" and 0 <= whole <= MAX_EXTENDED_ID):
             return whole
     elif kind == "number" and isinstance(value, (float, np.floating)):
         return float(value)
@@ -401,11 +419,11 @@ def _read_field(what: str, name: str, value: Any, kind: str | Callable[[Any], An
     """`value`, field `name` of the document `what`, as a plain value of `kind`.
 
     The kinds are "integer", "number", "flag", "text", "object" (a dict),
-    "id" (a CAN id: an integer or hex text), "seed" (an integer from 0),
+    "id" (a CAN id: an integer or hex text), the range kinds of _RANGES,
     "<kind> or null" and "list of <kind>" (a tuple).  A bool is never a
-    number, nor is a string, nor an int beyond float64; a numpy scalar
-    comes back as the Python int, float or bool, and an int stays an int.
-    Any other value raises ValueError
+    number, nor is a string, nor an int beyond float64, nor NaN in a range;
+    a numpy scalar comes back as the Python int, float or bool, and an int
+    stays an int.  Any other value raises ValueError
     "<what> field '<name>': <value> is not <kind>" ("<name>: ..." when
     `what` is empty).  A callable kind converts the value; its TypeError or
     ValueError is reworded the same way.
@@ -432,6 +450,23 @@ def _present_fields(doc: dict, what: str, **kinds: str | Callable[[Any], Any]) -
     return {name: _read_field(what, name, doc[name],
                               kind if callable(kind) else kind.removesuffix(" or null"))
             for name, kind in kinds.items() if name in doc}
+
+
+def _class_indices(labels: Any, n_classes: int | None = None) -> np.ndarray:
+    """labels, numbers, as int64 class indices: each a whole number from 0,
+    and below n_classes when it is given.  A bool counts as 0 or 1; any
+    other label raises ValueError naming its row."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biuf":
+        raise ValueError(f"labels must be integer class indices, not {labels.dtype}")
+    good = (labels >= 0) & (labels < (np.inf if n_classes is None else n_classes))
+    if labels.dtype.kind == "f":
+        good &= labels == np.floor(labels)  # NaN fails every comparison, so it is bad too
+    if not good.all():
+        row = int(np.argmin(good))
+        allowed = "0 or more" if n_classes is None else f"0..{n_classes - 1}"
+        raise ValueError(f"label {labels[row].item()!r} in row {row} is not a class index ({allowed})")
+    return labels.astype(np.int64, copy=False)
 
 
 def _csv_rows(lines: Iterable[str], error: type[ValueError] = ValueError) -> Iterator[list[str]]:

@@ -48,8 +48,12 @@ is grown or loaded.
 Fitting rejects NaN features with a `ValueError` naming the column;
 +-inf are ordinary values.  Labels must be one class index per row; a
 label that is negative, fractional or past the class list is refused
-naming its row.  `min_leaf` below 1, and for boosting a negative or NaN
-`reg_lambda`, are refused when the model is built.
+naming its row (`core._class_indices`).  Hyperparameters are read by
+`core._read_field` when the model is built: `n_trees`, `n_rounds`,
+`max_depth` (or null) and `min_leaf` are integers from 1;
+`feature_frac`, `learning_rate` and `subsample` numbers in (0, 1];
+`reg_lambda` and `k_sigma` finite numbers from 0.  Any other value is
+refused naming its field.
 
 Every kind scores through `Detector.predict_scores`: it scores each
 distinct row once, through the kind's own `_scores`, and hands the
@@ -76,7 +80,7 @@ from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import CanFrame, LabeledFrame, TrafficLog, _read_field, _require_fields
+from .core import CanFrame, LabeledFrame, TrafficLog, _class_indices, _read_field, _require_fields
 
 MODEL_FORMAT_VERSION = 1
 
@@ -594,18 +598,7 @@ class Detector:
             raise ValueError(
                 f"labels must be 1-D with one per row: X has {len(X)} rows, y has shape {labels.shape}"
             )
-        if labels.dtype.kind not in "biuf":
-            raise ValueError(f"labels must be integer class indices, not {labels.dtype}")
-        limit = len(classes) if classes is not None else np.inf
-        # NaN fails every comparison, so it is bad too.
-        bad = ~((labels >= 0) & (labels < limit) & (labels == np.floor(labels)))
-        if bad.any():
-            row = int(np.argmax(bad))
-            allowed = f"0..{limit - 1}" if classes is not None else "0 or more"
-            raise ValueError(
-                f"label {labels[row].item()!r} in row {row} is not a class index ({allowed})"
-            )
-        y = labels.astype(np.int64)
+        y = _class_indices(labels, None if classes is None else len(classes))
         self.classes = tuple(classes) if classes is not None else tuple(map(str, range(y.max() + 1)))
         return X, y
 
@@ -678,9 +671,8 @@ class DecisionTree(Detector):
     state = ("tree",)
 
     def __init__(self, max_depth: int | None = None, min_leaf: int = 1) -> None:
-        super().__init__(max_depth=(max_depth, "integer or null"), min_leaf=(min_leaf, "integer"))
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
+        super().__init__(max_depth=(max_depth, "integer from 1 or null"),
+                         min_leaf=(min_leaf, "integer from 1"))
         self._tree: _TreeArrays | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None = None) -> "DecisionTree":
@@ -730,15 +722,10 @@ class RandomForest(Detector):
         feature_frac: float = 1.0,
         seed: int = 0,
     ) -> None:
-        super().__init__(n_trees=(n_trees, "integer"), max_depth=(max_depth, "integer or null"),
-                         min_leaf=(min_leaf, "integer"), bootstrap=(bootstrap, "flag"),
-                         feature_frac=(feature_frac, "number"), seed=(seed, "seed"))
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
-        if not 0.0 < self.feature_frac <= 1.0:
-            raise ValueError("feature_frac must be in (0, 1]")
+        super().__init__(n_trees=(n_trees, "integer from 1"),
+                         max_depth=(max_depth, "integer from 1 or null"),
+                         min_leaf=(min_leaf, "integer from 1"), bootstrap=(bootstrap, "flag"),
+                         feature_frac=(feature_frac, "number in (0, 1]"), seed=(seed, "seed"))
         self._trees: list[_TreeArrays] = []
         self._feats: list[np.ndarray] = []
 
@@ -814,22 +801,14 @@ class GradientBoosting(Detector):
         subsample: float = 1.0,
         seed: int = 0,
     ) -> None:
-        super().__init__(n_rounds=(n_rounds, "integer"), learning_rate=(learning_rate, "number"),
-                         max_depth=(max_depth, "integer or null"), min_leaf=(min_leaf, "integer"),
-                         reg_lambda=(reg_lambda, "number"), subsample=(subsample, "number"),
-                         seed=(seed, "seed"))
-        if self.n_rounds < 1:
-            raise ValueError("n_rounds must be >= 1")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
         # A negative or NaN lambda gives infinite or NaN leaves and scores,
         # and a NaN score would hide every other split of its feature group.
-        if not self.reg_lambda >= 0.0:
-            raise ValueError(f"reg_lambda must be >= 0, not {self.reg_lambda}")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        if not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample must be in (0, 1]")
+        super().__init__(n_rounds=(n_rounds, "integer from 1"),
+                         learning_rate=(learning_rate, "number in (0, 1]"),
+                         max_depth=(max_depth, "integer from 1 or null"),
+                         min_leaf=(min_leaf, "integer from 1"),
+                         reg_lambda=(reg_lambda, "number in [0, inf)"),
+                         subsample=(subsample, "number in (0, 1]"), seed=(seed, "seed"))
         self._rounds: list[list[_TreeArrays]] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None = None) -> "GradientBoosting":
@@ -941,9 +920,7 @@ class FrequencyDetector(Detector):
     state = ("ids",)
 
     def __init__(self, k_sigma: float = 4.0) -> None:
-        super().__init__(k_sigma=(k_sigma, "number"))
-        if self.k_sigma < 0:
-            raise ValueError("k_sigma must be nonnegative")
+        super().__init__(k_sigma=(k_sigma, "number in [0, inf)"))
         self.classes = ("Normal", "Attack")
         self.stats: dict[int, dict[str, float]] = {}
 
@@ -1055,6 +1032,7 @@ def measure_latency(model: Detector, X: np.ndarray, repeats: int = 3) -> float:
     the model for speed tie-breaks.  The timed call is `predict_scores`,
     which for the tree kinds scores each distinct row of X once, so the
     figure falls as X repeats rows."""
+    repeats = _read_field("latency", "repeats", repeats, "integer from 1")
     if len(X) == 0:
         raise ValueError("need at least one sample to time")
     times = []

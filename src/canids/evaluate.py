@@ -22,7 +22,7 @@ from typing import IO, Any, Sequence
 
 import numpy as np
 
-from .core import NORMAL_LABEL
+from .core import NORMAL_LABEL, _class_indices
 from .windows import _window_labels, _window_layout
 
 REPORT_SCHEMA_VERSION = 1
@@ -133,15 +133,16 @@ def compute_metrics(
     A zero-denominator precision, recall or F1 is reported as 0.0 with
     the metric name listed in the class's `undefined` flags.
     """
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
         raise ValueError("truth and prediction lengths differ")
     if y_true.size == 0:
         raise ValueError("cannot score an empty label vector")
     n_classes = len(classes)
-    if y_true.min() < 0 or y_true.max() >= n_classes or y_pred.min() < 0 or y_pred.max() >= n_classes:
-        raise ValueError("label index out of range for the class list")
+    try:
+        y_true, y_pred = _class_indices(y_true, n_classes), _class_indices(y_pred, n_classes)
+    except ValueError as exc:
+        raise ValueError(f"label index out of range for the class list: {exc}") from None
 
     cm = confusion_matrix(y_true, y_pred, n_classes)
     tp = np.diag(cm)

@@ -28,6 +28,7 @@ from .core import (
     CanFrame,
     LabeledFrame,
     TrafficLog,
+    _class_indices,
     _csv_rows,
     _data_rows,
     _decimal_cells,
@@ -91,13 +92,12 @@ class TabularDataset:
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        self.y = np.asarray(self.y)
         if self.X.ndim != 2:
             raise ValueError("X must be 2-dimensional")
         if self.y.shape != (self.X.shape[0],):
             raise ValueError("y length must match X rows")
-        if len(self.y) and (self.y.min() < 0 or self.y.max() >= len(self.classes)):
-            raise ValueError("label index out of range")
+        self.y = _class_indices(self.y, len(self.classes))
         if self.synthetic is None:
             self.synthetic = np.zeros(len(self.y), dtype=bool)
         else:
@@ -105,7 +105,10 @@ class TabularDataset:
             if self.synthetic.shape != self.y.shape:
                 raise ValueError("synthetic mask length must match y")
         if self.timestamps_us is not None:
-            self.timestamps_us = np.asarray(self.timestamps_us, dtype=np.int64)
+            ts = np.asarray(self.timestamps_us)
+            if ts.dtype.kind not in "iu":
+                raise ValueError(f"timestamps must be integer microseconds, not {ts.dtype}")
+            self.timestamps_us = ts.astype(np.int64, copy=False)
             if self.timestamps_us.shape != self.y.shape:
                 raise ValueError("timestamps length must match y")
         if self.names is not None and len(self.names) != self.X.shape[1]:
@@ -150,9 +153,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _read_fields(self, "split", ratio="number", mode="text", seed="seed")
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError(f"split ratio must be in (0, 1), got {self.ratio}")
+        _read_fields(self, "split", ratio="number in (0, 1)", mode="text", seed="seed")
         if self.mode not in SPLIT_MODES:
             raise ValueError(f"unknown split mode {self.mode!r}")
 
@@ -265,10 +266,8 @@ def smote_oversample(
     class and any class already at or above the target are untouched.
     A single-sample class falls back to duplication with a warning.
     """
-    if target_count < 1:
-        raise ValueError("target_count must be positive")
-    if k < 1:
-        raise ValueError("k must be positive")
+    target_count = _read_field("smote", "target_count", target_count, "integer from 1")
+    k = _read_field("smote", "k", k, "integer from 1")
     seed = _read_field("smote", "seed", seed, "seed")
     new_X = [train.X]
     new_y = [train.y]

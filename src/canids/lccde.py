@@ -253,12 +253,10 @@ class LccdeEnsemble(Detector):
         seed: int = 0,
     ) -> None:
         super().__init__(
-            val_frac=(val_frac, "number"), majority_literal=(majority_literal, "flag"),
+            val_frac=(val_frac, "number in (0, 1)"), majority_literal=(majority_literal, "flag"),
             seed=(seed, "seed"),
             base_configs=(DEFAULT_BASE_CONFIGS if base_configs is None else base_configs,
                           _base_configs))
-        if not 0.0 < self.val_frac < 1.0:
-            raise ValueError("val_frac must be in (0, 1)")
         self.models: list[GradientBoosting] = []
         self.leaders: LeaderMap | None = None
 

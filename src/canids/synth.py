@@ -145,7 +145,7 @@ class PayloadModel:
         return cls(**_present_fields(obj, "payload", base=bytes.fromhex, **_PAYLOAD_FIELDS))
 
 
-_ID_FIELDS = dict(period="number", jitter_std="number", extended="flag")
+_ID_FIELDS = dict(period="number in (0, inf)", jitter_std="number in [0, inf)", extended="flag")
 
 
 @dataclass(frozen=True)
@@ -158,13 +158,9 @@ class AmbientIdSpec:
 
     def __post_init__(self):
         _read_fields(self, "ambient id", can_id="id", **_ID_FIELDS)
-        if not 0 < self.period < math.inf:
-            raise ValueError("ambient period must be positive and finite")
-        if not 0 <= self.jitter_std < math.inf:
-            raise ValueError("jitter_std must be non-negative and finite")
 
 
-_AMBIENT_FIELDS = dict(duration="number", seed="seed", channel="text")
+_AMBIENT_FIELDS = dict(duration="number in (0, inf)", seed="seed", channel="text")
 
 
 @dataclass(frozen=True)
@@ -178,8 +174,6 @@ class AmbientModel:
 
     def __post_init__(self):
         _read_fields(self, "ambient model", **_AMBIENT_FIELDS)
-        if not 0 < self.duration < math.inf:
-            raise ValueError("duration must be positive and finite")
         seen = [s.can_id for s in self.ids]
         if len(seen) != len(set(seen)):
             raise ValueError("duplicate ambient id entries")
@@ -457,7 +451,7 @@ _DEFAULT_PERIOD = {"dos": DOS_PERIOD_S, "fuzzy": FUZZY_PERIOD_S, "targeted_spoof
 
 _SCENARIO_FIELDS = dict(
     kind="text", interval="list of number", target_id="id or null", payload_spec="text or null",
-    period="number or null", id_cycle="list of id", seed="seed", extended_ids="flag",
+    period="number in (0, inf) or null", id_cycle="list of id", seed="seed", extended_ids="flag",
     attack_class="text or null")
 
 
@@ -490,8 +484,6 @@ class AttackScenario:
             raise ValueError(f"scenario kind {self.kind!r} requires payload_spec")
         if self.kind == "fuzzing_max_payload" and (not self.id_cycle or self.period is None):
             raise ValueError("fuzzing_max_payload requires id_cycle and period")
-        if self.period is not None and not 0 < self.period < math.inf:
-            raise ValueError("period must be positive and finite")
 
     @property
     def effective_period(self) -> float | None:

@@ -31,6 +31,7 @@ from .core import (
     _decimal_cells,
     _each_followed_by,
     _int64_table,
+    _read_field,
     _write_rows,
     id_bits_matrix,
 )
@@ -94,10 +95,8 @@ class IdSequenceSet:
 
 
 def _window_layout(n: int, window: int, step: int) -> np.ndarray:
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if step < 1:
-        raise ValueError("step must be >= 1")
+    window = _read_field("windows", "window", window, "integer from 1")
+    step = _read_field("windows", "step", step, "integer from 1")
     if n < window:
         return np.empty(0, dtype=np.int64)
     return np.arange(0, n - window + 1, step, dtype=np.int64)

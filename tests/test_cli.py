@@ -430,6 +430,18 @@ class TestConfigErrorsExit2:
         assert "field 'seed': -" in capsys.readouterr().err
         assert not os.path.exists("out")
 
+    def test_eval_negative_seed(self, synth_dir, capsys):
+        """--seed is read as a seed by every verb, eval too, which would
+        otherwise write the seed into its report."""
+        assert run(["prep", "--log", "synth/attack.log", "--labels", "synth/attack.labels.json",
+                    "--out", "prep"]) == 0
+        assert run(["train", "--train", "prep/train.csv", "--model", "tree",
+                    "--out", "model.json"]) == 0
+        assert run(["eval", "--model", "model.json", "--test", "prep/test.csv", "--seed", "-1",
+                    "--out", "report.json"]) == 2
+        assert "field 'seed': -1 is not an integer from 0" in capsys.readouterr().err
+        assert not os.path.exists("report.json")
+
     @pytest.mark.parametrize("counts, message", [
         (["--smote-target", "50", "--smote-k", "0"], "--smote-k must be positive, not 0"),
         (["--smote-target", "-5"], "--smote-target must be 0 (off) or more, not -5"),
@@ -502,6 +514,8 @@ class TestConfigErrorsExit2:
         {"split": {"ratio": "x"}},
     ] + [{"model": model} for model in BAD_LCCDE_MODELS + WRONG_MODELS] + [
         {"model": {"kind": "frequency"}, "eval": {"mode": "window", "window": 29, "step": 29}},
+        {"ambient": dict(AMBIENT, seed=-3)},
+        {"scenario": {"kind": "dos", "interval": [2.0, 1.0]}},
     ])
     def test_pipeline_bad_entry_writes_nothing(self, workspace, entry):
         """The config and the model are read before the run writes a file."""

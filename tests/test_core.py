@@ -395,3 +395,113 @@ class TestFieldReader:
     def test_refusals_name_document_field_and_value(self, value, kind, message):
         with pytest.raises(ValueError, match=rf"^doc field 'f': {message}"):
             core._read_field("doc", "f", value, kind)
+
+
+# Each range kind: (integer kind, low bound, low included, high bound, high included).
+RANGES = {
+    "seed": (True, 0, True, None, None),
+    "integer from 1": (True, 1, True, None, None),
+    "number in (0, 1]": (False, 0.0, False, 1.0, True),
+    "number in (0, 1)": (False, 0.0, False, 1.0, False),
+    "number in (0, inf)": (False, 0.0, False, float("inf"), False),
+    "number in [0, inf)": (False, 0.0, True, float("inf"), False),
+}
+
+
+def in_range(kind):
+    """Values of a range kind, as Python and numpy scalars; a number kind
+    takes its whole values as integers too."""
+    integer, low, low_in, high, high_in = RANGES[kind]
+    whole = [v for v in range(128) if (v > low or low_in and v == low)
+             and (high is None or v < high or high_in and v == high)]
+    typed = (st.builds(lambda t, v: t(v), st.sampled_from(INT_TYPES), st.sampled_from(whole))
+             if whole else st.nothing())
+    if integer:
+        return typed | st.integers(min_value=low)
+    values = st.floats(low, high, exclude_min=not low_in, exclude_max=not high_in)
+    return typed | values | values.map(np.float64) | st.sampled_from([np.float16(0.5), np.float32(0.25)])
+
+
+def out_of_range(kind):
+    """Values a range kind refuses: bools, strings, NaN, values past either
+    bound, and fractions where an integer is wanted."""
+    integer, low, low_in, high, high_in = RANGES[kind]
+    if integer:
+        below = st.integers(-2**63, low - 1)
+        refused = [below.map(np.int64), st.floats(low, 1e6).filter(lambda v: v != int(v)),
+                   st.sampled_from([2.0, np.float64(3.0)])]
+    else:
+        below = st.floats(max_value=low, exclude_max=low_in).filter(lambda v: v < low or not low_in)
+        refused = [below.map(np.float64), st.floats(min_value=high, exclude_min=high_in)]
+    return st.one_of(below, *refused, st.sampled_from(
+        [True, False, np.True_, "1", "0.5", float("nan"), np.float64("nan")]))
+
+
+def _range_fixtures():
+    from canids.detectors import DecisionTree
+
+    space = LabelSpace(attack_names=("A",))
+    log = TrafficLog(tuple(LabeledFrame(CanFrame(i * 1000, "can0", 0x100 + i % 3, b"\x00"),
+                                        space.get("A" if i % 5 == 0 else "Normal"))
+                           for i in range(20)), label_space=space)
+    data = TabularDataset(X=np.arange(12.0).reshape(6, 2), y=[0, 0, 0, 1, 1, 1],
+                          classes=("Normal", "A"))
+    return data, log, DecisionTree().fit(data.X, data.y, data.classes)
+
+
+def _range_calls():
+    from canids.detectors import FrequencyDetector, GradientBoosting, RandomForest, measure_latency
+    from canids.evaluate import evaluate_pipeline
+    from canids.features import smote_oversample
+    from canids.windows import build_bit_grids, build_id_sequences, window_count
+
+    return {
+        "smote-target-fraction": ("target_count", lambda d, log, m: smote_oversample(d, 5.5)),
+        "smote-k-fraction": ("k", lambda d, log, m: smote_oversample(d, 5, k=1.5)),
+        "smote-target-bool": ("target_count", lambda d, log, m: smote_oversample(d, True)),
+        "grid-window-fraction": ("window", lambda d, log, m: build_bit_grids(log, window=2.5)),
+        "eval-window-fraction": ("window", lambda d, log, m: evaluate_pipeline(
+            m, d, "window", window=2.5)),
+        "window-count-fraction": ("window", lambda d, log, m: window_count(10, 2.5, 1)),
+        "sequence-step-fraction": ("step", lambda d, log, m: build_id_sequences(
+            log, window=2, step=1.5)),
+        "latency-no-repeats": ("repeats", lambda d, log, m: measure_latency(m, d.X, repeats=0)),
+        "forest-negative-depth": ("max_depth", lambda d, log, m: RandomForest(max_depth=-1)),
+        "gbdt-negative-depth": ("max_depth", lambda d, log, m: GradientBoosting(max_depth=-3)),
+        "frequency-nan-k-sigma": ("k_sigma", lambda d, log, m: FrequencyDetector(
+            k_sigma=float("nan"))),
+    }
+
+
+class TestRangeKinds:
+    """Every count, fraction and positive number a constructor or document
+    takes is a range kind that `core._read_field` reads."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_in_range_values_come_back_plain(self, data):
+        kind = data.draw(st.sampled_from(sorted(RANGES)))
+        value = data.draw(in_range(kind))
+        got = core._read_field("doc", "f", value, kind)
+        whole = isinstance(value, (int, np.integer))
+        assert type(got) is (int if whole else float)
+        assert got == (int(value) if whole else float(value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_out_of_range_values_are_refused_naming_the_field(self, data):
+        kind = data.draw(st.sampled_from(sorted(RANGES)))
+        value = data.draw(out_of_range(kind))
+        base = "an integer" if RANGES[kind][0] else "a number"
+        with pytest.raises(ValueError, match=rf"^doc field 'f': .* is not {base} "):
+            core._read_field("doc", "f", value, kind)
+        with pytest.raises(ValueError, match=r"^doc field 'f': "):
+            core._read_field("doc", "f", value, kind + " or null")
+
+    @pytest.mark.parametrize("case", sorted(_range_calls()))
+    def test_out_of_range_argument_raises_value_error_naming_it(self, case):
+        """Each of these calls crashed with IndexError or TypeError, or ran with
+        another setting, before its argument was read as a range kind."""
+        field, call = _range_calls()[case]
+        with pytest.raises(ValueError, match=rf"field '{field}': .* is not an? "):
+            call(*_range_fixtures())

@@ -73,6 +73,16 @@ class TestComputeMetrics:
         with pytest.raises(ValueError, match="out of range"):
             compute_metrics([0, 5], [0, 0], CLASSES3)
 
+    @pytest.mark.parametrize("y_true, y_pred, row", [
+        ([0.9, 1.2], [0, 1], r"label 0\.9 in row 0"),
+        ([0, 1], [1, 1.5], r"label 1\.5 in row 1"),
+        ([0, 1], [0, -1], r"label -1 in row 1"),
+    ])
+    def test_labels_are_not_truncated(self, y_true, y_pred, row):
+        """A fractional label is refused, not cast to the index below it."""
+        with pytest.raises(ValueError, match=rf"out of range for the class list: {row} "):
+            compute_metrics(y_true, y_pred, ("Normal", "Attack"))
+
     def test_confusion_rows_are_support(self):
         rng = np.random.default_rng(3)
         y_true = rng.integers(0, 3, 200)

@@ -220,6 +220,32 @@ class TestSplit:
             SplitSpec(seed=-1)
 
 
+class TestDatasetColumns:
+    """A dataset's labels are class indices by the rule fitting uses, and its
+    timestamps whole microseconds: neither is truncated to an integer."""
+
+    @pytest.mark.parametrize("y, message", [
+        ([0.5, 1.7, True], r"label 0\.5 in row 0 is not a class index \(0\.\.1\)"),
+        ([0, 1, 2], r"label 2 in row 2 is not a class index \(0\.\.1\)"),
+        ([0, -1, 1], r"label -1 in row 1"),
+        (["0", "1", "1"], "labels must be integer class indices"),
+    ])
+    def test_labels_that_are_not_class_indices_refused(self, y, message):
+        with pytest.raises(ValueError, match=message):
+            TabularDataset(X=np.zeros((3, 2)), y=y, classes=("Normal", "A"))
+
+    def test_fractional_timestamps_refused(self):
+        with pytest.raises(ValueError, match="timestamps must be integer microseconds, not float64"):
+            TabularDataset(X=np.zeros((2, 1)), y=[0, 1], classes=("Normal", "A"),
+                           timestamps_us=[1.5, 2.9])
+
+    def test_whole_labels_stored_as_int64(self):
+        data = TabularDataset(X=np.zeros((3, 1)), y=np.array([0.0, 1.0, True]),
+                              classes=("Normal", "A"), timestamps_us=np.arange(3, dtype=np.uint8))
+        assert data.y.dtype == np.int64 and data.y.tolist() == [0, 1, 1]
+        assert data.timestamps_us.dtype == np.int64
+
+
 def stratified_counts_by_loops(counts, ratio, total_train):
     """The per-class loops the split once ran: top classes up one at a
     time in (-remainder, index) order, or trim them in (remainder, -index)

@@ -445,7 +445,7 @@ class TestEnsemble:
         ([{"n_roundz": 2}, {}, {}], r"entry 0: 'n_roundz' is not a gbdt hyperparameter"),
         ([{}, {"n_rounds": "2"}, {}], r"entry 1: gbdt model field 'n_rounds': '2' is not an integer"),
         ([{}, {}, {"learning_rate": True}], r"entry 2: .*'learning_rate': True is not a number"),
-        ([{}, {}, {"n_rounds": 0}], r"entry 2: n_rounds must be >= 1"),
+        ([{}, {}, {"n_rounds": 0}], r"entry 2: .*'n_rounds': 0 is not an integer from 1"),
         ([{}, {}, [("n_rounds", 2)]], r"\[\('n_rounds', 2\)\] is not an object"),
         ({"a": {}, "b": {}, "c": {}}, r"\{.*\} is not a list"),
     ])
