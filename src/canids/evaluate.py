@@ -117,8 +117,8 @@ class EvalReport:
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> np.ndarray:
-    """Counts indexed [true, predicted]."""
-    flat = y_true.astype(np.int64) * n_classes + y_pred.astype(np.int64)
+    """Counts indexed [true, predicted]; labels are read by `core._class_indices`."""
+    flat = _class_indices(y_true, n_classes) * n_classes + _class_indices(y_pred, n_classes)
     return np.bincount(flat, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 
 
@@ -140,11 +140,9 @@ def compute_metrics(
         raise ValueError("cannot score an empty label vector")
     n_classes = len(classes)
     try:
-        y_true, y_pred = _class_indices(y_true, n_classes), _class_indices(y_pred, n_classes)
+        cm = confusion_matrix(y_true, y_pred, n_classes)
     except ValueError as exc:
         raise ValueError(f"label index out of range for the class list: {exc}") from None
-
-    cm = confusion_matrix(y_true, y_pred, n_classes)
     tp = np.diag(cm)
     predicted = cm.sum(axis=0)
     support = cm.sum(axis=1)

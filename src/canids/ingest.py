@@ -14,9 +14,9 @@ block decoder refuses, to skip blank ones and to word the error of the
 rest.  The CSV parser collects each row's fields into column lists.
 `serialize_candump` formats slices of the columns through the block text
 encoder in `core` (each line is the text of `serialize_candump_line`), and
-labels are per-frame class codes.  `apply_metadata_labels` tests each
-campaign only on the rows inside its interval, found by binary search over
-the sorted timestamps.
+labels are per-frame class codes.  Campaigns are a table of columns too, and
+`apply_metadata_labels` tests each only on the rows inside its interval,
+found by binary search over the sorted timestamps.
 """
 
 from __future__ import annotations
@@ -40,9 +40,11 @@ from canids.core import (
     TrafficLog,
     _BLOCK_ROWS,
     _PAD,
+    _PAD_BYTE,
     _csv_rows,
     _data_rows,
     _decimal_table,
+    _float_cells,
     _hex_cells,
     _int_cell,
     _text_cells,
@@ -529,13 +531,12 @@ def parse_csv_dataset(
 # Metadata-driven labeling
 
 
-def _pattern_bytes(patterns: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For checked patterns: uint8 (len(patterns), 8) tables of the payload
-    bits each pattern fixes and of their values (zero where not fixed), and
-    the payload length each needs to reach its last fixed byte."""
-    chars = np.frombuffer("".join(p.ljust(2 * MAX_DLC, NIBBLE_WILDCARD) for p in patterns)
-                          .encode(), dtype=np.uint8).reshape(-1, MAX_DLC, 2)
-    fixed = chars != ord(NIBBLE_WILDCARD)
+def _pattern_bytes(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For pattern cells: uint8 (n, 8) tables of the payload bits each
+    pattern fixes and of their values (zero where not fixed), and the
+    payload length each needs to reach its last fixed byte."""
+    chars = cells.reshape(-1, MAX_DLC, 2)
+    fixed = (chars != ord(NIBBLE_WILDCARD)) & (chars != _PAD)
     nibble = np.where(chars >= ord("A"), chars - (ord("A") - 10), chars - ord("0")) * fixed
     mask = fixed[..., 0] * np.uint8(0xF0) | fixed[..., 1] * np.uint8(0x0F)
     need = (np.arange(1, MAX_DLC + 1) * (mask > 0)).max(axis=1, initial=0)
@@ -550,9 +551,9 @@ _SECONDS_LIMIT = (1 << 63) / 1e6
 class AttackMetadata:
     """One injection campaign: when it ran, which id it used, what it wrote.
 
-    `can_id` None means any id (fuzzing captures cycle their injected ids).
-    `pattern` is up to 16 hex nibbles, 'X' meaning "any value here"; a
-    non-wildcard nibble beyond the frame's data length never matches.
+    `can_id` None means any id, of either format; `extended` None takes the format
+    from the id (past 11 bits: extended).  `pattern` is up to 16 hex nibbles, 'X'
+    meaning "any value here"; a fixed nibble past the frame's data length never matches.
     """
 
     start_us: int
@@ -560,14 +561,19 @@ class AttackMetadata:
     attack_class: str
     can_id: int | None = None
     pattern: str = ""
+    extended: bool | None = None
 
     def __post_init__(self):
-        _read_fields(self, "attack metadata", start_us="integer", end_us="integer",
-                     attack_class="text", can_id="integer or null", pattern="text")
+        _read_fields(self, "attack metadata", start_us="integer", end_us="integer", attack_class="text",
+                     can_id="integer or null", pattern="text", extended="flag or null")
         if not -(1 << 63) <= self.start_us <= self.end_us < 1 << 63:
             raise ValueError("injection interval must run forward within 64-bit microseconds")
         if self.can_id is not None and not 0 <= self.can_id <= MAX_EXTENDED_ID:
             raise ValueError(f"injection id {self.can_id!r} is outside the 29-bit space")
+        past = self.can_id is not None and self.can_id > MAX_STANDARD_ID
+        if self.extended not in (None, past) and (self.can_id is None or past):
+            raise ValueError(f"injection id {self.can_id!r} cannot be {'standard' if past else 'extended'}")
+        object.__setattr__(self, "extended", past if self.extended is None else self.extended)
         pat = self.pattern.upper()
         object.__setattr__(self, "pattern", pat)
         if len(pat) > 2 * MAX_DLC:
@@ -575,31 +581,19 @@ class AttackMetadata:
         if any(c not in "0123456789ABCDEF" + NIBBLE_WILDCARD for c in pat):
             raise ValueError(f"pattern {pat!r} has characters outside hex + {NIBBLE_WILDCARD!r}")
 
-    def matches(self, frame: CanFrame) -> bool:
-        if not (self.start_us <= frame.timestamp_us <= self.end_us):
-            return False
-        if self.can_id is not None and frame.can_id != self.can_id:
-            return False
-        nibbles = frame.data.hex().upper()
-        for i, p in enumerate(self.pattern):
-            if p == NIBBLE_WILDCARD:
-                continue
-            if i >= len(nibbles) or nibbles[i] != p:
-                return False
-        return True
-
     def to_json_obj(self) -> dict:
         return {
             "injection_interval": [self.start_us / 1e6, self.end_us / 1e6],
-            "injection_id": ID_WILDCARD if self.can_id is None else f"{self.can_id:03X}",
+            "injection_id": ID_WILDCARD if self.can_id is None
+            else f"{self.can_id:0{8 if self.extended else 3}X}",  # as candump writes ids
             "injection_data_str": self.pattern,
             "attack_class": self.attack_class,
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AttackMetadata":
-        """The campaign an entry describes; a malformed entry raises ValueError
-        naming the field."""
+        """The campaign an entry describes (an id of 8 hex digits is extended); a
+        malformed entry raises ValueError naming the field."""
         _require_fields(obj, ("injection_interval", "injection_id", "attack_class"), "entry")
         # Fields are named alone: load_metadata names the entry.
         interval = _read_field("", "injection_interval", obj["injection_interval"], "list of number")
@@ -613,59 +607,112 @@ class AttackMetadata:
             can_id=None if can_id.upper() == ID_WILDCARD else _read_field("", "injection_id", can_id, "id"),
             pattern=_read_field("", "injection_data_str", obj.get("injection_data_str", ""), "text"),
             attack_class=_read_field("", "attack_class", obj["attack_class"], "text"),
+            extended=len(can_id) == 8 or None,
         )
 
 
-def load_metadata(stream: IO[str]) -> list[AttackMetadata]:
-    """Read campaigns from a JSON list of entries, or from the "attacks"
-    list of a JSON object.  A malformed document raises ValueError naming
-    the entry and field."""
+class _Campaigns(Sequence):
+    """Campaigns as columns, rows viewed as AttackMetadata: int64 (n, 2) `us`, int64 `cls` codes
+    into `classes` (by first appearance), int64 `can_id` (-1: any), bool `extended`, `pattern` cells."""
+
+    def __init__(self, us, cls, classes: list[str], can_id, extended, pattern):
+        self.us, self.cls, self.classes = us, cls, classes
+        self.can_id, self.extended, self.pattern = can_id, extended, pattern
+
+    def __len__(self) -> int:
+        return len(self.us)
+
+    def __getitem__(self, i):
+        rows = i if isinstance(i, slice) else [range(len(self))[i]]
+        views = [AttackMetadata(s, e, self.classes[c], None if ident < 0 else ident,
+                                p.tobytes().translate(None, _PAD_BYTE).decode(), x)
+                 for (s, e), c, ident, x, p in zip(*[column[rows].tolist() for column in (
+                     self.us, self.cls, self.can_id, self.extended)], self.pattern[rows])]
+        return views if isinstance(rows, slice) else views[0]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and self[:] == list(other)
+
+
+def _campaign_table(us, names, can_id, extended, patterns) -> _Campaigns:
+    """The table of the columns of campaigns, with class names and checked patterns."""
+    classes = list(dict.fromkeys(names))
+    cells = "".join(p.ljust(2 * MAX_DLC) for p in patterns).encode().replace(b" ", _PAD_BYTE)
+    return _Campaigns(np.asarray(us, dtype=np.int64).reshape(-1, 2),
+                      np.array(list(map(classes.index, names)), dtype=np.int64), classes,
+                      np.asarray(can_id, dtype=np.int64), np.asarray(extended, dtype=bool),
+                      np.frombuffer(cells, dtype=np.uint8).reshape(-1, 2 * MAX_DLC))
+
+
+def _campaigns(metadata: Sequence[AttackMetadata]) -> _Campaigns:
+    """The table of campaigns: the one place the library reads AttackMetadata objects."""
+    return metadata if isinstance(metadata, _Campaigns) else _campaign_table(*(list(zip(*[(
+        (m.start_us, m.end_us), m.attack_class, -1 if m.can_id is None else m.can_id, m.extended,
+        m.pattern) for m in metadata])) or [()] * 5))
+
+
+def load_metadata(stream: IO[str]) -> Sequence[AttackMetadata]:
+    """Read campaigns from a JSON list of entries, or from the "attacks" list
+    of a JSON object, checking whole columns; a document that fails a check is
+    read entry by entry, and a malformed one raises ValueError naming both."""
     doc = json.load(stream)
     if isinstance(doc, dict):
         doc = doc.get("attacks", [])
     if not isinstance(doc, list):
         raise ValueError("metadata must be a list of attack entries")
+    try:
+        intervals, ids, patterns, names = map(list, zip(*[(
+            e["injection_interval"], e["injection_id"], e.get("injection_data_str", ""),
+            e["attack_class"]) for e in doc]))
+        seconds = np.array(intervals, dtype=np.float64)
+        plain = (seconds.shape == (len(doc), 2) and set(map(type, names)) == {str}
+                 and set(map(type, chain.from_iterable(intervals))) <= {int, float}
+                 and (np.abs(seconds) < _SECONDS_LIMIT).all()
+                 and all(map(re.compile("[0-9A-Fa-f]{1,8}|[Xx]{3}").fullmatch, ids))
+                 and all(map(re.compile("[0-9A-Fa-fXx]{0,16}").fullmatch, patterns)))
+    except (ValueError, TypeError, KeyError, OverflowError):  # not entries of plain fields
+        plain = False
+    if plain:
+        us = np.rint(seconds * 1e6).astype(np.int64)
+        can_id = np.array([-1 if t.upper() == ID_WILDCARD else int(t, 16) for t in ids])
+        if (us[:, 0] <= us[:, 1]).all() and can_id.max() <= MAX_EXTENDED_ID:
+            return _campaign_table(us, names, can_id, (np.array(list(map(len, ids))) == 8)
+                                   | (can_id > MAX_STANDARD_ID), list(map(str.upper, patterns)))
     campaigns = []
     for k, obj in enumerate(doc):
         try:
             campaigns.append(AttackMetadata.from_json_obj(obj))
         except ValueError as exc:
             raise ValueError(f"metadata entry {k}: {exc}") from None
-    return campaigns
-
-
-_SIDECAR_ENTRY = """\
-  {{
-    "injection_interval": [
-      {},
-      {}
-    ],
-    "injection_id": {},
-    "injection_data_str": {},
-    "attack_class": {}
-  }}"""
+    return _campaigns(campaigns)
 
 
 def save_metadata(metadata: Sequence[AttackMetadata], stream: IO[str]) -> None:
-    """Write campaigns as the text of json.dump(entries, indent=2) + "\\n".
+    """Write campaigns as the text of json.dump(entries, indent=2) + "\\n",
+    each entry a campaign's `to_json_obj()`, by the block encoder in `core`.
 
-    The indented text is written directly: json's indenting encoder is pure
-    Python.  Floats are their repr and json.dumps quotes each string, as
-    that encoder does.  A campaign whose interval would not read back as
-    the same microseconds raises ValueError naming it, before anything is
-    written."""
-    entries = []
-    for k, m in enumerate(metadata):
-        obj = m.to_json_obj()
-        start, end = obj["injection_interval"]
-        if not (abs(start) < _SECONDS_LIMIT and abs(end) < _SECONDS_LIMIT
-                and round(start * 1e6) == m.start_us and round(end * 1e6) == m.end_us):
-            raise ValueError(f"campaign {k}: injection interval [{m.start_us}, {m.end_us}] us "
-                             "does not read back from seconds")
-        entries.append(_SIDECAR_ENTRY.format(
-            float.__repr__(start), float.__repr__(end), json.dumps(obj["injection_id"]),
-            json.dumps(obj["injection_data_str"]), json.dumps(obj["attack_class"])))
-    stream.write("[\n" + ",\n".join(entries) + "\n]\n" if entries else "[]\n")
+    A campaign whose interval would not read back as the same microseconds
+    raises ValueError naming it, before anything is written."""
+    table = _campaigns(metadata)
+    seconds = table.us / 1e6
+    ok = np.abs(seconds) < _SECONDS_LIMIT
+    # Compared as int64: float64 would read 2**53 + 1 us as 2**53.
+    ok &= np.rint(np.where(ok, seconds, 0) * 1e6).astype(np.int64) == table.us
+    for k in np.flatnonzero(~ok.all(axis=1))[:1]:
+        raise ValueError(f"campaign {k}: injection interval [{table.us[k, 0]}, {table.us[k, 1]}] "
+                         "us does not read back from seconds")
+    stream.write("[\n" if len(table) else "[]\n")
+    bounds, codes = _float_cells(seconds)
+    ident = _hex_cells(table.can_id.astype(">u4").view(np.uint8).reshape(-1, 4))
+    ident |= _ID_PAD.take(table.extended.view(np.uint8), axis=0)
+    ident[table.can_id < 0] = np.frombuffer(_PAD_BYTE * 5 + ID_WILDCARD.encode(), dtype=np.uint8)
+    classes = _text_cells([json.dumps(name) for name in table.classes], None)[0]
+    ends = _text_cells([",\n", "\n]\n"], None)[0]  # after each entry, and after the last
+    _write_rows(stream, len(table), lambda lo, hi: [
+        b'  {\n    "injection_interval": [\n      ', (bounds, codes[lo:hi, 0]), b",\n      ",
+        (bounds, codes[lo:hi, 1]), b'\n    ],\n    "injection_id": "', ident[lo:hi],
+        b'",\n    "injection_data_str": "', table.pattern[lo:hi], b'",\n    "attack_class": ',
+        (classes, table.cls[lo:hi]), b"\n  }", (ends, np.arange(lo + 1, hi + 1) // len(table))])
 
 
 def apply_metadata_labels(
@@ -676,46 +723,42 @@ def apply_metadata_labels(
     """Label every frame: the matching campaign's class, or Normal.
 
     A frame matches a campaign when its timestamp falls in the (closed)
-    injection interval, its id matches, and every non-wildcard pattern nibble
-    equals the frame's. Two campaigns claiming one frame with different
-    classes raise LabelAmbiguityError.
+    injection interval, its id matches in value and format (a wildcard in
+    either), and every non-wildcard pattern nibble equals the frame's. Two
+    campaigns claiming one frame with different classes raise LabelAmbiguityError.
 
     Each campaign's interval is a row range of the time-sorted log, found
     by binary search; only the (campaign, row) pairs inside those ranges
     are tested, by comparing masked payload bytes against each campaign's
     fixed nibbles.
     """
-    class_names = list(dict.fromkeys(m.attack_class for m in metadata))
+    table = _campaigns(metadata)
     if label_space is None:
-        label_space = LabelSpace(class_names)
-    campaign_class = np.array([class_names.index(m.attack_class) for m in metadata], dtype=np.int64)
-    span = np.array([(m.start_us, m.end_us) for m in metadata], dtype=np.int64).reshape(-1, 2)
-    lo = np.searchsorted(log.ts_us, span[:, 0], side="left")
-    sizes = np.searchsorted(log.ts_us, span[:, 1], side="right") - lo
+        label_space = LabelSpace(table.classes)
+    lo = np.searchsorted(log.ts_us, table.us[:, 0], side="left")
+    sizes = np.searchsorted(log.ts_us, table.us[:, 1], side="right") - lo
     ends = np.cumsum(sizes)
-    want_id = np.array([-1 if m.can_id is None else m.can_id for m in metadata], dtype=np.int64)
-    byte_mask, byte_value, need = _pattern_bytes([m.pattern for m in metadata])
 
     # The pairs are numbered campaign after campaign; pair p is of campaign k.
     pair = np.arange(sizes.sum())
     k = np.searchsorted(ends, pair, side="right")
     row = lo[k] + pair - (ends[k] - sizes[k])
-    id_ok = (want_id[k] < 0) | (log.can_id[row] == want_id[k])
+    want_id = table.can_id[k]
+    id_ok = (want_id < 0) | (log.can_id[row] == want_id) & (log.extended[row] == table.extended[k])
+    byte_mask, byte_value, need = _pattern_bytes(table.pattern)
     # A fixed nibble past the frame's dlc never matches.
     match = id_ok & (log.dlc[row] >= need[k]) & (
         (log.data[row] & byte_mask[k]) == byte_value[k]).all(axis=1)
-    rows, classes = np.unique(np.column_stack([row[match], campaign_class[k[match]]]), axis=0).T
-    conflict = np.flatnonzero(rows[1:] == rows[:-1])
-    if len(conflict):
-        idx = int(rows[conflict[0]])
-        names = sorted(class_names[c] for c in classes[rows == idx])
-        raise LabelAmbiguityError(
-            f"frame {idx} at {format_timestamp(int(log.ts_us[idx]))} "
-            f"id 0x{int(log.can_id[idx]):03X} matches conflicting classes {names}"
-        )
+    # (row, class) pairs as one key: a 1-D unique is several times faster than one by rows.
+    n_classes = max(len(table.classes), 1)
+    rows, classes = np.divmod(np.unique(row[match] * n_classes + table.cls[k[match]]), n_classes)
+    for idx in rows[1:][rows[1:] == rows[:-1]][:1].tolist():
+        names = sorted(table.classes[c] for c in classes[rows == idx])
+        raise LabelAmbiguityError(f"frame {idx} at {format_timestamp(int(log.ts_us[idx]))} "
+                                  f"id 0x{int(log.can_id[idx]):03X} matches conflicting classes {names}")
     codes = {name: i for i, name in enumerate(label_space.names())}
     label = np.full(len(log), codes[NORMAL_LABEL], dtype=np.int64)
-    label[rows] = np.array([codes.get(name, -1) for name in class_names], dtype=np.int64)[classes]
+    label[rows] = np.array([codes.get(name, -1) for name in table.classes], dtype=np.int64)[classes]
     return TrafficLog._from_columns(**log._columns(), channels=log.channels, label=label,
                                     label_space=label_space)
 

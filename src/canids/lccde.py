@@ -30,7 +30,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .core import _plain, _read_field, _read_fields, _require_fields
+from .core import _class_indices, _plain, _read_field, _read_fields, _require_fields
 from .detectors import (
     Detector,
     GradientBoosting,
@@ -156,9 +156,11 @@ def arbitrate_one(
     """
     if len(labels) != N_BASE_MODELS or len(confidences) != N_BASE_MODELS:
         raise ValueError(f"expected {N_BASE_MODELS} predictions")
-    if not all(0 <= label < len(leaders) for label in labels):
-        raise ValueError(f"labels must be class indices below {len(leaders)}, not {list(labels)}")
-    label, model = _decide(np.array([labels]), np.array([confidences]), leaders, majority_literal)
+    try:
+        labels = _class_indices(labels, len(leaders))
+    except ValueError:
+        raise ValueError(f"labels must be class indices below {len(leaders)}, not {list(labels)}") from None
+    label, model = _decide(labels[None], np.array([confidences]), leaders, majority_literal)
     return int(label[0]), int(model[0])
 
 

@@ -32,6 +32,7 @@ from canids.core import (
     MAX_EXTENDED_ID,
     MAX_STANDARD_ID,
     TrafficLog,
+    _hex_cells,
     _present_fields,
     _read_field,
     _read_fields,
@@ -39,7 +40,7 @@ from canids.core import (
     binary_label_space,
     to_us,
 )
-from canids.ingest import AttackMetadata, _pattern_bytes
+from canids.ingest import _DATA_PAD, AttackMetadata, _Campaigns, _campaigns, _pattern_bytes
 
 FLAM_DELAY_US = 1  # one timestamp quantum: "immediately after" the legitimate frame
 
@@ -376,7 +377,7 @@ def _forged(spec: str, data: np.ndarray, dlc) -> tuple[np.ndarray, np.ndarray]:
     """Apply a checked payload spec to (n, 8) payloads and their lengths:
     fixed nibbles override the data, whose length grows to reach the last
     fixed byte."""
-    mask, value, need = _pattern_bytes([AttackMetadata(0, 0, "", pattern=spec).pattern])
+    mask, value, need = _pattern_bytes(_campaigns([AttackMetadata(0, 0, "", pattern=spec)]).pattern)
     return data & ~mask | value, np.maximum(dlc, need)
 
 
@@ -565,45 +566,31 @@ def run_scenario(ambient: TrafficLog, scenario: AttackScenario) -> TrafficLog:
     return to_masquerade(fabricated, scenario.target_id, scenario.interval)
 
 
-def sidecar_metadata(scenario: AttackScenario, labeled: TrafficLog) -> list[AttackMetadata]:
+def sidecar_metadata(scenario: AttackScenario, labeled: TrafficLog) -> Sequence[AttackMetadata]:
     """Build labeling metadata that reproduces the construction labels.
 
     Most kinds need a single entry (interval + id + payload pattern); the
-    random-content fuzzy attack gets one exact entry per injected frame since
-    no single pattern separates its frames from ambient traffic. The entries
-    are only as discriminative as the scenario is against the ambient model:
-    an ambient frame that matches the attack's id, interval, and pattern
-    would be labeled as attack on replay.
+    random-content fuzzy attack gets one exact entry per injected frame, from
+    the log's columns, since no single pattern separates its frames from
+    ambient traffic. The entries are only as discriminative as the scenario
+    is against the ambient model: an ambient frame that matches the attack's
+    id, interval, and pattern would be labeled as attack on replay.
     """
     start_us, end_us = _interval_us(scenario.interval)
-    cls = scenario.effective_class
-    kind = scenario.kind
-    if kind == "dos":
-        return [AttackMetadata(start_us, end_us, can_id=0x000, pattern="0" * 16, attack_class=cls)]
+    kind, cls, extended = scenario.kind, scenario.effective_class, None
     if kind == "fuzzy":
         rows = np.flatnonzero(labeled.attack_flags())
-        payloads = labeled.data[rows].tobytes().hex().upper()
-        return [
-            AttackMetadata(ts, ts, can_id=can_id, pattern=payloads[16 * k:16 * k + 2 * dlc],
-                           attack_class=cls)
-            for k, (ts, can_id, dlc) in enumerate(zip(
-                labeled.ts_us[rows].tolist(), labeled.can_id[rows].tolist(),
-                labeled.dlc[rows].tolist()))
-        ]
-    if kind == "targeted_spoof":
-        return [
-            AttackMetadata(
-                start_us, end_us, can_id=scenario.target_id,
-                pattern=scenario.payload.hex().upper(), attack_class=cls,
-            )
-        ]
-    if kind == "fuzzing_max_payload":
-        return [AttackMetadata(start_us, end_us, can_id=None, pattern="F" * 16, attack_class=cls)]
-    # fabrication / masquerade: the flam frame sits one quantum past a legit
-    # frame at the interval edge, so the matching window extends by that much
-    return [
-        AttackMetadata(
-            start_us, end_us + FLAM_DELAY_US,
-            can_id=scenario.target_id, pattern=scenario.payload_spec.upper(), attack_class=cls,
-        )
-    ]
+        return _Campaigns(labeled.ts_us[rows].repeat(2).reshape(-1, 2),
+                          np.zeros(len(rows), dtype=np.int64), [cls][:len(rows)],
+                          labeled.can_id[rows].astype(np.int64), labeled.extended[rows],
+                          _hex_cells(labeled.data[rows]) | _DATA_PAD.take(labeled.dlc[rows], axis=0))
+    if kind == "dos":
+        can_id, pattern = 0x000, "0" * 16
+    elif kind == "fuzzing_max_payload":
+        can_id, pattern = None, "F" * 16
+    elif kind == "targeted_spoof":
+        can_id, pattern = scenario.target_id, scenario.payload.hex()
+    else:  # fabrication / masquerade: a flam frame sits one quantum past its legit frame, in its format
+        can_id, pattern, end_us = scenario.target_id, scenario.payload_spec, end_us + FLAM_DELAY_US
+        extended = labeled.extended[labeled.can_id == can_id].any() or None
+    return _campaigns([AttackMetadata(start_us, end_us, cls, can_id, pattern, extended)])

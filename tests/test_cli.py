@@ -91,7 +91,14 @@ class TestIngestAndLabel:
         assert doc["classes"] == ["Normal", "Fuzzing Attack"]
         assert doc["labels"] == [0, 1, 0]
 
-    def test_label_matches_synth_labels(self, workspace):
+    @pytest.mark.parametrize("scenario", [
+        DOS_SCENARIO,
+        {"kind": "fuzzy", "interval": [1.5, 1.7], "seed": 4, "extended_ids": True},
+    ], ids=["dos", "fuzzy-extended"])
+    def test_label_matches_synth_labels(self, workspace, scenario):
+        """`canids label` reproduces the synth labels from the sidecar, whose
+        extended ids are written as 8 hex digits."""
+        write_json("scenario.json", scenario)
         run(["synth", "--ambient", "ambient.json", "--scenario", "scenario.json",
              "--out", "synth"])
         assert run(["label", "--log", "synth/attack.log",
@@ -304,7 +311,8 @@ class TestArtifactDigests:
 
     def test_fuzzy_extended_ids_with_smote(self, workspace):
         # SMOTE raises the 320 attack rows of train to 600, so train.csv
-        # carries interpolated float rows without timestamps.
+        # carries interpolated float rows without timestamps.  The sidecar
+        # writes its extended ids as 8 hex digits (since 0.2.0).
         config = {
             "seed": 8,
             "ambient": AMBIENT,
@@ -324,7 +332,7 @@ class TestArtifactDigests:
             "report.json": "309a0de39f1862fd26b96318a1fd75832ec7d4d9d4d6c1f8b0bd4a6d5b803dab",
             "report.txt": "e81f77e0b66824a8f8cec4ab61733b72f820630ebca6906fe02d09d35997b441",
             "resolved_config.json": "610400d8101705ffe679790f2246bd7753fd2a9d598b4f62e5de7a5f9d280afe",
-            "sidecar.json": "74191c81dff6e54f622e7011e0aa25bf74fcc830b2a3073b1fed168c765a76c6",
+            "sidecar.json": "21455898de52e99dd8f8967625ebc47756bdcdc555614df17288aa80919b9f56",
             "test.csv": "038589189c4e44407dbb1e01cc450a071fd7401c10905e5b8889ba3fcddad127",
             "train.csv": "e32049a1a3d0a2e0f6d2802ab47af50e5c6dc0597612d8cef67972b8f7acf047",
         }

@@ -332,8 +332,10 @@ def documents():
         target_id=ints(0, 127), payload_spec=st.just("XXFF"), period=numbers(0.25, 1.0),
         id_cycle=st.lists(ints(0, 127), min_size=1, max_size=3).map(tuple), seed=ints(0, 127),
         extended_ids=FLAGS)
-    metadata = st.builds(AttackMetadata, ints(0, 60), ints(60, 127), st.just("A"),
-                         st.none() | ints(0, 127), st.just("0X"))
+    metadata = st.one_of(  # a wildcard id has no format
+        st.builds(AttackMetadata, ints(0, 60), ints(60, 127), st.just("A"), st.none(), st.just("0X")),
+        st.builds(AttackMetadata, ints(0, 60), ints(60, 127), st.just("A"), ints(0, 127),
+                  st.just("0X"), st.none() | FLAGS))
     leaders = st.builds(
         lambda leader, lat: LeaderMap(("Normal", "A"), leader, np.eye(2, 3), lat),
         st.tuples(ints(0, 2), ints(0, 2)), st.tuples(*[numbers(0.5, 1.0, 2.0)] * 3))

@@ -194,6 +194,22 @@ class TestConfusionMatrix:
         cm = confusion_matrix(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]), 2)
         assert cm.tolist() == [[1, 1], [0, 2]]
 
+    @pytest.mark.parametrize("y_true, y_pred, message", [
+        ([0.9, 1.2], [0, 1], r"label 0\.9 in row 0 is not a class index \(0\.\.1\)"),
+        ([0, 1], [1, 5], r"label 5 in row 1 is not a class index \(0\.\.1\)"),
+        ([0, -1], [0, 0], r"label -1 in row 1"),
+    ])
+    def test_refuses_labels_that_are_not_class_indices(self, y_true, y_pred, message):
+        """Fractions are not counted as the classes below them, and a label
+        past the classes is named, not a numpy reshape error."""
+        with pytest.raises(ValueError, match=message):
+            confusion_matrix(np.array(y_true), np.array(y_pred), 2)
+
+    def test_compute_metrics_keeps_its_wording(self):
+        with pytest.raises(ValueError, match=r"^label index out of range for the class list: "
+                                             r"label 2 in row 0"):
+            compute_metrics([2], [0], ("Normal", "Attack"))
+
 
 class TestWindowLabels:
     def test_any_attack_rule(self):

@@ -716,12 +716,29 @@ class TestMetadataLabeling:
         assert labeled[0].label.name == "A"
 
 
+def matches(campaign, frame):
+    """Whether a campaign claims a frame, tested field by field: the oracle
+    of apply_metadata_labels."""
+    if not (campaign.start_us <= frame.timestamp_us <= campaign.end_us):
+        return False
+    if campaign.can_id is not None and (frame.can_id, frame.extended) != (campaign.can_id,
+                                                                          campaign.extended):
+        return False
+    nibbles = frame.data.hex().upper()
+    for i, p in enumerate(campaign.pattern):
+        if p == "X":
+            continue
+        if i >= len(nibbles) or nibbles[i] != p:
+            return False
+    return True
+
+
 def reference_labels(log, metadata):
-    """Per-frame labeling with AttackMetadata.matches, the oracle of
-    apply_metadata_labels: class names, or the ambiguity error message."""
+    """Per-frame labeling with `matches`: class names, or the ambiguity
+    error message."""
     names = []
     for idx, f in enumerate(log.can_frames()):
-        hits = {m.attack_class for m in metadata if m.matches(f)}
+        hits = {m.attack_class for m in metadata if matches(m, f)}
         if len(hits) > 1:
             return (f"frame {idx} at {format_timestamp(f.timestamp_us)} id 0x{f.can_id:03X} "
                     f"matches conflicting classes {sorted(hits)}")
@@ -729,26 +746,32 @@ def reference_labels(log, metadata):
     return names
 
 
+# (id, extended) pairs of the oracle's logs: one value in both formats.
+FRAME_IDS = [(0x10, False), (0x11, False), (0x700, False), (0x10, True), (0x1000, True)]
+
+
 @st.composite
 def small_logs(draw):
-    """Few ids, instants and byte values, so that campaigns often match."""
-    frames = [
-        CanFrame(draw(st.integers(0, 30)), "can0", draw(st.sampled_from([0x10, 0x11, 0x700])),
-                 bytes(draw(st.lists(st.sampled_from([0x00, 0x0F, 0xF0, 0xFF]), max_size=8))))
-        for _ in range(draw(st.integers(0, 25)))
-    ]
+    """Few ids, instants and byte values, so that campaigns often match;
+    id 0x10 comes in both formats."""
+    frames = []
+    for _ in range(draw(st.integers(0, 25))):
+        can_id, extended = draw(st.sampled_from(FRAME_IDS))
+        data = bytes(draw(st.lists(st.sampled_from([0x00, 0x0F, 0xF0, 0xFF]), max_size=8)))
+        frames.append(CanFrame(draw(st.integers(0, 30)), "can0", can_id, data, extended))
     return TrafficLog(sorted(frames, key=lambda f: f.timestamp_us))
 
 
 @st.composite
 def campaigns(draw):
-    """Wildcard ids, zero-length intervals, and patterns up to 16 nibbles,
-    often longer than the frames' data."""
+    """Wildcard ids, ids of both formats, zero-length intervals, and
+    patterns up to 16 nibbles, often longer than the frames' data."""
     start = draw(st.integers(-2, 32))
+    can_id, extended = draw(st.sampled_from([(None, None)] + FRAME_IDS + [(0x10, None)]))
     return AttackMetadata(
         start, start + draw(st.sampled_from([0, 0, 1, 5, 40])), draw(st.sampled_from(["A", "B"])),
-        can_id=draw(st.sampled_from([None, 0x10, 0x11, 0x700])),
-        pattern="".join(draw(st.lists(st.sampled_from("0FFX"), max_size=16))),
+        can_id=can_id, pattern="".join(draw(st.lists(st.sampled_from("0FFX"), max_size=16))),
+        extended=extended,
     )
 
 
@@ -770,6 +793,112 @@ class TestMetadataLabelingOracle:
         md = [AttackMetadata(k * 10, k * 10, "A", can_id=0x100 + k % 7, pattern=f"{k % 256:02X}")
               for k in range(0, 3000, 3)]
         assert apply_metadata_labels(log, md).labels() == reference_labels(log, md)
+
+    @pytest.mark.parametrize("can_id, extended, expected", [
+        (0x123, None, ["A", "Normal"]),
+        (0x123, False, ["A", "Normal"]),
+        (0x123, True, ["Normal", "A"]),
+        (None, None, ["A", "A"]),
+    ])
+    def test_id_format_is_matched(self, can_id, extended, expected):
+        """A standard 0x123 and an extended 0x00000123 are different ids,
+        in memory and after a sidecar round trip; the wildcard matches both."""
+        log = TrafficLog([CanFrame(1, "can0", 0x123, b"\0"), CanFrame(2, "can0", 0x123, b"\0", True)])
+        md = [AttackMetadata(0, 5, "A", can_id=can_id, extended=extended)]
+        buf = io.StringIO()
+        save_metadata(md, buf)
+        assert apply_metadata_labels(log, md).labels() == expected
+        assert apply_metadata_labels(log, load_metadata(io.StringIO(buf.getvalue()))).labels() == expected
+
+
+def campaign_rows():
+    """Campaigns of both id formats and the wildcard, patterns of 0-16
+    nibbles, several classes, and intervals that read back from seconds."""
+    ident = (st.just((None, None))
+             | st.tuples(st.integers(0, 0x7FF), st.sampled_from([None, False, True]))
+             | st.tuples(st.integers(0x800, 0x1FFFFFFF), st.sampled_from([None, True])))
+    return st.builds(
+        lambda a, b, cls, ident, pattern: AttackMetadata(min(a, b), max(a, b), cls, ident[0],
+                                                         pattern, ident[1]),
+        st.integers(-(1 << 50), 1 << 50), st.integers(-(1 << 50), 1 << 50),
+        st.sampled_from(["A", "B", "Fuzzy Attack", 'q"uote \u00e9\n']), ident,
+        st.text(alphabet="0123456789ABCDEFabcdefXx", max_size=16))
+
+
+class TestCampaignTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(campaign_rows(), max_size=8))
+    def test_round_trip(self, md):
+        """A table equals its rows; it is written as json.dump writes its
+        row views and read back equal, by the column reader and by the
+        entry reader alike."""
+        table = ingest._campaigns(md)
+        assert table == md and md == table and list(table) == md and len(table) == len(md)
+        assert table[1:] == md[1:] and (not md or table[-1] == md[-1])
+        buf = io.StringIO()
+        save_metadata(table, buf)
+        text = buf.getvalue()
+        assert text == json.dumps([m.to_json_obj() for m in table], indent=2) + "\n"
+        assert load_metadata(io.StringIO(text)) == table
+        assert [AttackMetadata.from_json_obj(e) for e in json.loads(text)] == md
+
+    @pytest.mark.parametrize("text, can_id, extended", [
+        ("0D0", 0x0D0, False), ("7FF", 0x7FF, False), ("800", 0x800, True),
+        ("00000123", 0x123, True), ("1BCDEF01", 0x1BCDEF01, True), ("0123", 0x123, False),
+        ("xXx", None, False),
+    ])
+    def test_id_format_read_from_digits(self, text, can_id, extended):
+        """8 digits are extended; any other length, as written by 0.1.0,
+        takes its format from the value."""
+        doc = [{"injection_interval": [0, 1], "injection_id": text, "attack_class": "A"}]
+        (m,) = load_metadata(io.StringIO(json.dumps(doc)))
+        assert (m.can_id, m.extended) == (can_id, extended)
+        assert m == AttackMetadata.from_json_obj(doc[0])
+
+    def test_extended_ids_written_as_eight_digits(self):
+        md = [AttackMetadata(0, 1, "A", can_id=0x123, extended=True),
+              AttackMetadata(0, 1, "A", can_id=0x123), AttackMetadata(0, 1, "A", can_id=0x800)]
+        buf = io.StringIO()
+        save_metadata(md, buf)
+        assert [e["injection_id"] for e in json.loads(buf.getvalue())] == [
+            "00000123", "123", "00000800"]
+
+    def test_extended_flag_rules(self):
+        assert AttackMetadata(0, 1, "A", can_id=0x7FF).extended is False
+        assert AttackMetadata(0, 1, "A", can_id=0x800).extended is True
+        assert AttackMetadata(0, 1, "A").extended is False
+        assert AttackMetadata(0, 1, "A", can_id=5, extended=np.True_).extended is True
+        with pytest.raises(ValueError, match="cannot be standard"):
+            AttackMetadata(0, 1, "A", can_id=0x800, extended=False)
+        with pytest.raises(ValueError, match="cannot be extended"):
+            AttackMetadata(0, 1, "A", extended=True)
+        with pytest.raises(ValueError, match="extended"):
+            AttackMetadata(0, 1, "A", can_id=5, extended="yes")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.fixed_dictionaries({
+        "injection_interval": st.sampled_from([[0, 1], [0.5, 1], [2, 1], [0, True], ["0", 1], [0],
+                                               [0, 1e300], [0, float("nan")], [0, 10**400], 5]),
+        "injection_id": st.sampled_from(["0D0", "xxx", "00000123", "12G", "\ufb00", "", "-1",
+                                         "123456789", "FFFFFFFF", "X1", 291]),
+        "attack_class": st.sampled_from(["A", "B", None]),
+    }, optional={"injection_data_str": st.sampled_from(["", "0x", "\ufb00", "X" * 17, "00ff", 5])}),
+        max_size=4))
+    def test_column_reader_agrees_with_entry_reader(self, doc):
+        """Whatever the entries hold, load_metadata reads what the entry
+        reader reads, or raises its error naming the entry."""
+        expected = []
+        for k, entry in enumerate(doc):
+            try:
+                expected.append(AttackMetadata.from_json_obj(entry))
+            except (ValueError, OverflowError) as exc:
+                expected = f"metadata entry {k}: {exc}"
+                break
+        try:
+            got = load_metadata(io.StringIO(json.dumps(doc)))
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected
 
 
 class TestMetadataJson:

@@ -178,11 +178,16 @@ class TestArbitrationExhaustive:
                     checked += 1
         assert checked == 27 * 27 * (len(CONFIDENCE_PATTERNS) + 27) * 2
 
+    def test_whole_float_labels_are_class_indices(self):
+        assert arbitrate_one([1.0, 1.0, 2.0], [0.5, 0.6, 0.7], (0, 1, 2)) == \
+            arbitrate_one([1, 1, 2], [0.5, 0.6, 0.7], (0, 1, 2))
+
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
             arbitrate_one([0, 1], [0.5, 0.5], (0, 0, 0))
 
-    @pytest.mark.parametrize("labels", [[3, 3, 3], [0, 3, 3], [-1, 0, 0]])
+    @pytest.mark.parametrize("labels", [[3, 3, 3], [0, 3, 3], [-1, 0, 0], [0.5, 1, 1],
+                                        [1.0, 1.5, 2.0]])
     def test_label_outside_the_leader_map(self, labels):
         """A ValueError, not an IndexError or a class read from the end."""
         with pytest.raises(ValueError, match="class indices below 3"):

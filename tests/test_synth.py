@@ -479,6 +479,21 @@ class TestSidecarEquivalence:
         assert a.frames == b.frames
 
 
+@pytest.mark.parametrize("kind", ["fabrication", "masquerade"])
+def test_sidecar_keeps_the_format_of_an_extended_target(kind):
+    """A flam frame copies its target's format: an extended target whose id
+    fits 11 bits gets an extended sidecar id, which relabels the log."""
+    ambient = generate_ambient(AmbientModel(
+        ids=(AmbientIdSpec(0x0D0, 0.02, extended=True), AmbientIdSpec(0x1A0, 0.03)),
+        duration=2.0, seed=1))
+    scenario = AttackScenario(kind=kind, interval=(0.5, 1.5), target_id=0x0D0, payload_spec="XXFF")
+    labeled = run_scenario(ambient, scenario)
+    (campaign,) = sidecar_metadata(scenario, labeled)
+    assert (campaign.can_id, campaign.extended) == (0x0D0, True)
+    relabeled = apply_metadata_labels(labeled, [campaign], label_space=labeled.label_space)
+    assert relabeled.labels() == labeled.labels() and labeled.attack_flags().sum() == 50
+
+
 def json_paths(node, prefix=()):
     yield prefix
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
