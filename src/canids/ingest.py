@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from itertools import chain, islice
+from itertools import chain, count, islice
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -639,8 +639,8 @@ def _campaign_table(us, names, can_id, extended, patterns) -> _Campaigns:
     classes = list(dict.fromkeys(names))
     cells = "".join(p.ljust(2 * MAX_DLC) for p in patterns).encode().replace(b" ", _PAD_BYTE)
     return _Campaigns(np.asarray(us, dtype=np.int64).reshape(-1, 2),
-                      np.array(list(map(classes.index, names)), dtype=np.int64), classes,
-                      np.asarray(can_id, dtype=np.int64), np.asarray(extended, dtype=bool),
+                      np.array(list(map(dict(zip(classes, count())).get, names)), dtype=np.int64),
+                      classes, np.asarray(can_id, dtype=np.int64), np.asarray(extended, dtype=bool),
                       np.frombuffer(cells, dtype=np.uint8).reshape(-1, 2 * MAX_DLC))
 
 
