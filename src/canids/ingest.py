@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from itertools import chain, count, islice
+from itertools import chain, islice
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -630,54 +630,44 @@ class _Campaigns(Sequence):
                      self.us, self.cls, self.can_id, self.extended)], self.pattern[rows])]
         return views if isinstance(rows, slice) else views[0]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and self[:] == list(other)
+    def __eq__(self, other):
+        return self[:] == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"_Campaigns({self[:]!r})"
 
 
-def _campaign_table(us, names, can_id, extended, patterns) -> _Campaigns:
-    """The table of the columns of campaigns, with class names and checked patterns."""
-    classes = list(dict.fromkeys(names))
+def _pattern_cells(patterns: Iterable[str]) -> np.ndarray:
+    """Checked patterns as uint8 (n, 16) cells: one character per nibble, the pad byte past the end."""
     cells = "".join(p.ljust(2 * MAX_DLC) for p in patterns).encode().replace(b" ", _PAD_BYTE)
-    return _Campaigns(np.asarray(us, dtype=np.int64).reshape(-1, 2),
-                      np.array(list(map(dict(zip(classes, count())).get, names)), dtype=np.int64),
-                      classes, np.asarray(can_id, dtype=np.int64), np.asarray(extended, dtype=bool),
-                      np.frombuffer(cells, dtype=np.uint8).reshape(-1, 2 * MAX_DLC))
+    return np.frombuffer(cells, dtype=np.uint8).reshape(-1, 2 * MAX_DLC)
 
 
 def _campaigns(metadata: Sequence[AttackMetadata]) -> _Campaigns:
     """The table of campaigns: the one place the library reads AttackMetadata objects."""
-    return metadata if isinstance(metadata, _Campaigns) else _campaign_table(*(list(zip(*[(
-        (m.start_us, m.end_us), m.attack_class, -1 if m.can_id is None else m.can_id, m.extended,
-        m.pattern) for m in metadata])) or [()] * 5))
+    if isinstance(metadata, _Campaigns):
+        return metadata
+    classes = list(dict.fromkeys(m.attack_class for m in metadata))
+    code = {name: i for i, name in enumerate(classes)}
+    return _Campaigns(
+        np.array([(m.start_us, m.end_us) for m in metadata], dtype=np.int64).reshape(-1, 2),
+        np.array([code[m.attack_class] for m in metadata], dtype=np.int64),
+        classes,
+        np.array([-1 if m.can_id is None else m.can_id for m in metadata], dtype=np.int64),
+        np.array([m.extended for m in metadata], dtype=bool),
+        _pattern_cells(m.pattern for m in metadata))
 
 
 def load_metadata(stream: IO[str]) -> Sequence[AttackMetadata]:
-    """Read campaigns from a JSON list of entries, or from the "attacks" list
-    of a JSON object, checking whole columns; a document that fails a check is
-    read entry by entry, and a malformed one raises ValueError naming both."""
+    """Read campaigns from a JSON list of entries, or from the "attacks"
+    list of a JSON object, as a read-only sequence of AttackMetadata (a
+    list before 0.2.0).  A malformed document raises ValueError naming
+    the entry and field."""
     doc = json.load(stream)
     if isinstance(doc, dict):
         doc = doc.get("attacks", [])
     if not isinstance(doc, list):
         raise ValueError("metadata must be a list of attack entries")
-    try:
-        intervals, ids, patterns, names = map(list, zip(*[(
-            e["injection_interval"], e["injection_id"], e.get("injection_data_str", ""),
-            e["attack_class"]) for e in doc]))
-        seconds = np.array(intervals, dtype=np.float64)
-        plain = (seconds.shape == (len(doc), 2) and set(map(type, names)) == {str}
-                 and set(map(type, chain.from_iterable(intervals))) <= {int, float}
-                 and (np.abs(seconds) < _SECONDS_LIMIT).all()
-                 and all(map(re.compile("[0-9A-Fa-f]{1,8}|[Xx]{3}").fullmatch, ids))
-                 and all(map(re.compile("[0-9A-Fa-fXx]{0,16}").fullmatch, patterns)))
-    except (ValueError, TypeError, KeyError, OverflowError):  # not entries of plain fields
-        plain = False
-    if plain:
-        us = np.rint(seconds * 1e6).astype(np.int64)
-        can_id = np.array([-1 if t.upper() == ID_WILDCARD else int(t, 16) for t in ids])
-        if (us[:, 0] <= us[:, 1]).all() and can_id.max() <= MAX_EXTENDED_ID:
-            return _campaign_table(us, names, can_id, (np.array(list(map(len, ids))) == 8)
-                                   | (can_id > MAX_STANDARD_ID), list(map(str.upper, patterns)))
     campaigns = []
     for k, obj in enumerate(doc):
         try:
@@ -698,8 +688,10 @@ def save_metadata(metadata: Sequence[AttackMetadata], stream: IO[str]) -> None:
     ok = np.abs(seconds) < _SECONDS_LIMIT
     # Compared as int64: float64 would read 2**53 + 1 us as 2**53.
     ok &= np.rint(np.where(ok, seconds, 0) * 1e6).astype(np.int64) == table.us
-    for k in np.flatnonzero(~ok.all(axis=1))[:1]:
-        raise ValueError(f"campaign {k}: injection interval [{table.us[k, 0]}, {table.us[k, 1]}] "
+    bad = np.flatnonzero(~ok.all(axis=1))
+    if len(bad):
+        start_us, end_us = table.us[bad[0]]
+        raise ValueError(f"campaign {bad[0]}: injection interval [{start_us}, {end_us}] "
                          "us does not read back from seconds")
     stream.write("[\n" if len(table) else "[]\n")
     bounds, codes = _float_cells(seconds)
@@ -752,7 +744,9 @@ def apply_metadata_labels(
     # (row, class) pairs as one key: a 1-D unique is several times faster than one by rows.
     n_classes = max(len(table.classes), 1)
     rows, classes = np.divmod(np.unique(row[match] * n_classes + table.cls[k[match]]), n_classes)
-    for idx in rows[1:][rows[1:] == rows[:-1]][:1].tolist():
+    conflict = np.flatnonzero(rows[1:] == rows[:-1])
+    if len(conflict):
+        idx = int(rows[conflict[0]])
         names = sorted(table.classes[c] for c in classes[rows == idx])
         raise LabelAmbiguityError(f"frame {idx} at {format_timestamp(int(log.ts_us[idx]))} "
                                   f"id 0x{int(log.can_id[idx]):03X} matches conflicting classes {names}")

@@ -40,7 +40,7 @@ from canids.core import (
     binary_label_space,
     to_us,
 )
-from canids.ingest import _DATA_PAD, AttackMetadata, _Campaigns, _campaigns, _pattern_bytes
+from canids.ingest import _DATA_PAD, AttackMetadata, _Campaigns, _campaigns, _pattern_bytes, _pattern_cells
 
 FLAM_DELAY_US = 1  # one timestamp quantum: "immediately after" the legitimate frame
 
@@ -377,7 +377,7 @@ def _forged(spec: str, data: np.ndarray, dlc) -> tuple[np.ndarray, np.ndarray]:
     """Apply a checked payload spec to (n, 8) payloads and their lengths:
     fixed nibbles override the data, whose length grows to reach the last
     fixed byte."""
-    mask, value, need = _pattern_bytes(_campaigns([AttackMetadata(0, 0, "", pattern=spec)]).pattern)
+    mask, value, need = _pattern_bytes(_pattern_cells([AttackMetadata(0, 0, "", pattern=spec).pattern]))
     return data & ~mask | value, np.maximum(dlc, need)
 
 
@@ -567,17 +567,19 @@ def run_scenario(ambient: TrafficLog, scenario: AttackScenario) -> TrafficLog:
 
 
 def sidecar_metadata(scenario: AttackScenario, labeled: TrafficLog) -> Sequence[AttackMetadata]:
-    """Build labeling metadata that reproduces the construction labels.
+    """Build labeling metadata that reproduces the construction labels, as a
+    read-only sequence (a list before 0.2.0).
 
-    Most kinds need a single entry (interval + id + payload pattern); the
-    random-content fuzzy attack gets one exact entry per injected frame, from
-    the log's columns, since no single pattern separates its frames from
-    ambient traffic. The entries are only as discriminative as the scenario
-    is against the ambient model: an ambient frame that matches the attack's
-    id, interval, and pattern would be labeled as attack on replay.
+    Most kinds need one entry (interval + id + payload pattern), fabrication
+    and masquerade one per id format of their target in the interval; fuzzy
+    gets one exact entry per injected frame, from the log's columns, since
+    no single pattern separates its random frames from ambient traffic. The
+    entries are only as discriminative as the scenario is against the
+    ambient model: an ambient frame that matches the attack's id, interval,
+    and pattern would be labeled as attack on replay.
     """
     start_us, end_us = _interval_us(scenario.interval)
-    kind, cls, extended = scenario.kind, scenario.effective_class, None
+    kind, cls = scenario.kind, scenario.effective_class
     if kind == "fuzzy":
         rows = np.flatnonzero(labeled.attack_flags())
         return _Campaigns(labeled.ts_us[rows].repeat(2).reshape(-1, 2),
@@ -592,5 +594,8 @@ def sidecar_metadata(scenario: AttackScenario, labeled: TrafficLog) -> Sequence[
         can_id, pattern = scenario.target_id, scenario.payload.hex()
     else:  # fabrication / masquerade: a flam frame sits one quantum past its legit frame, in its format
         can_id, pattern, end_us = scenario.target_id, scenario.payload_spec, end_us + FLAM_DELAY_US
-        extended = labeled.extended[labeled.can_id == can_id].any() or None
-    return _campaigns([AttackMetadata(start_us, end_us, cls, can_id, pattern, extended)])
+        # The target value may come in both formats: one campaign for each found in the interval.
+        target = (labeled.can_id == can_id) & (labeled.ts_us >= start_us) & (labeled.ts_us <= end_us)
+        return _campaigns([AttackMetadata(start_us, end_us, cls, can_id, pattern, extended)
+                           for extended in np.unique(labeled.extended[target]).tolist() or [None]])
+    return _campaigns([AttackMetadata(start_us, end_us, cls, can_id, pattern)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from canids.core import arbitration_winner, to_us
+from canids.core import CanFrame, TrafficLog, arbitration_winner, to_us
 from canids.ingest import apply_metadata_labels, load_metadata, save_metadata
 from canids.synth import (
     AmbientIdSpec,
@@ -493,6 +493,20 @@ def test_sidecar_keeps_the_format_of_an_extended_target(kind):
     relabeled = apply_metadata_labels(labeled, [campaign], label_space=labeled.label_space)
     assert relabeled.labels() == labeled.labels() and labeled.attack_flags().sum() == 50
 
+
+
+@pytest.mark.parametrize("kind", ["fabrication", "masquerade"])
+def test_sidecar_covers_a_target_in_both_formats(kind):
+    """A log built by hand holds the target value in both formats: the
+    sidecar gets one campaign per format, which together relabel the log."""
+    ambient = TrafficLog(frames=tuple(
+        CanFrame(10_000 * i, "can0", 0x0D0, bytes(2), extended=i % 2 == 1) for i in range(200)))
+    scenario = AttackScenario(kind=kind, interval=(0.5, 1.5), target_id=0x0D0, payload_spec="XXFF")
+    labeled = run_scenario(ambient, scenario)
+    campaigns = sidecar_metadata(scenario, labeled)
+    assert [(m.can_id, m.extended) for m in campaigns] == [(0x0D0, False), (0x0D0, True)]
+    relabeled = apply_metadata_labels(labeled, campaigns, label_space=labeled.label_space)
+    assert relabeled.labels() == labeled.labels() and labeled.attack_flags().sum() == 101
 
 def json_paths(node, prefix=()):
     yield prefix
