@@ -401,8 +401,6 @@ def _resolve_config(raw: dict[str, Any], seed_override: int | None) -> dict[str,
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    if not args.config:
-        raise ConfigError("pipeline requires --config FILE")
     raw = _read_json(args.config)
     if not isinstance(raw, dict):
         raise ConfigError("pipeline config must be a JSON object")
@@ -492,10 +490,10 @@ def _seed(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed, default=None, help="global random seed")
     common.add_argument("--out", default=None, help="output file or directory")
     common.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    common.add_argument("--config", default=None, help="JSON configuration file")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])  # verbs that read a seed
+    seeded.add_argument("--seed", type=_seed, default=None, help="global random seed")
 
     parser = argparse.ArgumentParser(
         prog=PROG, description="CAN traffic intrusion-detection workbench"
@@ -519,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="attack scenario JSON")
     p.set_defaults(func=cmd_synth, default_out="synth")
 
-    p = sub.add_parser("prep", parents=[common], help="vectorize, split, and rebalance")
+    p = sub.add_parser("prep", parents=[seeded], help="vectorize, split, and rebalance")
     p.add_argument("--log", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--ratio", type=float, default=0.8)
@@ -532,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_count(p, "--sequence-window", None, low=0)
     p.set_defaults(func=cmd_prep, default_out="prep")
 
-    p = sub.add_parser("train", parents=[common], help="fit a detector")
+    p = sub.add_parser("train", parents=[seeded], help="fit a detector")
     p.add_argument("--train", default=None, help="training CSV")
     p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--params", default=None, help="hyperparameters as inline JSON")
@@ -540,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambient", default=None, help="ambient log (frequency model)")
     p.set_defaults(func=cmd_train, default_out="model.json")
 
-    p = sub.add_parser("eval", parents=[common], help="score a model and emit a report")
+    p = sub.add_parser("eval", parents=[seeded], help="score a model and emit a report")
     p.add_argument("--model", required=True)
     p.add_argument("--test", default=None, help="test CSV (tabular models)")
     p.add_argument("--log", default=None, help="labeled log (frequency models)")
@@ -551,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--print-table", action="store_true")
     p.set_defaults(func=cmd_eval, default_out="report.json")
 
-    p = sub.add_parser("pipeline", parents=[common], help="run every stage from one config")
+    p = sub.add_parser("pipeline", parents=[seeded], help="run every stage from one config")
+    p.add_argument("--config", required=True, help="JSON configuration file")
     p.set_defaults(func=cmd_pipeline, default_out="run")
 
     return parser

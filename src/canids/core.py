@@ -35,6 +35,11 @@ def to_us(seconds: float) -> int:
     return round(seconds * US_PER_SECOND)
 
 
+# The microseconds past int64: a seconds value is held below them by its product
+# with US_PER_SECOND, compared in float (round(inf) raises OverflowError).
+_INT64_US = float(1 << 63)
+
+
 def to_seconds(us: int) -> float:
     return us / US_PER_SECOND
 
@@ -365,18 +370,27 @@ def _require_fields(doc: Any, fields: Iterable[str], what: str) -> None:
 _KINDS = {"integer": "an integer", "number": "a number", "flag": "true or false",
           "text": "a string", "object": "an object", "list": "a list",
           "id": "a CAN id (an integer or 1 to 8 hex digits, in 29 bits)",
-          "seed": "an integer from 0"}
-_PLAIN = {"integer": int, "number": float, "flag": bool, "text": str, "object": dict,
+          "seed": "an integer from 0", "hex": "hex text",
+          "pattern": f"a pattern of up to {2 * MAX_DLC} nibbles of hex or X"}
+_PLAIN = {"integer": int, "number": float, "flag": bool, "text": str, "object": dict, "hex": bytes,
           "integer or null": int, "number or null": float, "text or null": str}
 _HEX_ID = re.compile(r"[0-9A-Fa-f]{1,8}")
+_PATTERN = re.compile(rf"[0-9A-FX]{{0,{2 * MAX_DLC}}}")
 # Range kinds: a value of the base kind that passes the test, returned as the
-# base kind returns it.  Each but "seed", an integer from 0, is named for its values.
+# base kind returns it.  Each but "seed", an integer from 0, is named for its
+# values; "us" ones are seconds, held in microseconds as to_us rounds them.
 _RANGES = {"seed": ("integer", lambda v: v >= 0),
            "integer from 1": ("integer", lambda v: v >= 1),
            "number in (0, 1]": ("number", lambda v: 0 < v <= 1),
            "number in (0, 1)": ("number", lambda v: 0 < v < 1),
            "number in (0, inf)": ("number", lambda v: 0 < v < math.inf),
-           "number in [0, inf)": ("number", lambda v: 0 <= v < math.inf)}
+           "number in [0, inf)": ("number", lambda v: 0 <= v < math.inf),
+           "number within int64 us": ("number", lambda v: abs(v * US_PER_SECOND) < _INT64_US),
+           "number in (0, int64 us)": ("number", lambda v: 0 < v * US_PER_SECOND < _INT64_US),
+           "number rounding to [1 us, int64 us)": (
+               "number", lambda v: 0.5 < v * US_PER_SECOND < _INT64_US),
+           "text other than Normal": ("text", lambda v: v != NORMAL_LABEL),
+           "hex of up to 8 bytes": ("hex", lambda v: len(v) <= MAX_DLC)}
 _KINDS.update((kind, f"{_KINDS[base]}{kind.removeprefix(base)}")
               for kind, (base, _) in _RANGES.items() if kind != "seed")
 
@@ -401,6 +415,10 @@ def _plain(value: Any, kind: str) -> Any:
     elif isinstance(value, (bool, np.bool_)):
         if kind == "flag":
             return bool(value)
+    elif kind == "hex" and isinstance(value, str):
+        return bytes.fromhex(value)
+    elif kind == "pattern" and isinstance(value, str) and _PATTERN.fullmatch(value.upper()):
+        return value.upper()
     elif kind in ("text", "object"):
         if isinstance(value, _PLAIN[kind]):
             return _PLAIN[kind](value)
@@ -419,7 +437,9 @@ def _read_field(what: str, name: str, value: Any, kind: str | Callable[[Any], An
     """`value`, field `name` of the document `what`, as a plain value of `kind`.
 
     The kinds are "integer", "number", "flag", "text", "object" (a dict),
-    "id" (a CAN id: an integer or hex text), the range kinds of _RANGES,
+    "id" (a CAN id: an integer or hex text), "hex" (bytes, or hex text read
+    as bytes), "pattern" (a payload pattern: up to 16 nibbles of hex or X,
+    returned upper-case), the range kinds of _RANGES,
     "<kind> or null" and "list of <kind>" (a tuple).  A bool is never a
     number, nor is a string, nor an int beyond float64, nor NaN in a range;
     a numpy scalar comes back as the Python int, float or bool, and an int
@@ -441,6 +461,21 @@ def _read_fields(obj: Any, what: str, **kinds: str) -> None:
         value = getattr(obj, name)
         if type(value) is not _PLAIN.get(kind):  # a plain value is stored as it is
             object.__setattr__(obj, name, _read_field(what, name, value, kind))
+
+
+def _id_format(what: str, can_id: int | None, extended: bool | None) -> bool:
+    """Whether a CAN id (None: any id) is extended: `extended`, or, where it
+    is None, the id's value (past 11 bits: extended).  An id past 11 bits is
+    never standard, nor is any id extended: either raises ValueError naming
+    the field 'extended'."""
+    past = can_id is not None and can_id > MAX_STANDARD_ID
+    if extended is None or extended == past:
+        return past
+    if can_id is None or past:
+        ident = "any id" if can_id is None else f"id 0x{can_id:X}"
+        raise ValueError(f"{what} field 'extended': {ident} cannot be "
+                         f"{'standard' if past else 'extended'}")
+    return extended
 
 
 def _present_fields(doc: dict, what: str, **kinds: str | Callable[[Any], Any]) -> dict[str, Any]:

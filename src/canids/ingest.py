@@ -35,10 +35,12 @@ from canids.core import (
     MAX_EXTENDED_ID,
     MAX_STANDARD_ID,
     NORMAL_LABEL,
+    US_PER_SECOND,
     CanFrame,
     LabelSpace,
     TrafficLog,
     _BLOCK_ROWS,
+    _INT64_US,
     _PAD,
     _PAD_BYTE,
     _csv_rows,
@@ -46,6 +48,7 @@ from canids.core import (
     _decimal_table,
     _float_cells,
     _hex_cells,
+    _id_format,
     _int_cell,
     _text_cells,
     _read_field,
@@ -543,10 +546,6 @@ def _pattern_bytes(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return mask, nibble[..., 0] << 4 | nibble[..., 1], need
 
 
-# Sidecar intervals are seconds, read back as round(seconds * 1e6) us.
-_SECONDS_LIMIT = (1 << 63) / 1e6
-
-
 @dataclass(frozen=True)
 class AttackMetadata:
     """One injection campaign: when it ran, which id it used, what it wrote.
@@ -564,22 +563,14 @@ class AttackMetadata:
     extended: bool | None = None
 
     def __post_init__(self):
-        _read_fields(self, "attack metadata", start_us="integer", end_us="integer", attack_class="text",
-                     can_id="integer or null", pattern="text", extended="flag or null")
+        _read_fields(self, "attack metadata", start_us="integer", end_us="integer",
+                     attack_class="text other than Normal", can_id="integer or null",
+                     pattern="pattern", extended="flag or null")
         if not -(1 << 63) <= self.start_us <= self.end_us < 1 << 63:
             raise ValueError("injection interval must run forward within 64-bit microseconds")
         if self.can_id is not None and not 0 <= self.can_id <= MAX_EXTENDED_ID:
             raise ValueError(f"injection id {self.can_id!r} is outside the 29-bit space")
-        past = self.can_id is not None and self.can_id > MAX_STANDARD_ID
-        if self.extended not in (None, past) and (self.can_id is None or past):
-            raise ValueError(f"injection id {self.can_id!r} cannot be {'standard' if past else 'extended'}")
-        object.__setattr__(self, "extended", past if self.extended is None else self.extended)
-        pat = self.pattern.upper()
-        object.__setattr__(self, "pattern", pat)
-        if len(pat) > 2 * MAX_DLC:
-            raise ValueError(f"pattern {pat!r} longer than 16 nibbles")
-        if any(c not in "0123456789ABCDEF" + NIBBLE_WILDCARD for c in pat):
-            raise ValueError(f"pattern {pat!r} has characters outside hex + {NIBBLE_WILDCARD!r}")
+        object.__setattr__(self, "extended", _id_format("attack metadata", self.can_id, self.extended))
 
     def to_json_obj(self) -> dict:
         return {
@@ -596,8 +587,9 @@ class AttackMetadata:
         malformed entry raises ValueError naming the field."""
         _require_fields(obj, ("injection_interval", "injection_id", "attack_class"), "entry")
         # Fields are named alone: load_metadata names the entry.
-        interval = _read_field("", "injection_interval", obj["injection_interval"], "list of number")
-        if len(interval) != 2 or not all(abs(t) < _SECONDS_LIMIT for t in interval):
+        interval = _read_field("", "injection_interval", obj["injection_interval"],
+                               "list of number within int64 us")
+        if len(interval) != 2:
             raise ValueError(f"injection_interval {obj['injection_interval']!r} is not [start, end] "
                              "in seconds")
         can_id = _read_field("", "injection_id", obj["injection_id"], "text")
@@ -605,8 +597,8 @@ class AttackMetadata:
             start_us=round(interval[0] * 1e6),
             end_us=round(interval[1] * 1e6),
             can_id=None if can_id.upper() == ID_WILDCARD else _read_field("", "injection_id", can_id, "id"),
-            pattern=_read_field("", "injection_data_str", obj.get("injection_data_str", ""), "text"),
-            attack_class=_read_field("", "attack_class", obj["attack_class"], "text"),
+            pattern=_read_field("", "injection_data_str", obj.get("injection_data_str", ""), "pattern"),
+            attack_class=_read_field("", "attack_class", obj["attack_class"], "text other than Normal"),
             extended=len(can_id) == 8 or None,
         )
 
@@ -685,7 +677,7 @@ def save_metadata(metadata: Sequence[AttackMetadata], stream: IO[str]) -> None:
     raises ValueError naming it, before anything is written."""
     table = _campaigns(metadata)
     seconds = table.us / 1e6
-    ok = np.abs(seconds) < _SECONDS_LIMIT
+    ok = np.abs(seconds * US_PER_SECOND) < _INT64_US
     # Compared as int64: float64 would read 2**53 + 1 us as 2**53.
     ok &= np.rint(np.where(ok, seconds, 0) * 1e6).astype(np.int64) == table.us
     bad = np.flatnonzero(~ok.all(axis=1))

@@ -3,9 +3,11 @@
 The injectors reproduce six attack mechanics over an ambient log: bus-flood
 DoS, random-id fuzzing, targeted spoofing, max-payload fuzzing with cycling
 ids, fabrication (one forged frame flammed right after each legitimate target
-frame), and the masquerade post-process that deletes the legitimate frame of
-each flam pair. Every injector returns a fully labeled, time-sorted log and
-is deterministic under a fixed seed.
+frame), and masquerade, a fabrication that then deletes the legitimate frame
+of each flam pair. Every injector reads one `AttackScenario`, the only
+description of a campaign, whose fields are checked when it is read; it
+returns a fully labeled, time-sorted log and is deterministic under the
+scenario's seed.  `run_scenario` finds the injector in one table by kind.
 
 Generators and injectors build `TrafficLog` columns, never frame objects:
 the ambient ids' columns, or the ambient and injected columns, are
@@ -21,7 +23,6 @@ instead of stepping frame by frame.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
@@ -33,6 +34,7 @@ from canids.core import (
     MAX_STANDARD_ID,
     TrafficLog,
     _hex_cells,
+    _id_format,
     _present_fields,
     _read_field,
     _read_fields,
@@ -54,6 +56,11 @@ SPOOF_CLASS = "Spoofing Attack"
 MAX_PAYLOAD_FUZZ_CLASS = "Fuzzing Attack"
 FABRICATION_CLASS = "Fabrication Attack"
 MASQUERADE_CLASS = "Masquerade Attack"
+
+# What the DoS and max-payload injectors write, and their sidecar entries match.
+DOS_ID = 0x000
+DOS_DATA = bytes(MAX_DLC)
+MAX_PAYLOAD_FUZZ_DATA = b"\xff" * MAX_DLC
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +153,8 @@ class PayloadModel:
         return cls(**_present_fields(obj, "payload", base=bytes.fromhex, **_PAYLOAD_FIELDS))
 
 
-_ID_FIELDS = dict(period="number in (0, inf)", jitter_std="number in [0, inf)", extended="flag")
+_ID_FIELDS = dict(period="number rounding to [1 us, int64 us)", jitter_std="number in [0, inf)",
+                  extended="flag or null")
 
 
 @dataclass(frozen=True)
@@ -155,13 +163,14 @@ class AmbientIdSpec:
     period: float
     jitter_std: float = 0.0
     payload: PayloadModel = field(default_factory=PayloadModel)
-    extended: bool = False
+    extended: bool | None = None  # None: from the id (past 11 bits: extended)
 
     def __post_init__(self):
         _read_fields(self, "ambient id", can_id="id", **_ID_FIELDS)
+        object.__setattr__(self, "extended", _id_format("ambient id", self.can_id, self.extended))
 
 
-_AMBIENT_FIELDS = dict(duration="number in (0, inf)", seed="seed", channel="text")
+_AMBIENT_FIELDS = dict(duration="number in (0, int64 us)", seed="seed", channel="text")
 
 
 @dataclass(frozen=True)
@@ -230,9 +239,10 @@ def generate_ambient(model: AmbientModel) -> TrafficLog:
         count = (duration_us - 1 - phase_us) // period_us + 1
         times = phase_us + period_us * np.arange(count, dtype=np.int64)
         if spec.jitter_std > 0:
-            times = times + np.rint(rng.normal(0.0, spec.jitter_std * 1e6, count)).astype(np.int64)
-            times = np.sort(times)
-            times = times[(times >= 0) & (times < duration_us)]
+            # Kept in [0, duration) as float64, before the cast: a huge jitter
+            # leaves int64, or is NaN.  Below 2**53 us the sums are exact.
+            times = times + np.rint(rng.normal(0.0, spec.jitter_std * 1e6, count))
+            times = np.sort(times[(times >= 0) & (times < duration_us)].astype(np.int64))
         payloads = spec.payload.sequence(rng, len(times))
         parts.append(_frame_columns(times, spec.can_id, spec.extended, payloads))
     return _merged(parts, channels=(model.channel,))
@@ -254,20 +264,16 @@ def _frame_columns(ts_us, can_id, extended, payload, channel=0) -> dict[str, np.
 # ---------------------------------------------------------------------------
 # Injection machinery
 
-def _interval_us(interval: Sequence[float]) -> tuple[int, int]:
-    start_us, end_us = to_us(interval[0]), to_us(interval[1])
-    if start_us > end_us:
-        raise ValueError("injection interval start exceeds end")
-    return start_us, end_us
+def _interval_us(scenario: AttackScenario) -> tuple[int, int]:
+    return to_us(scenario.interval[0]), to_us(scenario.interval[1])
 
 
-def _schedule_us(start_us: int, end_us: int, period: float) -> np.ndarray:
-    """Periodic injection times in [start, end); an empty interval injects nothing."""
-    period_us = to_us(period)
-    if period_us <= 0:
-        raise ValueError("injection period must be positive")
+def _schedule_us(scenario: AttackScenario) -> np.ndarray:
+    """Periodic injection times in the scenario's [start, end); an empty interval injects nothing."""
+    start_us, end_us = _interval_us(scenario)
     if end_us <= start_us:
         return np.empty(0, dtype=np.int64)
+    period_us = to_us(scenario.effective_period)
     count = (end_us - 1 - start_us) // period_us + 1
     return start_us + period_us * np.arange(count, dtype=np.int64)
 
@@ -298,132 +304,93 @@ def _injected_channel(ambient: TrafficLog) -> int:
     return int(ambient.channel[0]) if len(ambient) else 0
 
 
-def inject_dos(
-    ambient: TrafficLog,
-    interval: Sequence[float],
-    period: float = DOS_PERIOD_S,
-    attack_class: str = DOS_CLASS,
-) -> TrafficLog:
+def inject_dos(ambient: TrafficLog, scenario: AttackScenario) -> TrafficLog:
     """Flood the bus with the all-dominant id 0x000 and a zero payload.
 
-    Injections are spaced `period` apart (0.3 ms by default) inside the
-    interval; every injected frame wins arbitration against any ambient frame
-    with a nonzero id.
+    Injections are spaced the scenario's period apart (0.3 ms by default)
+    inside the interval; every injected frame wins arbitration against any
+    ambient frame with a nonzero id.
     """
-    start_us, end_us = _interval_us(interval)
-    injected = _frame_columns(_schedule_us(start_us, end_us, period), 0x000, False,
-                              b"\x00" * 8, _injected_channel(ambient))
-    return _merge_labeled(ambient, injected, attack_class)
+    injected = _frame_columns(_schedule_us(scenario), DOS_ID, False, DOS_DATA,
+                              _injected_channel(ambient))
+    return _merge_labeled(ambient, injected, scenario.effective_class)
 
 
-def inject_fuzzy(
-    ambient: TrafficLog,
-    interval: Sequence[float],
-    period: float = FUZZY_PERIOD_S,
-    seed: int = 0,
-    extended_ids: bool = False,
-    attack_class: str = FUZZY_CLASS,
-) -> TrafficLog:
+def inject_fuzzy(ambient: TrafficLog, scenario: AttackScenario) -> TrafficLog:
     """Inject frames with uniformly random ids and 8 random data bytes.
 
-    Ids are drawn from the 11-bit space by default; pass extended_ids=True
-    for the full 29-bit space.
+    Ids are drawn from the 11-bit space by default, and from the full 29-bit
+    space when the scenario sets extended_ids; the draws follow its seed.
     """
-    start_us, end_us = _interval_us(interval)
-    times = _schedule_us(start_us, end_us, period)
-    rng = np.random.default_rng([seed, 0xF022])
-    id_limit = MAX_EXTENDED_ID if extended_ids else MAX_STANDARD_ID
+    times = _schedule_us(scenario)
+    rng = np.random.default_rng([scenario.seed, 0xF022])
+    id_limit = MAX_EXTENDED_ID if scenario.extended_ids else MAX_STANDARD_ID
     ids = rng.integers(0, id_limit + 1, size=len(times))
     payloads = rng.integers(0, 256, size=(len(times), 8), dtype=np.uint8)
-    injected = _frame_columns(times, ids, extended_ids, payloads, _injected_channel(ambient))
-    return _merge_labeled(ambient, injected, attack_class)
+    injected = _frame_columns(times, ids, scenario.extended_ids, payloads, _injected_channel(ambient))
+    return _merge_labeled(ambient, injected, scenario.effective_class)
 
 
-def inject_targeted_spoof(
-    ambient: TrafficLog,
-    target_id: int,
-    payload: bytes,
-    interval: Sequence[float],
-    period: float = SPOOF_PERIOD_S,
-    attack_class: str = SPOOF_CLASS,
-) -> TrafficLog:
-    """Inject a fixed spoofed id/payload pair periodically (1 ms by default)."""
-    start_us, end_us = _interval_us(interval)
-    injected = _frame_columns(_schedule_us(start_us, end_us, period), target_id,
-                              target_id > MAX_STANDARD_ID, bytes(payload),
+def inject_targeted_spoof(ambient: TrafficLog, scenario: AttackScenario) -> TrafficLog:
+    """Inject the scenario's fixed target id/payload pair periodically (1 ms by default)."""
+    target_id = scenario.target_id
+    injected = _frame_columns(_schedule_us(scenario), target_id, target_id > MAX_STANDARD_ID,
+                              scenario.payload, _injected_channel(ambient))
+    return _merge_labeled(ambient, injected, scenario.effective_class)
+
+
+def inject_fuzzing_max_payload(ambient: TrafficLog, scenario: AttackScenario) -> TrafficLog:
+    """Cycle through the scenario's id_cycle in order, each frame carrying 8 bytes of 0xFF."""
+    times = _schedule_us(scenario)
+    cycle = np.asarray(scenario.id_cycle, dtype=np.int64)
+    ids = cycle[np.arange(len(times)) % len(cycle)]
+    injected = _frame_columns(times, ids, ids > MAX_STANDARD_ID, MAX_PAYLOAD_FUZZ_DATA,
                               _injected_channel(ambient))
-    return _merge_labeled(ambient, injected, attack_class)
-
-
-def inject_fuzzing_max_payload(
-    ambient: TrafficLog,
-    interval: Sequence[float],
-    id_cycle: Sequence[int],
-    period: float,
-    attack_class: str = MAX_PAYLOAD_FUZZ_CLASS,
-) -> TrafficLog:
-    """Cycle through `id_cycle` in order, each frame carrying 8 bytes of 0xFF."""
-    if not id_cycle:
-        raise ValueError("id_cycle must be nonempty")
-    start_us, end_us = _interval_us(interval)
-    times = _schedule_us(start_us, end_us, period)
-    ids = np.asarray(id_cycle, dtype=np.int64)[np.arange(len(times)) % len(id_cycle)]
-    injected = _frame_columns(times, ids, ids > MAX_STANDARD_ID, b"\xff" * 8,
-                              _injected_channel(ambient))
-    return _merge_labeled(ambient, injected, attack_class)
+    return _merge_labeled(ambient, injected, scenario.effective_class)
 
 
 def _forged(spec: str, data: np.ndarray, dlc) -> tuple[np.ndarray, np.ndarray]:
     """Apply a checked payload spec to (n, 8) payloads and their lengths:
     fixed nibbles override the data, whose length grows to reach the last
     fixed byte."""
-    mask, value, need = _pattern_bytes(_pattern_cells([AttackMetadata(0, 0, "", pattern=spec).pattern]))
+    mask, value, need = _pattern_bytes(_pattern_cells([spec]))
     return data & ~mask | value, np.maximum(dlc, need)
 
 
 def apply_payload_spec(spec: str, legit: bytes) -> bytes:
     """Build a forged payload: 'X' nibbles copy the legitimate frame, hex nibbles override."""
-    data, dlc = _forged(spec, np.frombuffer(legit.ljust(MAX_DLC, b"\0"), np.uint8), len(legit))
+    data, dlc = _forged(_read_field("", "spec", spec, "pattern"),
+                        np.frombuffer(legit.ljust(MAX_DLC, b"\0"), np.uint8), len(legit))
     return data[0, :dlc[0]].tobytes()
 
 
-def inject_fabrication(
-    ambient: TrafficLog,
-    target_id: int,
-    payload_spec: str,
-    interval: Sequence[float],
-    attack_class: str = FABRICATION_CLASS,
-) -> TrafficLog:
+def inject_fabrication(ambient: TrafficLog, scenario: AttackScenario) -> TrafficLog:
     """Flam delivery: one forged frame right after each legitimate target frame.
 
     The forged frame reuses the legitimate frame's payload except at the
-    nibbles fixed by payload_spec, and sits one timestamp quantum later, so
-    only the target signal changes and only a single frame is added per
-    legitimate message.
+    nibbles fixed by the scenario's payload_spec, and sits one timestamp
+    quantum later, so only the target signal changes and only a single
+    frame is added per legitimate message.
     """
-    start_us, end_us = _interval_us(interval)
-    rows = np.flatnonzero((ambient.can_id == target_id) & (ambient.ts_us >= start_us)
+    start_us, end_us = _interval_us(scenario)
+    rows = np.flatnonzero((ambient.can_id == scenario.target_id) & (ambient.ts_us >= start_us)
                           & (ambient.ts_us <= end_us))
     injected = ambient._columns(rows)
-    data, dlc = _forged(payload_spec, injected["data"], injected["dlc"])
+    data, dlc = _forged(scenario.payload_spec, injected["data"], injected["dlc"])
     injected.update(ts_us=injected["ts_us"] + FLAM_DELAY_US, data=data, dlc=dlc)
-    return _merge_labeled(ambient, injected, attack_class)
+    return _merge_labeled(ambient, injected, scenario.effective_class)
 
 
-def to_masquerade(
-    fabricated: TrafficLog,
-    target_id: int,
-    interval: Sequence[float],
-) -> TrafficLog:
-    """Masquerade post-process: drop each legitimate target frame that a flam follows.
+def inject_masquerade(ambient: TrafficLog, scenario: AttackScenario) -> TrafficLog:
+    """Masquerade: fabrication, then each legitimate target frame that a flam follows is dropped.
 
-    Input must come from inject_fabrication with the same target/interval.
     The injected frames stay (still attack-labeled) and keep their flam
     timestamps, so the target id's rate and timing match the ambient capture
     to within the flam delay.
     """
-    start_us, end_us = _interval_us(interval)
-    target = np.flatnonzero(fabricated.can_id == target_id)
+    fabricated = inject_fabrication(ambient, scenario)
+    start_us, end_us = _interval_us(scenario)
+    target = np.flatnonzero(fabricated.can_id == scenario.target_id)
     attack = fabricated.attack_flags()[target]
     ts = fabricated.ts_us[target]
     flam = attack[1:] & ~attack[:-1] & (ts[1:] >= start_us) & (ts[1:] <= end_us + FLAM_DELAY_US)
@@ -436,24 +403,25 @@ def to_masquerade(
 # ---------------------------------------------------------------------------
 # Scenario files and sidecar metadata
 
-SCENARIO_KINDS = ("dos", "fuzzy", "targeted_spoof", "fuzzing_max_payload", "fabrication", "masquerade")
-
-_DEFAULT_CLASS = {
-    "dos": DOS_CLASS,
-    "fuzzy": FUZZY_CLASS,
-    "targeted_spoof": SPOOF_CLASS,
-    "fuzzing_max_payload": MAX_PAYLOAD_FUZZ_CLASS,
-    "fabrication": FABRICATION_CLASS,
-    "masquerade": MASQUERADE_CLASS,
+# Each scenario kind: its injector, default class, and default period (None:
+# the kind takes no period, or fuzzing_max_payload's, which the scenario gives).
+_KIND_TABLE = {
+    "dos": (inject_dos, DOS_CLASS, DOS_PERIOD_S),
+    "fuzzy": (inject_fuzzy, FUZZY_CLASS, FUZZY_PERIOD_S),
+    "targeted_spoof": (inject_targeted_spoof, SPOOF_CLASS, SPOOF_PERIOD_S),
+    "fuzzing_max_payload": (inject_fuzzing_max_payload, MAX_PAYLOAD_FUZZ_CLASS, None),
+    "fabrication": (inject_fabrication, FABRICATION_CLASS, None),
+    "masquerade": (inject_masquerade, MASQUERADE_CLASS, None),
 }
+SCENARIO_KINDS = tuple(_KIND_TABLE)
 
-_DEFAULT_PERIOD = {"dos": DOS_PERIOD_S, "fuzzy": FUZZY_PERIOD_S, "targeted_spoof": SPOOF_PERIOD_S}
 
-
+# Each field is read by its rule here, so a scenario that reads can run.
 _SCENARIO_FIELDS = dict(
-    kind="text", interval="list of number", target_id="id or null", payload_spec="text or null",
-    period="number in (0, inf) or null", id_cycle="list of id", seed="seed", extended_ids="flag",
-    attack_class="text or null")
+    kind="text", interval="list of number within int64 us", target_id="id or null",
+    payload="hex of up to 8 bytes or null", payload_spec="pattern or null",
+    period="number rounding to [1 us, int64 us) or null", id_cycle="list of id", seed="seed",
+    extended_ids="flag", attack_class="text other than Normal or null")
 
 
 @dataclass(frozen=True)
@@ -475,8 +443,8 @@ class AttackScenario:
         _read_fields(self, "scenario", **_SCENARIO_FIELDS)
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if len(self.interval) != 2 or not -math.inf < self.interval[0] <= self.interval[1] < math.inf:
-            raise ValueError(f"scenario interval {self.interval!r} is not a finite [start, end]")
+        if len(self.interval) != 2 or self.interval[0] > self.interval[1]:
+            raise ValueError(f"scenario interval {self.interval!r} is not [start, end]")
         if self.kind in ("targeted_spoof", "fabrication", "masquerade") and self.target_id is None:
             raise ValueError(f"scenario kind {self.kind!r} requires target_id")
         if self.kind == "targeted_spoof" and self.payload is None:
@@ -488,11 +456,11 @@ class AttackScenario:
 
     @property
     def effective_period(self) -> float | None:
-        return self.period if self.period is not None else _DEFAULT_PERIOD.get(self.kind)
+        return self.period if self.period is not None else _KIND_TABLE[self.kind][2]
 
     @property
     def effective_class(self) -> str:
-        return self.attack_class or _DEFAULT_CLASS[self.kind]
+        return self.attack_class or _KIND_TABLE[self.kind][1]
 
     def to_json_obj(self) -> dict:
         obj: dict = {"kind": self.kind, "interval": list(self.interval), "seed": self.seed}
@@ -517,7 +485,7 @@ class AttackScenario:
         """The scenario a JSON object describes; a malformed one raises
         ValueError naming the field."""
         _require_fields(obj, ("kind", "interval"), "scenario")
-        return cls(**_present_fields(obj, "scenario", payload=bytes.fromhex, **_SCENARIO_FIELDS))
+        return cls(**_present_fields(obj, "scenario", **_SCENARIO_FIELDS))
 
 
 def load_scenario(stream: IO[str]) -> AttackScenario:
@@ -531,39 +499,11 @@ def save_scenario(scenario: AttackScenario, stream: IO[str]) -> None:
 
 def run_scenario(ambient: TrafficLog, scenario: AttackScenario) -> TrafficLog:
     """Apply a scenario to ambient traffic, returning the labeled log."""
-    if len(ambient):
-        start_us, _ = _interval_us(scenario.interval)
-        if start_us < ambient.ts_us[0] or start_us > ambient.ts_us[-1]:
-            raise ValueError(
-                f"scenario interval starts at {scenario.interval[0]}s, outside the ambient span"
-            )
-    kind = scenario.kind
-    cls = scenario.effective_class
-    if kind == "dos":
-        return inject_dos(ambient, scenario.interval, scenario.effective_period, attack_class=cls)
-    if kind == "fuzzy":
-        return inject_fuzzy(
-            ambient, scenario.interval, scenario.effective_period,
-            seed=scenario.seed, extended_ids=scenario.extended_ids, attack_class=cls,
+    if len(ambient) and not ambient.ts_us[0] <= to_us(scenario.interval[0]) <= ambient.ts_us[-1]:
+        raise ValueError(
+            f"scenario interval starts at {scenario.interval[0]}s, outside the ambient span"
         )
-    if kind == "targeted_spoof":
-        return inject_targeted_spoof(
-            ambient, scenario.target_id, scenario.payload, scenario.interval,
-            scenario.effective_period, attack_class=cls,
-        )
-    if kind == "fuzzing_max_payload":
-        return inject_fuzzing_max_payload(
-            ambient, scenario.interval, scenario.id_cycle, scenario.period, attack_class=cls
-        )
-    if kind == "fabrication":
-        return inject_fabrication(
-            ambient, scenario.target_id, scenario.payload_spec, scenario.interval, attack_class=cls
-        )
-    # masquerade: fabricate, then remove the legitimate halves of the flam pairs
-    fabricated = inject_fabrication(
-        ambient, scenario.target_id, scenario.payload_spec, scenario.interval, attack_class=cls
-    )
-    return to_masquerade(fabricated, scenario.target_id, scenario.interval)
+    return _KIND_TABLE[scenario.kind][0](ambient, scenario)
 
 
 def sidecar_metadata(scenario: AttackScenario, labeled: TrafficLog) -> Sequence[AttackMetadata]:
@@ -578,7 +518,7 @@ def sidecar_metadata(scenario: AttackScenario, labeled: TrafficLog) -> Sequence[
     ambient model: an ambient frame that matches the attack's id, interval,
     and pattern would be labeled as attack on replay.
     """
-    start_us, end_us = _interval_us(scenario.interval)
+    start_us, end_us = _interval_us(scenario)
     kind, cls = scenario.kind, scenario.effective_class
     if kind == "fuzzy":
         rows = np.flatnonzero(labeled.attack_flags())
@@ -587,9 +527,9 @@ def sidecar_metadata(scenario: AttackScenario, labeled: TrafficLog) -> Sequence[
                           labeled.can_id[rows].astype(np.int64), labeled.extended[rows],
                           _hex_cells(labeled.data[rows]) | _DATA_PAD.take(labeled.dlc[rows], axis=0))
     if kind == "dos":
-        can_id, pattern = 0x000, "0" * 16
+        can_id, pattern = DOS_ID, DOS_DATA.hex()
     elif kind == "fuzzing_max_payload":
-        can_id, pattern = None, "F" * 16
+        can_id, pattern = None, MAX_PAYLOAD_FUZZ_DATA.hex()
     elif kind == "targeted_spoof":
         can_id, pattern = scenario.target_id, scenario.payload.hex()
     else:  # fabrication / masquerade: a flam frame sits one quantum past its legit frame, in its format

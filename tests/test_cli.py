@@ -1,10 +1,12 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
 from canids.cli import main
+from canids.synth import AmbientModel, AttackScenario
 
 AMBIENT = {
     "duration": 4.0,
@@ -363,6 +365,34 @@ class TestArgHandling:
     def test_help_exits_zero(self, workspace):
         assert run(["--help"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--ambient", "ambient.json", "--scenario", "scenario.json", "--seed", "9"],
+        ["synth", "--ambient", "ambient.json", "--scenario", "scenario.json",
+         "--config", "nothing.json"],
+        ["ingest", "--input", "ambient.json", "--config", "none.json"],
+        ["label", "--log", "a.log", "--metadata", "m.json", "--seed", "4"],
+    ])
+    def test_options_only_on_the_verbs_that_read_them(self, workspace, capsys, argv):
+        """--seed and --config are refused where no stage reads them."""
+        assert run(argv + ["--out", "out"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not os.path.exists("out")
+
+
+class TestReadmeExamples:
+    def test_quick_start_documents_read_and_synthesize(self, tmp_path, monkeypatch):
+        """The Quick start's ambient.json and scenario.json blocks, without
+        their comment line, read as documents and run through synth."""
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+            blocks = dict(re.findall(r"```json\n// (\S+)\n(.*?)```", fh.read(), re.DOTALL))
+        docs = {name: json.loads(blocks[name]) for name in ("ambient.json", "scenario.json")}
+        AmbientModel.from_json_obj(docs["ambient.json"])
+        AttackScenario.from_json_obj(docs["scenario.json"])
+        monkeypatch.chdir(tmp_path)
+        for name, doc in docs.items():
+            write_json(name, doc)
+        assert run(["synth", "--ambient", "ambient.json", "--scenario", "scenario.json"]) == 0
+
 
 class TestConfigErrorsExit2:
     """Every malformed model, ambient or scenario setting is a configuration
@@ -559,9 +589,29 @@ class TestConfigErrorsExit2:
         {"duration": 4.0, "ids": [{"id": "0D0", "period": 0.01, "payload": "x"}]},
         {"duration": 4.0, "ids": [{"id": "0D0", "period": [0.01]}]},
     ]
+    # Documents whose every field has its kind, but which no synthesis can
+    # run: each is refused when read, naming the field.
+    UNRUNNABLE = [
+        (AMBIENT, {"kind": "targeted_spoof", "interval": [1.0, 2.0], "target_id": "316",
+                   "payload": "FF" * 9}, "payload"),
+        (AMBIENT, {"kind": "fabrication", "interval": [1.0, 2.0], "target_id": "0D0",
+                   "payload_spec": "ZZ"}, "payload_spec"),
+        (AMBIENT, {"kind": "masquerade", "interval": [1.0, 2.0], "target_id": "0D0",
+                   "payload_spec": "0" * 17}, "payload_spec"),
+        (AMBIENT, {"kind": "dos", "interval": [1.0, 1e30]}, "interval"),
+        (AMBIENT, {"kind": "fuzzy", "interval": [1.0, 2.0], "period": 1e-7}, "period"),
+        (AMBIENT, {"kind": "dos", "interval": [1.0, 2.0], "period": 1e30}, "period"),
+        (AMBIENT, {"kind": "dos", "interval": [1.0, 2.0], "attack_class": "Normal"}, "attack_class"),
+        ({"duration": 4.0, "ids": [{"id": "800", "period": 0.01, "extended": False}]},
+         DOS_SCENARIO, "extended"),
+        ({"duration": 4.0, "ids": [{"id": "0D0", "period": 1e-7}]}, DOS_SCENARIO, "period"),
+        ({"duration": 1e30, "ids": [{"id": "0D0", "period": 1e29}]}, DOS_SCENARIO, "period"),
+        ({"duration": 1e30, "ids": [{"id": "0D0", "period": 0.01}]}, DOS_SCENARIO, "duration"),
+    ]
 
     @pytest.mark.parametrize("ambient, scenario", [(AMBIENT, s) for s in BAD_SCENARIOS]
-                             + [(a, DOS_SCENARIO) for a in BAD_AMBIENTS])
+                             + [(a, DOS_SCENARIO) for a in BAD_AMBIENTS]
+                             + [(a, s) for a, s, _ in UNRUNNABLE])
     def test_synth_and_pipeline_bad_documents(self, workspace, capsys, ambient, scenario):
         write_json("bad_ambient.json", ambient)
         write_json("bad_scenario.json", scenario)
@@ -571,6 +621,18 @@ class TestConfigErrorsExit2:
         write_json("config.json", dict(PIPELINE_CONFIG, ambient=ambient, scenario=scenario))
         assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
         assert "bad ambient/scenario config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ambient, scenario, field", UNRUNNABLE)
+    def test_synth_refuses_what_it_cannot_run_when_read(self, workspace, capsys, ambient, scenario,
+                                                        field):
+        """Refused when read, not from inside the synthesis: exit 2 naming
+        the field, before any file is written."""
+        write_json("bad_ambient.json", ambient)
+        write_json("bad_scenario.json", scenario)
+        assert run(["synth", "--ambient", "bad_ambient.json", "--scenario", "bad_scenario.json",
+                    "--out", "synth"]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not os.path.exists("synth")
 
 
 def read_bytes(path):

@@ -43,10 +43,11 @@ from canids.lccde import LccdeEnsemble
 from canids.synth import (
     AmbientIdSpec,
     AmbientModel,
+    AttackScenario,
     PayloadModel,
     generate_ambient,
     inject_fabrication,
-    to_masquerade,
+    inject_masquerade,
 )
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -684,7 +685,8 @@ class TestFrequencyDetector:
 
     def test_fabrication_flagged(self):
         ambient = periodic_ambient()
-        fabricated = inject_fabrication(ambient, 0x100, "X" * 16, (5.0, 25.0))
+        fabricated = inject_fabrication(ambient, AttackScenario(
+            "fabrication", (5.0, 25.0), target_id=0x100, payload_spec="X" * 16))
         model = fit_frequency_detector(ambient)
         flags = model.predict_frames(fabricated)
         truth = np.array([lf.label.is_attack for lf in fabricated])
@@ -693,8 +695,8 @@ class TestFrequencyDetector:
 
     def test_masquerade_not_flagged(self):
         ambient = periodic_ambient()
-        fabricated = inject_fabrication(ambient, 0x100, "X" * 16, (5.0, 25.0))
-        masq = to_masquerade(fabricated, 0x100, (5.0, 25.0))
+        masq = inject_masquerade(ambient, AttackScenario(
+            "masquerade", (5.0, 25.0), target_id=0x100, payload_spec="X" * 16))
         model = fit_frequency_detector(ambient)
         flags = model.predict_frames(masq)
         truth = np.array([lf.label.is_attack for lf in masq])

@@ -986,6 +986,11 @@ class TestMetadataJson:
          "entry 0: injection_interval: '0' is not a number"),
         ([{"injection_interval": [0, 1], "injection_id": "0D0", "attack_class": None}],
          "entry 0: attack_class: None is not a string"),
+        # Normal is no attack class: apply_metadata_labels failed registering it.
+        ([{"injection_interval": [0, 1], "injection_id": "0D0", "attack_class": "Normal"}],
+         "entry 0: attack_class: 'Normal' is not a string other than Normal"),
+        ([{"injection_interval": [0, 1], "injection_id": "0D0", "attack_class": "A",
+           "injection_data_str": "ZZ"}], "entry 0: injection_data_str: 'ZZ' is not a pattern"),
     ])
     def test_malformed_documents_name_entry_and_field(self, doc, message):
         with pytest.raises(ValueError, match=message):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,12 +22,12 @@ from canids.synth import (
     inject_fabrication,
     inject_fuzzing_max_payload,
     inject_fuzzy,
+    inject_masquerade,
     inject_targeted_spoof,
     load_scenario,
     run_scenario,
     save_scenario,
     sidecar_metadata,
-    to_masquerade,
 )
 
 
@@ -95,6 +96,40 @@ class TestGenerateAmbient:
         model = simple_ambient(jitter=0.0002)
         again = AmbientModel.from_json_obj(model.to_json_obj())
         assert again == model
+
+
+class TestAmbientThatReadsGenerates:
+    """Every ambient model that reads generates a log; what cannot is
+    refused when read, naming the field."""
+
+    def test_id_format_from_the_value(self):
+        doc = {"duration": 1.0, "ids": [{"id": "800", "period": 0.01}, {"id": "0D0", "period": 0.01}]}
+        log = generate_ambient(AmbientModel.from_json_obj(doc))
+        assert log.extended.tolist() == (log.can_id == 0x800).tolist() and len(log) == 200
+        doc["ids"][0]["extended"] = False
+        with pytest.raises(ValueError, match="ambient id field 'extended': id 0x800 cannot be standard"):
+            AmbientModel.from_json_obj(doc)
+
+    @pytest.mark.parametrize("duration, period, field", [
+        (1.0, 1e-7, "period"), (1.0, 4e-7, "period"), (1e30, 1e29, "period"),
+        (1e30, 0.01, "duration"), (math.inf, 0.01, "duration")])
+    def test_timing_past_int64_microseconds_refused(self, duration, period, field):
+        doc = {"duration": duration, "ids": [{"id": "0D0", "period": period}]}
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            AmbientModel.from_json_obj(doc)
+
+    def test_one_microsecond_period(self):
+        log = generate_ambient(AmbientModel.from_json_obj(
+            {"duration": 0.001, "ids": [{"id": "0D0", "period": 6e-7}]}))
+        assert np.array_equal(log.ts_us, np.arange(1000))
+
+    def test_huge_jitter_drops_frames_without_a_cast_warning(self):
+        model = AmbientModel((AmbientIdSpec(0x0D0, 0.01, jitter_std=1e300),
+                              AmbientIdSpec(0x1A0, 0.01, jitter_std=1e303)), duration=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = generate_ambient(model)
+        assert len(log) == 0
 
 
 def reference_random_walk(payload, rng, count):
@@ -170,7 +205,7 @@ class TestRandomWalk:
 class TestInjectDos:
     def test_count_formula(self):
         ambient = generate_ambient(simple_ambient(duration=1.0))
-        out = inject_dos(ambient, (0.2, 0.5), period=0.0003)
+        out = inject_dos(ambient, AttackScenario("dos", (0.2, 0.5), period=0.0003))
         injected = [f for f in out if f.label.is_attack]
         n = len(injected)
         assert n in (math.floor(0.3 / 0.0003), math.floor(0.3 / 0.0003) + 1)
@@ -178,12 +213,12 @@ class TestInjectDos:
 
     def test_empty_interval(self):
         ambient = generate_ambient(simple_ambient())
-        out = inject_dos(ambient, (0.5, 0.5))
+        out = inject_dos(ambient, AttackScenario("dos", (0.5, 0.5)))
         assert not any(f.label.is_attack for f in out)
 
     def test_frame_shape_and_labels(self):
         ambient = generate_ambient(simple_ambient())
-        out = inject_dos(ambient, (0.0, 0.1))
+        out = inject_dos(ambient, AttackScenario("dos", (0.0, 0.1)))
         assert len(out) == len(ambient) + sum(1 for f in out if f.label.is_attack)
         for lf in out:
             if lf.label.is_attack:
@@ -196,7 +231,7 @@ class TestInjectDos:
 
     def test_wins_arbitration_against_ambient(self):
         ambient = generate_ambient(simple_ambient())
-        out = inject_dos(ambient, (0.0, 0.05))
+        out = inject_dos(ambient, AttackScenario("dos", (0.0, 0.05)))
         injected = [f for f in out if f.label.is_attack]
         ambient_frames = [f.frame for f in out if not f.label.is_attack]
         for atk in injected[:20]:
@@ -207,7 +242,7 @@ class TestInjectDos:
 class TestInjectFuzzy:
     def test_random_ids_and_payloads(self):
         ambient = generate_ambient(simple_ambient())
-        out = inject_fuzzy(ambient, (0.1, 0.9), seed=5)
+        out = inject_fuzzy(ambient, AttackScenario("fuzzy", (0.1, 0.9), seed=5))
         injected = [f.frame for f in out if f.label.is_attack]
         assert len(injected) == 1600  # 0.8 s at 0.5 ms
         assert all(f.can_id < 2**11 for f in injected)
@@ -217,13 +252,13 @@ class TestInjectFuzzy:
 
     def test_deterministic(self):
         ambient = generate_ambient(simple_ambient())
-        a = inject_fuzzy(ambient, (0.1, 0.5), seed=9)
-        b = inject_fuzzy(ambient, (0.1, 0.5), seed=9)
+        a = inject_fuzzy(ambient, AttackScenario("fuzzy", (0.1, 0.5), seed=9))
+        b = inject_fuzzy(ambient, AttackScenario("fuzzy", (0.1, 0.5), seed=9))
         assert a.frames == b.frames
 
     def test_extended_flag(self):
         ambient = generate_ambient(simple_ambient())
-        out = inject_fuzzy(ambient, (0.1, 0.9), seed=5, extended_ids=True)
+        out = inject_fuzzy(ambient, AttackScenario("fuzzy", (0.1, 0.9), seed=5, extended_ids=True))
         injected = [f.frame for f in out if f.label.is_attack]
         assert any(f.can_id >= 2**11 for f in injected)
 
@@ -231,7 +266,8 @@ class TestInjectFuzzy:
 class TestInjectTargetedSpoof:
     def test_constant_frame(self):
         ambient = generate_ambient(simple_ambient())
-        out = inject_targeted_spoof(ambient, 0x316, b"\xFF\x00" * 4, (0.2, 0.4), period=0.001)
+        out = inject_targeted_spoof(ambient, AttackScenario(
+            "targeted_spoof", (0.2, 0.4), target_id=0x316, payload=b"\xFF\x00" * 4, period=0.001))
         injected = [f.frame for f in out if f.label.is_attack]
         assert len(injected) == 200
         assert {f.can_id for f in injected} == {0x316}
@@ -244,7 +280,8 @@ class TestInjectFuzzingMaxPayload:
     def test_cycling_and_payload(self):
         ambient = generate_ambient(simple_ambient())
         cycle = list(range(0x000, 0x010))
-        out = inject_fuzzing_max_payload(ambient, (0.1, 0.1 + 32 * 0.001), cycle, period=0.001)
+        out = inject_fuzzing_max_payload(ambient, AttackScenario(
+            "fuzzing_max_payload", (0.1, 0.1 + 32 * 0.001), id_cycle=cycle, period=0.001))
         injected = [f.frame for f in out if f.label.is_attack]
         assert len(injected) == 32
         assert [f.can_id for f in injected] == cycle + cycle
@@ -277,7 +314,8 @@ class TestPayloadSpec:
                  AmbientIdSpec(0x1A0, 0.01, payload=PayloadModel(base=b"")))
         ambient = generate_ambient(AmbientModel(ids=specs, duration=1.0, seed=3))
         for spec in ("XXXXFF", "7", "XXXXXXXXXXXXXXX1", ""):
-            log = inject_fabrication(ambient, 0x0D0, spec, (0.2, 0.6))
+            log = inject_fabrication(ambient, AttackScenario(
+                "fabrication", (0.2, 0.6), target_id=0x0D0, payload_spec=spec))
             frames, flags = log.can_frames(), log.attack_flags()
             forged = [k for k in range(len(log)) if flags[k]]
             assert forged
@@ -299,6 +337,9 @@ def reference_payload_spec(spec, legit):
     return bytes.fromhex("".join(nibbles))
 
 
+FLAM_SPEC = "XXXXXXXXXXXXFFXX"
+
+
 def fabrication_setup(duration=60.0, target=0x0D0, interval=(10.0, 40.0), jitter=0.0004):
     specs = (
         AmbientIdSpec(target, 0.02, jitter_std=jitter,
@@ -309,7 +350,8 @@ def fabrication_setup(duration=60.0, target=0x0D0, interval=(10.0, 40.0), jitter
                       payload=PayloadModel("random_walk", base=b"\x80" * 8, step=2)),
     )
     ambient = generate_ambient(AmbientModel(ids=specs, duration=duration, seed=11))
-    fabricated = inject_fabrication(ambient, target, "XXXXXXXXXXXXFFXX", interval)
+    fabricated = inject_fabrication(ambient, AttackScenario(
+        "fabrication", interval, target_id=target, payload_spec=FLAM_SPEC))
     return ambient, fabricated, target, interval
 
 
@@ -359,7 +401,8 @@ class TestFabrication:
 class TestMasquerade:
     def test_count_conservation(self):
         ambient, fabricated, target, interval = fabrication_setup()
-        masq = to_masquerade(fabricated, target, interval)
+        masq = inject_masquerade(ambient, AttackScenario(
+            "masquerade", interval, target_id=target, payload_spec=FLAM_SPEC))
         s, e = to_us(interval[0]), to_us(interval[1])
         ambient_count = sum(
             1 for f in ambient.can_frames() if f.can_id == target and s <= f.timestamp_us <= e
@@ -372,7 +415,8 @@ class TestMasquerade:
 
     def test_timing_opaque_rate_unchanged(self):
         ambient, fabricated, target, interval = fabrication_setup()
-        masq = to_masquerade(fabricated, target, interval)
+        masq = inject_masquerade(ambient, AttackScenario(
+            "masquerade", interval, target_id=target, payload_spec=FLAM_SPEC))
         s, e = to_us(interval[0]), to_us(interval[1])
 
         def count(log):
@@ -385,7 +429,8 @@ class TestMasquerade:
 
     def test_interarrival_ks_close_to_ambient(self):
         ambient, fabricated, target, interval = fabrication_setup()
-        masq = to_masquerade(fabricated, target, interval)
+        masq = inject_masquerade(ambient, AttackScenario(
+            "masquerade", interval, target_id=target, payload_spec=FLAM_SPEC))
         ga = interarrivals(ambient, target)
         gm = interarrivals(masq, target)
         assert len(gm) >= 500
@@ -394,7 +439,8 @@ class TestMasquerade:
 
     def test_non_target_untouched(self):
         ambient, fabricated, target, interval = fabrication_setup()
-        masq = to_masquerade(fabricated, target, interval)
+        masq = inject_masquerade(ambient, AttackScenario(
+            "masquerade", interval, target_id=target, payload_spec=FLAM_SPEC))
         other_before = [f.frame for f in fabricated if f.frame.can_id != target]
         other_after = [f.frame for f in masq if f.frame.can_id != target]
         assert other_before == other_after
@@ -507,6 +553,48 @@ def test_sidecar_covers_a_target_in_both_formats(kind):
     assert [(m.can_id, m.extended) for m in campaigns] == [(0x0D0, False), (0x0D0, True)]
     relabeled = apply_metadata_labels(labeled, campaigns, label_space=labeled.label_space)
     assert relabeled.labels() == labeled.labels() and labeled.attack_flags().sum() == 101
+
+# Valid scenarios of each kind over a 2 s ambient log, and the values a
+# field is set to: each scenario either reads and runs, or is refused when read.
+RUNNABLE_BASE = {
+    "dos": {"kind": "dos", "interval": [0.5, 0.6]},
+    "fuzzy": {"kind": "fuzzy", "interval": [0.5, 0.6], "seed": 2},
+    "targeted_spoof": {"kind": "targeted_spoof", "interval": [0.5, 0.6], "target_id": "316",
+                       "payload": "FF00FF00FF00FF00"},
+    "fuzzing_max_payload": {"kind": "fuzzing_max_payload", "interval": [0.5, 0.6],
+                            "id_cycle": ["001", "002"], "period": 0.002},
+    "fabrication": {"kind": "fabrication", "interval": [0.5, 1.5], "target_id": "0D0",
+                    "payload_spec": FLAM_SPEC},
+    "masquerade": {"kind": "masquerade", "interval": [0.5, 1.5], "target_id": "0D0",
+                   "payload_spec": FLAM_SPEC},
+}
+FIELD_VALUES = [("period", v) for v in (1e-7, 4e-7, 6e-7, 1e30)] + [
+    ("interval", v) for v in ([0.5, 1e30], [0.5, math.inf], [-math.inf, 0.6], [1e30, 1e30])] + [
+    ("payload", v) for v in ("", "00" * 8, "00" * 9)] + [
+    ("payload_spec", v) for v in ("ZZ", "F" * 16, "F" * 17)] + [("attack_class", "Normal")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(RUNNABLE_BASE)), change=st.sampled_from(FIELD_VALUES))
+def test_a_scenario_that_reads_runs(kind, change):
+    """A scenario is refused when read, naming the field, or it runs: the
+    injection, its sidecar, and the sidecar's relabeling of the log."""
+    field, value = change
+    doc = dict(RUNNABLE_BASE[kind], **{field: value})
+    try:
+        scenario = AttackScenario.from_json_obj(doc)
+    except ValueError as exc:
+        assert f"field '{field}'" in str(exc)
+        return
+    ambient = generate_ambient(AmbientModel(
+        ids=(AmbientIdSpec(0x0D0, 0.01, payload=PayloadModel("constant", bytes(range(8)))),
+             AmbientIdSpec(0x1A0, 0.005, 0.0002, PayloadModel("counter", bytes(8), positions=(7,)))),
+        duration=2.0, seed=3))
+    labeled = run_scenario(ambient, scenario)
+    metadata = sidecar_metadata(scenario, labeled)
+    relabeled = apply_metadata_labels(labeled, metadata, label_space=labeled.label_space)
+    assert np.array_equal(relabeled.label, labeled.label)
+
 
 def json_paths(node, prefix=()):
     yield prefix
