@@ -24,7 +24,7 @@ from typing import Any, IO
 
 import numpy as np
 
-from .core import NORMAL_LABEL, TrafficLog, _read_field
+from .core import NORMAL_LABEL, TrafficLog, _read_field, format_timestamp
 from .detectors import _MODEL_KINDS, load_model, save_model
 from .evaluate import EvalReport, Timer, compute_metrics, emit_report, evaluate_pipeline
 from .features import (
@@ -144,15 +144,21 @@ def _read_synth(ambient_obj: Any, scenario_obj: Any) -> tuple[AmbientModel, Atta
 
 def _synthesize(ambient_model: AmbientModel, scenario: AttackScenario):
     """The scenario, with the ambient log, the labeled attack log and its
-    sidecar metadata, checked to relabel the log."""
+    sidecar metadata, checked to relabel the log: a scenario whose attack
+    frames match the ambient frames its sidecar selects is refused, naming
+    the field that fixes those frames."""
     ambient = generate_ambient(ambient_model)
     labeled = run_scenario(ambient, scenario)
     metadata = sidecar_metadata(scenario, labeled)
     relabeled = apply_metadata_labels(labeled, metadata, label_space=labeled.label_space)
     mismatch = np.flatnonzero(labeled.label != relabeled.label)
     if len(mismatch):
-        raise RuntimeError(f"sidecar metadata does not reproduce construction labels "
-                           f"(first mismatch at frame {int(mismatch[0])})")
+        k = int(mismatch[0])
+        field = {"targeted_spoof": "payload", "fabrication": "payload_spec",
+                 "masquerade": "payload_spec"}.get(scenario.kind, "kind")
+        at = f"frame {k}, {format_timestamp(int(labeled.ts_us[k]))} s, id 0x{int(labeled.can_id[k]):03X}"
+        raise ConfigError(f"bad ambient/scenario config: scenario field {field!r}: sidecar metadata "
+                          f"does not reproduce construction labels (first mismatch at {at})")
     return scenario, ambient, labeled, metadata
 
 
@@ -411,15 +417,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     model = build_model(kind, model_cfg, seed)
     spec = _split_spec(config["split"]["ratio"], config["split"]["mode"], seed)
     synth_docs = _read_synth(config["ambient"], config["scenario"])
+    timings: dict[str, float] = {}
+    with Timer() as timer:
+        scenario, ambient, labeled, metadata = _synthesize(*synth_docs)
+    timings["synth_seconds"] = timer.seconds
     out_path = _out_dir(args.out)
     with _open_out(out_path("resolved_config.json"), args.force) as fh:
         json.dump(config, fh, indent=2)
         fh.write("\n")
 
-    timings: dict[str, float] = {}
-    with Timer() as timer:
-        scenario, ambient, labeled, metadata = _synthesize(*synth_docs)
-    timings["synth_seconds"] = timer.seconds
     _write_synth(out_path, args.force, ambient, labeled, metadata)
     if config["windows"]:
         wcfg = config["windows"]

@@ -149,36 +149,6 @@ class LabelSpace:
         return iter(self._classes.values())
 
 
-# Built-in label spaces for the three dataset families the workbench parses.
-ROAD_CLASSES = [
-    "Correlated Signal Fabrication Attack",
-    "Correlated Signal Masquerade Attack",
-    "Fuzzing Attack",
-    "Max Engine Coolant Temp Fabrication Attack",
-    "Max Engine Coolant Temp Masquerade Attack",
-    "Max Speedometer Fabrication Attack",
-    "Max Speedometer Masquerade Attack",
-    "Reverse Light Off Fabrication Attack",
-    "Reverse Light Off Masquerade Attack",
-    "Reverse Light On Fabrication Attack",
-    "Reverse Light On Masquerade Attack",
-]
-HCRL_CLASSES = ["DoS Attack", "Fuzzing Attack", "Gear Spoofing Attack", "RPM Spoofing Attack"]
-IVN_CLASSES = ["Flooding", "Fuzzy", "Malfunction"]
-
-
-def road_label_space() -> LabelSpace:
-    return LabelSpace(ROAD_CLASSES)
-
-
-def hcrl_label_space() -> LabelSpace:
-    return LabelSpace(HCRL_CLASSES)
-
-
-def ivn_label_space() -> LabelSpace:
-    return LabelSpace(IVN_CLASSES)
-
-
 def binary_label_space(attack_name: str) -> LabelSpace:
     return LabelSpace([attack_name])
 
@@ -383,9 +353,9 @@ _RANGES = {"seed": ("integer", lambda v: v >= 0),
            "integer from 1": ("integer", lambda v: v >= 1),
            "number in (0, 1]": ("number", lambda v: 0 < v <= 1),
            "number in (0, 1)": ("number", lambda v: 0 < v < 1),
-           "number in (0, inf)": ("number", lambda v: 0 < v < math.inf),
            "number in [0, inf)": ("number", lambda v: 0 <= v < math.inf),
            "number within int64 us": ("number", lambda v: abs(v * US_PER_SECOND) < _INT64_US),
+           "number in [0, int64 us)": ("number", lambda v: 0 <= v * US_PER_SECOND < _INT64_US),
            "number in (0, int64 us)": ("number", lambda v: 0 < v * US_PER_SECOND < _INT64_US),
            "number rounding to [1 us, int64 us)": (
                "number", lambda v: 0.5 < v * US_PER_SECOND < _INT64_US),
@@ -589,16 +559,6 @@ def id_bits_matrix(ids: Sequence[int]) -> np.ndarray:
     return ((arr[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def id_from_bits(bits: np.ndarray) -> int:
-    """Inverse of id_bits: reconstruct the integer identifier from a 29-bit vector."""
-    if len(bits) != EXTENDED_ID_BITS:
-        raise ValueError(f"expected {EXTENDED_ID_BITS} bits, got {len(bits)}")
-    v = 0
-    for b in bits:
-        v = (v << 1) | int(b)
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Block text encoder shared by the candump, id-sequence and dataset writers.
 #
@@ -740,21 +700,3 @@ def _write_rows(stream, n: int, encode_block) -> None:
                 piece = piece[0].take(piece[1], axis=0)
             table[:, lo:lo + width] = piece.reshape(m, width)
         stream.write(table.tobytes().translate(None, _PAD_BYTE).decode("utf-8", "surrogatepass"))
-
-
-def arbitration_winner(frames: Iterable[CanFrame | LabeledFrame]) -> CanFrame | LabeledFrame:
-    """Return the frame that wins bus arbitration: numerically smallest id.
-
-    Lower ids carry more dominant bits and win under wired-AND signalling.
-    Ties are broken by earliest timestamp.  Frames may be CanFrame or
-    LabeledFrame objects; the winner is returned as given.
-    """
-
-    def key(f: CanFrame | LabeledFrame) -> tuple[int, int]:
-        cf = f.frame if isinstance(f, LabeledFrame) else f
-        return cf.can_id, cf.timestamp_us
-
-    best = min(frames, key=key, default=None)
-    if best is None:
-        raise ValueError("empty arbitration set")
-    return best

@@ -74,9 +74,8 @@ from __future__ import annotations
 import copy
 import json
 import time
-from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Any, Iterable, Iterator, Sequence
+from typing import IO, Any, Iterable, Sequence
 
 import numpy as np
 
@@ -87,21 +86,6 @@ MODEL_FORMAT_VERSION = 1
 
 class NotFittedError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """A predicted class with its probability vector."""
-
-    name: str
-    confidence: float
-    scores: np.ndarray
-
-    def __post_init__(self) -> None:
-        if abs(float(self.scores.sum()) - 1.0) > 1e-9:
-            raise ValueError("per-class scores must sum to 1")
-        if abs(self.confidence - float(self.scores.max())) > 1e-12:
-            raise ValueError("confidence must equal the largest score")
 
 
 def _numbers(value: Any, dtype: type, what: str) -> np.ndarray:
@@ -546,17 +530,6 @@ def _grow_trees(
     return trees, leaves
 
 
-def _grow_tree(
-    X: np.ndarray,
-    codes: np.ndarray,
-    criterion: _Gini | _Newton,
-    max_depth: int | None,
-    min_leaf: int,
-) -> _TreeArrays:
-    """The one tree `_grow_trees` grows for a single criterion."""
-    return _grow_trees(X, codes, [criterion], max_depth, min_leaf)[0][0]
-
-
 class Detector:
     """Shared surface: fit once, then predict probability vectors.
 
@@ -618,13 +591,6 @@ class Detector:
     def predict_labels(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_scores(X), axis=1)
 
-    def predict(self, X: np.ndarray) -> list[Prediction]:
-        scores = self.predict_scores(X)
-        return [
-            Prediction(name=self.classes[j], confidence=float(row[j]), scores=row)
-            for j, row in zip(np.argmax(scores, axis=1), scores)
-        ]
-
     def _params_json(self) -> dict[str, Any]:
         return {name: copy.deepcopy(getattr(self, name)) for name in self.params}
 
@@ -677,8 +643,8 @@ class DecisionTree(Detector):
 
     def fit(self, X: np.ndarray, y: np.ndarray, classes: Sequence[str] | None = None) -> "DecisionTree":
         X, y = self._fit_data(X, y, classes)
-        self._tree = _grow_tree(
-            X, _rank_codes(X), _Gini(y, len(self.classes)), self.max_depth, self.min_leaf
+        (self._tree,), _ = _grow_trees(
+            X, _rank_codes(X), [_Gini(y, len(self.classes))], self.max_depth, self.min_leaf
         )
         self._fitted = True
         return self
@@ -740,10 +706,10 @@ class RandomForest(Detector):
             rng = np.random.default_rng([self.seed, t])
             rows = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             cols = np.sort(rng.permutation(d)[:n_feats])
-            tree = _grow_tree(
+            (tree,), _ = _grow_trees(
                 X[rows][:, cols],
                 codes[cols][:, rows],
-                _Gini(y[rows], len(self.classes)),
+                [_Gini(y[rows], len(self.classes))],
                 self.max_depth,
                 self.min_leaf,
             )
@@ -857,27 +823,15 @@ class GradientBoosting(Detector):
 
     n_read = property(lambda self: max(tree.n_read for rt in self._rounds for tree in rt))
 
-    def _accumulate(self, X: np.ndarray) -> Iterator[np.ndarray]:
-        """The running raw scores after each round, as one array that
-        every later round updates in place."""
+    def raw_scores(self, X: np.ndarray) -> np.ndarray:
+        """The learning-rate-weighted sum of every round's class trees, before softmax."""
         self._check_fitted()
         X = _feature_matrix(X, self.n_read)
         raw = np.zeros((len(X), len(self.classes)))
         for round_trees in self._rounds:
             for c, tree in enumerate(round_trees):
                 raw[:, c] += self.learning_rate * tree.leaf_values(X)[:, 0]
-            yield raw
-
-    def raw_scores(self, X: np.ndarray) -> np.ndarray:
-        # Fitting and loading both guarantee at least one round.
-        for raw in self._accumulate(X):
-            pass
         return raw
-
-    def staged_raw_scores(self, X: np.ndarray) -> Iterator[np.ndarray]:
-        """Raw scores after each boosting round, for loss diagnostics."""
-        for raw in self._accumulate(X):
-            yield raw.copy()
 
     def _scores(self, X: np.ndarray) -> np.ndarray:
         return _softmax(self.raw_scores(X))
@@ -893,12 +847,6 @@ class GradientBoosting(Detector):
             raise ValueError("gbdt rounds must be n_rounds lists of one tree per class")
         trees = iter(_TreeArrays.from_json_objs([t for rt in rounds for t in rt], 1))
         self._rounds = [[next(trees) for _ in rt] for rt in rounds]
-
-
-def softmax_cross_entropy(raw: np.ndarray, y: np.ndarray) -> float:
-    """Mean negative log-likelihood of the true class under softmax."""
-    p = _softmax(raw)
-    return float(-np.log(np.maximum(p[np.arange(len(y)), y], 1e-300)).mean())
 
 
 _FREQUENCY_STATS = ("mean_us", "std_us", "threshold_us", "count")

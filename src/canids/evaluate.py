@@ -27,8 +27,6 @@ from .windows import _window_labels, _window_layout
 
 REPORT_SCHEMA_VERSION = 1
 
-REPORT_FORMATS = ("json", "csv", "text_table")
-
 # The metrics a class's `undefined` flags can name, in the order they are listed.
 _METRICS = ("precision", "recall", "f1")
 

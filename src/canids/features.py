@@ -25,8 +25,6 @@ import numpy as np
 
 from .core import (
     NORMAL_LABEL,
-    CanFrame,
-    LabeledFrame,
     TrafficLog,
     _class_indices,
     _csv_rows,
@@ -50,21 +48,6 @@ _PROVENANCES = (PROVENANCE_ORIGINAL, PROVENANCE_SYNTHETIC)
 _RESERVED_COLUMNS = ("label", "provenance", "timestamp_us")
 
 SPLIT_MODES = ("stratified_random", "chronological")
-
-
-def frame_to_features(frame: CanFrame | LabeledFrame, include_dlc: bool = False) -> np.ndarray:
-    """Convert one frame to a numeric vector [id, (dlc,) b0..b7].
-
-    The data field is padded with zeros to eight byte features.  Without
-    the DLC feature the mapping cannot distinguish true trailing zero
-    bytes from padding; pass include_dlc=True where that matters.
-    """
-    return _feature_matrix(TrafficLog((frame,)), include_dlc)[0]
-
-
-def _feature_matrix(log: TrafficLog, include_dlc: bool) -> np.ndarray:
-    columns = [log.can_id[:, None]] + ([log.dlc[:, None]] if include_dlc else []) + [log.data]
-    return np.hstack(columns, dtype=np.float64)
 
 
 def feature_names(include_dlc: bool = False) -> tuple[str, ...]:
@@ -138,10 +121,14 @@ class TabularDataset:
 
 
 def log_to_dataset(log: TrafficLog, include_dlc: bool = False) -> TabularDataset:
-    """Vectorize a labeled log into a TabularDataset, preserving order."""
+    """Vectorize a labeled log into a TabularDataset, preserving order.
+
+    Each row is [id, (dlc,) b0..b7], the data zero-padded to eight bytes;
+    without the DLC, trailing zero bytes cannot be told from padding."""
     if not log.is_labeled:
         raise ValueError("log must be labeled")
-    return TabularDataset(X=_feature_matrix(log, include_dlc), y=log.label.copy(),
+    columns = [log.can_id[:, None]] + ([log.dlc[:, None]] if include_dlc else []) + [log.data]
+    return TabularDataset(X=np.hstack(columns, dtype=np.float64), y=log.label.copy(),
                           classes=tuple(log.label_space.names()),
                           timestamps_us=log.ts_us.copy(), names=feature_names(include_dlc))
 

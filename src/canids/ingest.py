@@ -13,10 +13,10 @@ the per-line regex parser (`_candump_fields`) reads only the lines the
 block decoder refuses, to skip blank ones and to word the error of the
 rest.  The CSV parser collects each row's fields into column lists.
 `serialize_candump` formats slices of the columns through the block text
-encoder in `core` (each line is the text of `serialize_candump_line`), and
-labels are per-frame class codes.  Campaigns are a table of columns too, and
-`apply_metadata_labels` tests each only on the rows inside its interval,
-found by binary search over the sorted timestamps.
+encoder in `core`, and labels are per-frame class codes.  Campaigns are a
+table of columns too, and `apply_metadata_labels` tests each only on the
+rows inside its interval, found by binary search over the sorted
+timestamps.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from canids.core import (
     MAX_STANDARD_ID,
     NORMAL_LABEL,
     US_PER_SECOND,
-    CanFrame,
     LabelSpace,
     TrafficLog,
     _BLOCK_ROWS,
@@ -114,18 +113,6 @@ def _candump_fields(line: str, where: str) -> tuple[int, str, int, bool, str]:
     if len(data_text) // 2 > MAX_DLC:
         raise ParseError(f"{where}: data field of {len(data_text) // 2} bytes exceeds {MAX_DLC}")
     return ts_us, m.group("channel"), can_id, extended, data_text
-
-
-def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
-    """Parse one candump record of shape "(TIMESTAMP) CHANNEL ID#DATAHEX".
-
-    The id field is 3 hex digits for standard frames or 8 for extended ones,
-    matching what candump emits; data is hex byte pairs, up to 8 bytes.
-    Digits are ASCII only.
-    """
-    where = f"line {lineno}" if lineno is not None else "line"
-    ts_us, channel, can_id, extended, data_text = _candump_fields(line, where)
-    return CanFrame(ts_us, channel, can_id, bytes.fromhex(data_text), extended=extended)
 
 
 def parse_candump_log(
@@ -388,11 +375,6 @@ def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.nd
                   channel]
 
 
-def serialize_candump_line(frame: CanFrame) -> str:
-    id_text = f"{frame.can_id:08X}" if frame.extended else f"{frame.can_id:03X}"
-    return f"({format_timestamp(frame.timestamp_us)}) {frame.channel} {id_text}#{frame.data.hex().upper()}"
-
-
 # Pad bytes over the hex digits hidden of a standard (row 0) or extended
 # (row 1) id, and of each payload length.  A cell ORs its row in: the pad
 # byte has every bit set, and 0 leaves a digit as it is.
@@ -403,8 +385,9 @@ _DATA_PAD = (np.arange(2 * MAX_DLC) >= 2 * np.arange(MAX_DLC + 1)[:, None]).asty
 def serialize_candump(log: TrafficLog, stream: IO[str]) -> None:
     """Write a log in candump text form; parse_candump_log inverts it field-for-field.
 
-    Each line is the text of serialize_candump_line.  Rows are encoded a
-    block at a time from slices of the log's columns."""
+    Each line is "(SECONDS.MICROS) CHANNEL ID#DATA" in upper-case hex, the
+    id 3 digits wide or 8 for an extended frame.  Rows are encoded a block at
+    a time from slices of the log's columns."""
 
     def encode_block(lo: int, hi: int) -> list:
         # One decimal table of at least 7 digits holds the whole timestamp;

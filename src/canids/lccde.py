@@ -45,21 +45,6 @@ logger = logging.getLogger(__name__)
 
 N_BASE_MODELS = 3
 
-CASE_UNANIMOUS = "unanimous"
-CASE_MAJORITY = "majority"
-CASE_SPLIT = "split"
-
-
-def arbitration_case(labels: Sequence[int]) -> str:
-    """Which of the three disagreement cases a prediction triple is in."""
-    distinct = len(set(labels))
-    if distinct == 1:
-        return CASE_UNANIMOUS
-    if distinct == 2:
-        return CASE_MAJORITY
-    return CASE_SPLIT
-
-
 @dataclass(frozen=True)
 class LeaderMap:
     """Per-class leader assignment with the evidence used to pick it."""
@@ -76,9 +61,6 @@ class LeaderMap:
             raise ValueError("one leader per class required")
         if any(not 0 <= m < N_BASE_MODELS for m in self.leader):
             raise ValueError("leader index out of range")
-
-    def leader_of(self, class_index: int) -> int:
-        return self.leader[class_index]
 
     def to_json_obj(self) -> dict[str, Any]:
         return {

@@ -357,13 +357,6 @@ def _forged(spec: str, data: np.ndarray, dlc) -> tuple[np.ndarray, np.ndarray]:
     return data & ~mask | value, np.maximum(dlc, need)
 
 
-def apply_payload_spec(spec: str, legit: bytes) -> bytes:
-    """Build a forged payload: 'X' nibbles copy the legitimate frame, hex nibbles override."""
-    data, dlc = _forged(_read_field("", "spec", spec, "pattern"),
-                        np.frombuffer(legit.ljust(MAX_DLC, b"\0"), np.uint8), len(legit))
-    return data[0, :dlc[0]].tobytes()
-
-
 def inject_fabrication(ambient: TrafficLog, scenario: AttackScenario) -> TrafficLog:
     """Flam delivery: one forged frame right after each legitimate target frame.
 
@@ -418,7 +411,7 @@ SCENARIO_KINDS = tuple(_KIND_TABLE)
 
 # Each field is read by its rule here, so a scenario that reads can run.
 _SCENARIO_FIELDS = dict(
-    kind="text", interval="list of number within int64 us", target_id="id or null",
+    kind="text", interval="list of number in [0, int64 us)", target_id="id or null",
     payload="hex of up to 8 bytes or null", payload_spec="pattern or null",
     period="number rounding to [1 us, int64 us) or null", id_cycle="list of id", seed="seed",
     extended_ids="flag", attack_class="text other than Normal or null")

@@ -25,7 +25,7 @@ from canids.core import CanFrame, LabelSpace, LabeledFrame, TrafficLog, id_bits
 from canids.detectors import fit_frequency_detector, fit_random_forest
 from canids.evaluate import compute_metrics
 from canids.features import SplitSpec, TabularDataset, log_to_dataset, smote_oversample, split_train_test
-from canids.ingest import apply_metadata_labels, parse_candump_line, parse_candump_log, serialize_candump, serialize_candump_line
+from canids.ingest import apply_metadata_labels, parse_candump_log, serialize_candump
 from canids.lccde import LeaderMap, _arbitrate, arbitrate_one, lccde_predict
 from canids.synth import AmbientIdSpec, AmbientModel, AttackScenario, PayloadModel, generate_ambient, run_scenario, sidecar_metadata
 from canids.windows import build_bit_grids, build_id_sequences
@@ -43,13 +43,16 @@ REFERENCE_LINE = "(1040000000.000682) can0 0BA#04B7EC04000602C8"
 
 def test_candump_reference_line_and_bulk_roundtrip():
     started = time.perf_counter()
-    frame = parse_candump_line(REFERENCE_LINE)
+    reference = parse_candump_log([REFERENCE_LINE])
+    (frame,) = reference
+    written = io.StringIO()
+    serialize_candump(reference, written)
     exact = (
         frame.timestamp_us == 1_040_000_000_000_682
         and frame.channel == "can0"
         and frame.can_id == 0x0BA
         and frame.data == bytes.fromhex("04B7EC04000602C8")
-        and serialize_candump_line(frame) == REFERENCE_LINE
+        and written.getvalue() == REFERENCE_LINE + "\n"
     )
 
     rng = np.random.default_rng(1234)

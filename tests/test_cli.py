@@ -607,6 +607,8 @@ class TestConfigErrorsExit2:
         ({"duration": 4.0, "ids": [{"id": "0D0", "period": 1e-7}]}, DOS_SCENARIO, "period"),
         ({"duration": 1e30, "ids": [{"id": "0D0", "period": 1e29}]}, DOS_SCENARIO, "period"),
         ({"duration": 1e30, "ids": [{"id": "0D0", "period": 0.01}]}, DOS_SCENARIO, "duration"),
+        ({"duration": 0.001, "ids": [{"id": "0D0", "period": 0.01}]},
+         {"kind": "dos", "interval": [-1.0, 0.5]}, "interval"),
     ]
 
     @pytest.mark.parametrize("ambient, scenario", [(AMBIENT, s) for s in BAD_SCENARIOS]
@@ -633,6 +635,32 @@ class TestConfigErrorsExit2:
                     "--out", "synth"]) == 2
         assert f"field '{field}'" in capsys.readouterr().err
         assert not os.path.exists("synth")
+
+    # Scenarios that read and run, but whose attack frames match the ambient
+    # frames the sidecar selects by id, interval and payload pattern, so the
+    # sidecar cannot relabel the log: refused naming the field that fixes them.
+    LOOKS_AMBIENT = [
+        ({"kind": "targeted_spoof", "interval": [0.5, 0.8], "target_id": "0D0",
+          "payload": "0102030405060708"}, "payload"),
+        ({"kind": "fabrication", "interval": [0.5, 0.8], "target_id": "0D0", "payload_spec": "XX"},
+         "payload_spec"),
+    ]
+
+    @pytest.mark.parametrize("scenario, field", LOOKS_AMBIENT)
+    def test_attack_frames_that_look_ambient_are_refused(self, workspace, capsys, scenario, field):
+        ambient = {"duration": 1.0, "ids": [{"id": "0D0", "period": 0.01, "payload": {
+            "kind": "constant", "base": "0102030405060708"}}]}
+        write_json("plain_ambient.json", ambient)
+        write_json("bad_scenario.json", scenario)
+        assert run(["synth", "--ambient", "plain_ambient.json", "--scenario", "bad_scenario.json",
+                    "--out", "synth"]) == 2
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err and "first mismatch at frame" in err and "id 0x0D0" in err
+        assert not os.path.exists("synth")
+        write_json("config.json", dict(PIPELINE_CONFIG, ambient=ambient, scenario=scenario))
+        assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not os.path.exists("runb")
 
 
 def read_bytes(path):

@@ -16,7 +16,6 @@ from canids.detectors import (
     FrequencyDetector,
     GradientBoosting,
     NotFittedError,
-    Prediction,
     RandomForest,
     fit_decision_tree,
     fit_frequency_detector,
@@ -26,12 +25,10 @@ from canids.detectors import (
     measure_latency,
     model_from_json_obj,
     save_model,
-    softmax_cross_entropy,
 )
 from canids.detectors import (
     _MODEL_KINDS,
     _Gini,
-    _grow_tree,
     _grow_trees,
     _distinct_rows,
     _Newton,
@@ -71,8 +68,7 @@ class TestDecisionTree:
         X = np.random.default_rng(0).normal(size=(10, 3))
         model = fit_decision_tree(X, np.zeros(10, dtype=int), classes=("Normal",))
         assert model.depth == 0
-        preds = model.predict(X)
-        assert all(p.name == "Normal" and p.confidence == 1.0 for p in preds)
+        assert (model.predict_scores(X) == 1.0).all()
 
     def test_xor_depth_two_perfect(self):
         model = fit_decision_tree(XOR_X, XOR_Y, max_depth=2)
@@ -178,6 +174,12 @@ def _reference_scores(criterion, idx, rows, cand):
         right = right + rc * rc
     ln = cand.astype(np.float64)
     return left / ln + right / (len(rows) - ln)
+
+
+def _grow_tree(X, codes, criterion, max_depth, min_leaf):
+    """The one tree `_grow_trees` grows for a single criterion."""
+    (tree,), _ = _grow_trees(X, codes, [criterion], max_depth, min_leaf)
+    return tree
 
 
 def _reference_grow_tree(X, criterion, max_depth, min_leaf):
@@ -592,18 +594,20 @@ class TestRandomForest:
 
 class TestGradientBoosting:
     def test_training_loss_monotone(self):
+        # Without subsampling a k-round fit is the first k rounds of a longer one.
         X, y = blobs(seed=6, gap=0.7)
-        model = fit_gbdt(X, y, n_rounds=12, learning_rate=0.3, max_depth=3)
-        losses = [softmax_cross_entropy(raw, y) for raw in model.staged_raw_scores(X)]
+        losses = []
+        for n_rounds in range(1, 13):
+            p = fit_gbdt(X, y, n_rounds=n_rounds, learning_rate=0.3, max_depth=3).predict_scores(X)
+            losses.append(float(-np.log(np.maximum(p[np.arange(len(y)), y], 1e-300)).mean()))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_constant_labels_converge(self):
         X = np.random.default_rng(2).normal(size=(40, 3))
         y = np.zeros(40, dtype=int)
         model = fit_gbdt(X, y, classes=("A", "B"), n_rounds=15, learning_rate=0.3, max_depth=2)
-        preds = model.predict(X)
-        assert all(p.name == "A" for p in preds)
-        assert min(p.confidence for p in preds) >= 0.95
+        assert (model.predict_labels(X) == 0).all()
+        assert model.predict_scores(X)[:, 0].min() >= 0.95
 
     def test_separable_accuracy(self):
         X, y = blobs(seed=8)
@@ -637,10 +641,10 @@ class TestGradientBoosting:
     def test_raw_scores_are_the_last_stage(self):
         X, y = blobs(seed=20, gap=0.7)
         model = fit_gbdt(X, y, n_rounds=5, max_depth=2)
-        stages = list(model.staged_raw_scores(X))
-        assert len(stages) == 5
-        assert not np.array_equal(stages[0], stages[-1])
-        assert np.array_equal(model.raw_scores(X), stages[-1])
+        raw = model.raw_scores(X)
+        assert not np.array_equal(fit_gbdt(X, y, n_rounds=1, max_depth=2).raw_scores(X), raw)
+        e = np.exp(raw - raw.max(axis=1, keepdims=True))
+        assert np.array_equal(e / e.sum(axis=1, keepdims=True), model.predict_scores(X))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -1290,15 +1294,9 @@ class TestLatencyAndPredictions:
         assert latency > 0
         assert model.latency_us == latency
 
-    def test_prediction_validation(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            Prediction(name="A", confidence=0.9, scores=np.array([0.9, 0.4]))
-        with pytest.raises(ValueError, match="largest score"):
-            Prediction(name="A", confidence=0.5, scores=np.array([0.9, 0.1]))
-
     def test_predict_objects(self):
         X, y = blobs(seed=18, gap=3.0)
         model = fit_decision_tree(X, y, classes=("Normal", "Attack"), max_depth=3)
-        preds = model.predict(X[:5])
-        assert all(isinstance(p, Prediction) for p in preds)
-        assert all(p.confidence == p.scores.max() for p in preds)
+        scores = model.predict_scores(X[:5])
+        assert np.abs(scores.sum(axis=1) - 1.0).max() <= 1e-9
+        assert np.array_equal(scores.argmax(axis=1), model.predict_labels(X[:5]))

@@ -15,7 +15,6 @@ from canids.features import (
     _stratified_counts,
     TabularDataset,
     feature_names,
-    frame_to_features,
     load_dataset_csv,
     log_to_dataset,
     save_dataset_csv,
@@ -63,25 +62,39 @@ REFERENCE_FRAME = CanFrame(
 )
 
 
+def frame_to_features(frame, include_dlc=False):
+    """The per-frame oracle for a row of log_to_dataset: [id, (dlc,) b0..b7],
+    the data zero-padded to eight bytes.  Takes CanFrame or LabeledFrame."""
+    cf = getattr(frame, "frame", frame)
+    return [cf.can_id] + ([cf.dlc] if include_dlc else []) + list(cf.data.ljust(8, b"\0"))
+
+
+def one_frame_row(frame, include_dlc=False):
+    """The row log_to_dataset makes of a one-frame log."""
+    space = LabelSpace()
+    log = TrafficLog((LabeledFrame(frame, space.get("Normal")),), label_space=space)
+    return log_to_dataset(log, include_dlc=include_dlc).X[0]
+
+
 class TestFrameToFeatures:
     def test_reference_vector(self):
-        vec = frame_to_features(REFERENCE_FRAME)
+        vec = one_frame_row(REFERENCE_FRAME)
         assert vec.tolist() == [186, 4, 183, 236, 4, 0, 6, 2, 200]
 
     def test_empty_data_with_dlc(self):
         frame = CanFrame(0, "can0", 0x7FF, b"")
-        vec = frame_to_features(frame, include_dlc=True)
+        vec = one_frame_row(frame, include_dlc=True)
         assert vec.tolist() == [0x7FF, 0] + [0] * 8
         assert len(vec) == 10
 
     def test_reconstruct_padded_bytes(self):
-        vec = frame_to_features(REFERENCE_FRAME)
+        vec = one_frame_row(REFERENCE_FRAME)
         rebuilt = bytes(int(v) for v in vec[1:])
         assert rebuilt == REFERENCE_FRAME.data.ljust(8, b"\x00")
 
     def test_accepts_labeled_frame(self):
         lf = LabeledFrame(REFERENCE_FRAME, LabelSpace().get("Normal"))
-        assert frame_to_features(lf).tolist() == frame_to_features(REFERENCE_FRAME).tolist()
+        assert frame_to_features(lf) == one_frame_row(REFERENCE_FRAME).tolist()
 
     @given(
         can_id=st.integers(0, 2**11 - 1),
@@ -89,7 +102,7 @@ class TestFrameToFeatures:
     )
     def test_injective_with_dlc(self, can_id, data):
         frame = CanFrame(0, "can0", can_id, data)
-        vec = frame_to_features(frame, include_dlc=True)
+        vec = one_frame_row(frame, include_dlc=True)
         rebuilt_id = int(vec[0])
         rebuilt_dlc = int(vec[1])
         rebuilt = bytes(int(v) for v in vec[2 : 2 + rebuilt_dlc])
@@ -152,7 +165,7 @@ class TestLogToDataset:
         ), label_space=space)
         ds = log_to_dataset(log, include_dlc=include_dlc)
         expected = [frame_to_features(lf, include_dlc) for lf in log]
-        assert ds.X.tolist() == [v.tolist() for v in expected]
+        assert ds.X.tolist() == expected
         assert ds.y.tolist() == [int(lf.label.is_attack) for lf in log]
         assert ds.timestamps_us.tolist() == list(range(len(frames)))
 

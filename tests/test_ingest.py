@@ -19,16 +19,28 @@ from canids.ingest import (
     hcrl_schema,
     load_labels,
     load_metadata,
-    parse_candump_line,
     parse_candump_log,
     parse_csv_dataset,
     save_labels,
     save_metadata,
     serialize_candump,
-    serialize_candump_line,
 )
 
 EXAMPLE_LINE = "(1040000000.000682) can0 0BA#04B7EC04000602C8"
+
+
+def parse_candump_line(line, lineno=None):
+    """One candump record, read by the per-line grammar that words the block
+    decoder's errors: the oracle for one line of parse_candump_log."""
+    where = f"line {lineno}" if lineno is not None else "line"
+    ts_us, channel, can_id, extended, data_text = ingest._candump_fields(line, where)
+    return CanFrame(ts_us, channel, can_id, bytes.fromhex(data_text), extended=extended)
+
+
+def serialize_candump_line(frame):
+    """The candump text of one frame: the oracle for each line of serialize_candump."""
+    id_text = f"{frame.can_id:08X}" if frame.extended else f"{frame.can_id:03X}"
+    return f"({format_timestamp(frame.timestamp_us)}) {frame.channel} {id_text}#{frame.data.hex().upper()}"
 
 
 class TestCandumpLine:
@@ -78,6 +90,8 @@ class TestCandumpLine:
     def test_malformed(self, bad):
         with pytest.raises(ParseError):
             parse_candump_line(bad, lineno=7)
+        with pytest.raises(ParseError, match="line 1"):
+            parse_candump_log([bad])
 
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError, match="line 42"):

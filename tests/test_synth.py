@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from canids.core import CanFrame, TrafficLog, arbitration_winner, to_us
+from canids import synth
+from canids.core import MAX_DLC, CanFrame, TrafficLog, _read_field, to_us
 from canids.ingest import apply_metadata_labels, load_metadata, save_metadata
 from canids.synth import (
     AmbientIdSpec,
     AmbientModel,
     AttackScenario,
     PayloadModel,
-    apply_payload_spec,
     generate_ambient,
     inject_dos,
     inject_fabrication,
@@ -29,6 +29,7 @@ from canids.synth import (
     save_scenario,
     sidecar_metadata,
 )
+from test_core import arbitration_winner
 
 
 def simple_ambient(ids=None, duration=1.0, seed=7, jitter=0.0):
@@ -288,6 +289,15 @@ class TestInjectFuzzingMaxPayload:
         assert all(f.data == b"\xff" * 8 for f in injected)
         gaps = np.diff([f.timestamp_us for f in injected])
         assert set(gaps) == {1000}
+
+
+def apply_payload_spec(spec, legit):
+    """The forged payload of one legitimate payload, read as fabrication
+    forges it: 'X' nibbles copy the legitimate bytes, hex nibbles override,
+    and the spec is read by the "pattern" field rule."""
+    data, dlc = synth._forged(_read_field("", "spec", spec, "pattern"),
+                              np.frombuffer(legit.ljust(MAX_DLC, b"\0"), np.uint8), len(legit))
+    return data[0, :dlc[0]].tobytes()
 
 
 class TestPayloadSpec:
@@ -569,7 +579,8 @@ RUNNABLE_BASE = {
                    "payload_spec": FLAM_SPEC},
 }
 FIELD_VALUES = [("period", v) for v in (1e-7, 4e-7, 6e-7, 1e30)] + [
-    ("interval", v) for v in ([0.5, 1e30], [0.5, math.inf], [-math.inf, 0.6], [1e30, 1e30])] + [
+    ("interval", v)
+    for v in ([0.5, 1e30], [0.5, math.inf], [-math.inf, 0.6], [1e30, 1e30], [-1.0, 0.6])] + [
     ("payload", v) for v in ("", "00" * 8, "00" * 9)] + [
     ("payload_spec", v) for v in ("ZZ", "F" * 16, "F" * 17)] + [("attack_class", "Normal")]
 
