@@ -553,10 +553,11 @@ def id_bits(frame: CanFrame) -> np.ndarray:
 
 
 def id_bits_matrix(ids: Sequence[int]) -> np.ndarray:
-    """Vectorized id_bits for a sequence of identifiers; shape (n, 29), MSB first."""
-    arr = np.asarray(ids, dtype=np.uint32)
-    shifts = np.arange(EXTENDED_ID_BITS - 1, -1, -1, dtype=np.uint32)
-    return ((arr[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    """Vectorized id_bits for a sequence of identifiers; shape (n, 29), MSB
+    first: the last 29 of the 32 bits each id's big-endian bytes unpack to."""
+    arr = np.asarray(ids, dtype=">u4")
+    bits = np.unpackbits(arr.view(np.uint8).reshape(len(arr), 4), axis=1)
+    return bits[:, 32 - EXTENDED_ID_BITS:]
 
 
 # ---------------------------------------------------------------------------
@@ -653,21 +654,33 @@ def _each_followed_by(cells, sep: bytes):
     return (table, *codes) if codes else table
 
 
-def _float_cells(values):
-    """Dictionary cells holding repr(float(v)) for each entry of a float array.
-
-    Whole numbers below 2**53 in magnitude spanning a range shorter than the
-    array are formatted as the decimal range with ".0" appended; their bit
-    patterns must equal those of their int64 casts, which keeps -0.0 out.
-    Any other array has each distinct bit pattern formatted once, by Python
-    itself; keying on bits keeps -0.0 apart from 0.0."""
-    v = np.ascontiguousarray(values, dtype=np.float64)
+def _short_whole_range(v: np.ndarray) -> tuple[int, int, np.ndarray] | None:
+    """(lo, hi, v as int64) when the float64 array v holds whole numbers
+    below 2**53 in magnitude spanning a range lo..hi shorter than the array,
+    with bit patterns equal to those of their int64 casts, which keeps -0.0
+    out; otherwise None.  The cast comes after the range test, so it never
+    meets a value out of int64's range."""
     if v.size:
         lo, hi = v.min(), v.max()  # nan if any entry is nan, which fails the test
         if -_WHOLE_FLOAT_LIMIT < lo and hi < _WHOLE_FLOAT_LIMIT and hi - lo < v.size:
             whole = v.astype(np.int64)
             if np.array_equal(whole.astype(np.float64).view(np.uint64), v.view(np.uint64)):
-                return _each_followed_by(_range_cells(int(lo), int(hi)), b".0"), whole - int(lo)
+                return int(lo), int(hi), whole
+    return None
+
+
+def _float_cells(values):
+    """Dictionary cells holding repr(float(v)) for each entry of a float array.
+
+    An array that `_short_whole_range` accepts is formatted as the decimal
+    range with ".0" appended.  Any other array has each distinct bit pattern
+    formatted once, by Python itself; keying on bits keeps -0.0 apart from
+    0.0."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    whole = _short_whole_range(v)
+    if whole is not None:
+        lo, hi, ints = whole
+        return _each_followed_by(_range_cells(lo, hi), b".0"), ints - lo
     bits, codes = np.unique(v.view(np.uint64).ravel(), return_inverse=True)
     return _text_cells([repr(x) for x in bits.view(np.float64).tolist()],
                        codes.reshape(v.shape))

@@ -18,24 +18,39 @@ given identical inputs the fitted models are identical.
 
 The split search is exact and rank-coded: each fit encodes every feature
 column once as integer ranks (`_rank_codes`, 8 or 16 bits for up to
-65,536 distinct values) and every node sorts those small codes instead
-of the float values.  Ranks keep order and ties exactly, so the fitted
-trees are byte-identical to sorting the values themselves; thresholds
-are still midpoints of the two feature values either side of the split.
-Forests and boosting encode once for all their trees.
+65,536 distinct values) and every node searches those small codes instead
+of the float values.  A column of whole numbers over a range shorter than
+the column (every CAN id and byte column) is ranked in linear time from a
+presence table, any other by np.unique.  Ranks keep order and ties
+exactly, so the fitted trees are byte-identical to sorting the values
+themselves; thresholds are still midpoints of the two feature values
+either side of the split.  Forests and boosting encode once for all their
+trees, and a forest grows every tree from its bootstrap row indices over
+the one encoding, X and `_Gini`, with no per-tree copies.
 
 A node searches its features in groups of `_GROUP_CELLS // m` features
-(m node rows, at least one feature): one gather of the codes, one stable
-sort per feature row, one compare for every candidate split, and for each
-tree one 2-D prefix sum, one score array and one argmax.  `_Newton` holds
-the gradients and hessians as the real and imaginary parts of one complex
-array; complex addition adds the parts separately and a prefix sum adds in
-row order, so each part is the float prefix sum bit for bit.  `_Gini`
-runs one integer prefix sum per class but the last, whose left counts are
-the left side's size minus the others'.  The first argmax of a group is
-its lowest feature, then its lowest threshold, and a later group must
-score strictly higher, so the trees are those of a one-feature-at-a-time
-search.
+(m node rows, at least one feature), with one gather of the codes each.
+A node of `_Gini` trees whose count table, its widest feature's rank
+count times the number of classes, is at most `_COUNT_CELLS_PER_ROW * m`
+cells counts instead of sorting: one bincount of code * classes + class
+and a cumulative sum over the codes give the left class counts after
+every code present in the node, which are exactly the candidates of the
+sorted search, scored with the same integer sums of squares and the same
+float division.  Only the winning feature is then stably sorted, to list
+the children's rows in the order the sorted search gives them, so the
+thresholds read the same rows (which tells -0.0 from 0.0 next to +-inf).
+Every other node, and every `_Newton` node, whose float prefix sums
+depend on row order, sorts: one stable sort per feature row, one compare
+for every candidate split, and for each tree one 2-D prefix sum, one
+score array and one argmax.  `_Newton` holds the gradients and hessians
+as the real and imaginary parts of one complex array; complex addition
+adds the parts separately and a prefix sum adds in row order, so each
+part is the float prefix sum bit for bit.  A sorting `_Gini` node runs
+one integer prefix sum per class but the last, whose left counts are the
+left side's size minus the others'.  Either way the first argmax of a
+group is its lowest feature, then its lowest threshold, and a later
+group must score strictly higher, so the trees are those of a
+one-feature-at-a-time search.
 
 A tree walks all its rows together, one level per pass
 (`_TreeArrays.apply`): a leaf leads back to itself, so a tree of depth D
@@ -79,7 +94,15 @@ from typing import IO, Any, Iterable, Sequence
 
 import numpy as np
 
-from .core import CanFrame, LabeledFrame, TrafficLog, _class_indices, _read_field, _require_fields
+from .core import (
+    CanFrame,
+    LabeledFrame,
+    TrafficLog,
+    _class_indices,
+    _read_field,
+    _require_fields,
+    _short_whole_range,
+)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -326,7 +349,7 @@ def _safe_threshold(lo: float, hi: float) -> float:
 class _Gini:
     """Classification criterion: leaves hold class distributions, a pure
     node stays a leaf, and a split scores the weighted Gini decrease.  The
-    node state is its class counts."""
+    node state is its class counts and its rows' classes."""
 
     floor = -np.inf
 
@@ -338,13 +361,15 @@ class _Gini:
         self.indicators = (y == np.arange(n_classes - 1)[:, None]).astype(np.int64)
 
     def node(self, idx: np.ndarray) -> tuple[np.ndarray, bool, Any]:
-        counts = np.bincount(self.y.take(idx), minlength=self.width)
-        return counts / len(idx), counts.max() < len(idx), counts
+        labels = self.y.take(idx)
+        counts = np.bincount(labels, minlength=self.width)
+        return counts / len(idx), counts.max() < len(idx), (counts, labels)
 
-    def scores(self, idx: np.ndarray, order: np.ndarray, at: np.ndarray, counts: Any) -> np.ndarray:
+    def scores(self, idx: np.ndarray, order: np.ndarray, at: np.ndarray, state: Any) -> np.ndarray:
         # Minimizing weighted Gini is maximizing the sum of squared
         # class counts over each side's size.  The counts are integers,
         # so the sums of squares are exact in any order.
+        counts, _ = state
         m = len(idx)
         cand = at % m + 1
         left = right = 0
@@ -358,8 +383,42 @@ class _Gini:
         rc = counts[-1] - rest
         left = left + rest * rest
         right = right + rc * rc
-        ln = cand.astype(np.float64)
+        return self._divide(left, right, cand, m)
+
+    @staticmethod
+    def _divide(left: np.ndarray, right: np.ndarray, sizes: np.ndarray, m: int) -> np.ndarray:
+        """Each side's integer sum of squared class counts over its size;
+        `sizes` holds the left sizes."""
+        ln = sizes.astype(np.float64)
         return left / ln + right / (m - ln)
+
+    def counted_scores(self, v: np.ndarray, ranks: int, lo: int, hi: int,
+                       state: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scores of a node's candidate splits from class counts per rank
+        code, with no sort: v holds the node's (q, m) codes of q features,
+        each below `ranks`.  One bincount of code * classes + class, each
+        feature offset past the one before, and a cumulative sum over the
+        codes give the left class counts after every code.  A candidate is
+        a code present in the node whose left size lies in [lo, hi]; these
+        are the positions where the sorted codes change.  It is numbered
+        feat * ranks + code, ascending.  Returns the scores, those numbers
+        and the left sizes."""
+        counts, labels = state
+        q, m = v.shape
+        width = self.width
+        key = np.multiply(v, width, dtype=np.intp)
+        key += labels
+        key += np.arange(0, q * ranks * width, ranks * width)[:, None]
+        left = np.bincount(key.ravel(), minlength=q * ranks * width).reshape(q, ranks, width)
+        left = left.cumsum(axis=1).reshape(q * ranks, width)
+        sizes = left.sum(axis=1)
+        # A code is present in the node where the left size grows.
+        present = np.diff(sizes.reshape(q, ranks), axis=1, prepend=0).ravel() > 0
+        at = np.flatnonzero(present & (sizes >= lo) & (sizes <= hi))
+        lc = left.take(at, axis=0)
+        rc = counts - lc
+        sizes = sizes.take(at)
+        return self._divide((lc * lc).sum(axis=1), (rc * rc).sum(axis=1), sizes, m), at, sizes
 
 
 class _Newton:
@@ -404,10 +463,10 @@ class _Newton:
 
 def _reject_nan(X: np.ndarray) -> None:
     """Fitting refuses NaN features: NaN orders against nothing, so no
-    split could place it."""
-    bad = np.isnan(X).any(axis=0)
-    if bad.any():
-        raise ValueError(f"feature column {int(np.argmax(bad))} contains NaN")
+    split could place it.  The minimum is NaN exactly when X holds a NaN;
+    the full mask is built only to name the column."""
+    if np.isnan(X.min(initial=np.inf)):
+        raise ValueError(f"feature column {int(np.argmax(np.isnan(X).any(axis=0)))} contains NaN")
 
 
 def _rank_codes(X: np.ndarray) -> np.ndarray:
@@ -415,15 +474,31 @@ def _rank_codes(X: np.ndarray) -> np.ndarray:
     codes[f, i] is the rank of X[i, f] among the column's distinct
     values, in the smallest dtype that holds every column's ranks.
     Ranks keep order and ties exactly (-0.0 and 0.0 share a rank), so a
-    stable sort of a node's codes is the stable sort of its values."""
+    stable sort of a node's codes is the stable sort of its values.
+
+    A column of whole numbers over a range shorter than the column (every
+    CAN id and byte column; `core._short_whole_range`) is ranked in linear
+    time: a presence table over the range, its cumulative sum, and one
+    take.  Any other column is ranked by np.unique."""
     _reject_nan(X)
     n, d = X.shape
     ranks = []
     distinct = 0
     for f in range(d):
-        values, rank = np.unique(X[:, f], return_inverse=True)
+        column = np.ascontiguousarray(X[:, f])  # read several times below
+        whole = _short_whole_range(column)
+        if whole is None:
+            values, rank = np.unique(column, return_inverse=True)
+            count = len(values)
+        else:
+            lo, hi, ints = whole
+            offset = ints - lo
+            present = np.zeros(hi - lo + 1, dtype=bool)
+            present[offset] = True
+            rank_of = present.cumsum() - 1
+            rank, count = rank_of.take(offset), int(rank_of[-1]) + 1
         ranks.append(rank)
-        distinct = max(distinct, len(values))
+        distinct = max(distinct, count)
     dtype = np.uint8 if distinct <= 2**8 else np.uint16 if distinct <= 2**16 else np.int64
     return np.array(ranks, dtype=dtype).reshape(d, n)
 
@@ -433,6 +508,11 @@ def _rank_codes(X: np.ndarray) -> np.ndarray:
 # and scores stay in cache.
 _GROUP_CELLS = 65_536
 
+# A node whose trees are all `_Gini` counts classes per rank code instead of
+# sorting when the count table of its widest feature, ranks x classes cells,
+# is at most this many times its row count.
+_COUNT_CELLS_PER_ROW = 1
+
 
 def _grow_trees(
     X: np.ndarray,
@@ -440,43 +520,65 @@ def _grow_trees(
     criteria: Sequence[_Gini | _Newton],
     max_depth: int | None,
     min_leaf: int,
+    rows: np.ndarray | None = None,
+    cols: np.ndarray | None = None,
 ) -> tuple[list[_TreeArrays], np.ndarray]:
     """One greedy binary tree per criterion over the same rows, grown
     together from an explicit stack, so depth is bounded only by
     max_depth.  Each tree's node ids are its own preorder, left child
     first.  A split must beat the criterion's floor; ties go to the
     lowest feature, then the lowest threshold.  Also returns leaves,
-    (trees, rows): leaves[k, i] is tree k's leaf for row i of X.
+    (trees, rows of X): leaves[k, i] is tree k's leaf for row i of X, for
+    each row the trees grew from.
+
+    The root holds `rows`, indices into X that may repeat (a bootstrap
+    sample), or every row of X.  Tree feature f is code row f of `codes`
+    and column cols[f] of X (column f without cols); the criteria are
+    indexed by X's rows.  So a forest grows every tree over one encoding,
+    one X and one criterion, with no per-tree copies.
 
     A stack entry is a row set with the group of trees that have a node
-    of exactly those rows; each feature is sorted once for the group and
+    of exactly those rows; each feature is searched once for the group and
     each tree scores it with its own criterion.  Trees that choose the
-    same split share the children.  The sort reads `codes` (the
+    same split share the children.  The search reads `codes` (the
     `_rank_codes` of X, or a row and column subset of them, which stays
     order-preserving); X is read only for the two values on either side
     of a chosen split.
 
     A node of m rows searches its features in groups of q =
     max(1, _GROUP_CELLS // m).  A group's codes are gathered as one (q, m)
-    array and each row is stably sorted; `order[j]` holds the node
-    positions of feature f0 + j in sorted order.  Every candidate of the
-    group is found by one compare, and each searching tree scores all of
-    them in one `criterion.scores(idx, order, at, state)` call, where `at`
-    holds the candidates' flat positions feat * m + i - 1 in (q, m) (the
-    last row of the left side), ascending.  The first argmax is the lowest
+    array.  When every tree of the node is a `_Gini` one and ranks x
+    classes <= _COUNT_CELLS_PER_ROW * m (ranks: the widest feature's rank
+    count), each tree scores the group from its class counts per code
+    (`_Gini.counted_scores`), with no sort.  Otherwise each row of the
+    group is stably sorted; `order[j]` holds the node positions of feature
+    f0 + j in sorted order.  Every candidate of the group is found by one
+    compare, and each searching tree scores all of them in one
+    `criterion.scores(idx, order, at, state)` call, where `at` holds the
+    candidates' flat positions feat * m + i - 1 in (q, m) (the last row of
+    the left side), ascending.  Either way the first argmax is the lowest
     feature, then the lowest threshold, of the group; a later group must
-    beat it strictly."""
+    beat it strictly.  The children of a split list the node's rows in
+    the stable sort order of the chosen feature, whichever search found
+    it, so both give the same trees."""
     trees = [_TreeArrays(value_width=c.width) for c in criteria]
     leaves = np.empty((len(criteria), len(X)), dtype=np.int64)
+    columns = range(X.shape[1]) if cols is None else cols
+    # Every code is below `ranks`; a node of Gini trees counts per code
+    # when `count_cells` is small enough for it.
+    gini = all(isinstance(c, _Gini) for c in criteria)
+    ranks = int(codes.max(initial=0)) + 1
+    count_cells = ranks * max((c.width for c in criteria), default=0)
     # (rows, depth, [(tree, parent node, child array the parent links through)])
     stack: list[tuple[np.ndarray, int, list[tuple[int, int, list[int]]]]] = [
-        (np.arange(len(X), dtype=np.int64), 0, [(k, -1, t.left) for k, t in enumerate(trees)])
+        (np.arange(len(X), dtype=np.int64) if rows is None else rows, 0,
+         [(k, -1, t.left) for k, t in enumerate(trees)])
     ]
     while stack:
         idx, depth, group = stack.pop()
         m = len(idx)
         stop = m < 2 * min_leaf or (max_depth is not None and depth >= max_depth)
-        # (tree, node, criterion state, best score, best (feature, node sort order, position))
+        # (tree, node, criterion state, best score, best (feature, node sort order or None, position))
         searching: list[list[Any]] = []
         for k, parent, link in group:
             value, may_split, state = criteria[k].node(idx)
@@ -492,9 +594,20 @@ def _grow_trees(
         # A candidate splits a feature's sorted rows after row i - 1, where
         # the codes change, and leaves both sides at least min_leaf rows.
         lo, hi = min_leaf, m - min_leaf
+        count = gini and count_cells <= _COUNT_CELLS_PER_ROW * m
         size = max(1, _GROUP_CELLS // m)
         for f0 in range(0, len(codes), size):
             v = codes[f0 : f0 + size].take(idx, axis=1)
+            if count:
+                for entry in searching:
+                    score, at, sizes = criteria[entry[0]].counted_scores(v, ranks, lo, hi, entry[2])
+                    if len(at) == 0:
+                        continue
+                    j = int(score.argmax())
+                    if score[j] > entry[3]:
+                        entry[3] = float(score[j])
+                        entry[4] = (f0 + int(at[j]) // ranks, None, int(sizes[j]))
+                continue
             order = v.argsort(axis=1, kind="stable")
             sv = v.take(order + np.arange(0, v.size, m)[:, None])
             last_left = np.zeros(v.shape, dtype=bool)
@@ -510,7 +623,7 @@ def _grow_trees(
                     feat, i = divmod(int(at[j]), m)
                     entry[4] = (f0 + feat, order[feat], i + 1)
         # One pair of children per distinct (feature, position) choice.
-        children: dict[tuple[int, int], tuple[np.ndarray, list[tuple[int, int]]]] = {}
+        children: dict[tuple[int, int], tuple[np.ndarray | None, list[tuple[int, int]]]] = {}
         for k, node, _, _, best in searching:
             if best is None:
                 leaves[k, idx] = node
@@ -518,13 +631,17 @@ def _grow_trees(
             f, order_f, i = best
             children.setdefault((f, i), (order_f, []))[1].append((k, node))
         for (f, i), (order_f, split) in children.items():
-            rows = idx.take(order_f)
-            threshold = _safe_threshold(float(X[rows[i - 1], f]), float(X[rows[i], f]))
+            if order_f is None:
+                order_f = codes[f].take(idx).argsort(kind="stable")
+            node_rows = idx.take(order_f)
+            column = columns[f]
+            threshold = _safe_threshold(float(X[node_rows[i - 1], column]),
+                                        float(X[node_rows[i], column]))
             for k, node in split:
                 trees[k].feature[node] = f
                 trees[k].threshold[node] = threshold
-            stack.append((rows[i:], depth + 1, [(k, node, trees[k].right) for k, node in split]))
-            stack.append((rows[:i], depth + 1, [(k, node, trees[k].left) for k, node in split]))
+            stack.append((node_rows[i:], depth + 1, [(k, node, trees[k].right) for k, node in split]))
+            stack.append((node_rows[:i], depth + 1, [(k, node, trees[k].left) for k, node in split]))
     for tree in trees:
         tree.finalize()
     return trees, leaves
@@ -700,6 +817,7 @@ class RandomForest(Detector):
         n, d = X.shape
         n_feats = max(1, int(round(self.feature_frac * d)))
         codes = _rank_codes(X)
+        criterion = _Gini(y, len(self.classes))
         self._trees = []
         self._feats = []
         for t in range(self.n_trees):
@@ -707,11 +825,13 @@ class RandomForest(Detector):
             rows = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             cols = np.sort(rng.permutation(d)[:n_feats])
             (tree,), _ = _grow_trees(
-                X[rows][:, cols],
-                codes[cols][:, rows],
-                [_Gini(y[rows], len(self.classes))],
+                X,
+                codes if n_feats == d else codes[cols],
+                [criterion],
                 self.max_depth,
                 self.min_leaf,
+                rows,
+                cols,
             )
             self._trees.append(tree)
             self._feats.append(cols)

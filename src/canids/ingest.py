@@ -44,6 +44,7 @@ from canids.core import (
     _PAD_BYTE,
     _csv_rows,
     _data_rows,
+    _decimal_cells,
     _decimal_table,
     _float_cells,
     _hex_cells,
@@ -737,12 +738,15 @@ def save_labels(log: TrafficLog, stream: IO[str]) -> None:
     space order plus one class index per frame."""
     if not log.is_labeled:
         raise ValueError("log is not labeled")
-    doc = {
-        "format_version": 1,
-        "classes": log.label_space.names(),
-        "labels": log.label.tolist(),
-    }
-    stream.write(json.dumps(doc) + "\n")
+    # The text of json.dumps(doc) + "\n": the document with no labels up to
+    # the opening bracket of "labels", its last field, then the first label
+    # and the others, each after ", ", through the block writer.
+    doc = {"format_version": 1, "classes": log.label_space.names(), "labels": []}
+    head, labels = json.dumps(doc).removesuffix("]}"), log.label
+    stream.write(head + (str(int(labels[0])) if len(labels) else ""))
+    _write_rows(stream, max(len(labels) - 1, 0),
+                lambda lo, hi: [b", ", _decimal_cells(labels[lo + 1 : hi + 1])])
+    stream.write("]}\n")
 
 
 def load_labels(log: TrafficLog, stream: IO[str]) -> TrafficLog:

@@ -1,7 +1,10 @@
 """Sliding-window builders over labeled traffic.
 
 Two window shapes are produced: w x 29 binary grids of stacked
-identifier bits, and plain identifier sequences.  A window is labeled 1
+identifier bits, and plain identifier sequences.  Windows are taken from
+a sliding-window view of the log's columns, with no index matrix; the id
+sequences' `ids` is that view itself, read-only, so a dense stride holds
+the log's ids once rather than once per window.  A window is labeled 1
 if any frame inside it carries an attack label, 0 otherwise.  The grid
 builder supports both the coarse stride (step = window, no overlap) and
 the dense stride (step 1), which guarantees that any attack run no
@@ -22,6 +25,7 @@ from itertools import chain
 from typing import IO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     EXTENDED_ID_BITS,
@@ -113,14 +117,25 @@ def _window_labels(attack: np.ndarray, starts: np.ndarray, window: int) -> np.nd
     return (cum[starts + window] - cum[starts] > 0).astype(np.uint8)
 
 
-def _windows(log: TrafficLog, window: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The row indices (count, window) of each full window of a labeled log,
-    its any-attack label and its start row."""
+def _windows(log: TrafficLog, window: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """The any-attack label and the start row of each full window of a
+    labeled log."""
     attack = log.attack_flags()
     starts = _window_layout(len(log), window, step)
     if len(starts) == 0 and len(log):
         logger.warning("log of %d frames is shorter than window %d", len(log), window)
-    return starts[:, None] + np.arange(window), _window_labels(attack, starts, window), starts
+    return _window_labels(attack, starts, window), starts
+
+
+def _window_view(values: np.ndarray, window: int, step: int) -> np.ndarray:
+    """values[s:s + window] for each window start s of `_window_layout`, as
+    one read-only view of shape (count, window, *values.shape[1:])."""
+    if len(values) < window:
+        view = np.empty((0, window) + values.shape[1:], dtype=values.dtype)
+        view.flags.writeable = False
+        return view
+    # sliding_window_view puts the window axis last.
+    return np.moveaxis(sliding_window_view(values, window, axis=0)[::step], -1, 1)
 
 
 def build_bit_grids(
@@ -129,16 +144,20 @@ def build_bit_grids(
     """Stack consecutive frame ids into w x 29 bit grids over the
     time-ordered log.  Trailing frames that do not fill a window are
     dropped."""
-    rows, labels, starts = _windows(log, window, step)
-    return BitGridSet(grids=id_bits_matrix(log.can_id)[rows], labels=labels, starts=starts)
+    labels, starts = _windows(log, window, step)
+    grids = _window_view(id_bits_matrix(log.can_id), window, step).copy()
+    return BitGridSet(grids=grids, labels=labels, starts=starts)
 
 
 def build_id_sequences(
     log: TrafficLog, window: int = DEFAULT_SEQUENCE_WINDOW, step: int = 1
 ) -> IdSequenceSet:
-    """Group consecutive identifiers into fixed-length sequences."""
-    rows, labels, starts = _windows(log, window, step)
-    return IdSequenceSet(ids=log.can_id.astype(np.int64)[rows], labels=labels, starts=starts)
+    """Group consecutive identifiers into fixed-length sequences.  `ids` is
+    a read-only view of one int64 copy of the log's ids, so overlapping
+    windows share their memory."""
+    labels, starts = _windows(log, window, step)
+    ids = _window_view(log.can_id.astype(np.int64), window, step)
+    return IdSequenceSet(ids=ids, labels=labels, starts=starts)
 
 
 def save_bit_grids(grids: BitGridSet, grid_stream: IO[bytes], label_stream: IO[bytes]) -> None:

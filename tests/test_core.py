@@ -21,6 +21,7 @@ from canids.features import TabularDataset, save_dataset_csv
 from canids.ingest import parse_candump_log, serialize_candump
 from test_features import csv_text, reference_save_dataset_csv
 from test_ingest import candump_text, serialize_candump_line
+from test_windows import shifted_id_bits
 
 # The label spaces of the three dataset families the workbench parses.
 ROAD_CLASSES = [
@@ -223,6 +224,16 @@ class TestIdBits:
         for row, i in zip(mat, ids):
             assert row.tolist() == id_bits(frame(can_id=i, extended=True)).tolist()
         assert mat.dtype == np.uint8
+
+    @given(st.lists(st.integers(0, (1 << 29) - 1), max_size=40))
+    def test_matrix_matches_shift_formula(self, ids):
+        ids += [0, 1, 0x7FF, 0x800, (1 << 29) - 1]
+        mat = id_bits_matrix(np.array(ids, dtype=np.uint32))
+        assert mat.shape == (len(ids), 29) and mat.dtype == np.uint8
+        assert np.array_equal(mat, shifted_id_bits(ids))
+
+    def test_empty_matrix(self):
+        assert id_bits_matrix([]).shape == (0, 29)
 
 
 class TestArbitration:

@@ -417,6 +417,158 @@ class TestGroupedSearch:
         assert np.signbit(both.real[0, 0])
 
 
+def _reference_rank_codes(X):
+    """Ranks by np.unique, column by column: what `_rank_codes` gave before
+    whole-number columns were ranked from a presence table."""
+    ranks = [np.unique(X[:, f], return_inverse=True)[1] for f in range(X.shape[1])]
+    distinct = max((int(r.max()) + 1 for r in ranks), default=0)
+    dtype = np.uint8 if distinct <= 2**8 else np.uint16 if distinct <= 2**16 else np.int64
+    return np.array(ranks, dtype=dtype).reshape(X.shape[1], len(X))
+
+
+RANK_EDGES = [2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53) + 1, -(2.0**53), -(2.0**53) - 2,
+              -0.0, 0.0, np.inf, -np.inf, 0.5, -2.25]
+
+
+@st.composite
+def rank_code_matrices(draw):
+    """Columns of whole numbers over ranges shorter than, as long as and
+    longer than the column, from 0, from a negative, and next to -+2**53,
+    with some edge values mixed in: neighbours of +-2**53, -0.0 with 0.0,
+    +-inf and fractions.  One row is a possible matrix."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.sampled_from([0, -7, 2**53 - 40, -(2**53) + 1]))
+        span = draw(st.sampled_from([1, n // 2 + 1, n, 3 * n]))
+        col = (lo + rng.integers(0, span, n)).astype(np.float64)
+        k = draw(st.integers(0, 3))
+        if k:
+            edges = draw(st.lists(st.sampled_from(RANK_EDGES), min_size=1, max_size=3))
+            col[rng.integers(0, n, k)] = rng.choice(edges, k)
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+class TestRankCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(rank_code_matrices())
+    def test_match_unique_ranks(self, X):
+        codes = _rank_codes(X)
+        expected = _reference_rank_codes(X)
+        assert codes.dtype == expected.dtype
+        assert np.array_equal(codes, expected)
+
+    def test_presence_table_ranks_and_unique_ranks_agree(self):
+        # The same values as whole numbers over a short range (presence
+        # table) and with one fraction added (np.unique).
+        col = np.array([5.0, 3.0, 9.0, 3.0, 4.0, 9.0, 5.0, 8.0, 3.0, 4.0])
+        fraction = np.append(col, 3.5)
+        assert _rank_codes(col[:, None])[0].tolist() == [2, 0, 4, 0, 1, 4, 2, 3, 0, 1]
+        assert _rank_codes(fraction[:, None])[0].tolist() == [3, 0, 5, 0, 2, 5, 3, 4, 0, 2, 1]
+
+
+def _reference_forest(model, X, y):
+    """The forest fit before its trees shared one encoding: each tree grown
+    on its own copies X[rows][:, cols] and codes[cols][:, rows] with its own
+    `_Gini` over y[rows].  Returns (tree, cols) per tree."""
+    n, d = X.shape
+    n_feats = max(1, int(round(model.feature_frac * d)))
+    codes = _rank_codes(X)
+    fitted = []
+    for t in range(model.n_trees):
+        rng = np.random.default_rng([model.seed, t])
+        rows = rng.integers(0, n, size=n) if model.bootstrap else np.arange(n)
+        cols = np.sort(rng.permutation(d)[:n_feats])
+        tree = _grow_tree(X[rows][:, cols], codes[cols][:, rows], _Gini(y[rows], int(y.max()) + 1),
+                          model.max_depth, model.min_leaf)
+        fitted.append((tree, cols))
+    return fitted
+
+
+class TestForestRowIndices:
+    """`RandomForest.fit` grows each tree from its bootstrap row indices
+    over one encoding; the per-tree copies it replaced give the same trees."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tie_heavy_matrices(),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from([1.0, 0.7, 0.4]),
+        st.one_of(st.none(), st.integers(1, 5)),
+        st.integers(1, 3),
+    )
+    def test_matches_per_tree_copies(self, X, seed, bootstrap, feature_frac, max_depth, min_leaf):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 3, len(X))
+        y[0] = 2  # three classes whatever the draw
+        model = RandomForest(n_trees=3, max_depth=max_depth, min_leaf=min_leaf,
+                             bootstrap=bootstrap, feature_frac=feature_frac, seed=seed).fit(X, y)
+        reference = _reference_forest(model, X, y)
+        assert [tree_json(t) for t in model._trees] == [tree_json(t) for t, _ in reference]
+        assert [c.tolist() for c in model._feats] == [c.tolist() for _, c in reference]
+
+
+class TestCountingSearch:
+    """A node of Gini trees whose count table is no larger than
+    `_COUNT_CELLS_PER_ROW` times its rows counts classes per rank code
+    instead of sorting; either regime must give the float-argsort
+    reference's trees."""
+
+    @pytest.mark.parametrize("cells_per_row", [0, 10**9], ids=["sort", "count"])
+    @pytest.mark.parametrize("group_cells", [1, 65_536])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tie_heavy_matrices(),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 4),
+        st.one_of(st.none(), st.integers(1, 5)),
+        st.integers(1, 4),
+    )
+    def test_each_regime_matches_reference(self, cells_per_row, group_cells, X, seed, n_classes,
+                                           max_depth, min_leaf):
+        # Repeated columns give equal scores in different features (and,
+        # in groups of one, in different groups): the lowest must win.
+        rng = np.random.default_rng(seed)
+        X = X[:, rng.integers(0, X.shape[1], X.shape[1] + 2)]
+        criterion = _Gini(rng.integers(0, n_classes, len(X)), n_classes)
+        with mock.patch.object(detectors, "_COUNT_CELLS_PER_ROW", cells_per_row), \
+                mock.patch.object(detectors, "_GROUP_CELLS", group_cells):
+            fast = _grow_tree(X, _rank_codes(X), criterion, max_depth, min_leaf)
+        slow = _reference_grow_tree(X, criterion, max_depth, min_leaf)
+        assert tree_json(fast) == tree_json(slow)
+
+    def test_root_counts_and_deep_nodes_sort(self):
+        # 150 ranks x 3 classes = 450 cells: the 600-row root counts, and
+        # every node below 450 rows sorts.  The third column puts -0.0 and
+        # 0.0 next to +inf, where the threshold is whichever zero the
+        # children's row order puts last on the left.
+        rng = np.random.default_rng(5)
+        n = 600
+        X = np.column_stack([rng.integers(0, 40, n), rng.integers(0, 150, n) * 0.5,
+                             rng.choice([-0.0, 0.0, np.inf], n)])
+        y = (X[:, 0] + rng.integers(0, 30, n) > 45) + (X[:, 1] > 40) * (X[:, 2] > 0)
+        criterion = _Gini(y, 3)
+        counted, sorted_ = [], []
+        count_scores, sort_scores = _Gini.counted_scores, _Gini.scores
+
+        def spy_count(self, v, *args):
+            counted.append(v.shape[1])
+            return count_scores(self, v, *args)
+
+        def spy_sort(self, idx, *args):
+            sorted_.append(len(idx))
+            return sort_scores(self, idx, *args)
+
+        with mock.patch.object(_Gini, "counted_scores", spy_count), \
+                mock.patch.object(_Gini, "scores", spy_sort):
+            fast = _grow_tree(X, _rank_codes(X), criterion, None, 1)
+        assert n in counted and min(counted) >= 450 and 0 < max(sorted_) < 450
+        assert tree_json(fast) == tree_json(_reference_grow_tree(X, criterion, None, 1))
+
+
 FITS_WITH_CLASSES = [
     lambda X, y, classes: fit_decision_tree(X, y, classes),
     lambda X, y, classes: fit_random_forest(X, y, classes, n_trees=2),

@@ -505,6 +505,25 @@ class TestLabelDocument:
         json.dump(doc, expected)
         assert buf.getvalue() == expected.getvalue() + "\n"
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(min_size=1), min_size=1, max_size=4, unique=True)
+           .filter(lambda names: "Normal" not in names),
+           st.sampled_from([0, 1, 2, 7, 300]), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 3, 8192]))
+    def test_text_is_json_dumps(self, names, n, seed, block_rows):
+        """Label arrays of 0, 1 and many frames, with class names that hold
+        quotes, escapes or non-ASCII text, across block boundaries."""
+        space = LabelSpace(names)
+        labels = np.random.default_rng(seed).integers(0, len(space), n)
+        log = TrafficLog._from_columns(np.arange(n), np.zeros(n, dtype=np.int64), np.zeros(n, bool),
+                                       np.zeros(n, dtype=np.int64), np.zeros((n, 8), np.uint8),
+                                       np.zeros(n, dtype=np.int64), ["can0"], labels, space)
+        buf = io.StringIO()
+        with mock.patch.object(core, "_BLOCK_ROWS", block_rows):
+            save_labels(log, buf)
+        doc = {"format_version": 1, "classes": space.names(), "labels": labels.tolist()}
+        assert buf.getvalue() == json.dumps(doc) + "\n"
+
 
 HCRL_STYLE_CSV = """\
 1478198376.389427,0316,8,05,21,68,09,21,21,00,6f,R

@@ -131,6 +131,57 @@ class TestSequences:
         assert out.labels.tolist() == [1] + [0] * 4
 
 
+def shifted_id_bits(ids):
+    """The shift formula id_bits_matrix used before it unpacked bytes."""
+    arr = np.asarray(ids, dtype=np.uint32)
+    shifts = np.arange(28, -1, -1, dtype=np.uint32)
+    return ((arr[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
+def log_of_ids(ids, attack_indices=()):
+    frames = tuple(
+        LabeledFrame(CanFrame(i * 1000, "can0", can_id, b"", extended=can_id > 0x7FF),
+                     SPACE.get("Attack") if i in attack_indices else SPACE.get("Normal"))
+        for i, can_id in enumerate(ids)
+    )
+    return TrafficLog(frames, label_space=SPACE)
+
+
+class TestWindowViews:
+    """The builders take their windows from a sliding-window view; the
+    index-matrix gathers they replaced are the oracles."""
+
+    @staticmethod
+    def index_matrix(n, window, step):
+        starts = np.arange(0, n - window + 1, step) if n >= window else np.zeros(0, dtype=int)
+        return starts, starts[:, None] + np.arange(window)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, (1 << 29) - 1), max_size=40), st.integers(1, 6), st.data())
+    def test_windows_match_index_gather(self, ids, window, data):
+        step = data.draw(st.integers(1, window + 1))
+        log = log_of_ids(ids, attack_indices={len(ids) // 2})
+        can_id = log.can_id.astype(np.int64)
+        starts, rows = self.index_matrix(len(ids), window, step)
+        seqs = build_id_sequences(log, window=window, step=step)
+        grids = build_bit_grids(log, window=window, step=step)
+        assert seqs.ids.shape == grids.grids.shape[:2] == (len(starts), window)
+        assert np.array_equal(seqs.ids, can_id[rows]) and seqs.ids.dtype == np.int64
+        assert np.array_equal(grids.grids, shifted_id_bits(log.can_id)[rows])
+        assert np.array_equal(seqs.starts, starts) and np.array_equal(grids.starts, starts)
+
+    @pytest.mark.parametrize("n", [0, 3, 16, 40])
+    def test_sequence_ids_are_read_only(self, n):
+        seqs = build_id_sequences(make_log(n), window=16)
+        assert not seqs.ids.flags.writeable
+        with pytest.raises(ValueError):
+            seqs.ids[...] = 0
+
+    def test_grids_are_their_own_array(self):
+        grids = build_bit_grids(make_log(90), step=29)
+        assert grids.grids.flags.writeable and grids.grids.flags.c_contiguous
+
+
 class TestPersistence:
     def test_grid_roundtrip(self):
         out = build_bit_grids(make_log(120, attack_indices=[30, 31, 90]), step=1)
