@@ -171,6 +171,8 @@ class LabeledFrame:
 _PAST_DLC = (np.arange(MAX_DLC) >= np.arange(MAX_DLC + 1)[:, None]).astype(np.uint8) * 0xFF
 _MAX_STANDARD_ID = np.array(MAX_STANDARD_ID)  # numpy compares with an array faster than an int
 _COLUMN_NAMES = ("timestamp", "CAN id", "id format", "dlc", "channel code", "label code")
+# The dtypes of a log's ts_us, can_id, extended, dlc, data, channel and label.
+_COLUMN_DTYPES = (np.int64, np.uint32, bool, np.uint8, np.uint8, np.int64, np.int64)
 
 
 class TrafficLog:
@@ -186,9 +188,10 @@ class TrafficLog:
     `TrafficLog(frames, label_space)` takes CanFrame or LabeledFrame objects
     (with no label space given, one is built from the labels in order of
     appearance); the library's stages build logs from arrays, and every
-    log's columns are checked in one place, `_from_columns`.  Indexing,
-    iteration, `frames` and `can_frames()` build frame objects on demand;
-    none is stored.
+    log's columns are checked in one place, `_from_columns`; a reader whose
+    own tables already prove those rules stores them by `_assemble` alone.
+    Indexing, iteration, `frames` and `can_frames()` build frame objects on
+    demand; none is stored.
     """
 
     def __init__(self, frames: Iterable = (), label_space: LabelSpace | None = None):
@@ -221,12 +224,11 @@ class TrafficLog:
         first bad frame."""
         if label is not None and label_space is None:
             raise ValueError("a labeled log needs a label space")
-        log = cls.__new__(cls)
-        log.channels, log.label_space = tuple(channels), label_space
+        channels = tuple(channels)
         # The one-row columns are stacked and range-checked together: viewed
         # as uint64, a negative value is past any bound.
         rows = [ts_us, can_id, extended, dlc, channel]
-        bounds = [1 << 63, 1 << EXTENDED_ID_BITS, 2, MAX_DLC + 1, len(log.channels)]
+        bounds = [1 << 63, 1 << EXTENDED_ID_BITS, 2, MAX_DLC + 1, len(channels)]
         if label is not None:
             rows.append(label)
             bounds.append(len(label_space))
@@ -247,22 +249,33 @@ class TrafficLog:
             k = int(np.argmax(out.any(axis=1)))
             raise ValueError(f"frame {np.argmax(out[k])}: {_COLUMN_NAMES[k]} outside "
                              f"0..{bounds[k] - 1}")
-        log.ts_us, log.channel = ints[0].copy(), ints[4].copy()
-        log.label = None if label is None else ints[5].copy()
-        log.can_id, log.extended = ints[1].astype(np.uint32), ints[2].astype(bool)
-        log.dlc, log.data = ints[3].astype(np.uint8), data.astype(np.uint8)
-        for bad, what in ((log.ts_us[:-1] > log.ts_us[1:], "timestamp above the next frame's"),
-                          ((log.can_id > _MAX_STANDARD_ID) > log.extended,
-                           "standard CAN id past 11 bits"),
-                          (log.data != data, "data byte outside 0..255"),
-                          (log.data & _PAST_DLC.take(log.dlc, axis=0),
-                           "nonzero data byte past dlc")):
+        ts_us, can_id, extended = ints[0].copy(), ints[1].astype(np.uint32), ints[2].astype(bool)
+        dlc, data8 = ints[3].astype(np.uint8), data.astype(np.uint8)
+        for bad, what in ((ts_us[:-1] > ts_us[1:], "timestamp above the next frame's"),
+                          ((can_id > _MAX_STANDARD_ID) > extended, "standard CAN id past 11 bits"),
+                          (data8 != data, "data byte outside 0..255"),
+                          (data8 & _PAST_DLC.take(dlc, axis=0), "nonzero data byte past dlc")):
             if np.count_nonzero(bad):
                 raise ValueError(f"frame {np.argmax(bad.reshape(len(bad), -1).any(1))}: {what}")
-        for column in (log.ts_us, log.can_id, log.extended, log.dlc, log.data, log.channel):
-            column.setflags(write=False)
-        if log.label is not None:
-            log.label.setflags(write=False)
+        return cls._assemble(ts_us, can_id, extended, dlc, data8, ints[4].copy(), channels,
+                             None if label is None else ints[5].copy(), label_space)
+
+    @classmethod
+    def _assemble(cls, ts_us, can_id, extended, dlc, data, channel, channels: Sequence[str],
+                  label=None, label_space: LabelSpace | None = None) -> "TrafficLog":
+        """A log over arrays that already keep every rule `_from_columns`
+        checks, cast where their dtype differs and marked read-only; an
+        array of the log's dtype that is contiguous is kept, not copied."""
+        log = cls.__new__(cls)
+        log.channels, log.label_space = tuple(channels), label_space
+        log.ts_us, log.can_id, log.extended, log.dlc, log.data, log.channel, log.label = (
+            None if column is None else np.ascontiguousarray(column, dtype)
+            for column, dtype in zip((ts_us, can_id, extended, dlc, data, channel, label),
+                                     _COLUMN_DTYPES))
+        for column in (log.ts_us, log.can_id, log.extended, log.dlc, log.data, log.channel,
+                       log.label):
+            if column is not None:
+                column.setflags(write=False)
         return log
 
     def _columns(self, rows=slice(None)) -> dict[str, np.ndarray]:

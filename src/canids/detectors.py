@@ -864,8 +864,13 @@ class RandomForest(Detector):
 
 
 def _softmax(raw: np.ndarray) -> np.ndarray:
-    shifted = raw - raw.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+    # The row maxima column by column: a row-wise max over a few columns is
+    # many times slower.  They may differ from it only in the sign of a
+    # zero, which leaves each difference's exp at 1.0.
+    top = raw[:, 0]
+    for column in raw.T[1:]:
+        top = np.maximum(top, column)
+    e = np.exp(raw - top[:, None])
     return e / e.sum(axis=1, keepdims=True)
 
 
@@ -972,6 +977,15 @@ class GradientBoosting(Detector):
 _FREQUENCY_STATS = ("mean_us", "std_us", "threshold_us", "count")
 
 
+def _id_order(can_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of frames by id, which keeps each id's frames in
+    time order, and the ids in that order (int64): one sort of unique keys,
+    the id above the frame's position."""
+    shift = max(len(can_id) - 1, 0).bit_length()
+    key = np.sort(can_id.astype(np.int64) << shift | np.arange(len(can_id)))
+    return key & ((1 << shift) - 1), key >> shift
+
+
 class FrequencyDetector(Detector):
     """Per-id inter-arrival baseline.
 
@@ -995,8 +1009,8 @@ class FrequencyDetector(Detector):
     def fit(self, ambient: TrafficLog | Iterable[CanFrame | LabeledFrame]) -> "FrequencyDetector":
         """Learn gap statistics from a log, or from time-ordered frames."""
         log = ambient if isinstance(ambient, TrafficLog) else TrafficLog(ambient)
-        # A stable sort by id keeps each id's rows in time order.
-        gaps = np.diff(log.ts_us[np.argsort(log.can_id, kind="stable")]).astype(np.float64)
+        order, _ = _id_order(log.can_id)
+        gaps = np.diff(log.ts_us[order]).astype(np.float64)
         ids, counts = np.unique(log.can_id, return_counts=True)
         self.stats = {}
         for can_id, end, count in zip(ids.tolist(), np.cumsum(counts).tolist(), counts.tolist()):
@@ -1019,8 +1033,7 @@ class FrequencyDetector(Detector):
         Frames given as an iterable must be in time order."""
         self._check_fitted()
         log = frames if isinstance(frames, TrafficLog) else TrafficLog(frames)
-        order = np.argsort(log.can_id, kind="stable")
-        ids = log.can_id[order].astype(np.int64)
+        order, ids = _id_order(log.can_id)
         known = np.array(sorted(self.stats), dtype=np.int64)
         threshold = np.array([self.stats[i]["threshold_us"] for i in known.tolist()] + [0.0])
         # Gaps to the previous frame of the same id; an id's first frame

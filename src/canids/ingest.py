@@ -5,10 +5,11 @@ datasets with a configurable column schema, and per-capture JSON metadata
 describing injection campaigns (interval + id + payload nibble pattern).
 
 Every reader fills the columns of a `TrafficLog` and every writer reads
-them.  `parse_candump_log` decodes blocks of lines with array operations
-(`_decode_records`: line bounds from one running sum of the line lengths,
-one byte-class translate, token edges, per-shape tables for the timestamp
-and id#data fields, and the channel names from one gather and one split);
+them.  `parse_candump_log` reads a text stream in blocks of characters,
+split into lines at "\\n", or an iterable in blocks of items, one line per
+item, and decodes each block with array operations (`_decode_records`: one
+byte-class translate, token edges, per-shape tables for the timestamp and
+id#data fields, and channel names coded by word keys and one unique);
 the per-line regex parser (`_candump_fields`) reads only the lines the
 block decoder refuses, to skip blank ones and to word the error of the
 rest.  The CSV parser collects each row's fields into column lists.
@@ -26,7 +27,7 @@ import logging
 import re
 from itertools import chain, islice
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -117,34 +118,38 @@ def _candump_fields(line: str, where: str) -> tuple[int, str, int, bool, str]:
 
 
 def parse_candump_log(
-    lines: Iterable[str],
+    lines: Iterable[str] | IO[str],
     strict: bool = True,
     errors: list[str] | None = None,
 ) -> TrafficLog:
     """Parse a candump stream into a TrafficLog, preserving input order.
 
-    Each item of `lines` is one line, with or without its newline.  Blank
+    `lines` is a text stream (anything with `read`: a file, `io.StringIO`,
+    `sys.stdin`), read in blocks and split into lines at "\\n" as iterating
+    it splits them, or an iterable of lines, one line per item with or
+    without its newline (an item's inner "\\n" does not end it).  Blank
     lines are permitted. In strict mode (the default, since labeling
     correctness depends on complete logs) the first malformed line aborts the
     parse; in lenient mode malformed lines are skipped, counted, and reported
     through `errors` when a list is supplied.  Then a record whose timestamp
     is below the previous record's raises ParseError naming both lines.
 
-    Lines are read _BLOCK_ROWS at a time, and `_decode_records` decodes each
-    block with array operations; the per-line parser runs only on the lines
-    it refuses, to skip the blank ones and to word the error of the rest.
+    A stream is read _BLOCK_ROWS * 32 characters at a time, through the end
+    of a line, and an iterable _BLOCK_ROWS items at a time; `_decode_records`
+    decodes each block with array operations.  The per-line parser runs only
+    on the lines it refuses, to skip the blank ones and to word the error of
+    the rest.
     """
-    lines = iter(lines)
     channels: dict[bytes, int] = {}
     parts, records = [], []  # per block: its columns, and (lines before it, its record lines)
     skipped = read = 0
-    while block := list(islice(lines, _BLOCK_ROWS)):
-        rows, columns = _decode_records(block, channels)
-        if len(rows) < len(block):
-            refused = np.ones(len(block), dtype=bool)
+    for raw, bound, line_text in (_stream_blocks if hasattr(lines, "read") else _item_blocks)(lines):
+        rows, columns = _decode_records(raw, bound, channels)
+        if len(rows) < len(bound) - 1:
+            refused = np.ones(len(bound) - 1, dtype=bool)
             refused[rows] = False
             for k in refused.nonzero()[0].tolist():
-                line, where = block[k], f"line {read + k + 1}"
+                line, where = line_text(k), f"line {read + k + 1}"
                 if not line.strip():
                     continue
                 try:
@@ -159,26 +164,66 @@ def parse_candump_log(
                     raise AssertionError(f"{where}: the block decoder refused a candump record")
         parts.append(columns)
         records.append((read, rows))
-        read += len(block)
+        read += len(bound) - 1
     if skipped:
         logger.warning("skipped %d malformed candump lines", skipped)
     if not parts:  # the columns of no records
-        parts.append(_decode_records([], channels)[1])
+        parts.append(_decode_records(*_joined([]), channels)[1])
     columns = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
-    try:
-        return TrafficLog._from_columns(*columns, [name.decode("utf-8", "surrogatepass")
-                                                   for name in channels])
-    except ValueError:
-        # Decoded columns keep every rule of a log but the timestamp order,
-        # which is worded here by the two lines out of order.
-        ts_us = columns[0]
-        down = (ts_us[1:] < ts_us[:-1]).nonzero()[0]
-        if not len(down):
-            raise
-    k = down[0]
-    line = np.concatenate([rows + read + 1 for read, rows in records])[k:k + 2]
-    raise ParseError(f"line {line[1]}: timestamp {format_timestamp(int(ts_us[k + 1]))} "
-                     f"is below line {line[0]}'s {format_timestamp(int(ts_us[k]))}")
+    # The decoder's tables prove every other rule of a log; the timestamp
+    # order is checked here, to word its error by the two lines out of order.
+    ts_us = columns[0]
+    down = (ts_us[1:] < ts_us[:-1]).nonzero()[0]
+    if len(down):
+        k = down[0]
+        line = np.concatenate([rows + read + 1 for read, rows in records])[k:k + 2]
+        raise ParseError(f"line {line[1]}: timestamp {format_timestamp(int(ts_us[k + 1]))} "
+                         f"is below line {line[0]}'s {format_timestamp(int(ts_us[k]))}")
+    return TrafficLog._assemble(*columns, [name.decode("utf-8", "surrogatepass")
+                                           for name in channels])
+
+
+def _item_blocks(lines: Iterable[str]) -> Iterator[tuple[bytes, np.ndarray, Callable]]:
+    """The decoder's input for each _BLOCK_ROWS items of an iterable, and
+    the text of a line by its index in the block."""
+    lines = iter(lines)
+    while block := list(islice(lines, _BLOCK_ROWS)):
+        yield *_joined(block), block.__getitem__
+
+
+def _joined(block: list[str]) -> tuple[bytes, np.ndarray]:
+    """A block's lines as the decoder takes them: the UTF-8 text of the
+    lines joined by gaps between the pads, and the line bounds."""
+    text = _FRONT + _GAP.join(block) + _TAIL
+    raw = text.encode("utf-8", "surrogatepass")
+    # The edge before each line's first byte, and after the last line: a
+    # running sum of the line lengths, each with its gap.  The gap is added
+    # to the array: added per line in Python it doubles the cost of a block.
+    bound = np.add.accumulate(np.fromiter(chain(_FIRST_BOUND, map(len, block)), dtype=np.intp,
+                                          count=len(block) + 1) + _GAP_SIZE)
+    if len(raw) != len(text):  # character offsets to byte offsets
+        char_start = (np.frombuffer(raw, dtype=np.uint8) & 0xC0 != 0x80).nonzero()[0]
+        bound = char_start.take(bound + _ONE) - _ONE
+    return raw, bound
+
+
+def _stream_blocks(stream: IO[str]) -> Iterator[tuple[bytes, np.ndarray, Callable]]:
+    """The decoder's input for each _BLOCK_ROWS * 32 characters of a text
+    stream, read on through the end of their last line, and the text of a
+    line by its index in the block.  The lines are split at "\\n", which
+    UTF-8 holds only as the byte 0x0A, so the line bounds are the positions
+    of that byte; the gap goes in after each newline by one replace.  The
+    stream's last line gets a "\\n" when it has none: the decoder reads it
+    as a space, and the per-line parser strips it."""
+    while text := stream.read(_BLOCK_ROWS * 32):
+        if not text.endswith("\n"):
+            text += stream.readline()
+        block = (text if text.endswith("\n") else text + "\n").encode("utf-8", "surrogatepass")
+        start = np.concatenate((_FIRST_START, (np.frombuffer(block, dtype=np.uint8) == _NEWLINE)
+                                .nonzero()[0] + _ONE))
+        bound = start + (np.arange(len(start)) * _GAP_SIZE + (len(_FRONT) - 1))
+        yield (b"".join((_FRONT_BYTES, block.replace(b"\n", _NEWLINE_GAP), _TAIL_BYTES)), bound,
+               lambda k: block[start[k]:start[k + 1]].decode("utf-8", "surrogatepass"))
 
 
 # The block decoder.
@@ -193,9 +238,8 @@ def parse_candump_log(
 # and a non-space byte meet: two edges per token, the byte before its first
 # byte and its last byte.  A record is a line of exactly three tokens whose
 # first starts the line.  The line bounds are a running sum of the line
-# lengths and gaps.  The channel names are the records' middle tokens: one
-# take gathers each with the spaces around it, and one bytes.split(), which
-# splits on exactly the _SPACE bytes, cuts them apart.
+# lengths and gaps, or, in a stream's block, the newline positions.  The
+# channel names are the records' middle tokens, coded by `_channel_codes`.
 #
 # The timestamp token is read as the _WINDOW classes that end at its ")",
 # and the id#data token as the _WINDOW classes that start at its first
@@ -299,6 +343,15 @@ _SHAPE_ROW = np.arange(27) * _WINDOW
 _SIX_EDGES, _ONE, _THREE_TOKENS = np.arange(6), np.array(1), np.array(6)
 # The first line bound, before _GAP_SIZE is added to every entry.
 _FIRST_BOUND, _GAP_SIZE = (len(_FRONT) - 1 - len(_GAP),), np.array(len(_GAP))
+# A stream block's pads, its first line's start and what each newline becomes.
+_FRONT_BYTES, _TAIL_BYTES, _NEWLINE_GAP = _FRONT.encode(), _TAIL.encode(), ("\n" + _GAP).encode()
+_FIRST_START, _NEWLINE = np.zeros(1, dtype=np.intp), np.array(ord("\n"), dtype=np.uint8)
+# Channel-name keys: a name's first _KEY_BYTES bytes kept by _KEY_MASK[length]
+# and the rest of the word filled with spaces by _KEY_FILL[length].
+_KEY_BYTES, _KEY_DTYPE = 8, np.dtype("<u8")
+_KEY_MASK = np.array([(1 << 8 * n) - 1 for n in range(_KEY_BYTES + 1)], dtype=np.uint64)
+_KEY_FILL = np.array([int.from_bytes(b" " * _KEY_BYTES, "little") & ~((1 << 8 * n) - 1)
+                      for n in range(_KEY_BYTES + 1)], dtype=np.uint64)
 _SPACE_CLASS, _ZERO_CLASS, _KIND_SHIFT, _VALUE_BITS, _BIT = (
     np.array(v, dtype=np.uint8) for v in (_SPACE << 4, 0, 4, 0xF, 1))
 # Three windows: the timestamp's, ending at ")"; the id#data token's, read
@@ -316,22 +369,16 @@ def _runs(stop: np.ndarray, count: np.ndarray) -> np.ndarray:
     return taken
 
 
-def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.ndarray, list]:
+def _decode_records(raw: bytes, bound: np.ndarray, channels: dict[bytes, int]
+                    ) -> tuple[np.ndarray, list]:
     """The indices of the lines of a block that hold a candump record (as
     `_candump_fields` would decide), and the columns of those records:
     timestamp (us), id, extended flag, dlc, zero-padded payload and channel
-    code.  New channel names join `channels`, as UTF-8 bytes."""
-    text = _FRONT + _GAP.join(block) + _TAIL
-    raw = text.encode("utf-8", "surrogatepass")
-    byte = np.frombuffer(raw, dtype=np.uint8)
-    # The edge before each line's first byte, and after the last line: a
-    # running sum of the line lengths, each with its gap.  The gap is added
-    # to the array: added per line in Python it doubles the cost of a block.
-    bound = np.add.accumulate(np.fromiter(chain(_FIRST_BOUND, map(len, block)), dtype=np.intp,
-                                          count=len(block) + 1) + _GAP_SIZE)
-    if len(raw) != len(text):  # character offsets to byte offsets
-        char_start = (byte & 0xC0 != 0x80).nonzero()[0]
-        bound = char_start.take(bound + _ONE) - _ONE
+    code.  `raw` is the block's UTF-8 text between the pads, each line
+    followed by a gap, and `bound` the edges before each line's first byte
+    and after the last line (see `_joined` and `_stream_blocks`).  New
+    channel names join `channels`, as UTF-8 bytes."""
+    lines = len(bound) - 1
     classes = raw.translate(_CLASS)
     space = np.frombuffer(classes, dtype=np.uint8) == _SPACE_CLASS
     edges = (space[1:] != space[:-1]).nonzero()[0]
@@ -346,7 +393,7 @@ def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.nd
     value = np.einsum("nck,nck->nc", cells & _VALUE_BITS, _WEIGHT.take(shape, axis=0))
     fits = value <= _LIMIT.take(shape)
     allowed = _FORM.take(shape[:, :2], axis=0) >> (cells[:, :2] >> _KIND_SHIFT) & _BIT
-    ok = np.logical_and.reduce(allowed.reshape(len(block), 2 * _WINDOW), axis=1)
+    ok = np.logical_and.reduce(allowed.reshape(lines, 2 * _WINDOW), axis=1)
     ok &= fits[:, 0] & fits[:, 1] & (pos[:, 0] == bound[:-1]) & (
         first[1:] - first[:-1] == _THREE_TOKENS)
     # Seconds of more than 13 digits: the digits before the last 13 are zeros.
@@ -360,20 +407,40 @@ def _decode_records(block: list[str], channels: dict[bytes, int]) -> tuple[np.nd
             cls.take(pos[long, 0] + 1) == _OPEN << 4)
 
     rows = ok.nonzero()[0]
-    if len(rows) < len(block):
+    if len(rows) < lines:
         pos, value, shape = (a.take(rows, axis=0) for a in (pos, value, shape))
     record = shape[:, 1]
-    # Channel names: every name token with the spaces between it and the
-    # tokens on either side, gathered by one take and split on ASCII
-    # whitespace, which is exactly the _SPACE bytes.  Codes are keyed by
-    # the name's UTF-8 bytes in order of first appearance.
-    names = byte.take(_runs(pos[:, 4], pos[:, 4] - pos[:, 2])).tobytes().split()
-    for name in dict.fromkeys(names):
-        channels.setdefault(name, len(channels))
-    channel = np.fromiter(map(channels.__getitem__, names), dtype=np.int64, count=len(names))
     return rows, [value[:, 0].view(np.int64), value[:, 1].view(np.int64), _EXTENDED.take(record),
                   _DLC.take(record), value[:, 2:].astype(">u8").view(np.uint8),
-                  channel]
+                  _channel_codes(raw, pos[:, 2] + _ONE, pos[:, 3] - pos[:, 2], channels)]
+
+
+def _channel_codes(raw: bytes, start: np.ndarray, length: np.ndarray,
+                   channels: dict[bytes, int]) -> np.ndarray:
+    """The codes of the name tokens at `start` of `raw`, `length` bytes
+    each; names not in `channels` join it in order of first appearance.
+
+    A name of up to 8 bytes is keyed by one little-endian word: its bytes,
+    padded with spaces, which no token holds, so equal keys are equal names
+    (a NUL byte in a name stays apart from the padding).  One unique over
+    the keys then codes the block.  A block with a longer name splits the
+    names out of the text on ASCII whitespace, exactly the _SPACE bytes."""
+    if length.max(initial=0) > _KEY_BYTES:
+        byte = np.frombuffer(raw, dtype=np.uint8)
+        names = byte.take(_runs(start + length, length + _ONE)).tobytes().split()
+        for name in dict.fromkeys(names):
+            channels.setdefault(name, len(channels))
+        return np.fromiter(map(channels.__getitem__, names), dtype=np.int64, count=len(names))
+    word = np.ndarray((len(raw) - _KEY_BYTES + 1,), _KEY_DTYPE, raw, 0, (1,))
+    key = word.take(start) & _KEY_MASK.take(length) | _KEY_FILL.take(length)
+    if (key == key[:1]).all():  # one name (or none): most blocks of most captures
+        first, code = _FIRST_START[:len(key)], np.zeros(len(key), dtype=np.intp)
+    else:
+        _, first, code = np.unique(key, return_index=True, return_inverse=True)
+    names = [raw[s:s + n] for s, n in zip(start.take(first).tolist(), length.take(first).tolist())]
+    for k in first.argsort().tolist():
+        channels.setdefault(names[k], len(channels))
+    return np.array([channels[name] for name in names], dtype=np.int64).take(code)
 
 
 # Pad bytes over the hex digits hidden of a standard (row 0) or extended
@@ -783,6 +850,7 @@ def load_labels(log: TrafficLog, stream: IO[str]) -> TrafficLog:
             )
     space = LabelSpace([name for name in classes if name != NORMAL_LABEL])
     codes = np.array([space.names().index(name) for name in classes], dtype=np.int64)
-    label = codes[labels]
-    return TrafficLog._from_columns(**log._columns(), channels=log.channels, label=label,
-                                    label_space=space)
+    # The labels are checked above and the log's columns were checked when
+    # it was built, so they are shared, not copied or checked again.
+    return TrafficLog._assemble(**log._columns(), channels=log.channels, label=codes[labels],
+                                label_space=space)

@@ -31,9 +31,11 @@ from canids.detectors import (
     _Gini,
     _grow_trees,
     _distinct_rows,
+    _id_order,
     _Newton,
     _rank_codes,
     _safe_threshold,
+    _softmax,
     _TreeArrays,
 )
 from canids.lccde import LccdeEnsemble
@@ -830,6 +832,37 @@ def periodic_ambient(duration=30.0, seed=4):
         for i in range(4)
     )
     return generate_ambient(AmbientModel(ids=specs, duration=duration, seed=seed))
+
+
+class TestIdOrder:
+    @pytest.mark.parametrize("can_id", [[], [5], [0x1FFFFFFF, 0, 0x1FFFFFFF, 7, 0, 7, 7],
+                                        [3] * 9, list(range(9, -1, -1))])
+    def test_is_the_stable_argsort(self, can_id):
+        can_id = np.array(can_id, dtype=np.uint32)
+        order, ids = _id_order(can_id)
+        assert order.tolist() == np.argsort(can_id, kind="stable").tolist()
+        assert ids.dtype == np.int64 and ids.tolist() == np.sort(can_id).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([0, 1, 0x7FF, 0x800, 0x1FFFFFFF]), max_size=300))
+    def test_is_the_stable_argsort_with_ties(self, can_id):
+        can_id = np.array(can_id, dtype=np.uint32)
+        assert _id_order(can_id)[0].tolist() == np.argsort(can_id, kind="stable").tolist()
+
+
+class TestSoftmax:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 20), st.data())
+    def test_bits_match_the_row_max_formula(self, classes, rows, data):
+        values = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -3.25, 700.0, -1e300])
+        raw = np.array(data.draw(st.lists(values | st.floats(-50, 50), min_size=rows * classes,
+                                          max_size=rows * classes)),
+                       dtype=np.float64).reshape(rows, classes)
+        with np.errstate(all="ignore"):
+            e = np.exp(raw - raw.max(axis=1, keepdims=True))
+            want = e / e.sum(axis=1, keepdims=True)
+            got = _softmax(raw)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFrequencyDetector:

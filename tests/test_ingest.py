@@ -417,6 +417,114 @@ class TestBlockParse:
             parse_candump_log(lines, strict=False)
 
 
+def log_columns(log):
+    """A log's columns, dtypes and names, as equality of logs means here."""
+    return ([(c.dtype.str, c.tolist()) for c in log._columns().values()], log.channels,
+            None if log.label is None else log.label.tolist(), log.label_space)
+
+
+class TestStreamParse:
+    """A text stream is read in blocks and split at "\\n"; it must parse as
+    the list of its lines does, and that list as the per-line parser does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(candump_texts(), st.booleans(), st.sampled_from([1, 2, 3, 5, _BLOCK_ROWS]),
+           st.booleans())
+    def test_matches_the_list_of_its_lines(self, lines, strict, block_rows, newline_at_end):
+        text = "\n".join(lines) + ("\n" if newline_at_end else "")
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            got = parse_outcome(lambda t, **kw: parse_candump_log(io.StringIO(t), **kw), text, strict)
+            want = parse_outcome(parse_candump_log, text.split("\n"), strict)
+        assert got == want
+        assert got == parse_outcome(reference_parse_candump_log, text.split("\n"), strict)
+
+    def test_crlf_file_parses_as_its_lf_twin(self, tmp_path):
+        lines = [f"({k}.{k:06d}) can{k % 2} {k:03X}#{'AB' * (k % 9)}" for k in range(40)]
+        lines[7] = "junk"
+        for name, newline in (("lf.log", "\n"), ("crlf.log", "\r\n")):
+            (tmp_path / name).write_bytes(newline.join(lines).encode() + b"\r\n")
+        outcomes = []
+        for name in ("lf.log", "crlf.log"):
+            with open(tmp_path / name) as fh, mock.patch.object(ingest, "_BLOCK_ROWS", 3):
+                outcomes.append(parse_outcome(lambda f, **kw: parse_candump_log(f, **kw), fh, False))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == ["line 8: not a candump record: 'junk'"]
+
+    def test_surrogate_pair_in_a_refused_line_is_worded_as_given(self):
+        text = "(1.0) can0 100#AA\n(2.0) \ud83d\ude00 1#AA\n"
+        with pytest.raises(ParseError) as raised:
+            parse_candump_log(io.StringIO(text))
+        with pytest.raises(ParseError) as listed:
+            parse_candump_log(text.split("\n"))
+        assert str(raised.value) == str(listed.value)
+
+
+class TestChannelCodes:
+    """Names of up to _KEY_BYTES bytes are coded by word keys, a block
+    with a longer name by split(); both must code every name alike."""
+
+    NAMES = ["c", "c\x00", "c\x00\x00", "\u00e9t\u00e9", "\ud800", "abcdefgh", "abcdefgi",
+             "abcdefg\u00e9", "\x00", "x#(", "\u3000", "\x1c"]
+    LONG = ["channel_name_17_a", "channel_name_17_b", "n" * 30, "n" * 31]
+
+    @pytest.mark.parametrize("block_rows", [1, 4, _BLOCK_ROWS])
+    def test_both_coders_give_the_per_line_parse(self, block_rows):
+        names = self.NAMES * 2 + self.LONG + self.NAMES[::-1]
+        lines = [f"({k}.0) {name} 100#AA" for k, name in enumerate(names)]
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            for parse_input in (lines, io.StringIO("\n".join(lines))):
+                log = parse_candump_log(parse_input)
+                assert log.channels == tuple(dict.fromkeys(names))
+                assert [log.channels[c] for c in log.channel.tolist()] == names
+
+    def test_key_and_split_coders_agree(self):
+        raw = ("  " + "  ".join(self.NAMES) + " " * 40).encode("utf-8", "surrogatepass")
+        length = np.array([len(n.encode("utf-8", "surrogatepass")) for n in self.NAMES])
+        start = 2 + np.concatenate(([0], np.cumsum(length + 2)[:-1]))
+        codes = []
+        for key_bytes in (ingest._KEY_BYTES, 0):  # 0 sends every name to split()
+            channels = {b"can0": 0}
+            with mock.patch.object(ingest, "_KEY_BYTES", key_bytes):
+                codes.append((ingest._channel_codes(raw, start, length, channels).tolist(),
+                              channels))
+        assert codes[0] == codes[1]
+        assert codes[0][0] == list(range(1, len(self.NAMES) + 1))
+
+
+class TestAssembledLogs:
+    """parse_candump_log and load_labels build their logs without
+    `_from_columns`' checks; those checks must accept every such log."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(candump_texts())
+    def test_parsed_columns_pass_the_full_checks(self, lines):
+        try:
+            log = parse_candump_log(lines, strict=False)
+        except ParseError:
+            return
+        checked = TrafficLog._from_columns(**log._columns(), channels=log.channels)
+        assert log_columns(checked) == log_columns(log)
+        assert not any(c.flags.writeable for c in log._columns().values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(candump_texts(), st.data())
+    def test_loaded_labels_pass_the_full_checks(self, lines, data):
+        try:
+            log = parse_candump_log(lines, strict=False)
+        except ParseError:
+            return
+        classes = data.draw(st.sampled_from([["Normal"], ["Normal", "A"], ["B", "Normal", "A"]]))
+        labels = data.draw(st.lists(st.integers(0, len(classes) - 1), min_size=len(log),
+                                    max_size=len(log)))
+        doc = {"format_version": 1, "classes": classes, "labels": labels}
+        labeled = load_labels(log, io.StringIO(json.dumps(doc)))
+        checked = TrafficLog._from_columns(**log._columns(), channels=log.channels,
+                                           label=labeled.label, label_space=labeled.label_space)
+        assert log_columns(checked) == log_columns(labeled)
+        assert labeled.ts_us.base is log.ts_us or labeled.ts_us.base is log.ts_us.base
+        assert not labeled.label.flags.writeable
+
+
 class TestLabelDocument:
     def test_empty_labeled_log(self):
         log = TrafficLog((), LabelSpace(["A"]))
