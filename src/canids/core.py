@@ -171,8 +171,6 @@ class LabeledFrame:
 _PAST_DLC = (np.arange(MAX_DLC) >= np.arange(MAX_DLC + 1)[:, None]).astype(np.uint8) * 0xFF
 _MAX_STANDARD_ID = np.array(MAX_STANDARD_ID)  # numpy compares with an array faster than an int
 _COLUMN_NAMES = ("timestamp", "CAN id", "id format", "dlc", "channel code", "label code")
-# The dtypes of a log's ts_us, can_id, extended, dlc, data, channel and label.
-_COLUMN_DTYPES = (np.int64, np.uint32, bool, np.uint8, np.uint8, np.int64, np.int64)
 
 
 class TrafficLog:
@@ -264,16 +262,14 @@ class TrafficLog:
     def _assemble(cls, ts_us, can_id, extended, dlc, data, channel, channels: Sequence[str],
                   label=None, label_space: LabelSpace | None = None) -> "TrafficLog":
         """A log over arrays that already keep every rule `_from_columns`
-        checks, cast where their dtype differs and marked read-only; an
-        array of the log's dtype that is contiguous is kept, not copied."""
+        checks, each contiguous and of the log's dtype (int64 timestamps,
+        channel and label codes, uint32 ids, bool formats, uint8 dlc and
+        data); they are stored as given and marked read-only."""
         log = cls.__new__(cls)
         log.channels, log.label_space = tuple(channels), label_space
         log.ts_us, log.can_id, log.extended, log.dlc, log.data, log.channel, log.label = (
-            None if column is None else np.ascontiguousarray(column, dtype)
-            for column, dtype in zip((ts_us, can_id, extended, dlc, data, channel, label),
-                                     _COLUMN_DTYPES))
-        for column in (log.ts_us, log.can_id, log.extended, log.dlc, log.data, log.channel,
-                       log.label):
+            ts_us, can_id, extended, dlc, data, channel, label)
+        for column in (ts_us, can_id, extended, dlc, data, channel, label):
             if column is not None:
                 column.setflags(write=False)
         return log

@@ -9,15 +9,15 @@ them.  `parse_candump_log` reads a text stream in blocks of characters,
 split into lines at "\\n", or an iterable in blocks of items, one line per
 item, and decodes each block with array operations (`_decode_records`: one
 byte-class translate, token edges, per-shape tables for the timestamp and
-id#data fields, and channel names coded by word keys and one unique);
-the per-line regex parser (`_candump_fields`) reads only the lines the
-block decoder refuses, to skip blank ones and to word the error of the
-rest.  The CSV parser collects each row's fields into column lists.
-`serialize_candump` formats slices of the columns through the block text
-encoder in `core`, and labels are per-frame class codes.  Campaigns are a
-table of columns too, and `apply_metadata_labels` tests each only on the
-rows inside its interval, found by binary search over the sorted
-timestamps.
+id#data fields, and channel names coded by word keys when a block has one
+name, else by one split and a dict); the per-line regex parser
+(`_candump_fields`) reads only the lines the block decoder refuses, to skip
+blank ones and to word the error of the rest.  The CSV parser collects each
+row's fields into column lists.  `serialize_candump` formats slices of the
+columns through the block text encoder in `core`, and labels are per-frame
+class codes.  Campaigns are a table of columns too, and
+`apply_metadata_labels` tests each only on the rows inside its interval,
+found by binary search over the sorted timestamps.
 """
 
 from __future__ import annotations
@@ -125,10 +125,12 @@ def parse_candump_log(
     """Parse a candump stream into a TrafficLog, preserving input order.
 
     `lines` is a text stream (anything with `read`: a file, `io.StringIO`,
-    `sys.stdin`), read in blocks and split into lines at "\\n" as iterating
-    it splits them, or an iterable of lines, one line per item with or
-    without its newline (an item's inner "\\n" does not end it).  Blank
-    lines are permitted. In strict mode (the default, since labeling
+    `sys.stdin`), read in blocks and split into lines at "\\n" only (a file
+    opened with `open()` reads "\\r\\n" and "\\r" endings as "\\n", one
+    opened with newline="" keeps them, and a lone "\\r" does not end a
+    line), or an iterable of lines, one line per item with or without its
+    newline (an item's inner "\\n" does not end it).  Blank lines are
+    permitted. In strict mode (the default, since labeling
     correctness depends on complete logs) the first malformed line aborts the
     parse; in lenient mode malformed lines are skipped, counted, and reported
     through `errors` when a list is supplied.  Then a record whose timestamp
@@ -289,10 +291,9 @@ def _shape_tables():
     weight = np.zeros((3, 27, _WINDOW, _WINDOW), dtype=np.uint64)
     limit = np.full((3, 27, _WINDOW), (1 << 64) - 1, dtype=np.uint64)
     limit[:2] = 0
-    # int64, as the other columns of a record are, so a log stacks them
-    # without a cast.
-    dlc = np.zeros((2, 27, _WINDOW), dtype=np.int64)
-    extended = np.zeros((2, 27, _WINDOW), dtype=np.int64)
+    # Of the log's dtypes, so a log stores what they give without a cast.
+    dlc = np.zeros((2, 27, _WINDOW), dtype=np.uint8)
+    extended = np.zeros((2, 27, _WINDOW), dtype=bool)
     lead = np.zeros((27, _WINDOW), dtype=bool)
     # Timestamps: "(" at column 25 - size (left of the window from 26 on);
     # a window without "." has its argmax on its first space or "(", or on
@@ -346,12 +347,10 @@ _FIRST_BOUND, _GAP_SIZE = (len(_FRONT) - 1 - len(_GAP),), np.array(len(_GAP))
 # A stream block's pads, its first line's start and what each newline becomes.
 _FRONT_BYTES, _TAIL_BYTES, _NEWLINE_GAP = _FRONT.encode(), _TAIL.encode(), ("\n" + _GAP).encode()
 _FIRST_START, _NEWLINE = np.zeros(1, dtype=np.intp), np.array(ord("\n"), dtype=np.uint8)
-# Channel-name keys: a name's first _KEY_BYTES bytes kept by _KEY_MASK[length]
-# and the rest of the word filled with spaces by _KEY_FILL[length].
+# Channel-name keys: the little-endian word at a name, its first n bytes
+# kept by _KEY_MASK[n].
 _KEY_BYTES, _KEY_DTYPE = 8, np.dtype("<u8")
 _KEY_MASK = np.array([(1 << 8 * n) - 1 for n in range(_KEY_BYTES + 1)], dtype=np.uint64)
-_KEY_FILL = np.array([int.from_bytes(b" " * _KEY_BYTES, "little") & ~((1 << 8 * n) - 1)
-                      for n in range(_KEY_BYTES + 1)], dtype=np.uint64)
 _SPACE_CLASS, _ZERO_CLASS, _KIND_SHIFT, _VALUE_BITS, _BIT = (
     np.array(v, dtype=np.uint8) for v in (_SPACE << 4, 0, 4, 0xF, 1))
 # Three windows: the timestamp's, ending at ")"; the id#data token's, read
@@ -374,10 +373,11 @@ def _decode_records(raw: bytes, bound: np.ndarray, channels: dict[bytes, int]
     """The indices of the lines of a block that hold a candump record (as
     `_candump_fields` would decide), and the columns of those records:
     timestamp (us), id, extended flag, dlc, zero-padded payload and channel
-    code.  `raw` is the block's UTF-8 text between the pads, each line
-    followed by a gap, and `bound` the edges before each line's first byte
-    and after the last line (see `_joined` and `_stream_blocks`).  New
-    channel names join `channels`, as UTF-8 bytes."""
+    code, each contiguous and of the log's dtype.  `raw` is the block's
+    UTF-8 text between the pads, each line followed by a gap, and `bound`
+    the edges before each line's first byte and after the last line (see
+    `_joined` and `_stream_blocks`).  New channel names join `channels`, as
+    UTF-8 bytes."""
     lines = len(bound) - 1
     classes = raw.translate(_CLASS)
     space = np.frombuffer(classes, dtype=np.uint8) == _SPACE_CLASS
@@ -410,8 +410,9 @@ def _decode_records(raw: bytes, bound: np.ndarray, channels: dict[bytes, int]
     if len(rows) < lines:
         pos, value, shape = (a.take(rows, axis=0) for a in (pos, value, shape))
     record = shape[:, 1]
-    return rows, [value[:, 0].view(np.int64), value[:, 1].view(np.int64), _EXTENDED.take(record),
-                  _DLC.take(record), value[:, 2:].astype(">u8").view(np.uint8),
+    return rows, [value[:, 0].astype(np.int64), value[:, 1].astype(np.uint32),
+                  _EXTENDED.take(record), _DLC.take(record),
+                  value[:, 2:].astype(">u8").view(np.uint8),
                   _channel_codes(raw, pos[:, 2] + _ONE, pos[:, 3] - pos[:, 2], channels)]
 
 
@@ -420,27 +421,21 @@ def _channel_codes(raw: bytes, start: np.ndarray, length: np.ndarray,
     """The codes of the name tokens at `start` of `raw`, `length` bytes
     each; names not in `channels` join it in order of first appearance.
 
-    A name of up to 8 bytes is keyed by one little-endian word: its bytes,
-    padded with spaces, which no token holds, so equal keys are equal names
-    (a NUL byte in a name stays apart from the padding).  One unique over
-    the keys then codes the block.  A block with a longer name splits the
-    names out of the text on ASCII whitespace, exactly the _SPACE bytes."""
-    if length.max(initial=0) > _KEY_BYTES:
-        byte = np.frombuffer(raw, dtype=np.uint8)
-        names = byte.take(_runs(start + length, length + _ONE)).tobytes().split()
-        for name in dict.fromkeys(names):
-            channels.setdefault(name, len(channels))
-        return np.fromiter(map(channels.__getitem__, names), dtype=np.int64, count=len(names))
-    word = np.ndarray((len(raw) - _KEY_BYTES + 1,), _KEY_DTYPE, raw, 0, (1,))
-    key = word.take(start) & _KEY_MASK.take(length) | _KEY_FILL.take(length)
-    if (key == key[:1]).all():  # one name (or none): most blocks of most captures
-        first, code = _FIRST_START[:len(key)], np.zeros(len(key), dtype=np.intp)
-    else:
-        _, first, code = np.unique(key, return_index=True, return_inverse=True)
-    names = [raw[s:s + n] for s, n in zip(start.take(first).tolist(), length.take(first).tolist())]
-    for k in first.argsort().tolist():
-        channels.setdefault(names[k], len(channels))
-    return np.array([channels[name] for name in names], dtype=np.int64).take(code)
+    A block of one name of up to 8 bytes is found by its names' lengths and
+    the words that start at them, masked to that length.  Any other block
+    splits the names out of the text on ASCII whitespace, exactly the
+    _SPACE bytes, and codes them by a dict."""
+    if len(start) and (length == length[0]).all() and length[0] <= _KEY_BYTES:
+        word = np.ndarray((len(raw) - _KEY_BYTES + 1,), _KEY_DTYPE, raw, 0, (1,))
+        key = word.take(start) & _KEY_MASK[length[0]]
+        if (key == key[0]).all():
+            name = raw[start[0]:start[0] + length[0]]
+            return np.full(len(key), channels.setdefault(name, len(channels)), dtype=np.int64)
+    byte = np.frombuffer(raw, dtype=np.uint8)
+    names = byte.take(_runs(start + length, length + _ONE)).tobytes().split()
+    for name in dict.fromkeys(names):
+        channels.setdefault(name, len(channels))
+    return np.fromiter(map(channels.__getitem__, names), dtype=np.int64, count=len(names))
 
 
 # Pad bytes over the hex digits hidden of a standard (row 0) or extended

@@ -450,6 +450,22 @@ class TestStreamParse:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1] == ["line 8: not a candump record: 'junk'"]
 
+    def test_newline_translation_is_the_streams(self, tmp_path):
+        lines = [f"({k}.{k:06d}) can0 {k:03X}#{'AB' * (k % 9)}" for k in range(12)]
+        (tmp_path / "lf.log").write_text("\n".join(lines) + "\n", newline="")
+        (tmp_path / "crlf.log").write_text("\r\n".join(lines) + "\r\n", newline="")
+        (tmp_path / "cr.log").write_text("\r".join(lines) + "\r", newline="")
+        with open(tmp_path / "lf.log") as fh:
+            want = parse_outcome(lambda f, **kw: parse_candump_log(f, **kw), fh, False)
+        for name, newline in (("crlf.log", None), ("cr.log", None), ("crlf.log", "")):
+            with open(tmp_path / name, newline=newline) as fh:
+                assert parse_outcome(lambda f, **kw: parse_candump_log(f, **kw), fh, False) == want
+        # A stream that hands a lone "\r" on untranslated is split at "\n"
+        # only, so its CR-ended records run into one line.
+        with open(tmp_path / "cr.log", newline="") as fh:
+            with pytest.raises(ParseError, match="^line 1: "):
+                parse_candump_log(fh)
+
     def test_surrogate_pair_in_a_refused_line_is_worded_as_given(self):
         text = "(1.0) can0 100#AA\n(2.0) \ud83d\ude00 1#AA\n"
         with pytest.raises(ParseError) as raised:
@@ -460,8 +476,8 @@ class TestStreamParse:
 
 
 class TestChannelCodes:
-    """Names of up to _KEY_BYTES bytes are coded by word keys, a block
-    with a longer name by split(); both must code every name alike."""
+    """A block of one name of up to _KEY_BYTES bytes is coded by word keys,
+    any other block by split() and a dict; both must code every name alike."""
 
     NAMES = ["c", "c\x00", "c\x00\x00", "\u00e9t\u00e9", "\ud800", "abcdefgh", "abcdefgi",
              "abcdefg\u00e9", "\x00", "x#(", "\u3000", "\x1c"]
@@ -477,18 +493,40 @@ class TestChannelCodes:
                 assert log.channels == tuple(dict.fromkeys(names))
                 assert [log.channels[c] for c in log.channel.tolist()] == names
 
-    def test_key_and_split_coders_agree(self):
-        raw = ("  " + "  ".join(self.NAMES) + " " * 40).encode("utf-8", "surrogatepass")
-        length = np.array([len(n.encode("utf-8", "surrogatepass")) for n in self.NAMES])
+    @staticmethod
+    def coded(names):
+        """The codes of a block of `names` by each coder (a _KEY_BYTES of 0
+        sends every block to split()), after a first name "can0"."""
+        raw = ("  " + "  ".join(names) + " " * 40).encode("utf-8", "surrogatepass")
+        length = np.array([len(n.encode("utf-8", "surrogatepass")) for n in names])
         start = 2 + np.concatenate(([0], np.cumsum(length + 2)[:-1]))
         codes = []
-        for key_bytes in (ingest._KEY_BYTES, 0):  # 0 sends every name to split()
+        for key_bytes in (ingest._KEY_BYTES, 0):
             channels = {b"can0": 0}
             with mock.patch.object(ingest, "_KEY_BYTES", key_bytes):
                 codes.append((ingest._channel_codes(raw, start, length, channels).tolist(),
                               channels))
-        assert codes[0] == codes[1]
-        assert codes[0][0] == list(range(1, len(self.NAMES) + 1))
+        return codes
+
+    @pytest.mark.parametrize("name", NAMES + LONG)
+    def test_one_name_blocks_are_coded_alike(self, name):
+        keyed, split = self.coded([name] * 3)
+        assert keyed == split
+        assert keyed[0] == [1, 1, 1]
+
+    @pytest.mark.parametrize("pair", [("abcdefgh", "abcdefgi"), ("c", "c\x00"),
+                                      ("\x00", "\x01"), ("\u00e9", "\u00e8"),
+                                      ("\ud800", "\ud801")])
+    def test_names_that_differ_in_their_last_byte_stay_apart(self, pair):
+        keyed, split = self.coded([pair[0], pair[0], pair[1]])
+        assert keyed == split
+        assert keyed[0] == [1, 1, 2]
+
+    def test_mixed_blocks_are_coded_alike(self):
+        keyed, split = self.coded(self.NAMES + ["can0"] + self.NAMES[::-1])
+        assert keyed == split
+        assert keyed[0] == list(range(1, len(self.NAMES) + 1)) + [0] + list(
+            range(len(self.NAMES), 0, -1))
 
 
 class TestAssembledLogs:
