@@ -338,6 +338,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ConfigError("tabular models require --test CSV")
         with open(_require_file(args.test)) as fh:
             test = load_dataset_csv(fh, classes=model.classes)
+        if args.mode == "window" and args.window > len(test):
+            raise ConfigError(f"--window {args.window} is longer than the test set's {len(test)} rows")
     report = _evaluate(model, test, labeled, args.mode, args.window, args.step)
     if args.seed is not None:
         report.seed = args.seed
@@ -439,10 +441,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         "attack_frames": int(labeled.attack_flags().sum()),
     }
     train = test = None
+    ecfg = config["eval"]
     if kind != "frequency":
         scfg = config["smote"]
         smote = (scfg.get("target_count", 100_000), scfg.get("k", 5)) if scfg else None
         train, test = _prepare(labeled, config["include_dlc"], spec, smote)
+        if ecfg["mode"] == "window" and ecfg["window"] > len(test):
+            raise ConfigError(f"eval.window {ecfg['window']} is longer than the test set's {len(test)} rows")
         _write_split(out_path, args.force, train, test)
         dataset_desc.update(
             {
@@ -455,7 +460,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     timings["fit_seconds"] = _fit(model, train, ambient)
     with _open_out(out_path("model.json"), args.force) as fh:
         save_model(model, fh)
-    ecfg = config["eval"]
     report = _evaluate(model, test, labeled, ecfg["mode"], ecfg["window"], ecfg["step"])
 
     report.seed = seed

@@ -7,15 +7,16 @@ describing injection campaigns (interval + id + payload nibble pattern).
 Every reader fills the columns of a `TrafficLog` and every writer reads
 them.  `parse_candump_log` reads a text stream in blocks of characters,
 split into lines at "\\n", or an iterable in blocks of items, one line per
-item, and decodes each block with array operations (`_decode_records`: one
-byte-class translate, token edges, per-shape tables for the timestamp and
-id#data fields, and channel names coded by word keys when a block has one
-name, else by one split and a dict); the per-line regex parser
-(`_candump_fields`) reads only the lines the block decoder refuses, to skip
-blank ones and to word the error of the rest.  The CSV parser collects each
-row's fields into column lists.  `serialize_candump` formats slices of the
-columns through the block text encoder in `core`, and labels are per-frame
-class codes.  Campaigns are a table of columns too, and
+item with each inner "\\n" read as a space; either block becomes one text
+in which every line ends in "\\n", and `_decode_records` decodes it with
+array operations (one byte-class translate, token edges, per-shape tables
+for the timestamp and id#data fields, and channel names coded by word keys
+when a block has one name, else by one split and a dict); the per-line
+regex parser (`_candump_fields`) reads only the lines the block decoder
+refuses, to skip blank ones and to word the error of the rest.  The CSV
+parser collects each row's fields into column lists.  `serialize_candump`
+formats slices of the columns through the block text encoder in `core`, and
+labels are per-frame class codes.  Campaigns are a table of columns too, and
 `apply_metadata_labels` tests each only on the rows inside its interval,
 found by binary search over the sorted timestamps.
 """
@@ -25,9 +26,9 @@ from __future__ import annotations
 import json
 import logging
 import re
-from itertools import chain, islice
+from itertools import islice
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -129,29 +130,29 @@ def parse_candump_log(
     opened with `open()` reads "\\r\\n" and "\\r" endings as "\\n", one
     opened with newline="" keeps them, and a lone "\\r" does not end a
     line), or an iterable of lines, one line per item with or without its
-    newline (an item's inner "\\n" does not end it).  Blank lines are
-    permitted. In strict mode (the default, since labeling
+    newline (an item's inner "\\n" does not end it: it is read as a space).
+    Blank lines are permitted. In strict mode (the default, since labeling
     correctness depends on complete logs) the first malformed line aborts the
     parse; in lenient mode malformed lines are skipped, counted, and reported
     through `errors` when a list is supplied.  Then a record whose timestamp
     is below the previous record's raises ParseError naming both lines.
 
     A stream is read _BLOCK_ROWS * 32 characters at a time, through the end
-    of a line, and an iterable _BLOCK_ROWS items at a time; `_decode_records`
-    decodes each block with array operations.  The per-line parser runs only
-    on the lines it refuses, to skip the blank ones and to word the error of
-    the rest.
+    of a line, and an iterable _BLOCK_ROWS items at a time; either block
+    becomes one text in which every line ends in "\\n", and
+    `_decode_records` decodes it with array operations.  The per-line parser
+    runs only on the lines it refuses, to skip the blank ones and to word
+    the error of the rest, quoting an item as it was passed.
     """
     channels: dict[bytes, int] = {}
-    parts, records = [], []  # per block: its columns, and (lines before it, its record lines)
+    parts, masks = [], []  # per block: its columns, and which of its lines are records
     skipped = read = 0
-    for raw, bound, line_text in (_stream_blocks if hasattr(lines, "read") else _item_blocks)(lines):
-        rows, columns = _decode_records(raw, bound, channels)
-        if len(rows) < len(bound) - 1:
-            refused = np.ones(len(bound) - 1, dtype=bool)
-            refused[rows] = False
-            for k in refused.nonzero()[0].tolist():
-                line, where = line_text(k), f"line {read + k + 1}"
+    for text, items in _text_blocks(lines):
+        ok, columns = _decode_records(text, channels)
+        if len(columns[0]) < len(ok):  # a line that is no record
+            block = text.split("\n") if items is None else items
+            for k in (~ok).nonzero()[0].tolist():
+                line, where = block[k], f"line {read + k + 1}"
                 if not line.strip():
                     continue
                 try:
@@ -165,12 +166,10 @@ def parse_candump_log(
                 else:
                     raise AssertionError(f"{where}: the block decoder refused a candump record")
         parts.append(columns)
-        records.append((read, rows))
-        read += len(bound) - 1
+        masks.append(ok)
+        read += len(ok)
     if skipped:
         logger.warning("skipped %d malformed candump lines", skipped)
-    if not parts:  # the columns of no records
-        parts.append(_decode_records(*_joined([]), channels)[1])
     columns = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
     # The decoder's tables prove every other rule of a log; the timestamp
     # order is checked here, to word its error by the two lines out of order.
@@ -178,69 +177,47 @@ def parse_candump_log(
     down = (ts_us[1:] < ts_us[:-1]).nonzero()[0]
     if len(down):
         k = down[0]
-        line = np.concatenate([rows + read + 1 for read, rows in records])[k:k + 2]
+        line = np.concatenate(masks).nonzero()[0][k:k + 2] + 1
         raise ParseError(f"line {line[1]}: timestamp {format_timestamp(int(ts_us[k + 1]))} "
                          f"is below line {line[0]}'s {format_timestamp(int(ts_us[k]))}")
     return TrafficLog._assemble(*columns, [name.decode("utf-8", "surrogatepass")
                                            for name in channels])
 
 
-def _item_blocks(lines: Iterable[str]) -> Iterator[tuple[bytes, np.ndarray, Callable]]:
-    """The decoder's input for each _BLOCK_ROWS items of an iterable, and
-    the text of a line by its index in the block."""
+def _text_blocks(lines: Iterable[str] | IO[str]) -> Iterator[tuple[str, list[str] | None]]:
+    """Each block of the input as text in which every line ends in "\\n"
+    (the first even for no input, as ""), and an iterable's items (None for
+    a stream).  An item's "\\n" is written as a space: both are white space
+    to the decoder and to the per-line regex, so the item stays one line."""
+    if hasattr(lines, "read"):
+        text = lines.read(_BLOCK_ROWS * 32)
+        while True:
+            if text and not text.endswith("\n"):  # on through the line, ended by "\n"
+                text += lines.readline().removesuffix("\n") + "\n"
+            yield text, None
+            if not (text := lines.read(_BLOCK_ROWS * 32)):
+                return
     lines = iter(lines)
-    while block := list(islice(lines, _BLOCK_ROWS)):
-        yield *_joined(block), block.__getitem__
-
-
-def _joined(block: list[str]) -> tuple[bytes, np.ndarray]:
-    """A block's lines as the decoder takes them: the UTF-8 text of the
-    lines joined by gaps between the pads, and the line bounds."""
-    text = _FRONT + _GAP.join(block) + _TAIL
-    raw = text.encode("utf-8", "surrogatepass")
-    # The edge before each line's first byte, and after the last line: a
-    # running sum of the line lengths, each with its gap.  The gap is added
-    # to the array: added per line in Python it doubles the cost of a block.
-    bound = np.add.accumulate(np.fromiter(chain(_FIRST_BOUND, map(len, block)), dtype=np.intp,
-                                          count=len(block) + 1) + _GAP_SIZE)
-    if len(raw) != len(text):  # character offsets to byte offsets
-        char_start = (np.frombuffer(raw, dtype=np.uint8) & 0xC0 != 0x80).nonzero()[0]
-        bound = char_start.take(bound + _ONE) - _ONE
-    return raw, bound
-
-
-def _stream_blocks(stream: IO[str]) -> Iterator[tuple[bytes, np.ndarray, Callable]]:
-    """The decoder's input for each _BLOCK_ROWS * 32 characters of a text
-    stream, read on through the end of their last line, and the text of a
-    line by its index in the block.  The lines are split at "\\n", which
-    UTF-8 holds only as the byte 0x0A, so the line bounds are the positions
-    of that byte; the gap goes in after each newline by one replace.  The
-    stream's last line gets a "\\n" when it has none: the decoder reads it
-    as a space, and the per-line parser strips it."""
-    while text := stream.read(_BLOCK_ROWS * 32):
-        if not text.endswith("\n"):
-            text += stream.readline()
-        block = (text if text.endswith("\n") else text + "\n").encode("utf-8", "surrogatepass")
-        start = np.concatenate((_FIRST_START, (np.frombuffer(block, dtype=np.uint8) == _NEWLINE)
-                                .nonzero()[0] + _ONE))
-        bound = start + (np.arange(len(start)) * _GAP_SIZE + (len(_FRONT) - 1))
-        yield (b"".join((_FRONT_BYTES, block.replace(b"\n", _NEWLINE_GAP), _TAIL_BYTES)), bound,
-               lambda k: block[start[k]:start[k + 1]].decode("utf-8", "surrogatepass"))
+    items = list(islice(lines, _BLOCK_ROWS))
+    while True:
+        yield "\n".join([item.replace("\n", " ") for item in items] + [""]), items
+        if not (items := list(islice(lines, _BLOCK_ROWS))):
+            return
 
 
 # The block decoder.
 #
-# A block's lines are joined into one text, between a front pad and a tail
-# of spaces (the tail also holds four one-byte sentinel tokens), with a run
-# of spaces after each line; the pads keep every fixed-width read in bounds
-# and put only spaces before a line's first byte.  One translate maps each
-# byte to its class: its kind (decimal digit, hex letter, each punctuation
-# mark of a record, ASCII whitespace as the regex's \s, or other) and a hex
-# digit's value.  Tokens are the runs of non-space bytes, found where a space
+# A block's text, each line ending in "\n", goes between a front pad and a
+# tail of spaces (the tail also holds four one-byte sentinel tokens), and a
+# gap of spaces after each newline, the front's too; the pads keep every
+# fixed-width read in bounds and put only white space before a line's first
+# byte.  One translate maps each byte to its class: its kind (decimal digit,
+# hex letter, each punctuation mark of a record, ASCII whitespace as the
+# regex's \s, or other) and a hex digit's value.  Tokens are the runs of non-space bytes, found where a space
 # and a non-space byte meet: two edges per token, the byte before its first
 # byte and its last byte.  A record is a line of exactly three tokens whose
-# first starts the line.  The line bounds are a running sum of the line
-# lengths and gaps, or, in a stream's block, the newline positions.  The
+# first starts the line.  The line bounds are the last bytes of the gaps,
+# found from the newlines: UTF-8 holds "\n" only as the byte 0x0A.  The
 # channel names are the records' middle tokens, coded by `_channel_codes`.
 #
 # The timestamp token is read as the _WINDOW classes that end at its ")",
@@ -261,7 +238,7 @@ def _stream_blocks(stream: IO[str]) -> Iterator[tuple[bytes, np.ndarray, Callabl
 _DIGIT, _HEX, _CLOSE, _OPEN, _SPACE, _OTHER, _HASH, _DOT = range(8)
 _WINDOW = 25  # 24 timestamp bytes and ")"; or 8 id digits, "#" and 16 data digits
 _GAP = " " * 24
-_FRONT = " " * 32
+_FRONT = " " * 7 + "\n"  # 32 bytes with the gap after its newline
 _TAIL = _GAP + " ~" * 4 + " " * 32
 _SHAPES = 27 * _WINDOW  # shapes of one token: lengths 0..26 times columns
 
@@ -341,12 +318,9 @@ _LEAD_SHIFT = np.array([24 - 39] + [0] * 16 + list(range(17 - 39, 23 - 39)) + [0
 # _SHAPE_ROW[length] is the first shape of that length (any longer reads as 26).
 _SHAPE_ROW = np.arange(27) * _WINDOW
 # Operands as arrays: numpy takes an array faster than a Python scalar.
-_SIX_EDGES, _ONE, _THREE_TOKENS = np.arange(6), np.array(1), np.array(6)
-# The first line bound, before _GAP_SIZE is added to every entry.
-_FIRST_BOUND, _GAP_SIZE = (len(_FRONT) - 1 - len(_GAP),), np.array(len(_GAP))
-# A stream block's pads, its first line's start and what each newline becomes.
-_FRONT_BYTES, _TAIL_BYTES, _NEWLINE_GAP = _FRONT.encode(), _TAIL.encode(), ("\n" + _GAP).encode()
-_FIRST_START, _NEWLINE = np.zeros(1, dtype=np.intp), np.array(ord("\n"), dtype=np.uint8)
+_SIX_EDGES, _ONE, _THREE_TOKENS, _GAP_SIZE = np.arange(6), np.array(1), np.array(6), np.array(len(_GAP))
+# What each newline becomes, and its byte.
+_NEWLINE_GAP, _NEWLINE = ("\n" + _GAP).encode(), np.array(ord("\n"), dtype=np.uint8)
 # Channel-name keys: the little-endian word at a name, its first n bytes
 # kept by _KEY_MASK[n].
 _KEY_BYTES, _KEY_DTYPE = 8, np.dtype("<u8")
@@ -368,16 +342,16 @@ def _runs(stop: np.ndarray, count: np.ndarray) -> np.ndarray:
     return taken
 
 
-def _decode_records(raw: bytes, bound: np.ndarray, channels: dict[bytes, int]
-                    ) -> tuple[np.ndarray, list]:
-    """The indices of the lines of a block that hold a candump record (as
-    `_candump_fields` would decide), and the columns of those records:
-    timestamp (us), id, extended flag, dlc, zero-padded payload and channel
-    code, each contiguous and of the log's dtype.  `raw` is the block's
-    UTF-8 text between the pads, each line followed by a gap, and `bound`
-    the edges before each line's first byte and after the last line (see
-    `_joined` and `_stream_blocks`).  New channel names join `channels`, as
-    UTF-8 bytes."""
+def _decode_records(text: str, channels: dict[bytes, int]) -> tuple[np.ndarray, list]:
+    """Which lines of a block hold a candump record (as `_candump_fields`
+    would decide), as a mask, and the columns of those records: timestamp
+    (us), id, extended flag, dlc, zero-padded payload and channel code,
+    each contiguous and of the log's dtype.  `text` is the block, every line
+    ending in "\\n" (see `_text_blocks`).  New channel names join
+    `channels`, as UTF-8 bytes."""
+    raw = (_FRONT + text + _TAIL).encode("utf-8", "surrogatepass").replace(b"\n", _NEWLINE_GAP)
+    # The edges before each line's first byte and after the last line.
+    bound = (np.frombuffer(raw, dtype=np.uint8) == _NEWLINE).nonzero()[0] + _GAP_SIZE
     lines = len(bound) - 1
     classes = raw.translate(_CLASS)
     space = np.frombuffer(classes, dtype=np.uint8) == _SPACE_CLASS
@@ -410,10 +384,10 @@ def _decode_records(raw: bytes, bound: np.ndarray, channels: dict[bytes, int]
     if len(rows) < lines:
         pos, value, shape = (a.take(rows, axis=0) for a in (pos, value, shape))
     record = shape[:, 1]
-    return rows, [value[:, 0].astype(np.int64), value[:, 1].astype(np.uint32),
-                  _EXTENDED.take(record), _DLC.take(record),
-                  value[:, 2:].astype(">u8").view(np.uint8),
-                  _channel_codes(raw, pos[:, 2] + _ONE, pos[:, 3] - pos[:, 2], channels)]
+    return ok, [value[:, 0].astype(np.int64), value[:, 1].astype(np.uint32),
+                _EXTENDED.take(record), _DLC.take(record),
+                value[:, 2:].astype(">u8").view(np.uint8),
+                _channel_codes(raw, pos[:, 2] + _ONE, pos[:, 3] - pos[:, 2], channels)]
 
 
 def _channel_codes(raw: bytes, start: np.ndarray, length: np.ndarray,
@@ -815,13 +789,18 @@ def load_labels(log: TrafficLog, stream: IO[str]) -> TrafficLog:
     """Attach labels from a save_labels document to a log of equal length.
 
     A malformed document raises ValueError: not an object, a missing
-    field, or a label that is not an index into `classes`."""
+    field, a class named twice, or a label that is not an index into
+    `classes`."""
     doc = json.load(stream)
     _require_fields(doc, (), "label document")
     if doc.get("format_version") != 1:
         raise ValueError(f"unsupported label document version {doc.get('format_version')!r}")
     _require_fields(doc, ("classes", "labels"), "label document")
     classes = _read_field("label document", "classes", doc["classes"], "list of text")
+    names = sorted(classes)
+    repeated = [a for a, b in zip(names, names[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"label document field 'classes': {repeated[0]!r} is named more than once")
     indices = doc["labels"]
     if not isinstance(indices, list):
         raise ValueError("label document labels must be a list of class indices")

@@ -223,10 +223,11 @@ def save_id_sequences(seqs: IdSequenceSet, stream: IO[str]) -> None:
 def load_id_sequences(stream: IO[str]) -> IdSequenceSet:
     """Read sequences written by save_id_sequences: cells are signed integer
     cells (`core`), and labels 0..255."""
-    header = stream.readline().strip().split(",")
+    rows = _csv_rows(stream)
+    header = next(rows, [])
     if len(header) < 3 or header[0] != "start" or header[-1] != "label":
         raise ValueError("not an id-sequence file")
-    cells = chain.from_iterable(row for _, row in _data_rows(_csv_rows(stream), len(header)))
+    cells = chain.from_iterable(row for _, row in _data_rows(rows, len(header)))
     values = _int64_table(list(cells), header)
     labels = values[:, -1].astype(np.uint8)
     bad = np.flatnonzero(labels != values[:, -1])

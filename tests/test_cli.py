@@ -443,6 +443,30 @@ class TestConfigErrorsExit2:
         assert f"{flag} must be positive, not 0" in capsys.readouterr().err
         assert not os.path.exists("report.json")
 
+    def test_eval_window_longer_than_test_set(self, synth_dir, capsys):
+        """A window valid alone, wrong for this test set: no window is scored."""
+        assert run(["prep", "--log", "synth/attack.log", "--labels", "synth/attack.labels.json",
+                    "--out", "prep"]) == 0
+        assert run(["train", "--train", "prep/train.csv", "--model", "tree",
+                    "--params", '{"max_depth": 3}', "--out", "model.json"]) == 0
+        with open("prep/test.csv") as fh:
+            rows = len(fh.readlines()) - 1
+        capsys.readouterr()
+        code = run(["eval", "--model", "model.json", "--test", "prep/test.csv",
+                    "--mode", "window", "--window", "100000", "--out", "report.json"])
+        assert code == 2
+        assert (f"--window 100000 is longer than the test set's {rows} rows"
+                in capsys.readouterr().err)
+        assert not os.path.exists("report.json")
+
+    def test_pipeline_window_longer_than_test_set(self, workspace, capsys):
+        """Refused after the split, which sizes the test set, and before the fit."""
+        write_json("config.json", dict(PIPELINE_CONFIG, eval={"mode": "window", "window": 100000}))
+        assert run(["pipeline", "--config", "config.json", "--out", "runb"]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"eval\.window 100000 is longer than the test set's \d+ rows", err), err
+        assert not os.path.exists("runb/model.json")
+
     @pytest.mark.parametrize("ambient, scenario", [
         (dict(AMBIENT, seed=-3), DOS_SCENARIO),
         (AMBIENT, {"kind": "fuzzy", "interval": [1.0, 2.0], "seed": -2}),

@@ -601,6 +601,16 @@ class TestLabelDocument:
         with pytest.raises(ValueError, match=f"label document lacks '{field}'"):
             self.load(doc)
 
+    @pytest.mark.parametrize("classes, name", [(["Normal", "DoS", "Normal"], "Normal"),
+                                               (["Normal", "DoS", "DoS"], "DoS")])
+    def test_class_named_twice_rejected(self, classes, name):
+        """Label 2 would read as the first class of that name."""
+        doc = {"format_version": 1, "classes": classes, "labels": [2, 1]}
+        with pytest.raises(ValueError) as raised:
+            self.load(doc)
+        assert str(raised.value) == (f"label document field 'classes': {name!r} "
+                                     "is named more than once")
+
     def test_non_object_document_rejected(self):
         with pytest.raises(ValueError, match="label document must be a JSON object, not list"):
             self.load([0, 1])

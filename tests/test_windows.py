@@ -255,6 +255,15 @@ class TestPersistence:
         with pytest.raises(ValueError, match="id-sequence"):
             load_id_sequences(io.StringIO("a,b\n"))
 
+    def test_sequence_header_read_as_data_rows(self):
+        """The header goes through the data rows' CSV grammar: quoted cells
+        load, and cells are read as written."""
+        back = load_id_sequences(io.StringIO('"start","id0","label"\n"7","5","1"\n'))
+        assert back.starts.tolist() == [7] and back.ids.tolist() == [[5]]
+        assert back.labels.tolist() == [1]
+        with pytest.raises(ValueError, match="id-sequence"):
+            load_id_sequences(io.StringIO("start,id0,label  \n0,5,0\n"))
+
     def test_empty_set_roundtrip(self):
         out = build_bit_grids(make_log(5))
         gbuf, lbuf = io.BytesIO(), io.BytesIO()
